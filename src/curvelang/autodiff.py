@@ -27,14 +27,6 @@ def set_check_finite(enabled: bool) -> None:
     _check_finite = bool(enabled)
 
 
-def set_default_dtype(dtype) -> None:
-    """Switch new tensors to float32 or float64."""
-    global DEFAULT_DTYPE
-    if np.dtype(dtype) not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}")
-    DEFAULT_DTYPE = np.dtype(dtype).type
-
-
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 

@@ -9,6 +9,7 @@ an ``opt.`` prefix so training can resume.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 
@@ -33,16 +34,20 @@ def _write_blob(fh, name: str, array: np.ndarray) -> None:
     fh.write(array.astype("<f4").tobytes())
 
 
+def _read_exact(fh, size: int) -> bytes:
+    data = fh.read(size)
+    if len(data) < size:
+        raise IoError(f"truncated checkpoint: wanted {size} bytes, got {len(data)}")
+    return data
+
+
 def _read_blob(fh) -> tuple[str, np.ndarray]:
-    raw = fh.read(4)
-    if len(raw) < 4:
-        raise IoError("truncated checkpoint blob")
-    (name_len,) = struct.unpack("<I", raw)
-    name = fh.read(name_len).decode("utf-8")
-    (ndim,) = struct.unpack("<I", fh.read(4))
-    shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
+    (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
+    name = _read_exact(fh, name_len).decode("utf-8")
+    (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
+    shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
     count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fh.read(count * 4), dtype="<f4").reshape(shape)
+    data = np.frombuffer(_read_exact(fh, count * 4), dtype="<f4").reshape(shape)
     return name, data.astype(np.float64)
 
 
@@ -96,24 +101,34 @@ def save(model: SclmModel, path: str, step: int) -> None:
 
 
 def load(path: str) -> tuple[SclmModel, int, dict]:
-    """Rebuild the model (cache included) from a checkpoint file."""
+    """Rebuild the model from a checkpoint file; its basis pairs are built on first use.
+
+    A short read or an unparsable header or blob raises ``IoError``.  The
+    file is parsed from memory, so a corrupt length field asks for at
+    most the bytes that are there instead of allocating what it claims.
+    """
     try:
         with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != MAGIC:
-                raise CheckpointVersionMismatch(f"bad magic {magic!r}, expected {MAGIC!r}")
-            (version,) = struct.unpack("<I", fh.read(4))
-            if version != VERSION:
-                raise CheckpointVersionMismatch(f"format version {version}, expected {VERSION}")
-            (header_len,) = struct.unpack("<Q", fh.read(8))
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-            blobs = {}
-            expected = len(header["params"]) * 3
-            for _ in range(expected):
-                name, data = _read_blob(fh)
-                blobs[name] = data
+            raw = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
+    fh = io.BytesIO(raw)
+    try:
+        magic = fh.read(4)
+        if magic != MAGIC:
+            raise CheckpointVersionMismatch(f"bad magic {magic!r}, expected {MAGIC!r}")
+        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        if version != VERSION:
+            raise CheckpointVersionMismatch(f"format version {version}, expected {VERSION}")
+        (header_len,) = struct.unpack("<Q", _read_exact(fh, 8))
+        header = json.loads(_read_exact(fh, header_len).decode("utf-8"))
+        blobs = {}
+        expected = len(header["params"]) * 3
+        for _ in range(expected):
+            name, data = _read_blob(fh)
+            blobs[name] = data
+    except ValueError as exc:
+        raise IoError(f"cannot parse checkpoint {path}: {exc}") from exc
 
     curve = header["curve"]
     cache = build_cache(

@@ -3,8 +3,8 @@ embedding <-> curve mappings.
 
 The number of control points scales with sentence length through
 ``n_ratio``; the degree comes either from a ratio of N or a fixed value.
-Pairs are precomputed once per length and reused, since B and B_pinv
-depend only on (L, N, eta, margin).
+Each length's pair is built on first use and then reused, since B and
+B_pinv depend only on (L, N, eta, margin).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class CurveConfig:
     l_min: int = 2
     l_max: int = 250
     rcond: float | None = None
-    allow_dynamic: bool = False
     identity: bool = False
 
     def __post_init__(self):
@@ -44,14 +43,14 @@ class CurveConfig:
             raise ConfigError("exactly one of eta_ratio / eta_fixed must be set")
 
 
-def resolve_dims(length: int, config: CurveConfig, check_range: bool = True) -> tuple[int, int]:
+def resolve_dims(length: int, config: CurveConfig) -> tuple[int, int]:
     """Control-point count and degree for a sentence of length L.
 
     N = trunc(L * n_ratio) clamped to >= 2.  The degree is either
     max(trunc(N * eta_ratio), 2) or the fixed value, then clamped into
     [1, N-1] so the clamped knot vector stays valid for short sentences.
     """
-    if check_range and not config.l_min <= length <= config.l_max:
+    if not config.l_min <= length <= config.l_max:
         raise LengthOutOfRange(f"length {length} outside [{config.l_min}, {config.l_max}]")
     n_points = max(int(length * config.n_ratio), 2)
     if config.eta_fixed is not None:
@@ -63,43 +62,46 @@ def resolve_dims(length: int, config: CurveConfig, check_range: bool = True) -> 
 
 
 class BasisCache:
-    """Immutable map from sentence length to its BasisPair."""
+    """Map from each sentence length in [l_min, l_max] to its BasisPair.
 
-    def __init__(self, config: CurveConfig, pairs: dict[int, BasisPair]):
+    A pair is built on the first ``get`` of its length and kept; length,
+    membership and ``lengths()`` describe the whole range whether or not
+    a pair has been built yet.
+    """
+
+    def __init__(self, config: CurveConfig):
         self.config = config
-        self._pairs = pairs
+        self._range = range(config.l_min, config.l_max + 1)
+        self._pairs: dict[int, BasisPair] = {}
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._range)
 
     def __contains__(self, length: int) -> bool:
-        return length in self._pairs
+        return length in self._range
 
     def lengths(self) -> list[int]:
-        return sorted(self._pairs)
+        return list(self._range)
 
     def get(self, length: int) -> BasisPair:
         pair = self._pairs.get(length)
         if pair is None:
-            if self.config.allow_dynamic and length >= 2:
-                pair = _make_pair(length, self.config, check_range=False)
-                self._pairs[length] = pair
-            else:
-                raise LengthOutOfRange(f"no cached basis for length {length}")
+            if length not in self._range:
+                raise LengthOutOfRange(f"length {length} outside [{self.config.l_min}, {self.config.l_max}]")
+            pair = self._pairs[length] = _make_pair(length, self.config)
         return pair
 
 
-def _make_pair(length: int, config: CurveConfig, check_range: bool = True) -> BasisPair:
+def _make_pair(length: int, config: CurveConfig) -> BasisPair:
     if config.identity:
         return splines.identity_pair(length)
-    n_points, eta = resolve_dims(length, config, check_range)
+    n_points, eta = resolve_dims(length, config)
     return splines.build_pair(length, n_points, eta, config.margin, config.rcond)
 
 
 def build_cache(config: CurveConfig) -> BasisCache:
-    """Precompute one BasisPair per length in [l_min, l_max]."""
-    pairs = {length: _make_pair(length, config) for length in range(config.l_min, config.l_max + 1)}
-    return BasisCache(config, pairs)
+    """A cache over [l_min, l_max] whose pairs are built on first use."""
+    return BasisCache(config)
 
 
 @dataclass(frozen=True)

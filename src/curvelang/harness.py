@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +29,6 @@ from .model import (
     train_step,
 )
 from .rng import RngStream
-
-
-def loader_threads() -> int:
-    raw = os.environ.get("CURVELANG_THREADS", "0")
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        return 0
 
 
 def resolve_corpus(config: RunConfig, out_dir: str) -> Corpus:
@@ -121,31 +111,6 @@ class TrainResult:
     final: dict
 
 
-def _batch_iter(corpus: Corpus, config: RunConfig, start_step: int):
-    """Yield (step, batch); prefetches on a thread when configured."""
-    steps = range(start_step + 1, config.steps + 1)
-    n_threads = loader_threads()
-    if n_threads < 1:
-        for step in steps:
-            yield step, make_batch(corpus, config.batch_size, config.seed, step)
-        return
-    q: queue.Queue = queue.Queue(maxsize=8)
-
-    def worker():
-        for step in steps:
-            q.put((step, make_batch(corpus, config.batch_size, config.seed, step)))
-        q.put(None)
-
-    thread = threading.Thread(target=worker, daemon=True)
-    thread.start()
-    while True:
-        item = q.get()
-        if item is None:
-            break
-        yield item
-    thread.join()
-
-
 def run_training(config: RunConfig, out_dir: str) -> TrainResult:
     """Train for the configured step budget; write losses.csv + model.ckpt."""
     config.validate()
@@ -166,7 +131,8 @@ def run_training(config: RunConfig, out_dir: str) -> TrainResult:
     rows: list[dict] = []
     lines = [header]
     record: dict = {}
-    for step, batch in _batch_iter(corpus, config, start_step):
+    for step in range(start_step + 1, config.steps + 1):
+        batch = make_batch(corpus, config.batch_size, config.seed, step)
         record = train_step(model, batch, optimizer, step)
         if not all(np.isfinite(v) for k, v in record.items() if k != "step"):
             raise NonFinite(f"non-finite loss record at step {step}")
@@ -301,13 +267,7 @@ def run_probe(
 ) -> dict:
     """Probe two checkpoints on the same evaluation batch and compare."""
     os.makedirs(out_dir, exist_ok=True)
-    if corpus_spec.startswith("builtin:"):
-        name = corpus_spec.split(":", 1)[1]
-        path = os.path.join(out_dir, f"corpus_{name}.txt")
-        write_builtin(name, path)
-    else:
-        path = corpus_spec
-    corpus = ingest(path, tokenizer=tokenizer, max_len=max_len)
+    corpus = resolve_corpus(RunConfig(corpus=corpus_spec, tokenizer=tokenizer, max_len=max_len), out_dir)
     model_a, _, _ = checkpoint.load(ckpt_a)
     model_b, _, _ = checkpoint.load(ckpt_b)
     for model in (model_a, model_b):

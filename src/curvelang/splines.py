@@ -72,55 +72,38 @@ def clamped_knots(n_points: int, eta: int) -> KnotVector:
     return KnotVector(knots=knots, degree=eta)
 
 
-def _find_span(knots: np.ndarray, eta: int, n_basis: int, gamma: float) -> int:
-    # Half-open spans [t_s, t_{s+1}), except the last span which is closed
-    # so gamma = 1 lands on the final basis function.
-    if gamma >= knots[n_basis]:
-        return n_basis - 1
-    lo, hi = eta, n_basis
-    while True:
-        mid = (lo + hi) // 2
-        if gamma < knots[mid]:
-            hi = mid
-        elif gamma >= knots[mid + 1]:
-            lo = mid + 1
-        else:
-            return mid
+def _basis_columns(knots: KnotVector, gammas: np.ndarray) -> np.ndarray:
+    """All N basis functions at each curve index in ``gammas``, as an (N, len) matrix.
 
-
-def _local_basis(knots: np.ndarray, eta: int, span: int, gamma: float) -> np.ndarray:
-    # Cox-de Boor recursion restricted to the eta+1 functions alive on the span.
-    vals = np.zeros(eta + 1)
-    left = np.zeros(eta + 1)
-    right = np.zeros(eta + 1)
-    vals[0] = 1.0
-    if eta > 24:
-        return _local_basis_vectorized(knots, eta, span, gamma, vals, left, right)
+    Cox-de Boor recursion restricted to the eta+1 functions alive on each
+    index's knot span, run for every index at once: one (len, eta+1)
+    array per quantity, one degree level per iteration.  Spans are
+    half-open [t_s, t_{s+1}), except the last, which is closed so that
+    gamma = 1 lands on the final basis function.
+    """
+    t = knots.knots
+    eta = knots.degree
+    n_basis = knots.n_basis
+    span = np.clip(np.searchsorted(t, gammas, side="right") - 1, eta, n_basis - 1)
+    offsets = np.arange(1, eta + 1)
+    g = gammas[:, None]
+    left = np.zeros((gammas.size, eta + 1))
+    right = np.zeros((gammas.size, eta + 1))
+    left[:, 1:] = g - t[span[:, None] + 1 - offsets]
+    right[:, 1:] = t[span[:, None] + offsets] - g
+    vals = np.zeros((gammas.size, eta + 1))
+    vals[:, 0] = 1.0
+    # Level j mixes each of the j live values into its two neighbours:
+    # vals[r] <- right[r+1] * term[r] + left[j-r+1] * term[r-1].
     for j in range(1, eta + 1):
-        left[j] = gamma - knots[span + 1 - j]
-        right[j] = knots[span + j] - gamma
-        saved = 0.0
-        for r in range(j):
-            denom = right[r + 1] + left[j - r]
-            term = vals[r] / denom
-            vals[r] = saved + right[r + 1] * term
-            saved = left[j - r] * term
-        vals[j] = saved
-    return vals
-
-
-def _local_basis_vectorized(knots, eta, span, gamma, vals, left, right) -> np.ndarray:
-    # Same recursion with each degree level done as slice arithmetic; the
-    # scalar loop's running `saved` only couples adjacent terms, so a level
-    # is two shifted products.  Bitwise-identical to the scalar path.
-    left[1:] = gamma - knots[span : span - eta : -1]
-    right[1:] = knots[span + 1 : span + eta + 1] - gamma
-    for j in range(1, eta + 1):
-        terms = vals[:j] / (right[1 : j + 1] + left[j:0:-1])
-        vals[:j] = right[1 : j + 1] * terms
-        vals[j] = 0.0
-        vals[1 : j + 1] += left[j:0:-1] * terms
-    return vals
+        terms = vals[:, :j] / (right[:, 1 : j + 1] + left[:, j:0:-1])
+        vals[:, :j] = right[:, 1 : j + 1] * terms
+        vals[:, j] = 0.0
+        vals[:, 1 : j + 1] += left[:, j:0:-1] * terms
+    out = np.zeros((n_basis, gammas.size))
+    rows = span[:, None] - eta + np.arange(eta + 1)
+    out[rows, np.arange(gammas.size)[:, None]] = vals
+    return out
 
 
 def basis_vector(gamma: float, knots: KnotVector) -> np.ndarray:
@@ -131,13 +114,7 @@ def basis_vector(gamma: float, knots: KnotVector) -> np.ndarray:
     """
     if not 0.0 <= gamma <= 1.0:
         raise OutOfRange(f"curve index {gamma} outside [0, 1]")
-    eta = knots.degree
-    n_basis = knots.n_basis
-    span = _find_span(knots.knots, eta, n_basis, float(gamma))
-    local = _local_basis(knots.knots, eta, span, float(gamma))
-    out = np.zeros(n_basis)
-    out[span - eta : span + 1] = local
-    return out
+    return _basis_columns(knots, np.array([float(gamma)]))[:, 0]
 
 
 def sample_indices(length: int, margin: float = 0.01) -> SampleIndices:
@@ -152,11 +129,8 @@ def sample_indices(length: int, margin: float = 0.01) -> SampleIndices:
 
 
 def basis_matrix(length: int, n_points: int, eta: int, margin: float = 0.01) -> np.ndarray:
-    """Stack basis vectors at the L sample indices into an (N, L) matrix."""
-    knots = clamped_knots(n_points, eta)
-    idx = sample_indices(length, margin)
-    cols = [basis_vector(g, knots) for g in idx.gammas]
-    return np.stack(cols, axis=1)
+    """Basis vectors at the L sample indices, one per column of an (N, L) matrix."""
+    return _basis_columns(clamped_knots(n_points, eta), sample_indices(length, margin).gammas)
 
 
 def pseudo_inverse(B: np.ndarray, rcond: float | None = None) -> tuple[np.ndarray, int, float]:

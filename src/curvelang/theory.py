@@ -299,6 +299,22 @@ def _centered_distances(X: np.ndarray) -> np.ndarray:
     return D - row - col + D.mean()
 
 
+def _distance_variance(A: np.ndarray) -> float:
+    return float((A * A).mean())
+
+
+def _dcor_centered(A: np.ndarray, B: np.ndarray, dvar_a: float, dvar_b: float) -> float:
+    """Biased distance correlation of two double-centred distance matrices.
+
+    ``dvar_a`` and ``dvar_b`` are their distance variances, passed in so a
+    caller correlating many pairs computes each one once.
+    """
+    if dvar_a <= 0.0 or dvar_b <= 0.0:
+        return 0.0
+    dcov2 = max(float((A * B).mean()), 0.0)
+    return float(np.sqrt(dcov2 / np.sqrt(dvar_a * dvar_b)))
+
+
 def distance_correlation(X: np.ndarray, Y: np.ndarray) -> float:
     """Biased-statistic distance correlation in [0, 1]; 0 if degenerate."""
     X = np.asarray(X, dtype=np.float64)
@@ -313,12 +329,7 @@ def distance_correlation(X: np.ndarray, Y: np.ndarray) -> float:
         raise TooFewSamples(f"need at least 2 samples, got {X.shape[0]}")
     A = _centered_distances(X)
     B = _centered_distances(Y)
-    dcov2 = max(float((A * B).mean()), 0.0)
-    dvar_x = float((A * A).mean())
-    dvar_y = float((B * B).mean())
-    if dvar_x <= 0.0 or dvar_y <= 0.0:
-        return 0.0
-    return float(np.sqrt(dcov2 / np.sqrt(dvar_x * dvar_y)))
+    return _dcor_centered(A, B, _distance_variance(A), _distance_variance(B))
 
 
 # ------------------------------------------------------------ logit probe
@@ -387,15 +398,10 @@ def logit_correlation_probe(
             samples[n] = (emb.T @ e_hat).T
         matrix = np.zeros((length, length))
         centered = [_centered_distances(samples[:, i, :]) for i in range(length)]
-        dvars = np.array([max(float((c * c).mean()), 0.0) for c in centered])
+        dvars = [_distance_variance(c) for c in centered]
         for i in range(length):
             for j in range(i, length):
-                if dvars[i] <= 0.0 or dvars[j] <= 0.0:
-                    val = 0.0
-                else:
-                    dcov2 = max(float((centered[i] * centered[j]).mean()), 0.0)
-                    val = float(np.sqrt(dcov2 / np.sqrt(dvars[i] * dvars[j])))
-                matrix[i, j] = matrix[j, i] = val
+                matrix[i, j] = matrix[j, i] = _dcor_centered(centered[i], centered[j], dvars[i], dvars[j])
         matrices.append(matrix)
     mean_matrix = np.mean(matrices, axis=0)
     off = mean_matrix[~np.eye(length, dtype=bool)]

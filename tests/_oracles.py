@@ -2,8 +2,10 @@
 
 These deliberately avoid the package's own numerical paths: the
 eigensolver is a hand-rolled Jacobi rotation sweep, gradients come from
-central finite differences, and the reference language-model losses are
-recomputed in plain numpy with no tape or curve machinery.
+central finite differences, B-spline bases come from a scalar
+one-index-at-a-time Cox-de Boor recursion, and the reference
+language-model losses are recomputed in plain numpy with no tape or
+curve machinery.
 """
 
 import numpy as np
@@ -54,6 +56,55 @@ def finite_difference_grad(f, x, h=1e-5):
 def relative_grad_error(numeric, analytic):
     scale = max(np.abs(numeric).max(), np.abs(analytic).max(), 1e-8)
     return float(np.abs(numeric - analytic).max() / scale)
+
+
+# ---------------------------------------------------------------------------
+# Scalar Cox-de Boor reference: one curve index at a time, one term at a time.
+# ---------------------------------------------------------------------------
+
+
+def find_span(knots, eta, n_basis, gamma):
+    """Knot span of gamma by bisection; the last span is closed at gamma = 1."""
+    if gamma >= knots[n_basis]:
+        return n_basis - 1
+    lo, hi = eta, n_basis
+    while True:
+        mid = (lo + hi) // 2
+        if gamma < knots[mid]:
+            hi = mid
+        elif gamma >= knots[mid + 1]:
+            lo = mid + 1
+        else:
+            return mid
+
+
+def local_basis(knots, eta, span, gamma):
+    """The eta+1 basis functions alive on ``span``, evaluated at gamma."""
+    vals = np.zeros(eta + 1)
+    left = np.zeros(eta + 1)
+    right = np.zeros(eta + 1)
+    vals[0] = 1.0
+    for j in range(1, eta + 1):
+        left[j] = gamma - knots[span + 1 - j]
+        right[j] = knots[span + j] - gamma
+        saved = 0.0
+        for r in range(j):
+            denom = right[r + 1] + left[j - r]
+            term = vals[r] / denom
+            vals[r] = saved + right[r + 1] * term
+            saved = left[j - r] * term
+        vals[j] = saved
+    return vals
+
+
+def reference_basis_matrix(knots, eta, gammas):
+    """(N, len(gammas)) basis matrix built column by column from the scalar recursion."""
+    n_basis = len(knots) - eta - 1
+    out = np.zeros((n_basis, len(gammas)))
+    for col, gamma in enumerate(gammas):
+        span = find_span(knots, eta, n_basis, float(gamma))
+        out[span - eta : span + 1, col] = local_basis(knots, eta, span, float(gamma))
+    return out
 
 
 # ---------------------------------------------------------------------------

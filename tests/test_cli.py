@@ -145,16 +145,6 @@ class TestTrainCommand:
             with open(os.path.join(out_a, name), "rb") as fa, open(os.path.join(out_b, name), "rb") as fb:
                 assert fa.read() == fb.read(), name
 
-    def test_loader_thread_does_not_change_outputs(self, tmp_path, monkeypatch):
-        out_a = str(tmp_path / "sync")
-        out_b = str(tmp_path / "threaded")
-        monkeypatch.setenv("CURVELANG_THREADS", "0")
-        cli.main(tiny_train_args(out_a))
-        monkeypatch.setenv("CURVELANG_THREADS", "1")
-        cli.main(tiny_train_args(out_b))
-        with open(os.path.join(out_a, "losses.csv")) as fa, open(os.path.join(out_b, "losses.csv")) as fb:
-            assert fa.read() == fb.read()
-
     def test_resume_continues_steps(self, tmp_path):
         out1 = str(tmp_path / "first")
         cli.main(tiny_train_args(out1))

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from curvelang import curvemap as cm
+from curvelang import splines
 from curvelang.errors import ConfigError, LengthOutOfRange, ShapeMismatch
 from curvelang.rng import RngStream
 
@@ -42,6 +43,9 @@ class TestBasisCache:
     def test_default_range_count(self):
         cache = cm.build_cache(cm.CurveConfig(n_ratio=2.0, eta_ratio=0.1, l_min=2, l_max=250))
         assert len(cache) == 249
+        assert cache.lengths() == list(range(2, 251))
+        assert 2 in cache and 250 in cache
+        assert 1 not in cache and 251 not in cache
 
     def test_lookup_matches_length(self):
         cache = cm.build_cache(cm.CurveConfig(l_min=2, l_max=12))
@@ -57,13 +61,34 @@ class TestBasisCache:
             assert np.array_equal(a.get(length).B_pinv, b.get(length).B_pinv)
 
     def test_missing_length_raises(self):
-        cache = cm.build_cache(cm.CurveConfig(l_min=2, l_max=8))
-        with pytest.raises(LengthOutOfRange):
-            cache.get(9)
+        for identity in (False, True):
+            cache = cm.build_cache(cm.CurveConfig(l_min=4, l_max=8, identity=identity))
+            for length in (3, 9):
+                with pytest.raises(LengthOutOfRange):
+                    cache.get(length)
 
-    def test_allow_dynamic(self):
-        cache = cm.build_cache(cm.CurveConfig(l_min=2, l_max=8, allow_dynamic=True))
-        assert cache.get(15).L == 15
+    def test_build_cache_builds_no_pair(self, monkeypatch):
+        calls = []
+        for name in ("build_pair", "identity_pair", "basis_matrix", "basis_vector", "pseudo_inverse"):
+            monkeypatch.setattr(splines, name, lambda *a, _name=name, **k: calls.append(_name))
+        cm.build_cache(cm.CurveConfig(l_min=2, l_max=250))
+        cm.build_cache(cm.CurveConfig(l_min=2, l_max=250, identity=True))
+        assert calls == []
+
+    def test_get_builds_each_pair_once(self, monkeypatch):
+        built = []
+        original = splines.build_pair
+
+        def counting(length, *args, **kwargs):
+            built.append(length)
+            return original(length, *args, **kwargs)
+
+        monkeypatch.setattr(splines, "build_pair", counting)
+        cache = cm.build_cache(cm.CurveConfig(l_min=2, l_max=40))
+        first = cache.get(17)
+        assert cache.get(17) is first
+        assert cache.get(5) is cache.get(5)
+        assert built == [17, 5]
 
     def test_identity_cache(self):
         cache = cm.build_cache(cm.CurveConfig(l_min=2, l_max=6, identity=True))

@@ -1,16 +1,18 @@
 """Schedules, noise processes, curve-wired losses, K-curve head, sampling."""
 
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from curvelang import autodiff as ad
-from curvelang import checkpoint
+from curvelang import checkpoint, cli, splines
 from curvelang import model as M
 from curvelang.autodiff import Tensor
 from curvelang.corpus import build_vocab
 from curvelang.curvemap import CurveConfig, SentenceCurve, build_cache
-from curvelang.errors import CheckpointVersionMismatch, ConfigError, StepOutOfRange
+from curvelang.errors import CheckpointVersionMismatch, ConfigError, CurvelangError, IoError, StepOutOfRange
 from curvelang.rng import RngStream
 
 from _oracles import reference_backbone, reference_gaussian_loss, reference_masked_loss
@@ -420,3 +422,50 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 20)
         with pytest.raises(CheckpointVersionMismatch):
             checkpoint.load(str(path))
+
+    def test_corrupt_length_fields_are_typed(self, tmp_path):
+        model = make_model("gaussian", seed=35)
+        path = tmp_path / "m.ckpt"
+        checkpoint.save(model, str(path), step=0)
+        data = path.read_bytes()
+        header_len = int.from_bytes(data[8:16], "little")
+        # the header length, then the first blob's name length, claim far
+        # more bytes than the file holds
+        huge_header = data[:8] + (1 << 62).to_bytes(8, "little") + data[16:]
+        huge_name = data[: 16 + header_len] + b"\xff" * 4 + data[20 + header_len :]
+        for corrupt in (huge_header, huge_name):
+            path.write_bytes(corrupt)
+            with pytest.raises(IoError):
+                checkpoint.load(str(path))
+
+    def test_load_builds_no_pair(self, tmp_path, monkeypatch):
+        model = make_model("gaussian", seed=34)
+        path = str(tmp_path / "m.ckpt")
+        checkpoint.save(model, path, step=0)
+        calls = []
+        for name in ("build_pair", "identity_pair"):
+            monkeypatch.setattr(splines, name, lambda *a, _name=name, **k: calls.append(_name))
+        loaded, _, _ = checkpoint.load(path)
+        assert calls == []
+        assert loaded.cache.lengths() == model.cache.lengths()
+
+    def test_truncation_at_every_offset_is_typed(self, tmp_path):
+        model = M.SclmModel(
+            mode="gaussian",
+            vocab=tiny_vocab(),
+            cache=build_cache(CurveConfig(l_min=2, l_max=4)),
+            schedule=M.build_schedule(4, "linear"),
+            backbone=M.BackboneConfig(layers=1, heads=1, d_model=2, d_ff=2, max_positions=4, time_dim=2),
+            embed_dim=2,
+        )
+        path = str(tmp_path / "cut.ckpt")
+        checkpoint.save(model, path, step=0)
+        size = os.path.getsize(path)
+        out = str(tmp_path / "samples")
+        # cut the file shorter one byte at a time, from its last byte down to empty
+        for cut in range(size - 1, -1, -1):
+            os.truncate(path, cut)
+            with pytest.raises(CurvelangError):
+                checkpoint.load(path)
+            if cut % 8 == 0:
+                assert cli.main(["sample", path, "--length", "4", "--n", "1", "--out", out]) == 2, cut

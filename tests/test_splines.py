@@ -4,11 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from curvelang import curvemap as cm
 from curvelang import splines as sp
 from curvelang.errors import DegreeTooHigh, LengthTooShort, NumericalFailure, OutOfRange, ShapeMismatch
 from curvelang.rng import RngStream
 
-from _oracles import jacobi_eigenvalues
+from _oracles import jacobi_eigenvalues, reference_basis_matrix
 
 
 class TestClampedKnots:
@@ -107,6 +108,51 @@ class TestBasisMatrix:
     def test_middle_column_bezier(self):
         B = sp.basis_matrix(3, 3, 2, 0.0)
         npt.assert_allclose(B[:, 1], [0.25, 0.5, 0.25], atol=1e-15)
+
+
+class TestBasisOracle:
+    """The array evaluator against the scalar Cox-de Boor recursion, bit for bit."""
+
+    def test_default_cache_lengths(self):
+        config = cm.CurveConfig()
+        for length in range(2, 65):
+            n_points, eta = cm.resolve_dims(length, config)
+            kv = sp.clamped_knots(n_points, eta)
+            gammas = sp.sample_indices(length, config.margin).gammas
+            expected = reference_basis_matrix(kv.knots, eta, gammas)
+            assert np.array_equal(sp.basis_matrix(length, n_points, eta, config.margin), expected), length
+
+    def test_high_degree_sweep_cells(self):
+        # cells whose degree exceeds 24, with and without the margin, so
+        # the columns at gamma = 0 and gamma = 1 are covered too
+        cells = []
+        for length in cm.DEFAULT_SWEEP_LENGTHS:
+            for n_ratio in cm.DEFAULT_SWEEP_N_RATIOS:
+                for eta_ratio in cm.DEFAULT_SWEEP_ETA_RATIOS:
+                    config = cm.CurveConfig(n_ratio=n_ratio, eta_ratio=eta_ratio, l_max=max(length, 250))
+                    n_points, eta = cm.resolve_dims(length, config)
+                    if 24 < eta <= 49:
+                        cells.append((length, n_points, eta))
+        rng = RngStream(12, "oracle-cells").generator()
+        for i in rng.choice(len(cells), size=min(3, len(cells)), replace=False):
+            length, n_points, eta = cells[int(i)]
+            kv = sp.clamped_knots(n_points, eta)
+            for margin in (0.01, 0.0):
+                gammas = sp.sample_indices(length, margin).gammas
+                expected = reference_basis_matrix(kv.knots, eta, gammas)
+                assert np.array_equal(sp.basis_matrix(length, n_points, eta, margin), expected)
+            for gamma in (0.0, 1.0):
+                assert np.array_equal(sp.basis_vector(gamma, kv), reference_basis_matrix(kv.knots, eta, [gamma])[:, 0])
+
+    def test_random_basis_vectors(self):
+        rng = RngStream(13, "oracle-vec").generator()
+        for _ in range(500):
+            n = int(rng.integers(2, 40))
+            eta = int(rng.integers(1, n))
+            kv = sp.clamped_knots(n, eta)
+            # a random index, or one that sits exactly on a knot
+            gamma = float(rng.random()) if rng.random() < 0.5 else float(kv.knots[int(rng.integers(0, len(kv.knots)))])
+            assert np.array_equal(sp.basis_vector(gamma, kv), reference_basis_matrix(kv.knots, eta, [gamma])[:, 0])
 
 
 class TestPseudoInverse:
