@@ -5,6 +5,8 @@ A ``Tape`` records every op executed while it is active (thread-local);
 into every tensor that requires gradients.  Ops are plain functions over
 ``Tensor`` values backed by numpy arrays.  Broadcasting is limited to
 bias-style row/column addition so every adjoint stays a one-liner.
+``matmul`` is the 2-D product; ``bmm`` multiplies stacks of matrices,
+and ``reshape``/``swapaxes`` move a batch between the two layouts.
 """
 
 from __future__ import annotations
@@ -111,6 +113,8 @@ class Tape:
             if out.grad is None:
                 continue
             grads = backward_fn(out.grad)
+            # an op output's adjoint is complete once its op has consumed it
+            out.grad = None
             for inp, g in zip(inputs, grads):
                 if g is None or not inp.requires_grad:
                     continue
@@ -169,6 +173,15 @@ def matmul(a, b) -> Tensor:
     return _emit(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
+def bmm(a, b) -> Tensor:
+    """Batched product (..., n, k) @ (..., k, m) over equal leading axes."""
+    a, b = _wrap(a), _wrap(b)
+    if a.data.ndim < 3 or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ShapeMismatch(f"bmm of {a.shape} and {b.shape}")
+    ad, bd = a.data, b.data
+    return _emit(ad @ bd, (a, b), lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g))
+
+
 def _binary_shapes_ok(a: Tensor, b: Tensor) -> bool:
     try:
         out_shape = np.broadcast_shapes(a.shape, b.shape)
@@ -215,6 +228,21 @@ def transpose(a) -> Tensor:
     return _emit(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
+def reshape(a, shape) -> Tensor:
+    a = _wrap(a)
+    a_shape = a.shape
+    try:
+        out = a.data.reshape(shape)
+    except ValueError:
+        raise ShapeMismatch(f"cannot reshape {a_shape} to {shape}") from None
+    return _emit(out, (a,), lambda g: (g.reshape(a_shape),))
+
+
+def swapaxes(a, axis1: int, axis2: int) -> Tensor:
+    a = _wrap(a)
+    return _emit(a.data.swapaxes(axis1, axis2), (a,), lambda g: (g.swapaxes(axis1, axis2),))
+
+
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     sizes = [t.shape[axis] for t in tensors]
@@ -232,7 +260,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def slice_(a, key) -> Tensor:
-    """Static slice; the adjoint scatters back into a zero buffer."""
+    """Static slice, or a gather of distinct indices; the adjoint scatters
+    back into a zero buffer."""
     a = _wrap(a)
     a_shape = a.shape
 
@@ -306,7 +335,7 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 def gelu(x) -> Tensor:
     x = _wrap(x)
     xd = x.data
-    inner = _GELU_C * (xd + 0.044715 * xd**3)
+    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
     t = np.tanh(inner)
     out = 0.5 * xd * (1.0 + t)
 
@@ -361,32 +390,53 @@ def mse_loss(pred, target) -> Tensor:
     )
 
 
-def cross_entropy_loss(logits, targets) -> Tensor:
-    """Mean negative log-likelihood over rows of (n, V) logits."""
+def cross_entropy_loss(logits, targets, weights=None) -> Tensor:
+    """Negative log-likelihood over rows of (n, V) logits.
+
+    The mean over rows, or with per-row ``weights`` the weighted sum.
+    """
     logits = _wrap(logits)
     targets = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2 or targets.ndim != 1 or targets.shape[0] != logits.shape[0]:
         raise ShapeMismatch(f"cross_entropy_loss of {logits.shape} with targets {targets.shape}")
     n = logits.shape[0]
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (n,):
+            raise ShapeMismatch(f"cross_entropy_loss weights of shape {weights.shape} for {n} rows")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     log_z = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    nll = -log_z[np.arange(n), targets].mean()
+    picked = log_z[np.arange(n), targets]
+    nll = -picked.mean() if weights is None else -(weights * picked).sum()
 
     def backward_fn(g):
         grad = np.exp(log_z)
         grad[np.arange(n), targets] -= 1.0
-        return (g * grad / n,)
+        return (g * grad / n,) if weights is None else (g * grad * weights[:, None],)
 
     return _emit(np.asarray(nll), (logits,), backward_fn)
 
 
-def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
+def dropout(x, p: float, rng) -> Tensor:
+    """Inverted dropout.
+
+    ``rng`` is one generator, or a list of generators that draw the mask
+    of equal consecutive blocks of the leading axis in turn, so each
+    sequence of a batch keeps its own stream.
+    """
     x = _wrap(x)
     if not 0.0 <= p < 1.0:
         raise ShapeMismatch(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return _emit(x.data.copy(), (x,), lambda g: (g,))
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    if isinstance(rng, np.random.Generator):
+        draws = rng.random(x.shape)
+    else:
+        if x.data.ndim == 0 or not rng or x.shape[0] % len(rng):
+            raise ShapeMismatch(f"cannot split dropout of shape {x.shape} into {len(rng)} blocks")
+        block = (x.shape[0] // len(rng),) + x.shape[1:]
+        draws = np.concatenate([gen.random(block) for gen in rng])
+    mask = (draws >= p) / (1.0 - p)
     return _emit(x.data * mask, (x,), lambda g: (g * mask,))
 
 

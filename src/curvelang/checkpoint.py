@@ -56,7 +56,7 @@ def save(model: SclmModel, path: str, step: int) -> None:
         "mode": model.mode,
         "embed_dim": model.embed_dim,
         "k_curves": model.k_curves,
-        "force_k_head": model.k_head is not None and model.k_curves < 2,
+        "force_k_head": model.k_head and model.k_curves < 2,
         "unit_norm": model.embedding.unit_norm,
         "lambda_anchor": model.lambda_anchor,
         "seed": model.seed,

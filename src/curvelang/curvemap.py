@@ -29,7 +29,6 @@ class CurveConfig:
     margin: float = 0.01
     l_min: int = 2
     l_max: int = 250
-    rcond: float | None = None
     identity: bool = False
 
     def __post_init__(self):
@@ -96,7 +95,7 @@ def _make_pair(length: int, config: CurveConfig) -> BasisPair:
     if config.identity:
         return splines.identity_pair(length)
     n_points, eta = resolve_dims(length, config)
-    return splines.build_pair(length, n_points, eta, config.margin, config.rcond)
+    return splines.build_pair(length, n_points, eta, config.margin)
 
 
 def build_cache(config: CurveConfig) -> BasisCache:

@@ -119,18 +119,25 @@ class EmbeddingTable:
             self.weight.data /= np.maximum(norms, 1e-12)
 
 
-def _time_features(t: int, dim: int) -> np.ndarray:
+def _time_features(t, dim: int) -> np.ndarray:
+    """Sinusoidal features (len(t), dim) of the diffusion steps ``t``."""
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
-    angles = t * freqs
-    return np.concatenate([np.sin(angles), np.cos(angles)])[None, :]
+    angles = np.asarray(t, dtype=np.float64)[:, None] * freqs
+    return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
-@dataclass(frozen=True)
-class KCurveHead:
-    """Learnable curve tokens plus a shallow scorer over their outputs."""
+def _matmul_last(x: Tensor, w: Tensor) -> Tensor:
+    """Apply a (n, m) matrix to the last axis of x (..., n) as one 2-D product."""
+    lead = x.shape[:-1]
+    return ad.reshape(ad.matmul(ad.reshape(x, (-1, x.shape[-1])), w), lead + (w.shape[1],))
 
-    k: int
+
+def _batch_length(batch: list[np.ndarray]) -> int:
+    length = len(batch[0])
+    if any(len(tokens) != length for tokens in batch):
+        raise ShapeMismatch("batch sequences must share one length")
+    return length
 
 
 class SclmModel:
@@ -139,6 +146,11 @@ class SclmModel:
     ``mode`` selects the noise process and whether the curve mapping is
     the cached B-spline pair or the identity: "gaussian", "masked",
     "baseline-identity" (Gaussian noise, B = I), "masked-identity".
+
+    The model works on batches of sequences of one length: embeddings
+    (B, d, L), control points (B, d, N), one diffusion step per
+    sequence.  The backbone runs the whole batch as (B * n_tokens,
+    d_model) rows, and attention as (B * heads, n_tokens, d_head) stacks.
     """
 
     def __init__(
@@ -170,7 +182,8 @@ class SclmModel:
         self.k_curves = k_curves
         self.lambda_anchor = lambda_anchor
         self.seed = seed
-        self.k_head = KCurveHead(k=k_curves) if (k_curves >= 2 or force_k_head) else None
+        # the K-curve head: learnable curve tokens plus a shallow scorer
+        self.k_head = k_curves >= 2 or force_k_head
         self.store = ParamStore()
         self._init_params(unit_norm)
 
@@ -210,8 +223,8 @@ class SclmModel:
         make("lnf_b", (dm,), std=0.0)
         make("out_w", (dm, d))
         make("out_b", (d,), std=0.0)
-        if self.k_head is not None:
-            make("ktok", (self.k_head.k, dm))
+        if self.k_head:
+            make("ktok", (self.k_curves, dm))
             make("score_w1", (dm, dm))
             make("score_b1", (dm,), std=0.0)
             make("score_w2", (dm, 1))
@@ -222,212 +235,262 @@ class SclmModel:
     def pair_for(self, length: int):
         return self.cache.get(length)
 
-    def _b_tensors(self, length: int) -> tuple[Tensor, Tensor]:
-        pair = self.pair_for(length)
-        return Tensor(pair.B), Tensor(pair.B_pinv)
+    def embed(self, tokens: np.ndarray) -> Tensor:
+        """Word embeddings (B, d, L) of token ids (B, L)."""
+        tokens = np.asarray(tokens, dtype=np.int64)
+        cols = ad.embedding_lookup(self.embedding.weight, tokens.ravel())
+        return ad.swapaxes(ad.reshape(cols, (self.embed_dim,) + tokens.shape), 0, 1)
+
+    def to_points(self, e: Tensor, length: int) -> Tensor:
+        """Control points (B, d, N) of embeddings (B, d, L): e @ B_pinv."""
+        if self.identity_b:
+            return e
+        return _matmul_last(e, Tensor(self.pair_for(length).B_pinv))
+
+    def to_words(self, points: Tensor, length: int) -> Tensor:
+        """Embeddings (B, d, L) along the curves of points (B, d, N): p @ B."""
+        if self.identity_b:
+            return points
+        return _matmul_last(points, Tensor(self.pair_for(length).B))
 
     # ------------------------------------------------------------- backbone
 
-    def _blocks(self, h: Tensor, rng: RngStream | None) -> Tensor:
+    def _blocks(self, h: Tensor, batch: int, rngs: list[RngStream] | None) -> Tensor:
+        """Transformer layers over (batch * n_tokens, d_model) rows."""
         cfg = self.backbone
         p = self.store
-        dm = cfg.d_model
-        dh = dm // cfg.heads
+        heads = cfg.heads
+        dh = cfg.d_model // heads
+        n = h.shape[0] // batch
         inv_sqrt = 1.0 / np.sqrt(dh)
+        drop = cfg.dropout > 0 and rngs is not None
+
+        def split(x):  # (batch * n, d_model) -> (batch * heads, n, dh)
+            x = ad.swapaxes(ad.reshape(x, (batch, n, heads, dh)), 1, 2)
+            return ad.reshape(x, (batch * heads, n, dh))
+
         for i in range(cfg.layers):
             hn = ad.layer_norm(h, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
-            q = ad.matmul(hn, p[f"l{i}.wq"]) + p[f"l{i}.bq"]
-            k = ad.matmul(hn, p[f"l{i}.wk"]) + p[f"l{i}.bk"]
-            v = ad.matmul(hn, p[f"l{i}.wv"]) + p[f"l{i}.bv"]
-            head_outs = []
-            for hd in range(cfg.heads):
-                cols = (slice(None), slice(hd * dh, (hd + 1) * dh))
-                qh, kh, vh = ad.slice_(q, cols), ad.slice_(k, cols), ad.slice_(v, cols)
-                att = ad.softmax(ad.scale(ad.matmul(qh, kh.T), inv_sqrt), axis=-1)
-                if cfg.dropout > 0 and rng is not None:
-                    att = ad.dropout(att, cfg.dropout, rng.child("att", i, hd).generator())
-                head_outs.append(ad.matmul(att, vh))
-            ctx = head_outs[0] if len(head_outs) == 1 else ad.concat(head_outs, axis=1)
+            q = split(ad.matmul(hn, p[f"l{i}.wq"]) + p[f"l{i}.bq"])
+            k = split(ad.matmul(hn, p[f"l{i}.wk"]) + p[f"l{i}.bk"])
+            v = split(ad.matmul(hn, p[f"l{i}.wv"]) + p[f"l{i}.bv"])
+            att = ad.softmax(ad.scale(ad.bmm(q, ad.swapaxes(k, 1, 2)), inv_sqrt), axis=-1)
+            if drop:
+                gens = [r.child("att", i, hd).generator() for r in rngs for hd in range(heads)]
+                att = ad.dropout(att, cfg.dropout, gens)
+            ctx = ad.swapaxes(ad.reshape(ad.bmm(att, v), (batch, heads, n, dh)), 1, 2)
+            ctx = ad.reshape(ctx, h.shape)
             h = h + (ad.matmul(ctx, p[f"l{i}.wo"]) + p[f"l{i}.bo"])
             hn2 = ad.layer_norm(h, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
             ff = ad.gelu(ad.matmul(hn2, p[f"l{i}.ff_w1"]) + p[f"l{i}.ff_b1"])
-            if cfg.dropout > 0 and rng is not None:
-                ff = ad.dropout(ff, cfg.dropout, rng.child("ff", i).generator())
+            if drop:
+                ff = ad.dropout(ff, cfg.dropout, [r.child("ff", i).generator() for r in rngs])
             h = h + (ad.matmul(ff, p[f"l{i}.ff_w2"]) + p[f"l{i}.ff_b2"])
         return ad.layer_norm(h, p["lnf_g"], p["lnf_b"])
 
-    def _embed_tokens(self, points: Tensor, t: int, rng: RngStream | None, curve_token: int | None) -> Tensor:
-        """Project (d, n_tokens) inputs into model space, add position/time."""
+    def _embed_tokens(self, points: Tensor, t, curve_tokens: bool) -> Tensor:
+        """Project (B, d, n) inputs into model space (B, n, d_model), add position/time.
+
+        With ``curve_tokens`` every sequence is repeated once per curve
+        token, k-major, and the token is prepended: (K * B, n + 1, d_model).
+        """
         p = self.store
-        n_tokens = points.shape[1]
+        batch, _, n_tokens = points.shape
+        dm = self.backbone.d_model
         if n_tokens > self.backbone.max_positions:
             raise ShapeMismatch(f"{n_tokens} tokens exceed max_positions {self.backbone.max_positions}")
-        x = ad.matmul(points.T, p["in_w"]) + p["in_b"]
+        x = _matmul_last(ad.swapaxes(points, 1, 2), p["in_w"]) + p["in_b"]
         x = x + ad.slice_(p["pos"], (slice(0, n_tokens), slice(None)))
         tvec = ad.matmul(Tensor(_time_features(t, self.backbone.time_dim)), p["time_w"]) + p["time_b"]
+        tvec = ad.reshape(tvec, (batch, 1, dm))
         x = x + tvec
-        if curve_token is not None:
-            tok = ad.slice_(p["ktok"], (slice(curve_token, curve_token + 1), slice(None))) + tvec
-            x = ad.concat([tok, x], axis=0)
+        if curve_tokens:
+            k = self.k_curves
+            tvecs = ad.reshape(ad.concat([tvec] * k, axis=0), (k, batch, 1, dm))
+            tok = ad.reshape(ad.reshape(p["ktok"], (k, 1, 1, dm)) + tvecs, (k * batch, 1, dm))
+            x = ad.concat([tok, ad.concat([x] * k, axis=0)], axis=1)
         return x
 
-    def backbone_hidden(self, points: Tensor, t: int, rng: RngStream | None = None, curve_token: int | None = None) -> Tensor:
-        """Final hidden state (n_tokens, d_model) for curve input (d, n_tokens)."""
-        x = self._embed_tokens(points, t, rng, curve_token)
-        return self._blocks(x, rng)
+    def backbone_hidden(self, points: Tensor, t, rngs: list[RngStream] | None = None, curve_tokens: bool = False) -> Tensor:
+        """Final hidden states (B, n_tokens, d_model) for curve inputs (B, d, n_tokens).
+
+        ``t`` holds one diffusion step per sequence, ``rngs`` one dropout
+        stream per sequence.  ``curve_tokens`` is as in ``_embed_tokens``.
+        """
+        x = self._embed_tokens(points, t, curve_tokens)
+        batch, n_tokens, dm = x.shape
+        if rngs is not None and curve_tokens:
+            rngs = list(rngs) * self.k_curves
+        h = self._blocks(ad.reshape(x, (batch * n_tokens, dm)), batch, rngs)
+        return ad.reshape(h, x.shape)
 
     def hidden_to_points(self, hidden: Tensor) -> Tensor:
-        """Project hidden states back to (d, n_tokens) prediction space."""
-        return (ad.matmul(hidden, self.store["out_w"]) + self.store["out_b"]).T
+        """Project hidden states (B, n_tokens, d_model) back to (B, d, n_tokens)."""
+        return ad.swapaxes(_matmul_last(hidden, self.store["out_w"]) + self.store["out_b"], 1, 2)
 
     def logits_from_clean(self, e_hat: Tensor) -> Tensor:
-        """Logit matrix (|V|, L) from a denoised embedding sequence (d, L)."""
-        return ad.matmul(self.embedding.weight.T, e_hat)
+        """Logits (B, L, |V|) from denoised embedding sequences (B, d, L)."""
+        return _matmul_last(ad.swapaxes(e_hat, 1, 2), self.embedding.weight)
 
     # ------------------------------------------------------------ prediction
 
-    def _predict_single(self, points: Tensor, t: int, length: int, rng: RngStream | None, trace: dict | None = None) -> tuple[Tensor, Tensor]:
-        """One backbone pass: (E_hat0 (d, L), P_hat0 (d, N))."""
-        B, _ = self._b_tensors(length)
-        hidden = self.backbone_hidden(points, t, rng)
-        p_hat = self.hidden_to_points(hidden)
-        e_hat = ad.matmul(p_hat, B) if not self.identity_b else p_hat
-        if trace is not None:
-            trace["hidden"] = hidden
-            trace["p_hat"] = p_hat
-        return e_hat, p_hat
+    def _k_curves(self, points: Tensor, t, rngs: list[RngStream] | None) -> tuple[list[Tensor], Tensor]:
+        """K candidate curves (each (B, d, N)) and selection probabilities (K, B)."""
+        if not self.k_head:
+            raise ConfigError("model has no K-curve head attached")
+        k, batch = self.k_curves, points.shape[0]
+        hidden = self.backbone_hidden(points, t, rngs, curve_tokens=True)
+        head_vec = ad.slice_(hidden, (slice(None), 0))
+        s1 = ad.gelu(ad.matmul(head_vec, self.store["score_w1"]) + self.store["score_b1"])
+        scores = ad.matmul(s1, self.store["score_w2"]) + self.store["score_b2"]
+        probs = ad.softmax(ad.reshape(scores, (k, batch)), axis=0)
+        body = self.hidden_to_points(ad.slice_(hidden, (slice(None), slice(1, hidden.shape[1]))))
+        body = ad.reshape(body, (k, batch) + body.shape[1:])
+        return [ad.slice_(body, i) for i in range(k)], probs
 
     def k_curve_forward(self, points: Tensor, t: int, rng: RngStream | None = None) -> tuple[list[Tensor], Tensor]:
-        """K candidate curves (each (d, N)) and their selection probabilities."""
-        if self.k_head is None:
-            raise ConfigError("model has no K-curve head attached")
-        logits = []
-        curves = []
-        for k in range(self.k_head.k):
-            hidden = self.backbone_hidden(points, t, rng, curve_token=k)
-            head_vec = ad.slice_(hidden, (slice(0, 1), slice(None)))
-            body = ad.slice_(hidden, (slice(1, hidden.shape[0]), slice(None)))
-            curves.append(self.hidden_to_points(body))
-            s1 = ad.gelu(ad.matmul(head_vec, self.store["score_w1"]) + self.store["score_b1"])
-            logits.append(ad.matmul(s1, self.store["score_w2"]) + self.store["score_b2"])
-        flat = ad.concat(logits, axis=0)
-        probs = ad.softmax(flat, axis=0)
-        return curves, probs
+        """K candidate curves (each (d, N)) of one sequence and their selection probabilities (K, 1)."""
+        curves, probs = self._k_curves(ad.reshape(points, (1,) + points.shape), [t], None if rng is None else [rng])
+        return [ad.reshape(c, c.shape[1:]) for c in curves], probs
 
-    def predict_clean(self, points: Tensor, t: int, length: int, rng: RngStream | None = None, combine: str = "infer", trace: dict | None = None) -> tuple[Tensor, Tensor]:
-        """Denoised (E_hat0, P_hat0), through the K-curve head when attached."""
-        if self.k_head is None:
-            return self._predict_single(points, t, length, rng, trace)
-        curves, probs = self.k_curve_forward(points, t, rng)
-        p_hat = combine_curves(curves, probs, combine)
-        B, _ = self._b_tensors(length)
-        e_hat = ad.matmul(p_hat, B) if not self.identity_b else p_hat
-        if trace is not None:
-            trace["p_hat"] = p_hat
-            trace["probs"] = probs
-        return e_hat, p_hat
+    def predict_clean(self, points: Tensor, t, length: int, rngs: list[RngStream] | None = None, combine: str = "infer") -> tuple[Tensor, Tensor]:
+        """Denoised (E_hat0 (B, d, L), P_hat0 (B, d, N)) in one backbone pass.
+
+        Goes through the K-curve head when one is attached.
+        """
+        if self.k_head:
+            curves, probs = self._k_curves(points, t, rngs)
+            p_hat = combine_curves(curves, probs, combine)
+        else:
+            p_hat = self.hidden_to_points(self.backbone_hidden(points, t, rngs))
+        return self.to_words(p_hat, length), p_hat
 
 
 def combine_curves(curves: list[Tensor], probs: Tensor, mode: str) -> Tensor:
     """Probability-weighted sum (train) or argmax selection (infer).
 
-    Argmax ties resolve to the lowest index.
+    ``probs`` is (K,) or (K, 1) for one curve each, or (K, B) for curves
+    of B sequences.  Argmax ties resolve to the lowest index.
     """
     k = len(curves)
-    if probs.shape not in ((k, 1), (k,)):
+    if probs.data.ndim not in (1, 2) or probs.shape[0] != k:
         raise ShapeMismatch(f"probs shape {probs.shape} does not match {k} curves")
     if mode == "train":
-        out = None
-        for i, curve in enumerate(curves):
-            key = (slice(i, i + 1),) if probs.data.ndim == 1 else (slice(i, i + 1), slice(0, 1))
-            term = ad.mul(curve, ad.slice_(probs, key))
-            out = term if out is None else out + term
-        return out
-    if mode == "infer":
-        return curves[int(np.argmax(probs.data))]
-    raise ConfigError(f"combine mode must be 'train' or 'infer', got {mode!r}")
+        weights = probs
+    elif mode == "infer":
+        choice = np.argmax(probs.data, axis=0)
+        weights = Tensor(np.arange(k).reshape((k,) + (1,) * np.ndim(choice)) == choice)
+    else:
+        raise ConfigError(f"combine mode must be 'train' or 'infer', got {mode!r}")
+    out = None
+    for i, curve in enumerate(curves):
+        w = ad.slice_(weights, i)
+        w = ad.reshape(w, w.shape + (1,) * (curve.data.ndim - w.data.ndim))
+        term = ad.mul(curve, w)
+        out = term if out is None else out + term
+    return out
 
 
 def denoise_predict(model: SclmModel, curve: SentenceCurve, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Single-pass denoising prediction on plain arrays (no tape)."""
-    e_hat, p_hat = model._predict_single(Tensor(curve.points), t, curve.length_l, rng=None)
-    return e_hat.data, p_hat.data
+    """Denoising prediction on plain arrays (no tape), as a batch of one."""
+    e_hat, p_hat = model.predict_clean(Tensor(curve.points[None]), [t], curve.length_l)
+    return e_hat.data[0], p_hat.data[0]
 
 
 # ------------------------------------------------------------------- losses
 
 
+def _trace_sequences(trace: dict | None, **batched) -> None:
+    """Record one entry per sequence, sliced from batched arrays."""
+    if trace is None:
+        return
+    n = len(next(iter(batched.values())))
+    trace["sequences"] = [{name: value[i] for name, value in batched.items()} for i in range(n)]
+
+
 def gaussian_loss(model: SclmModel, batch: list[np.ndarray], rng: RngStream, trace: dict | None = None) -> tuple[Tensor, dict]:
-    """Diffusion MSE plus anchor cross-entropy, averaged over the batch."""
+    """Diffusion MSE plus anchor cross-entropy, averaged over the batch.
+
+    Each sequence draws its own step, noise and dropout; the backbone
+    runs once over the whole batch.
+    """
     if model.noise_kind != "gaussian":
         raise ConfigError("gaussian_loss requires a gaussian-noise model")
     if not batch:
         raise ConfigError("empty batch")
-    diffusion_total = None
-    anchor_total = None
-    for i, tokens in enumerate(batch):
-        length = len(tokens)
-        _, B_pinv = model._b_tensors(length)
-        t = int(rng.child("t", i).integers(1, model.schedule.T + 1))
-        e0 = ad.embedding_lookup(model.embedding.weight, tokens)
-        abar = model.schedule.alpha_bars[t]
-        eps = rng.child("noise", i).normal((model.embed_dim, length))
-        et = ad.scale(e0, np.sqrt(abar)) + Tensor(np.sqrt(1.0 - abar) * eps)
-        pt = ad.matmul(et, B_pinv) if not model.identity_b else et
-        seq_trace = {} if trace is not None else None
-        e_hat, _ = model.predict_clean(pt, t, length, rng.child("drop", i), combine="train", trace=seq_trace)
-        diffusion = ad.mse_loss(e_hat, e0)
-        logits = model.logits_from_clean(e_hat)
-        anchor = ad.cross_entropy_loss(logits.T, tokens)
-        diffusion_total = diffusion if diffusion_total is None else diffusion_total + diffusion
-        anchor_total = anchor if anchor_total is None else anchor_total + anchor
-        if trace is not None:
-            seq_trace.update({"t": t, "e0": e0, "e_hat": e_hat, "logits": logits})
-            trace.setdefault("sequences", []).append(seq_trace)
-    inv = 1.0 / len(batch)
-    diffusion_total = ad.scale(diffusion_total, inv)
-    anchor_total = ad.scale(anchor_total, inv)
-    total = diffusion_total + ad.scale(anchor_total, model.lambda_anchor)
+    length = _batch_length(batch)
+    n = len(batch)
+    ts = np.array([int(rng.child("t", i).integers(1, model.schedule.T + 1)) for i in range(n)])
+    abar = model.schedule.alpha_bars[ts][:, None, None]
+    eps = np.stack([rng.child("noise", i).normal((model.embed_dim, length)) for i in range(n)])
+    tokens = np.stack(batch)
+    e0 = model.embed(tokens)
+    et = ad.mul(e0, Tensor(np.sqrt(abar))) + Tensor(np.sqrt(1.0 - abar) * eps)
+    drops = [rng.child("drop", i) for i in range(n)]
+    e_hat, p_hat = model.predict_clean(model.to_points(et, length), ts, length, drops, combine="train")
+    diffusion = ad.mse_loss(e_hat, e0)
+    logits = model.logits_from_clean(e_hat)
+    anchor = ad.cross_entropy_loss(ad.reshape(logits, (n * length, -1)), tokens.ravel())
+    total = diffusion + ad.scale(anchor, model.lambda_anchor)
+    _trace_sequences(
+        trace,
+        t=[int(t) for t in ts],
+        e0=[Tensor(x) for x in e0.data],
+        e_hat=[Tensor(x) for x in e_hat.data],
+        p_hat=[Tensor(x) for x in p_hat.data],
+        logits=[Tensor(x.T) for x in logits.data],
+    )
     record = {
-        "diffusion": float(diffusion_total.data),
-        "anchor": float(anchor_total.data),
+        "diffusion": float(diffusion.data),
+        "anchor": float(anchor.data),
         "total": float(total.data),
     }
     return total, record
 
 
 def masked_loss(model: SclmModel, batch: list[np.ndarray], rng: RngStream, trace: dict | None = None) -> tuple[Tensor, dict]:
-    """Noise-weighted cross-entropy on masked positions, per-token scale."""
+    """Noise-weighted cross-entropy on masked positions, per-token scale.
+
+    Sequences with no masked position leave the batch before the
+    backbone, which runs once over the rest.
+    """
     if model.noise_kind != "masked":
         raise ConfigError("masked_loss requires a masked-noise model")
     if not batch:
         raise ConfigError("empty batch")
-    total = None
+    length = _batch_length(batch)
+    mask_id = model.vocab.mask_id
+    kept = []
     for i, tokens in enumerate(batch):
-        length = len(tokens)
         t = int(rng.child("t", i).integers(1, model.schedule.T + 1))
-        yt = masked_forward(tokens, t, model.schedule, rng.child("mask", i), model.vocab.mask_id)
-        masked_idx = np.flatnonzero((yt == model.vocab.mask_id) & (tokens != model.vocab.mask_id))
-        if masked_idx.size == 0:
-            continue
-        _, B_pinv = model._b_tensors(length)
-        et = ad.embedding_lookup(model.embedding.weight, yt)
-        pt = ad.matmul(et, B_pinv) if not model.identity_b else et
-        seq_trace = {} if trace is not None else None
-        e_hat, _ = model.predict_clean(pt, t, length, rng.child("drop", i), combine="train", trace=seq_trace)
-        logits = model.logits_from_clean(e_hat)
-        rows = ad.embedding_lookup(logits, masked_idx).T
-        ce = ad.cross_entropy_loss(rows, tokens[masked_idx])
-        weight = model.schedule.masked_weight(t) * masked_idx.size / length
-        term = ad.scale(ce, weight)
-        total = term if total is None else total + term
-        if trace is not None:
-            seq_trace.update({"t": t, "yt": yt, "masked_idx": masked_idx, "logits": logits})
-            trace.setdefault("sequences", []).append(seq_trace)
-    if total is None:
-        total = Tensor(np.zeros(()))
-    else:
-        total = ad.scale(total, 1.0 / len(batch))
+        yt = masked_forward(tokens, t, model.schedule, rng.child("mask", i), mask_id)
+        masked_idx = np.flatnonzero((yt == mask_id) & (tokens != mask_id))
+        if masked_idx.size:
+            kept.append((i, t, yt, masked_idx))
+    if not kept:
+        return Tensor(np.zeros(())), {"loss": 0.0}
+    ids, ts, yts, masked = (list(col) for col in zip(*kept))
+    et = model.embed(np.stack(yts))
+    drops = [rng.child("drop", i) for i in ids]
+    e_hat, p_hat = model.predict_clean(model.to_points(et, length), ts, length, drops, combine="train")
+    logits = model.logits_from_clean(e_hat)
+    rows = np.concatenate([j * length + idx for j, idx in enumerate(masked)])
+    targets = np.concatenate([batch[i][idx] for i, idx in zip(ids, masked)])
+    # sequence i contributes weight(t_i) * |masked_i| / L times its mean CE,
+    # averaged over the whole batch: weight(t_i) / (L * len(batch)) per row
+    weights = np.concatenate(
+        [np.full(idx.size, model.schedule.masked_weight(t) / (length * len(batch))) for t, idx in zip(ts, masked)]
+    )
+    picked = ad.slice_(ad.reshape(logits, (len(kept) * length, -1)), rows)
+    total = ad.cross_entropy_loss(picked, targets, weights)
+    _trace_sequences(
+        trace,
+        t=ts,
+        yt=yts,
+        masked_idx=masked,
+        p_hat=[Tensor(x) for x in p_hat.data],
+        logits=[Tensor(x.T) for x in logits.data],
+    )
     return total, {"loss": float(total.data)}
 
 
@@ -486,9 +549,9 @@ def _sample_gaussian(model: SclmModel, length: int, n_steps: int, seed: int) -> 
     trajectory = []
     e_hat_data = None
     for idx, t in enumerate(steps):
-        points = Tensor(e_t @ pair.B_pinv) if not model.identity_b else Tensor(e_t)
-        e_hat, _ = model.predict_clean(points, t, length, rng=None, combine="infer")
-        e_hat_data = e_hat.data
+        points = Tensor((e_t @ pair.B_pinv if not model.identity_b else e_t)[None])
+        e_hat, _ = model.predict_clean(points, [t], length)
+        e_hat_data = e_hat.data[0]
         trajectory.append(e_hat_data.copy())
         if idx + 1 < len(steps):
             t_next = steps[idx + 1]
@@ -509,11 +572,11 @@ def _sample_masked(model: SclmModel, length: int, n_steps: int, seed: int) -> tu
     y = np.full(length, mask_id, dtype=np.int64)
     trajectory = []
     for idx, t in enumerate(steps):
-        et = ad.embedding_lookup(model.embedding.weight, y)
-        points = ad.matmul(et, Tensor(model.pair_for(length).B_pinv)) if not model.identity_b else et
-        e_hat, _ = model.predict_clean(points, t, length, rng=None, combine="infer")
-        trajectory.append(e_hat.data.copy())
-        logits = model.embedding.weight.data.T @ e_hat.data
+        points = model.to_points(model.embed(y[None]), length)
+        e_hat, _ = model.predict_clean(points, [t], length)
+        e_hat_data = e_hat.data[0]
+        trajectory.append(e_hat_data.copy())
+        logits = model.embedding.weight.data.T @ e_hat_data
         y_hat = np.argmax(logits, axis=0).astype(np.int64)
         still_masked = y == mask_id
         if idx + 1 < len(steps):

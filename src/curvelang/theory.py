@@ -374,14 +374,16 @@ def logit_correlation_probe(
     out_b = model.store["out_b"].data
     dm = model.backbone.d_model
     rng = RngStream(seed, "probe")
-    matrices = []
+    abar = model.schedule.alpha_bars[t]
+    points = []
     for s, tokens in enumerate(eval_batch):
         e0 = emb[:, tokens]
-        abar = model.schedule.alpha_bars[t]
         eps = rng.child("input", s).normal(e0.shape)
         et = np.sqrt(abar) * e0 + np.sqrt(1.0 - abar) * eps
-        points = et @ pair.B_pinv if not model.identity_b else et
-        hidden = model.backbone_hidden(Tensor(points), t).data
+        points.append(et @ pair.B_pinv if not model.identity_b else et)
+    hiddens = model.backbone_hidden(Tensor(np.stack(points)), [t] * len(eval_batch)).data
+    matrices = []
+    for s, hidden in enumerate(hiddens):
         token_norms = np.linalg.norm(hidden, axis=1, keepdims=True)
         samples = np.empty((n_noise, length, model.vocab.size))
         noise_rng = rng.child("perturb", s).generator()

@@ -128,6 +128,20 @@ class TestBackwardBasics:
         assert x.grad is not None
         assert c.grad is None
 
+    def test_op_outputs_release_grads_and_parameters_keep_them(self):
+        w = ad.param(RngStream(10, "w").normal((3, 4)))
+        x = ad.tensor(RngStream(11, "x").normal((2, 3)))
+        with ad.Tape() as tape:
+            h = ad.matmul(x, w)
+            y = ad.gelu(h)
+            loss = ad.sum_(y)
+            tape.backward(loss)
+        for out, _, _ in tape.entries:
+            assert out.grad is None
+        assert h.grad is None and y.grad is None and loss.grad is None
+        assert w.grad is not None and w.grad.shape == (3, 4)
+        assert x.grad is None
+
     def test_determinism(self):
         def run():
             rng = RngStream(6, "det")
@@ -187,6 +201,44 @@ class TestGradientChecks:
         assert _probe(lambda u, v: ad.concat([u, v], axis=0), [a, b], 1) < 1e-6
         assert _probe(lambda t: ad.slice_(t, (slice(1, 3), slice(0, 2))), [a]) < 1e-6
 
+    def test_reshape_swapaxes(self):
+        x = self.RNG.child("r").normal((2, 3, 4))
+        assert _probe(lambda t: ad.reshape(t, (6, 4)), [x]) < 1e-6
+        assert _probe(lambda t: ad.reshape(t, (4, -1)), [x]) < 1e-6
+        assert _probe(lambda t: ad.swapaxes(t, 1, 2), [x]) < 1e-6
+        assert _probe(lambda t: ad.swapaxes(t, 0, 2), [x]) < 1e-6
+        # a reshape of swapped axes, as the attention heads use it
+        assert _probe(lambda t: ad.reshape(ad.swapaxes(t, 0, 1), (3, 8)), [x]) < 1e-6
+
+    def test_bmm(self):
+        a = self.RNG.child("s").normal((3, 2, 4))
+        b = self.RNG.child("t").normal((3, 4, 5))
+        assert _probe(ad.bmm, [a, b], 0) < 1e-6
+        assert _probe(ad.bmm, [a, b], 1) < 1e-6
+        a4 = self.RNG.child("u").normal((2, 2, 3, 4))
+        b4 = self.RNG.child("v").normal((2, 2, 4, 3))
+        assert _probe(ad.bmm, [a4, b4], 0) < 1e-6
+        assert _probe(ad.bmm, [a4, b4], 1) < 1e-6
+
+    def test_bmm_matches_per_matrix_products(self):
+        a = self.RNG.child("w").normal((4, 3, 5))
+        b = self.RNG.child("x").normal((4, 5, 2))
+        out = ad.bmm(ad.tensor(a), ad.tensor(b)).data
+        for i in range(4):
+            npt.assert_allclose(out[i], a[i] @ b[i], atol=1e-14)
+
+    def test_batched_shape_errors(self):
+        with pytest.raises(ShapeMismatch):
+            ad.bmm(ad.tensor(np.zeros((2, 3, 4))), ad.tensor(np.zeros((3, 4, 5))))
+        with pytest.raises(ShapeMismatch):
+            ad.bmm(ad.tensor(np.zeros((2, 3, 4))), ad.tensor(np.zeros((2, 3, 5))))
+        with pytest.raises(ShapeMismatch):
+            ad.bmm(ad.tensor(np.zeros((3, 4))), ad.tensor(np.zeros((4, 5))))
+        with pytest.raises(ShapeMismatch):
+            ad.reshape(ad.tensor(np.zeros((2, 3))), (4, 2))
+        with pytest.raises(ShapeMismatch):
+            ad.dropout(ad.tensor(np.zeros((5, 2))), 0.5, [RngStream(0, "d", i).generator() for i in range(2)])
+
     def test_embedding_lookup(self):
         table = self.RNG.child("k").normal((4, 9))
         ids = np.array([1, 3, 3, 0])
@@ -206,6 +258,20 @@ class TestGradientChecks:
         assert _probe(ad.mse_loss, [pred, target], 0) < 1e-6
         labels = np.array([0, 2, 4])
         assert _probe(lambda t: ad.cross_entropy_loss(t, labels), [pred]) < 1e-6
+        weights = np.array([0.5, 2.0, 0.25])
+        assert _probe(lambda t: ad.cross_entropy_loss(t, labels, weights), [pred]) < 1e-6
+
+    def test_weighted_cross_entropy_is_weighted_sum_of_rows(self):
+        logits = self.RNG.child("ce").normal((4, 6))
+        labels = np.array([5, 0, 2, 2])
+        weights = np.array([0.1, 3.0, 0.7, 1.5])
+        logp = logits - logits.max(axis=1, keepdims=True)
+        logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+        expected = -(weights * logp[np.arange(4), labels]).sum()
+        out = ad.cross_entropy_loss(ad.tensor(logits), labels, weights)
+        npt.assert_allclose(float(out.data), expected, rtol=1e-13)
+        with pytest.raises(ShapeMismatch):
+            ad.cross_entropy_loss(ad.tensor(logits), labels, weights[:3])
 
     def test_dropout_fixed_mask(self):
         x = self.RNG.child("q").normal((6, 6))
@@ -214,6 +280,21 @@ class TestGradientChecks:
             return ad.dropout(t, 0.4, RngStream(42, "fixed-mask").generator())
 
         assert _probe(op, [x]) < 1e-6
+
+    def test_dropout_block_generators(self):
+        # a list of generators draws the mask of consecutive leading-axis
+        # blocks, each exactly as that generator alone would draw it
+        x = np.ones((6, 4))
+        gens = [RngStream(43, "block", i).generator() for i in range(3)]
+        out = ad.dropout(ad.tensor(x), 0.5, gens).data
+        for i in range(3):
+            alone = ad.dropout(ad.tensor(x[:2]), 0.5, RngStream(43, "block", i).generator()).data
+            npt.assert_array_equal(out[2 * i : 2 * i + 2], alone)
+
+        def op(t):
+            return ad.dropout(t, 0.4, [RngStream(44, "b", i).generator() for i in range(2)])
+
+        assert _probe(op, [self.RNG.child("y").normal((4, 3))]) < 1e-6
 
     def test_random_shapes_sweep(self):
         rng = RngStream(8, "shapes").generator()

@@ -12,7 +12,7 @@ from curvelang import model as M
 from curvelang.autodiff import Tensor
 from curvelang.corpus import build_vocab
 from curvelang.curvemap import CurveConfig, SentenceCurve, build_cache
-from curvelang.errors import CheckpointVersionMismatch, ConfigError, CurvelangError, IoError, StepOutOfRange
+from curvelang.errors import CheckpointVersionMismatch, ConfigError, CurvelangError, IoError, ShapeMismatch, StepOutOfRange
 from curvelang.rng import RngStream
 
 from _oracles import reference_backbone, reference_gaussian_loss, reference_masked_loss
@@ -22,7 +22,7 @@ def tiny_vocab():
     return build_vocab([list("abab"), list("baba")])
 
 
-def make_model(mode="gaussian", k_curves=1, force_k_head=False, seed=0, length=8, n_ratio=1.5, dropout=0.0, T=8):
+def make_model(mode="gaussian", k_curves=1, force_k_head=False, seed=0, length=8, n_ratio=1.5, dropout=0.0, T=8, heads=2):
     identity = mode in ("baseline-identity", "masked-identity")
     cache = build_cache(CurveConfig(n_ratio=n_ratio, eta_ratio=0.2, l_min=2, l_max=length, identity=identity))
     return M.SclmModel(
@@ -30,7 +30,7 @@ def make_model(mode="gaussian", k_curves=1, force_k_head=False, seed=0, length=8
         vocab=tiny_vocab(),
         cache=cache,
         schedule=M.build_schedule(T, "linear"),
-        backbone=M.BackboneConfig(layers=2, heads=2, d_model=16, d_ff=32, dropout=dropout, max_positions=64, time_dim=8),
+        backbone=M.BackboneConfig(layers=2, heads=heads, d_model=16, d_ff=32, dropout=dropout, max_positions=64, time_dim=8),
         embed_dim=8,
         k_curves=k_curves,
         seed=seed,
@@ -161,6 +161,39 @@ class TestDenoisePredict:
         npt.assert_array_equal(a[1], b[1])
 
 
+class TestBatchedBackbone:
+    def test_each_sequence_matches_reference_backbone(self):
+        for heads in (1, 2, 4):
+            model = make_model("gaussian", seed=40 + heads, heads=heads)
+            pair = model.pair_for(8)
+            pts = RngStream(45, "p", heads).normal((3, 8, pair.N))
+            ts = [1, 4, 7]
+            hidden = model.backbone_hidden(Tensor(pts), ts)
+            assert hidden.shape == (3, pair.N, 16)
+            out = model.hidden_to_points(hidden).data
+            for b, t in enumerate(ts):
+                npt.assert_allclose(out[b], reference_backbone(model, pts[b], t), atol=1e-12, err_msg=f"heads {heads}")
+
+    def test_k_head_batch_matches_one_sequence_at_a_time(self):
+        model = make_model("gaussian", k_curves=3, seed=46)
+        pair = model.pair_for(8)
+        pts = RngStream(47, "p").normal((3, 8, pair.N))
+        ts = [2, 5, 8]
+        for combine in ("train", "infer"):
+            e_hat, p_hat = model.predict_clean(Tensor(pts), ts, 8, combine=combine)
+            for b, t in enumerate(ts):
+                curves, probs = model.k_curve_forward(Tensor(pts[b]), t)
+                single = M.combine_curves(curves, probs, combine).data
+                npt.assert_allclose(p_hat.data[b], single, atol=1e-12)
+                npt.assert_allclose(e_hat.data[b], single @ pair.B, atol=1e-12)
+
+    def test_mixed_lengths_rejected(self):
+        model = make_model("gaussian")
+        batch = make_batch(model, n=2, length=8) + make_batch(model, n=1, length=6)
+        with ad.Tape(), pytest.raises(ShapeMismatch):
+            M.gaussian_loss(model, batch, RngStream(48, "loss"))
+
+
 class TestGaussianLoss:
     def test_untrained_anchor_near_uniform(self):
         model = make_model("gaussian", seed=11)
@@ -241,6 +274,19 @@ class TestMaskedLoss:
             _, record = M.masked_loss(model, batch, RngStream(18, "loss"))
         ref = reference_masked_loss(model, batch, RngStream(18, "loss"))
         assert abs(record["loss"] - ref) < 1e-6
+
+    def test_sequence_without_masks_leaves_the_batch(self):
+        model = make_model("masked-identity", seed=49)
+        mask_id = model.vocab.mask_id
+        # an all-mask line has no position to predict
+        batch = make_batch(model, n=3) + [np.full(8, mask_id)]
+        batch = [batch[0], batch[3], batch[1], batch[2]]
+        trace = {}
+        with ad.Tape():
+            _, record = M.masked_loss(model, batch, RngStream(50, "loss"), trace=trace)
+        ref = reference_masked_loss(model, batch, RngStream(50, "loss"))
+        assert abs(record["loss"] - ref) < 1e-12
+        assert 1 <= len(trace["sequences"]) <= 3
 
     def test_logits_factor_through_curve_mapping(self):
         model = make_model("masked", seed=19)
