@@ -5,8 +5,9 @@ A ``Tape`` records every op executed while it is active (thread-local);
 into every tensor that requires gradients.  Ops are plain functions over
 ``Tensor`` values backed by numpy arrays.  Broadcasting is limited to
 bias-style row/column addition so every adjoint stays a one-liner.
-``matmul`` is the 2-D product; ``bmm`` multiplies stacks of matrices,
-and ``reshape``/``swapaxes`` move a batch between the two layouts.
+``matmul`` is the 2-D product and ``linear`` the 2-D product plus a row
+bias; ``attention`` is multi-head softmax attention over the rows of a
+batch of sequences as one op, with a hand-written adjoint.
 """
 
 from __future__ import annotations
@@ -118,9 +119,10 @@ class Tape:
             for inp, g in zip(inputs, grads):
                 if g is None or not inp.requires_grad:
                     continue
-                if inp.grad is None:
-                    inp.grad = np.zeros_like(inp.data)
-                inp.grad += g
+                # the first adjoint is adopted as it is and later ones are
+                # added out of place: an op may hand one array to several
+                # inputs (``add`` does), so no adjoint is ever written to
+                inp.grad = g if inp.grad is None else inp.grad + g
 
 
 def _active_tape() -> Tape | None:
@@ -173,13 +175,72 @@ def matmul(a, b) -> Tensor:
     return _emit(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
-def bmm(a, b) -> Tensor:
-    """Batched product (..., n, k) @ (..., k, m) over equal leading axes."""
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim < 3 or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatch(f"bmm of {a.shape} and {b.shape}")
-    ad, bd = a.data, b.data
-    return _emit(ad @ bd, (a, b), lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g))
+def linear(x, w, b) -> Tensor:
+    """Rows of x (n, k) times w (k, m) plus the row bias b (m,), as one op."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeMismatch(f"linear of {x.shape} by {w.shape} plus {b.shape}")
+    xd, wd = x.data, w.data
+    out = xd @ wd
+    out += b.data
+    return _emit(out, (x, w, b), lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
+
+
+def attention(q, k, v, batch: int, heads: int, scale: float, p: float = 0.0, gens=None) -> Tensor:
+    """Multi-head softmax attention over (batch * n, d_model) rows.
+
+    Rows are ``batch`` sequences of n tokens; each head attends within its
+    sequence over its d_model / heads columns: softmax(scale * q kᵀ),
+    inverted dropout at rate ``p``, times v, heads merged back into
+    columns.  With ``p > 0``, ``gens`` holds one generator per (sequence,
+    head), sequence-major, and each draws its (n, n) mask in turn.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeMismatch(f"attention of {q.shape}, {k.shape} and {v.shape}")
+    rows, width = q.shape
+    if batch < 1 or heads < 1 or rows % batch or width % heads:
+        raise ShapeMismatch(f"attention of {q.shape} as {batch} sequences with {heads} heads")
+    if not 0.0 <= p < 1.0:
+        raise ShapeMismatch(f"dropout rate must be in [0, 1), got {p}")
+    n, dh = rows // batch, width // heads
+
+    def split(x):  # (batch * n, d_model) -> (batch, heads, n, dh)
+        return np.ascontiguousarray(x.reshape(batch, n, heads, dh).swapaxes(1, 2))
+
+    def merge(x):  # (batch, heads, n, dh) -> (batch * n, d_model)
+        return x.swapaxes(1, 2).reshape(rows, width)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    s = qh @ kh.swapaxes(-1, -2)
+    s *= scale
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    mask = None
+    if p > 0.0:
+        if gens is None or len(gens) != batch * heads:
+            raise ShapeMismatch(f"attention dropout needs {batch * heads} generators")
+        draws = np.concatenate([gen.random((n, n)) for gen in gens]).reshape(s.shape)
+        mask = (draws >= p) / (1.0 - p)
+    att = s if mask is None else s * mask
+
+    def backward_fn(g):
+        gh = split(g)
+        d_att = gh @ vh.swapaxes(-1, -2)
+        dv = att.swapaxes(-1, -2) @ gh
+        if mask is not None:
+            d_att *= mask
+        # softmax adjoint, then the score scale
+        d_s = d_att * s
+        d_att -= d_s.sum(axis=-1, keepdims=True)
+        d_att *= s
+        d_att *= scale
+        dq = d_att @ kh
+        dk = (qh.swapaxes(-1, -2) @ d_att).swapaxes(-1, -2)
+        return merge(dq), merge(dk), merge(dv)
+
+    return _emit(merge(att @ vh), (q, k, v), backward_fn)
 
 
 def _binary_shapes_ok(a: Tensor, b: Tensor) -> bool:
@@ -308,22 +369,28 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
-    out = xhat * gain.data + bias.data
+    xd = x.data
+    xhat = xd - xd.mean(axis=-1, keepdims=True)
+    # the biased variance, summed as np.var sums it
+    inv_std = np.square(xhat).sum(axis=-1, keepdims=True)
+    inv_std /= xd.shape[-1]
+    inv_std += eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    out = xhat * gain.data
+    out += bias.data
     gain_data, bias_shape, gain_shape = gain.data, bias.shape, gain.shape
 
     def backward_fn(g):
-        dxhat = g * gain_data
-        dx = inv_std * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
         dgain = _reduce_to(g * xhat, gain_shape)
         dbias = _reduce_to(g, bias_shape)
+        dx = g * gain_data
+        proj = dx * xhat
+        proj = np.multiply(xhat, proj.mean(axis=-1, keepdims=True), out=proj)
+        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= proj
+        dx *= inv_std
         return dx, dgain, dbias
 
     return _emit(out, (x, gain, bias), backward_fn)
@@ -333,15 +400,34 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
 def gelu(x) -> Tensor:
+    """Tanh-approximate GELU: 0.5 x (1 + tanh(c (x + 0.044715 x³)))."""
     x = _wrap(x)
     xd = x.data
-    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
-    t = np.tanh(inner)
-    out = 0.5 * xd * (1.0 + t)
+    t = xd * xd
+    t *= xd
+    t *= 0.044715
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= xd
+    out *= 0.5
 
     def backward_fn(g):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t**2) * d_inner),)
+        # 0.5 (1 + t) + 0.5 x (1 - t²) c (1 + 3 · 0.044715 x²), times g
+        d_inner = xd * xd
+        d_inner *= 3 * 0.044715
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        dx = t * t
+        np.subtract(1.0, dx, out=dx)
+        dx *= 0.5 * xd
+        dx *= d_inner
+        half = t + 1.0
+        half *= 0.5
+        dx += half
+        dx *= g
+        return (dx,)
 
     return _emit(out, (x,), backward_fn)
 

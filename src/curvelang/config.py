@@ -57,6 +57,8 @@ class RunConfig:
             raise ConfigError("set only one of eta_ratio / eta_fixed")
         if self.eta_ratio is None and self.eta_fixed is None:
             raise ConfigError("one of eta_ratio / eta_fixed is required")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         return self
 
 

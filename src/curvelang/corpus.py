@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,15 @@ class Corpus:
 
     def lengths(self) -> list[int]:
         return sorted({len(s) for s in self.sequences})
+
+    @cached_property
+    def buckets(self) -> dict[int, list[np.ndarray]]:
+        """Sequences grouped by length, in ascending length and corpus
+        order; built on first use."""
+        buckets: dict[int, list[np.ndarray]] = {}
+        for seq in sorted(self.sequences, key=len):
+            buckets.setdefault(len(seq), []).append(seq)
+        return buckets
 
 
 def _tokenize(line: str, tokenizer: str) -> list[str]:

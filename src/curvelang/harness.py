@@ -90,10 +90,8 @@ def build_model(config: RunConfig, corpus: Corpus) -> SclmModel:
 
 def make_batch(corpus: Corpus, batch_size: int, seed: int, step: int) -> list[np.ndarray]:
     """Deterministic length-bucketed batch for one training step."""
-    buckets: dict[int, list[np.ndarray]] = {}
-    for seq in corpus.sequences:
-        buckets.setdefault(len(seq), []).append(seq)
-    lengths = sorted(buckets)
+    buckets = corpus.buckets
+    lengths = list(buckets)
     weights = np.array([len(buckets[l]) for l in lengths], dtype=np.float64)
     weights /= weights.sum()
     rng = RngStream(seed, "batch", step).generator()

@@ -127,10 +127,12 @@ def _time_features(t, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
-def _matmul_last(x: Tensor, w: Tensor) -> Tensor:
-    """Apply a (n, m) matrix to the last axis of x (..., n) as one 2-D product."""
-    lead = x.shape[:-1]
-    return ad.reshape(ad.matmul(ad.reshape(x, (-1, x.shape[-1])), w), lead + (w.shape[1],))
+def _matmul_last(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Apply a (n, m) matrix, and the bias b (m,) if given, to the last
+    axis of x (..., n) as one 2-D op."""
+    rows = ad.reshape(x, (-1, x.shape[-1]))
+    out = ad.matmul(rows, w) if b is None else ad.linear(rows, w, b)
+    return ad.reshape(out, x.shape[:-1] + (w.shape[1],))
 
 
 def _batch_length(batch: list[np.ndarray]) -> int:
@@ -150,7 +152,8 @@ class SclmModel:
     The model works on batches of sequences of one length: embeddings
     (B, d, L), control points (B, d, N), one diffusion step per
     sequence.  The backbone runs the whole batch as (B * n_tokens,
-    d_model) rows, and attention as (B * heads, n_tokens, d_head) stacks.
+    d_model) rows; attention splits them into sequences and heads inside
+    one op.
     """
 
     def __init__(
@@ -260,32 +263,22 @@ class SclmModel:
         cfg = self.backbone
         p = self.store
         heads = cfg.heads
-        dh = cfg.d_model // heads
-        n = h.shape[0] // batch
-        inv_sqrt = 1.0 / np.sqrt(dh)
-        drop = cfg.dropout > 0 and rngs is not None
-
-        def split(x):  # (batch * n, d_model) -> (batch * heads, n, dh)
-            x = ad.swapaxes(ad.reshape(x, (batch, n, heads, dh)), 1, 2)
-            return ad.reshape(x, (batch * heads, n, dh))
+        inv_sqrt = 1.0 / np.sqrt(cfg.d_model // heads)
+        p_drop = cfg.dropout if rngs is not None else 0.0
 
         for i in range(cfg.layers):
             hn = ad.layer_norm(h, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
-            q = split(ad.matmul(hn, p[f"l{i}.wq"]) + p[f"l{i}.bq"])
-            k = split(ad.matmul(hn, p[f"l{i}.wk"]) + p[f"l{i}.bk"])
-            v = split(ad.matmul(hn, p[f"l{i}.wv"]) + p[f"l{i}.bv"])
-            att = ad.softmax(ad.scale(ad.bmm(q, ad.swapaxes(k, 1, 2)), inv_sqrt), axis=-1)
-            if drop:
-                gens = [r.child("att", i, hd).generator() for r in rngs for hd in range(heads)]
-                att = ad.dropout(att, cfg.dropout, gens)
-            ctx = ad.swapaxes(ad.reshape(ad.bmm(att, v), (batch, heads, n, dh)), 1, 2)
-            ctx = ad.reshape(ctx, h.shape)
-            h = h + (ad.matmul(ctx, p[f"l{i}.wo"]) + p[f"l{i}.bo"])
+            q = ad.linear(hn, p[f"l{i}.wq"], p[f"l{i}.bq"])
+            k = ad.linear(hn, p[f"l{i}.wk"], p[f"l{i}.bk"])
+            v = ad.linear(hn, p[f"l{i}.wv"], p[f"l{i}.bv"])
+            gens = [r.child("att", i, hd).generator() for r in rngs for hd in range(heads)] if p_drop else None
+            ctx = ad.attention(q, k, v, batch, heads, inv_sqrt, p_drop, gens)
+            h = h + ad.linear(ctx, p[f"l{i}.wo"], p[f"l{i}.bo"])
             hn2 = ad.layer_norm(h, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
-            ff = ad.gelu(ad.matmul(hn2, p[f"l{i}.ff_w1"]) + p[f"l{i}.ff_b1"])
-            if drop:
-                ff = ad.dropout(ff, cfg.dropout, [r.child("ff", i).generator() for r in rngs])
-            h = h + (ad.matmul(ff, p[f"l{i}.ff_w2"]) + p[f"l{i}.ff_b2"])
+            ff = ad.gelu(ad.linear(hn2, p[f"l{i}.ff_w1"], p[f"l{i}.ff_b1"]))
+            if p_drop:
+                ff = ad.dropout(ff, p_drop, [r.child("ff", i).generator() for r in rngs])
+            h = h + ad.linear(ff, p[f"l{i}.ff_w2"], p[f"l{i}.ff_b2"])
         return ad.layer_norm(h, p["lnf_g"], p["lnf_b"])
 
     def _embed_tokens(self, points: Tensor, t, curve_tokens: bool) -> Tensor:
@@ -299,9 +292,9 @@ class SclmModel:
         dm = self.backbone.d_model
         if n_tokens > self.backbone.max_positions:
             raise ShapeMismatch(f"{n_tokens} tokens exceed max_positions {self.backbone.max_positions}")
-        x = _matmul_last(ad.swapaxes(points, 1, 2), p["in_w"]) + p["in_b"]
+        x = _matmul_last(ad.swapaxes(points, 1, 2), p["in_w"], p["in_b"])
         x = x + ad.slice_(p["pos"], (slice(0, n_tokens), slice(None)))
-        tvec = ad.matmul(Tensor(_time_features(t, self.backbone.time_dim)), p["time_w"]) + p["time_b"]
+        tvec = ad.linear(Tensor(_time_features(t, self.backbone.time_dim)), p["time_w"], p["time_b"])
         tvec = ad.reshape(tvec, (batch, 1, dm))
         x = x + tvec
         if curve_tokens:
@@ -326,7 +319,7 @@ class SclmModel:
 
     def hidden_to_points(self, hidden: Tensor) -> Tensor:
         """Project hidden states (B, n_tokens, d_model) back to (B, d, n_tokens)."""
-        return ad.swapaxes(_matmul_last(hidden, self.store["out_w"]) + self.store["out_b"], 1, 2)
+        return ad.swapaxes(_matmul_last(hidden, self.store["out_w"], self.store["out_b"]), 1, 2)
 
     def logits_from_clean(self, e_hat: Tensor) -> Tensor:
         """Logits (B, L, |V|) from denoised embedding sequences (B, d, L)."""
@@ -341,8 +334,8 @@ class SclmModel:
         k, batch = self.k_curves, points.shape[0]
         hidden = self.backbone_hidden(points, t, rngs, curve_tokens=True)
         head_vec = ad.slice_(hidden, (slice(None), 0))
-        s1 = ad.gelu(ad.matmul(head_vec, self.store["score_w1"]) + self.store["score_b1"])
-        scores = ad.matmul(s1, self.store["score_w2"]) + self.store["score_b2"]
+        s1 = ad.gelu(ad.linear(head_vec, self.store["score_w1"], self.store["score_b1"]))
+        scores = ad.linear(s1, self.store["score_w2"], self.store["score_b2"])
         probs = ad.softmax(ad.reshape(scores, (k, batch)), axis=0)
         body = self.hidden_to_points(ad.slice_(hidden, (slice(None), slice(1, hidden.shape[1]))))
         body = ad.reshape(body, (k, batch) + body.shape[1:])

@@ -4,11 +4,14 @@ These deliberately avoid the package's own numerical paths: the
 eigensolver is a hand-rolled Jacobi rotation sweep, gradients come from
 central finite differences, B-spline bases come from a scalar
 one-index-at-a-time Cox-de Boor recursion, and the reference
-language-model losses are recomputed in plain numpy with no tape or
-curve machinery.
+language-model losses and multi-head attention are recomputed in plain
+numpy with no tape or curve machinery, and the reference batcher
+rebuilds its length buckets on every call.
 """
 
 import numpy as np
+
+from curvelang.rng import RngStream
 
 
 def jacobi_eigenvalues(A, tol=1e-12, max_sweeps=100):
@@ -135,6 +138,44 @@ def _time_features(t, dim):
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
     angles = t * freqs
     return np.concatenate([np.sin(angles), np.cos(angles)])[None, :]
+
+
+def reference_attention(q, k, v, batch, heads, scale, p=0.0, gens=None):
+    """Multi-head attention over (batch * n, d_model) rows, one sequence
+    and one head at a time.
+
+    Returns the (batch * n, d_model) output and the (batch, heads, n, n)
+    inverted-dropout masks (all ones without dropout); ``gens`` holds one
+    generator per (sequence, head), sequence-major.
+    """
+    n = q.shape[0] // batch
+    dh = q.shape[1] // heads
+    out = np.zeros_like(q)
+    masks = np.ones((batch, heads, n, n))
+    for b in range(batch):
+        rows = slice(b * n, (b + 1) * n)
+        for hd in range(heads):
+            cols = slice(hd * dh, (hd + 1) * dh)
+            att = _softmax_rows(q[rows, cols] @ k[rows, cols].T * scale)
+            if p > 0:
+                masks[b, hd] = (gens[b * heads + hd].random((n, n)) >= p) / (1.0 - p)
+            out[rows, cols] = (att * masks[b, hd]) @ v[rows, cols]
+    return out, masks
+
+
+def reference_make_batch(corpus, batch_size, seed, step):
+    """Length-bucketed batch with the buckets rebuilt from the corpus on every call."""
+    buckets = {}
+    for seq in corpus.sequences:
+        buckets.setdefault(len(seq), []).append(seq)
+    lengths = sorted(buckets)
+    weights = np.array([len(buckets[l]) for l in lengths], dtype=np.float64)
+    weights /= weights.sum()
+    rng = RngStream(seed, "batch", step).generator()
+    length = lengths[int(rng.choice(len(lengths), p=weights))]
+    pool = buckets[length]
+    picks = rng.integers(0, len(pool), size=batch_size)
+    return [pool[int(i)] for i in picks]
 
 
 def reference_backbone(model, points, t):

@@ -222,6 +222,7 @@ def gaussian_training(tmp_path_factory):
     return harness.run_training(config, out)
 
 
+@pytest.mark.slow
 def test_criterion_09_desk_scale_training(gaussian_training, tmp_path):
     """Loss halves; 20-step samples alternate; masked CE beats 0.5 log|V|."""
     rows = gaussian_training.rows
@@ -291,6 +292,7 @@ def _probe_difference(seed: int, root: str) -> float:
     return diffs["gaussian"] - diffs["baseline-identity"]
 
 
+@pytest.mark.slow
 def test_criterion_10_global_structure_probe(tmp_path):
     """Curve-mode logit correlations exceed the identity twin, 5-seed mean."""
 

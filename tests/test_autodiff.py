@@ -8,7 +8,7 @@ from curvelang import autodiff as ad
 from curvelang.errors import NonFinite, NotScalar, ShapeMismatch
 from curvelang.rng import RngStream
 
-from _oracles import finite_difference_grad, relative_grad_error
+from _oracles import finite_difference_grad, reference_attention, relative_grad_error
 
 
 def _probe(op_fn, arrays, grad_index=0, h=1e-5):
@@ -120,6 +120,52 @@ class TestBackwardBasics:
             tape.backward(ad.sum_(y))
         npt.assert_allclose(x.grad, [7.0])
 
+    def test_adopted_adjoint_of_add_to_itself(self):
+        # add hands one adjoint array to both of its inputs
+        x0 = RngStream(12, "xx").normal((3, 4))
+        w = RngStream(13, "w").normal((3, 4))
+
+        def run(x_data):
+            x = ad.param(x_data)
+            with ad.Tape() as tape:
+                loss = ad.sum_(ad.mul(ad.add(x, x), ad.tensor(w)))
+                tape.backward(loss)
+            return float(loss.data), x.grad
+
+        grad = run(x0)[1]
+        numeric = finite_difference_grad(lambda v: run(v)[0], x0)
+        assert relative_grad_error(numeric, grad) < 1e-8
+        npt.assert_allclose(grad, 2.0 * w, rtol=1e-15)
+
+    def test_adopted_adjoint_is_not_written_by_a_later_contribution(self):
+        # a is used before and after add(a, b): either way its second
+        # adjoint must not reach b, which adopted the same array
+        a0 = RngStream(14, "a").normal((2, 3))
+        b0 = RngStream(15, "b").normal((2, 3))
+        w1 = RngStream(16, "w1").normal((2, 3))
+        w2 = RngStream(17, "w2").normal((2, 3))
+        for a_first in (True, False):
+
+            def run(a_data, b_data, _a_first=a_first):
+                a, b = ad.param(a_data), ad.param(b_data)
+                with ad.Tape() as tape:
+                    if _a_first:
+                        other = ad.sum_(ad.mul(a, ad.tensor(w2)))
+                    s = ad.sum_(ad.mul(ad.add(a, b), ad.tensor(w1)))
+                    if not _a_first:
+                        other = ad.sum_(ad.mul(a, ad.tensor(w2)))
+                    loss = ad.add(s, other)
+                    tape.backward(loss)
+                return float(loss.data), a.grad, b.grad
+
+            _, a_grad, b_grad = run(a0, b0)
+            npt.assert_array_equal(b_grad, w1)
+            npt.assert_allclose(a_grad, w1 + w2, rtol=1e-15)
+            numeric_a = finite_difference_grad(lambda v: run(v, b0)[0], a0)
+            numeric_b = finite_difference_grad(lambda v: run(a0, v)[0], b0)
+            assert relative_grad_error(numeric_a, a_grad) < 1e-8, a_first
+            assert relative_grad_error(numeric_b, b_grad) < 1e-8, a_first
+
     def test_no_grad_leakage(self):
         x = ad.param(np.ones((2, 2)))
         c = ad.tensor(np.ones((2, 2)))
@@ -210,30 +256,77 @@ class TestGradientChecks:
         # a reshape of swapped axes, as the attention heads use it
         assert _probe(lambda t: ad.reshape(ad.swapaxes(t, 0, 1), (3, 8)), [x]) < 1e-6
 
-    def test_bmm(self):
-        a = self.RNG.child("s").normal((3, 2, 4))
-        b = self.RNG.child("t").normal((3, 4, 5))
-        assert _probe(ad.bmm, [a, b], 0) < 1e-6
-        assert _probe(ad.bmm, [a, b], 1) < 1e-6
-        a4 = self.RNG.child("u").normal((2, 2, 3, 4))
-        b4 = self.RNG.child("v").normal((2, 2, 4, 3))
-        assert _probe(ad.bmm, [a4, b4], 0) < 1e-6
-        assert _probe(ad.bmm, [a4, b4], 1) < 1e-6
+    def test_linear(self):
+        x = self.RNG.child("s").normal((5, 4))
+        w = self.RNG.child("t").normal((4, 3))
+        b = self.RNG.child("u").normal(3)
+        for i in range(3):
+            assert _probe(ad.linear, [x, w, b], i) < 1e-6, i
+        npt.assert_allclose(ad.linear(ad.tensor(x), ad.tensor(w), ad.tensor(b)).data, x @ w + b, rtol=1e-14)
 
-    def test_bmm_matches_per_matrix_products(self):
-        a = self.RNG.child("w").normal((4, 3, 5))
-        b = self.RNG.child("x").normal((4, 5, 2))
-        out = ad.bmm(ad.tensor(a), ad.tensor(b)).data
-        for i in range(4):
-            npt.assert_allclose(out[i], a[i] @ b[i], atol=1e-14)
+    @staticmethod
+    def _attention_inputs(seed, batch, n, width):
+        rng = RngStream(seed, "attention")
+        return [rng.child(name).normal((batch * n, width)) for name in "qkv"]
+
+    @staticmethod
+    def _gens(seed, count):
+        return [RngStream(seed, "att-drop", i).generator() for i in range(count)]
+
+    def test_attention(self):
+        batch, n = 2, 3
+        for heads in (1, 2, 4):
+            for p in (0.0, 0.3):
+                arrays = self._attention_inputs(heads, batch, n, 8)
+
+                def op(q, k, v, _heads=heads, _p=p):
+                    gens = self._gens(50 + _heads, batch * _heads) if _p else None
+                    return ad.attention(q, k, v, batch, _heads, 0.7, _p, gens)
+
+                for i in range(3):
+                    assert _probe(op, arrays, i) < 1e-6, (heads, p, i)
+
+    def test_attention_matches_per_sequence_head_oracle(self):
+        batch, n = 3, 4
+        for heads in (1, 2, 4):
+            dh = 5
+            width = heads * dh
+            q, k, v = self._attention_inputs(10 + heads, batch, n, width)
+            for p in (0.0, 0.4):
+                gens = self._gens(60 + heads, batch * heads) if p else None
+                out = ad.attention(ad.tensor(q), ad.tensor(k), ad.tensor(v), batch, heads, 0.45, p, gens).data
+                ref_gens = self._gens(60 + heads, batch * heads) if p else None
+                expected, masks = reference_attention(q, k, v, batch, heads, 0.45, p, ref_gens)
+                npt.assert_allclose(out, expected, rtol=0, atol=1e-12, err_msg=f"heads {heads}, p {p}")
+                # with v the identity in each head's first n columns, the
+                # output is that head's dropped attention matrix: its zeros
+                # are exactly the dropout mask's
+                eye = np.zeros((batch * n, width))
+                for hd in range(heads):
+                    eye[:, hd * dh : hd * dh + n] = np.tile(np.eye(n), (batch, 1))
+                gens = self._gens(60 + heads, batch * heads) if p else None
+                att = ad.attention(ad.tensor(q), ad.tensor(k), ad.tensor(eye), batch, heads, 0.45, p, gens).data
+                att = att.reshape(batch, n, heads, dh)[..., :n].swapaxes(1, 2)
+                npt.assert_array_equal(att == 0, masks == 0)
+                if p:
+                    assert (masks == 0).any() and (masks != 0).any()
 
     def test_batched_shape_errors(self):
+        x = ad.tensor(np.zeros((6, 4)))
         with pytest.raises(ShapeMismatch):
-            ad.bmm(ad.tensor(np.zeros((2, 3, 4))), ad.tensor(np.zeros((3, 4, 5))))
+            ad.linear(x, ad.tensor(np.zeros((3, 2))), ad.tensor(np.zeros(2)))
         with pytest.raises(ShapeMismatch):
-            ad.bmm(ad.tensor(np.zeros((2, 3, 4))), ad.tensor(np.zeros((2, 3, 5))))
+            ad.linear(x, ad.tensor(np.zeros((4, 2))), ad.tensor(np.zeros(3)))
         with pytest.raises(ShapeMismatch):
-            ad.bmm(ad.tensor(np.zeros((3, 4))), ad.tensor(np.zeros((4, 5))))
+            ad.attention(x, x, ad.tensor(np.zeros((6, 2))), 2, 2, 1.0)
+        with pytest.raises(ShapeMismatch):
+            ad.attention(x, x, x, 4, 2, 1.0)
+        with pytest.raises(ShapeMismatch):
+            ad.attention(x, x, x, 2, 3, 1.0)
+        with pytest.raises(ShapeMismatch):
+            ad.attention(x, x, x, 2, 2, 1.0, 0.5, [RngStream(0, "a", i).generator() for i in range(3)])
+        with pytest.raises(ShapeMismatch):
+            ad.attention(x, x, x, 2, 2, 1.0, 1.0, [RngStream(0, "a", i).generator() for i in range(4)])
         with pytest.raises(ShapeMismatch):
             ad.reshape(ad.tensor(np.zeros((2, 3))), (4, 2))
         with pytest.raises(ShapeMismatch):

@@ -13,7 +13,7 @@ from curvelang.corpus import ingest, write_builtin
 from curvelang.errors import ConfigError, EmptyCorpus
 from curvelang.rng import RngStream
 
-from _oracles import stress
+from _oracles import reference_make_batch, stress
 
 
 class TestIngest:
@@ -62,6 +62,27 @@ class TestIngest:
             path = write_builtin(name, str(tmp_path / f"{name}.txt"), seed=1)
             corpus = ingest(path, "char")
             assert len(corpus.sequences) > 0
+
+
+class TestMakeBatch:
+    def test_matches_buckets_rebuilt_every_step(self, tmp_path):
+        paths = [write_builtin(name, str(tmp_path / f"{name}.txt")) for name in ("alternating", "grammar3", "multimodal")]
+        # the builtins each hold one line length; this corpus holds many
+        rng = RngStream(31, "lines").generator()
+        mixed = tmp_path / "mixed.txt"
+        mixed.write_text("".join("".join(rng.choice(list("abcd"), size=int(rng.integers(2, 30)))) + "\n" for _ in range(300)))
+        paths.append(str(mixed))
+        for path in paths:
+            corpus = ingest(path, "char")
+            assert "buckets" not in vars(corpus)  # built on first use, not at ingest
+            for seed in (0, 1, 7):
+                for step in range(1, 26):
+                    for batch_size in (1, 8):
+                        batch = harness.make_batch(corpus, batch_size, seed, step)
+                        expected = reference_make_batch(corpus, batch_size, seed, step)
+                        assert [x.tobytes() for x in batch] == [x.tobytes() for x in expected], (path, seed, step)
+            assert "buckets" in vars(corpus)
+        assert len(corpus.buckets) > 20
 
 
 class TestConfig:
@@ -168,6 +189,13 @@ class TestTrainCommand:
         assert cli.main(args) == 0
         first = open(os.path.join(out, "losses.csv")).read().split("\n")[0]
         assert first == "step,loss"
+
+    def test_dropout_outside_unit_interval_rejected_before_any_work(self, tmp_path):
+        for i, rate in enumerate(("1.0", "-0.5")):
+            out = tmp_path / f"drop{i}"
+            out.mkdir()
+            assert cli.main(tiny_train_args(str(out), ["--dropout", rate])) == 2
+            assert os.listdir(out) == []
 
     def test_writes_run_config(self, tmp_path):
         out = str(tmp_path / "cfg")
