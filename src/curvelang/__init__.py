@@ -7,7 +7,7 @@ numerically.
 """
 
 from . import autodiff, checkpoint, config, corpus, curvemap, harness, model, splines, theory, verify
-from .curvemap import BasisCache, CurveConfig, EmbeddingSequence, SentenceCurve, build_cache
+from .curvemap import BasisCache, CurveConfig, build_cache
 from .model import BackboneConfig, NoiseSchedule, SclmModel, build_schedule, sample, train_step
 from .splines import BasisPair, SpectralReport, basis_matrix, build_pair, pseudo_inverse
 from .theory import VerificationRecord, distance_correlation, logit_correlation_probe
@@ -27,8 +27,6 @@ __all__ = [
     "verify",
     "BasisCache",
     "CurveConfig",
-    "EmbeddingSequence",
-    "SentenceCurve",
     "build_cache",
     "BackboneConfig",
     "NoiseSchedule",

@@ -9,6 +9,7 @@ an ``opt.`` prefix so training can resume.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import struct
@@ -51,6 +52,14 @@ def _read_blob(fh) -> tuple[str, np.ndarray]:
     return name, data.astype(np.float64)
 
 
+def _config_from(cls, section: dict):
+    """A config dataclass from a header section, which must name exactly its fields."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    if set(section) != names:
+        raise IoError(f"checkpoint header names {sorted(section)}, {cls.__name__} has {sorted(names)}")
+    return cls(**section)
+
+
 def save(model: SclmModel, path: str, step: int) -> None:
     header = {
         "mode": model.mode,
@@ -63,25 +72,8 @@ def save(model: SclmModel, path: str, step: int) -> None:
         "step": step,
         "opt_step_count": model.store.step_count,
         "schedule": {"T": model.schedule.T, "kind": model.schedule.kind},
-        "backbone": {
-            "layers": model.backbone.layers,
-            "heads": model.backbone.heads,
-            "d_model": model.backbone.d_model,
-            "d_ff": model.backbone.d_ff,
-            "dropout": model.backbone.dropout,
-            "max_positions": model.backbone.max_positions,
-            "time_dim": model.backbone.time_dim,
-        },
-        "curve": {
-            "n_ratio": model.cache.config.n_ratio,
-            "eta_ratio": model.cache.config.eta_ratio,
-            "eta_fixed": model.cache.config.eta_fixed,
-            "k_curves": model.cache.config.k_curves,
-            "margin": model.cache.config.margin,
-            "l_min": model.cache.config.l_min,
-            "l_max": model.cache.config.l_max,
-            "identity": model.cache.config.identity,
-        },
+        "backbone": dataclasses.asdict(model.backbone),
+        "curve": dataclasses.asdict(model.cache.config),
         "vocab": list(model.vocab.tokens),
         "params": model.store.names(),
     }
@@ -130,26 +122,12 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
     except ValueError as exc:
         raise IoError(f"cannot parse checkpoint {path}: {exc}") from exc
 
-    curve = header["curve"]
-    cache = build_cache(
-        CurveConfig(
-            n_ratio=curve["n_ratio"],
-            eta_ratio=curve["eta_ratio"],
-            eta_fixed=curve["eta_fixed"],
-            k_curves=curve["k_curves"],
-            margin=curve["margin"],
-            l_min=curve["l_min"],
-            l_max=curve["l_max"],
-            identity=curve["identity"],
-        )
-    )
-    bb = header["backbone"]
     model = SclmModel(
         mode=header["mode"],
         vocab=Vocab(tokens=tuple(header["vocab"])),
-        cache=cache,
+        cache=build_cache(_config_from(CurveConfig, header["curve"])),
         schedule=build_schedule(header["schedule"]["T"], header["schedule"]["kind"]),
-        backbone=BackboneConfig(**bb),
+        backbone=_config_from(BackboneConfig, header["backbone"]),
         embed_dim=header["embed_dim"],
         k_curves=header["k_curves"],
         unit_norm=header["unit_norm"],

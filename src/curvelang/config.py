@@ -9,8 +9,9 @@ import dataclasses
 import typing
 from dataclasses import dataclass
 
+from .curvemap import CurveConfig
 from .errors import ConfigError, IoError
-from .model import MODES
+from .model import MODES, AdamConfig, BackboneConfig, build_schedule
 
 
 @dataclass
@@ -53,13 +54,43 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.steps < 1 or self.batch_size < 1 or self.log_interval < 1:
             raise ConfigError("steps, batch_size, and log_interval must be positive")
-        if self.eta_ratio is not None and self.eta_fixed is not None:
-            raise ConfigError("set only one of eta_ratio / eta_fixed")
-        if self.eta_ratio is None and self.eta_fixed is None:
-            raise ConfigError("one of eta_ratio / eta_fixed is required")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        # the objects a run builds check their own fields
+        self.backbone_config()
+        self.curve_config()
+        self.adam_config()
+        build_schedule(self.schedule_steps, self.schedule_kind)
         return self
+
+    def backbone_config(self) -> BackboneConfig:
+        return BackboneConfig(
+            layers=self.layers,
+            heads=self.heads,
+            d_model=self.d_model,
+            d_ff=self.d_ff,
+            dropout=self.dropout,
+            max_positions=self.max_positions,
+            time_dim=self.time_dim,
+        )
+
+    def curve_config(self) -> CurveConfig:
+        """Curve settings; the length range defaults to [2, max_positions].
+
+        Pairs are built on first use, so a wide range costs nothing
+        until a length is used.
+        """
+        return CurveConfig(
+            n_ratio=self.n_ratio,
+            eta_ratio=self.eta_ratio,
+            eta_fixed=self.eta_fixed,
+            k_curves=self.k_curves,
+            margin=self.margin,
+            l_min=2 if self.l_min is None else self.l_min,
+            l_max=self.max_positions if self.l_max is None else self.l_max,
+            identity=self.mode in ("baseline-identity", "masked-identity"),
+        )
+
+    def adam_config(self) -> AdamConfig:
+        return AdamConfig(lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.adam_eps)
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}

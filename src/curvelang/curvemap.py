@@ -1,10 +1,11 @@
 """Length-dependent curve hyperparameters, basis caching, and the
-embedding <-> curve mappings.
+reconstruction sweep.
 
 The number of control points scales with sentence length through
 ``n_ratio``; the degree comes either from a ratio of N or a fixed value.
 Each length's pair is built on first use and then reused, since B and
-B_pinv depend only on (L, N, eta, margin).
+B_pinv depend only on (L, N, eta, margin).  The model applies the pairs
+(``SclmModel.to_points`` and ``to_words``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import splines
-from .errors import ConfigError, LengthOutOfRange, ShapeMismatch
+from .errors import ConfigError, LengthOutOfRange
 from .rng import RngStream
 from .splines import BasisPair
 
@@ -34,6 +35,8 @@ class CurveConfig:
     def __post_init__(self):
         if self.n_ratio <= 0:
             raise ConfigError(f"n_ratio must be positive, got {self.n_ratio}")
+        if not 0.0 <= self.margin < 0.5:
+            raise ConfigError(f"margin must be in [0, 0.5), got {self.margin}")
         if self.k_curves < 1:
             raise ConfigError(f"k_curves must be >= 1, got {self.k_curves}")
         if not 2 <= self.l_min <= self.l_max:
@@ -101,42 +104,6 @@ def _make_pair(length: int, config: CurveConfig) -> BasisPair:
 def build_cache(config: CurveConfig) -> BasisCache:
     """A cache over [l_min, l_max] whose pairs are built on first use."""
     return BasisCache(config)
-
-
-@dataclass(frozen=True)
-class SentenceCurve:
-    """Control points (d, N) together with the sentence length they encode."""
-
-    points: np.ndarray
-    length_l: int
-
-
-@dataclass(frozen=True)
-class EmbeddingSequence:
-    """Word-embedding matrix (d, L); clean, noised, or denoised."""
-
-    values: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return self.values.shape[1]
-
-
-def embed_to_curve(embeds: EmbeddingSequence, cache: BasisCache) -> SentenceCurve:
-    """Approximate inverse mapping P = E @ B_pinv."""
-    length = embeds.length
-    pair = cache.get(length)
-    if embeds.values.ndim != 2:
-        raise ShapeMismatch(f"expected a (d, L) matrix, got shape {embeds.values.shape}")
-    return SentenceCurve(points=embeds.values @ pair.B_pinv, length_l=length)
-
-
-def curve_to_embed(curve: SentenceCurve, cache: BasisCache) -> EmbeddingSequence:
-    """Forward mapping E = P @ B."""
-    pair = cache.get(curve.length_l)
-    if curve.points.ndim != 2 or curve.points.shape[1] != pair.N:
-        raise ShapeMismatch(f"control points have shape {curve.points.shape}, expected (*, {pair.N})")
-    return EmbeddingSequence(values=curve.points @ pair.B)
 
 
 def reconstruction_error(

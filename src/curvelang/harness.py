@@ -15,19 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint, theory
+from .autodiff import Tensor
 from .config import RunConfig
 from .corpus import Corpus, ingest, write_builtin
-from .curvemap import CurveConfig, build_cache
+from .curvemap import build_cache
 from .errors import ConfigError, NonFinite
-from .model import (
-    AdamConfig,
-    BackboneConfig,
-    SclmModel,
-    _reverse_steps,
-    build_schedule,
-    sample,
-    train_step,
-)
+from .model import SclmModel, _reverse_steps, build_schedule, sample, train_step
 from .rng import RngStream
 
 
@@ -46,40 +39,13 @@ def resolve_corpus(config: RunConfig, out_dir: str) -> Corpus:
     return ingest(path, tokenizer=config.tokenizer, max_len=config.max_len)
 
 
-def curve_config_for(config: RunConfig, corpus: Corpus) -> CurveConfig:
-    lengths = corpus.lengths()
-    l_min = config.l_min if config.l_min is not None else max(min(lengths), 2)
-    l_max = config.l_max if config.l_max is not None else max(lengths)
-    return CurveConfig(
-        n_ratio=config.n_ratio,
-        eta_ratio=config.eta_ratio,
-        eta_fixed=config.eta_fixed,
-        k_curves=config.k_curves,
-        margin=config.margin,
-        l_min=l_min,
-        l_max=l_max,
-        identity=config.mode in ("baseline-identity", "masked-identity"),
-    )
-
-
 def build_model(config: RunConfig, corpus: Corpus) -> SclmModel:
-    cache = build_cache(curve_config_for(config, corpus))
-    schedule = build_schedule(config.schedule_steps, config.schedule_kind)
-    backbone = BackboneConfig(
-        layers=config.layers,
-        heads=config.heads,
-        d_model=config.d_model,
-        d_ff=config.d_ff,
-        dropout=config.dropout,
-        max_positions=config.max_positions,
-        time_dim=config.time_dim,
-    )
     return SclmModel(
         mode=config.mode,
         vocab=corpus.vocab,
-        cache=cache,
-        schedule=schedule,
-        backbone=backbone,
+        cache=build_cache(config.curve_config()),
+        schedule=build_schedule(config.schedule_steps, config.schedule_kind),
+        backbone=config.backbone_config(),
         embed_dim=config.embed_dim,
         k_curves=config.k_curves,
         unit_norm=config.unit_norm,
@@ -123,7 +89,7 @@ def run_training(config: RunConfig, out_dir: str) -> TrainResult:
             raise ConfigError(f"checkpoint already at step {start_step}, budget is {config.steps}")
     else:
         model = build_model(config, corpus)
-    optimizer = AdamConfig(lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps)
+    optimizer = config.adam_config()
     gaussian = model.noise_kind == "gaussian"
     header = "step,diffusion,anchor,total" if gaussian else "step,loss"
     rows: list[dict] = []
@@ -205,7 +171,6 @@ def run_sampling(
     traj_paths = []
     proj_paths = []
     steps_used = _reverse_steps(model.schedule.T, n_steps)
-    pair = model.pair_for(length)
     for i in range(n_samples):
         tokens, trajectory = sample(model, length, n_steps, seed=seed + i)
         texts.append(sep.join(model.vocab.decode(tokens)))
@@ -218,11 +183,10 @@ def run_sampling(
             json.dump(payload, fh)
         traj_paths.append(traj_path)
 
-        control = [e @ pair.B_pinv if not model.identity_b else e for e in trajectory]
-        pooled = np.concatenate([c.T for c in control], axis=0)
-        proj = top2_projection(pooled)
+        control = model.to_points(Tensor(np.stack(trajectory)), length).data
+        proj = top2_projection(np.concatenate([c.T for c in control], axis=0))
         lines = ["step,point_index,pc1,pc2"]
-        n_points = control[0].shape[1]
+        n_points = control.shape[2]
         for s_idx, t in enumerate(steps_used):
             for j in range(n_points):
                 row = proj[s_idx * n_points + j]

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamStore, Tape, Tensor, adam_step
 from .corpus import Vocab
-from .curvemap import BasisCache, SentenceCurve
+from .curvemap import BasisCache
 from .errors import ConfigError, NonFinite, ShapeMismatch, StepOutOfRange
 from .rng import RngStream
 
@@ -99,10 +99,14 @@ class BackboneConfig:
     time_dim: int = 16
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.d_model % self.heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.time_dim % 2 != 0:
             raise ConfigError(f"time_dim must be even, got {self.time_dim}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 @dataclass
@@ -245,16 +249,18 @@ class SclmModel:
         return ad.swapaxes(ad.reshape(cols, (self.embed_dim,) + tokens.shape), 0, 1)
 
     def to_points(self, e: Tensor, length: int) -> Tensor:
-        """Control points (B, d, N) of embeddings (B, d, L): e @ B_pinv."""
-        if self.identity_b:
-            return e
-        return _matmul_last(e, Tensor(self.pair_for(length).B_pinv))
+        """Control points (B, d, N) of embeddings (B, d, L): e @ B_pinv.
+
+        The identity modes pass e through; every mode raises
+        ``LengthOutOfRange`` for a length outside the cache.
+        """
+        pair = self.pair_for(length)
+        return e if self.identity_b else _matmul_last(e, Tensor(pair.B_pinv))
 
     def to_words(self, points: Tensor, length: int) -> Tensor:
         """Embeddings (B, d, L) along the curves of points (B, d, N): p @ B."""
-        if self.identity_b:
-            return points
-        return _matmul_last(points, Tensor(self.pair_for(length).B))
+        pair = self.pair_for(length)
+        return points if self.identity_b else _matmul_last(points, Tensor(pair.B))
 
     # ------------------------------------------------------------- backbone
 
@@ -325,6 +331,10 @@ class SclmModel:
         """Logits (B, L, |V|) from denoised embedding sequences (B, d, L)."""
         return _matmul_last(ad.swapaxes(e_hat, 1, 2), self.embedding.weight)
 
+    def decode(self, e_hat: Tensor) -> np.ndarray:
+        """Most likely token ids (B, L) of embedding sequences (B, d, L)."""
+        return np.argmax(self.logits_from_clean(e_hat).data, axis=-1)
+
     # ------------------------------------------------------------ prediction
 
     def _k_curves(self, points: Tensor, t, rngs: list[RngStream] | None) -> tuple[list[Tensor], Tensor]:
@@ -382,12 +392,6 @@ def combine_curves(curves: list[Tensor], probs: Tensor, mode: str) -> Tensor:
         term = ad.mul(curve, w)
         out = term if out is None else out + term
     return out
-
-
-def denoise_predict(model: SclmModel, curve: SentenceCurve, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Denoising prediction on plain arrays (no tape), as a batch of one."""
-    e_hat, p_hat = model.predict_clean(Tensor(curve.points[None]), [t], curve.length_l)
-    return e_hat.data[0], p_hat.data[0]
 
 
 # ------------------------------------------------------------------- losses
@@ -494,6 +498,10 @@ class AdamConfig:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self):
+        if not (np.isfinite(self.lr) and self.lr >= 0.0):
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
+
 
 def train_step(model: SclmModel, batch: list[np.ndarray], optimizer: AdamConfig, step: int) -> dict:
     """One forward/backward/Adam update; returns the loss record."""
@@ -537,25 +545,14 @@ def sample(model: SclmModel, length: int, n_reverse_steps: int, seed: int) -> tu
 def _sample_gaussian(model: SclmModel, length: int, n_steps: int, seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
     rng = RngStream(seed, "sample")
     steps = _reverse_steps(model.schedule.T, n_steps)
-    pair = model.pair_for(length)
     e_t = rng.child("start").normal((model.embed_dim, length))
     trajectory = []
-    e_hat_data = None
     for idx, t in enumerate(steps):
-        points = Tensor((e_t @ pair.B_pinv if not model.identity_b else e_t)[None])
-        e_hat, _ = model.predict_clean(points, [t], length)
-        e_hat_data = e_hat.data[0]
-        trajectory.append(e_hat_data.copy())
+        e_hat, _ = model.predict_clean(model.to_points(Tensor(e_t[None]), length), [t], length)
+        trajectory.append(e_hat.data[0].copy())
         if idx + 1 < len(steps):
-            t_next = steps[idx + 1]
-            abar = model.schedule.alpha_bars[t_next]
-            eps = rng.child("renoise", idx).normal(e_t.shape)
-            e_t = np.sqrt(abar) * e_hat_data + np.sqrt(1.0 - abar) * eps
-        else:
-            e_t = e_hat_data
-    logits = model.embedding.weight.data.T @ e_t
-    tokens = np.argmax(logits, axis=0).astype(np.int64)
-    return tokens, trajectory
+            e_t = forward_noise_gaussian(e_hat.data[0], steps[idx + 1], model.schedule, rng.child("renoise", idx))
+    return model.decode(e_hat)[0], trajectory
 
 
 def _sample_masked(model: SclmModel, length: int, n_steps: int, seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -567,10 +564,8 @@ def _sample_masked(model: SclmModel, length: int, n_steps: int, seed: int) -> tu
     for idx, t in enumerate(steps):
         points = model.to_points(model.embed(y[None]), length)
         e_hat, _ = model.predict_clean(points, [t], length)
-        e_hat_data = e_hat.data[0]
-        trajectory.append(e_hat_data.copy())
-        logits = model.embedding.weight.data.T @ e_hat_data
-        y_hat = np.argmax(logits, axis=0).astype(np.int64)
+        trajectory.append(e_hat.data[0].copy())
+        y_hat = model.decode(e_hat)[0]
         still_masked = y == mask_id
         if idx + 1 < len(steps):
             t_next = steps[idx + 1]

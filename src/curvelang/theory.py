@@ -20,6 +20,7 @@ from .errors import (
     ShapeMismatch,
     TooFewSamples,
 )
+from .model import forward_noise_gaussian
 from .rng import RngStream
 from .splines import BasisPair, error_importance, importance_ratio
 
@@ -344,6 +345,56 @@ class ProbeResult:
         return {"matrix": self.matrix.tolist(), "mean_offdiag": self.mean_offdiag}
 
 
+def probe_logits(
+    model,
+    eval_batch: list[np.ndarray],
+    n_noise: int = 200,
+    dropout_p: float = 0.1,
+    noise_scale: float = 0.1,
+    seed: int = 0,
+    t_frac: float = 0.5,
+):
+    """Yield each evaluation sequence's logits (n_noise, L, |V|) under hidden-state noise.
+
+    Each sequence is noised once at a fixed diffusion step and run
+    through the backbone; its final hidden state is perturbed
+    ``n_noise`` times (dropout plus Gaussian noise scaled by each token's
+    hidden norm), and each perturbation is decoded the way the model
+    decodes: output head, curve, word logits.
+    """
+    if not eval_batch:
+        raise ShapeMismatch("empty evaluation batch")
+    length = len(eval_batch[0])
+    if any(len(seq) != length for seq in eval_batch):
+        raise ShapeMismatch("probe sequences must share one length")
+    t = max(int(round(t_frac * model.schedule.T)), 1)
+    rng = RngStream(seed, "probe")
+    e0 = model.embed(np.stack(eval_batch)).data
+    et = np.stack([forward_noise_gaussian(e, t, model.schedule, rng.child("input", s)) for s, e in enumerate(e0)])
+    hiddens = model.backbone_hidden(model.to_points(Tensor(et), length), [t] * len(eval_batch)).data
+    for s, hidden in enumerate(hiddens):
+        yield _perturbed_logits(model, hidden, length, n_noise, dropout_p, noise_scale, rng.child("perturb", s).generator())
+
+
+def _perturbed_logits(model, hidden, length, n_noise, dropout_p, noise_scale, gen) -> np.ndarray:
+    """Logits (n_noise, L, |V|) of ``n_noise`` perturbations of one hidden state (n_tokens, d_model).
+
+    The (n_noise, n_tokens, d_model) stack lives only in this call, so it
+    is freed before the caller builds its distance matrices.
+    """
+    sigma = noise_scale * np.linalg.norm(hidden, axis=1, keepdims=True) / np.sqrt(model.backbone.d_model)
+    stack = np.empty((n_noise,) + hidden.shape)
+    for n in range(n_noise):
+        h = hidden
+        if dropout_p > 0.0:
+            h = h * (gen.random(h.shape) >= dropout_p) / (1.0 - dropout_p)
+        if noise_scale > 0.0:
+            h = h + gen.standard_normal(h.shape) * sigma
+        stack[n] = h
+    e_hat = model.to_words(model.hidden_to_points(Tensor(stack)), length)
+    return model.logits_from_clean(e_hat).data
+
+
 def logit_correlation_probe(
     model,
     eval_batch: list[np.ndarray],
@@ -355,49 +406,13 @@ def logit_correlation_probe(
 ) -> ProbeResult:
     """Dependence between per-position logits under hidden-state noise.
 
-    Each evaluation sequence is noised once at a fixed diffusion step,
-    run through the backbone, and its final hidden state perturbed
-    ``n_noise`` times (dropout plus Gaussian noise scaled by each token's
-    hidden norm).  Logits are recomputed from each perturbation and the
-    distance correlation is taken between every pair of positions;
-    matrices are averaged over the batch.
+    Logits come from ``probe_logits``; the distance correlation is taken
+    between every pair of positions, and the matrices are averaged over
+    the batch.
     """
-    if not eval_batch:
-        raise ShapeMismatch("empty evaluation batch")
-    length = len(eval_batch[0])
-    if any(len(seq) != length for seq in eval_batch):
-        raise ShapeMismatch("probe sequences must share one length")
-    t = max(int(round(t_frac * model.schedule.T)), 1)
-    pair = model.pair_for(length)
-    emb = model.embedding.weight.data
-    out_w = model.store["out_w"].data
-    out_b = model.store["out_b"].data
-    dm = model.backbone.d_model
-    rng = RngStream(seed, "probe")
-    abar = model.schedule.alpha_bars[t]
-    points = []
-    for s, tokens in enumerate(eval_batch):
-        e0 = emb[:, tokens]
-        eps = rng.child("input", s).normal(e0.shape)
-        et = np.sqrt(abar) * e0 + np.sqrt(1.0 - abar) * eps
-        points.append(et @ pair.B_pinv if not model.identity_b else et)
-    hiddens = model.backbone_hidden(Tensor(np.stack(points)), [t] * len(eval_batch)).data
     matrices = []
-    for s, hidden in enumerate(hiddens):
-        token_norms = np.linalg.norm(hidden, axis=1, keepdims=True)
-        samples = np.empty((n_noise, length, model.vocab.size))
-        noise_rng = rng.child("perturb", s).generator()
-        for n in range(n_noise):
-            h = hidden.copy()
-            if dropout_p > 0.0:
-                keep = noise_rng.random(h.shape) >= dropout_p
-                h = h * keep / (1.0 - dropout_p)
-            if noise_scale > 0.0:
-                h = h + noise_rng.standard_normal(h.shape) * (noise_scale * token_norms / np.sqrt(dm))
-            e_hat = (h @ out_w + out_b).T
-            if not model.identity_b:
-                e_hat = e_hat @ pair.B
-            samples[n] = (emb.T @ e_hat).T
+    for samples in probe_logits(model, eval_batch, n_noise, dropout_p, noise_scale, seed, t_frac):
+        length = samples.shape[1]
         matrix = np.zeros((length, length))
         centered = [_centered_distances(samples[:, i, :]) for i in range(length)]
         dvars = [_distance_variance(c) for c in centered]

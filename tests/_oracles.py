@@ -5,8 +5,10 @@ eigensolver is a hand-rolled Jacobi rotation sweep, gradients come from
 central finite differences, B-spline bases come from a scalar
 one-index-at-a-time Cox-de Boor recursion, and the reference
 language-model losses and multi-head attention are recomputed in plain
-numpy with no tape or curve machinery, and the reference batcher
-rebuilds its length buckets on every call.
+numpy with no tape or curve machinery, the reference batcher
+rebuilds its length buckets on every call, and the reference sampler
+and logit probe write out the boundary map, output head, decoder and
+noising formulas inline, one sequence and one perturbation at a time.
 """
 
 import numpy as np
@@ -185,6 +187,11 @@ def reference_backbone(model, points, t):
     mirroring the packaged architecture but through independent code.
     """
     p = {name: model.store[name].data for name in model.store.names()}
+    return (_reference_hidden(model, p, points, t) @ p["out_w"] + p["out_b"]).T
+
+
+def _reference_hidden(model, p, points, t):
+    """Final hidden states (n_tokens, d_model) of curve inputs (d, n_tokens)."""
     cfg = model.backbone
     n_tokens = points.shape[1]
     x = points.T @ p["in_w"] + p["in_b"]
@@ -205,8 +212,7 @@ def reference_backbone(model, points, t):
         hn2 = _layer_norm(x, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
         ff = _gelu(hn2 @ p[f"l{i}.ff_w1"] + p[f"l{i}.ff_b1"]) @ p[f"l{i}.ff_w2"] + p[f"l{i}.ff_b2"]
         x = x + ff
-    x = _layer_norm(x, p["lnf_g"], p["lnf_b"])
-    return (x @ p["out_w"] + p["out_b"]).T
+    return _layer_norm(x, p["lnf_g"], p["lnf_b"])
 
 
 def reference_gaussian_loss(model, batch, rng):
@@ -254,6 +260,91 @@ def reference_masked_loss(model, batch, rng):
         ce = float(-logp[np.arange(masked_idx.size), tokens[masked_idx]].mean())
         total += model.schedule.masked_weight(t) * ce * masked_idx.size / length
     return total / len(batch)
+
+
+def _curve_maps(model, length):
+    """(B_pinv, B) of a length; the identity in the identity modes."""
+    if model.mode.endswith("identity"):
+        return np.eye(length), np.eye(length)
+    pair = model.cache.get(length)
+    return pair.B_pinv, pair.B
+
+
+def _reference_denoise(model, e_t, t, length):
+    """Denoised embeddings (d, L) of noisy embeddings (d, L) at step t."""
+    B_pinv, B = _curve_maps(model, length)
+    return reference_backbone(model, e_t @ B_pinv, t) @ B
+
+
+def reference_reverse_steps(T, n_steps):
+    if n_steps == 1:
+        return [T]
+    return [T - (i * (T - 1)) // (n_steps - 1) for i in range(n_steps)]
+
+
+def reference_sample(model, length, n_steps, seed):
+    """One sample (token ids (L,), trajectory of (d, L) arrays) with the package's draws.
+
+    Gaussian modes start from N(0, I), re-noise each prediction to the
+    next step as sqrt(abar) e_hat + sqrt(1 - abar) eps, and decode the
+    last prediction; masked modes start all masked and reveal each
+    masked position with probability (abar_next - abar_t) / (1 - abar_t).
+    """
+    emb = model.embedding.weight.data
+    abar = model.schedule.alpha_bars
+    steps = reference_reverse_steps(model.schedule.T, n_steps)
+    rng = RngStream(seed, "sample")
+    trajectory = []
+    if model.mode.startswith("masked"):
+        mask_id = model.vocab.mask_id
+        y = np.full(length, mask_id, dtype=np.int64)
+        for idx, t in enumerate(steps):
+            e_hat = _reference_denoise(model, emb[:, y], t, length)
+            trajectory.append(e_hat)
+            y_hat = np.argmax(emb.T @ e_hat, axis=0)
+            take = y == mask_id
+            if idx + 1 < len(steps):
+                p_unmask = (abar[steps[idx + 1]] - abar[t]) / max(1.0 - abar[t], 1e-12)
+                take &= rng.child("reveal", idx).uniform(y.shape) < p_unmask
+            y[take] = y_hat[take]
+        return y, trajectory
+    e_t = rng.child("start").normal((model.embed_dim, length))
+    for idx, t in enumerate(steps):
+        e_t = _reference_denoise(model, e_t, t, length)
+        trajectory.append(e_t)
+        if idx + 1 < len(steps):
+            a = abar[steps[idx + 1]]
+            e_t = np.sqrt(a) * e_t + np.sqrt(1.0 - a) * rng.child("renoise", idx).normal(e_t.shape)
+    return np.argmax(emb.T @ e_t, axis=0), trajectory
+
+
+def reference_probe_logits(model, eval_batch, n_noise, dropout_p, noise_scale, seed, t_frac=0.5):
+    """Per-sequence logits (n_noise, L, |V|) of the logit probe, one perturbation at a time."""
+    emb = model.embedding.weight.data
+    p = {name: model.store[name].data for name in model.store.names()}
+    length = len(eval_batch[0])
+    B_pinv, B = _curve_maps(model, length)
+    t = max(int(round(t_frac * model.schedule.T)), 1)
+    abar = model.schedule.alpha_bars[t]
+    rng = RngStream(seed, "probe")
+    out = []
+    for s, tokens in enumerate(eval_batch):
+        e0 = emb[:, tokens]
+        e_t = np.sqrt(abar) * e0 + np.sqrt(1.0 - abar) * rng.child("input", s).normal(e0.shape)
+        hidden = _reference_hidden(model, p, e_t @ B_pinv, t)
+        norms = np.linalg.norm(hidden, axis=1, keepdims=True)
+        gen = rng.child("perturb", s).generator()
+        logits = np.empty((n_noise, length, emb.shape[1]))
+        for n in range(n_noise):
+            h = hidden.copy()
+            if dropout_p > 0.0:
+                h = h * (gen.random(h.shape) >= dropout_p) / (1.0 - dropout_p)
+            if noise_scale > 0.0:
+                h = h + gen.standard_normal(h.shape) * (noise_scale * norms / np.sqrt(model.backbone.d_model))
+            e_hat = (h @ p["out_w"] + p["out_b"]).T @ B
+            logits[n] = (emb.T @ e_hat).T
+        out.append(logits)
+    return out
 
 
 def stress(original, projected):

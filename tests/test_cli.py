@@ -197,6 +197,28 @@ class TestTrainCommand:
             assert cli.main(tiny_train_args(str(out), ["--dropout", rate])) == 2
             assert os.listdir(out) == []
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--margin", "0.6"),
+            ("--n-ratio", "0"),
+            ("--k-curves", "0"),
+            ("--heads", "3"),
+            ("--heads", "0"),
+            ("--time-dim", "3"),
+            ("--schedule-kind", "foo"),
+            ("--schedule-steps", "0"),
+            ("--lr", "-1"),
+            ("--lr", "nan"),
+            ("--max-positions", "1"),
+        ],
+    )
+    def test_bad_config_rejected_before_any_work(self, tmp_path, flag, value):
+        out = tmp_path / "bad"
+        out.mkdir()
+        assert cli.main(tiny_train_args(str(out), [flag, value])) == 2
+        assert os.listdir(out) == []
+
     def test_writes_run_config(self, tmp_path):
         out = str(tmp_path / "cfg")
         cli.main(tiny_train_args(out))
@@ -286,6 +308,18 @@ class TestSampleCommand:
         proj_lines = open(os.path.join(out, "sample_0_projection.csv")).read().strip().split("\n")
         assert proj_lines[0] == "step,point_index,pc1,pc2"
 
+    def test_length_outside_the_corpus_range(self, ckpt, tmp_path, capsys):
+        # every line of builtin:alternating is 16 tokens long
+        out = str(tmp_path / "long")
+        assert cli.main(["sample", ckpt, "--length", "20", "--steps", "3", "--n", "1", "--out", out]) == 0
+        traj = json.loads(open(os.path.join(out, "sample_0_trajectory.json")).read())
+        assert len(traj[0]["values"]) == 8 * 20
+        # N = 2 * 300 control points exceed max_positions = 512
+        assert cli.main(["sample", ckpt, "--length", "300", "--steps", "3", "--n", "1", "--out", out]) == 2
+        assert "exceed max_positions" in capsys.readouterr().err
+        assert cli.main(["sample", ckpt, "--length", "513", "--steps", "3", "--n", "1", "--out", out]) == 2
+        assert "outside [2, 512]" in capsys.readouterr().err
+
     def test_reload_same_seed_identical(self, ckpt, tmp_path):
         outs = []
         for name in ("s1", "s2"):
@@ -293,6 +327,31 @@ class TestSampleCommand:
             cli.main(["sample", ckpt, "--length", "16", "--steps", "4", "--n", "2", "--seed", "7", "--out", out])
             outs.append(open(os.path.join(out, "samples.txt"), "rb").read())
         assert outs[0] == outs[1]
+
+
+def _dir_bytes(path):
+    return {name: open(os.path.join(path, name), "rb").read() for name in sorted(os.listdir(path))}
+
+
+class TestMaskedAndProbeDeterminism:
+    def test_masked_sample_and_probe_files_byte_identical_across_reruns(self, tmp_path):
+        common = ["--corpus", "builtin:multimodal", "--max-len", "12", "--steps", "10"]
+        ckpts = []
+        for mode in ("masked", "masked-identity"):
+            out = str(tmp_path / mode)
+            assert cli.main(tiny_train_args(out, common + ["--mode", mode])) == 0
+            ckpts.append(os.path.join(out, "model.ckpt"))
+        runs = []
+        for name in ("r1", "r2"):
+            sample_out = str(tmp_path / name / "sample")
+            probe_out = str(tmp_path / name / "probe")
+            args = ["sample", ckpts[0], "--length", "12", "--steps", "4", "--n", "2", "--seed", "3", "--out", sample_out]
+            assert cli.main(args) == 0
+            args = ["probe", *ckpts, "--corpus", "builtin:multimodal", "--n-eval", "2", "--n-noise", "16", "--out", probe_out]
+            assert cli.main(args) == 0
+            runs.append((_dir_bytes(sample_out), _dir_bytes(probe_out)))
+        assert len(runs[0][0]) == 5 and "probe.json" in runs[0][1]
+        assert runs[0] == runs[1]
 
 
 class TestProjection:

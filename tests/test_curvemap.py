@@ -1,4 +1,4 @@
-"""Hyperparameter resolution, the basis cache, and round-trip mappings."""
+"""Hyperparameter resolution, the basis cache, and the model's round-trip mappings."""
 
 import json
 
@@ -7,7 +7,10 @@ import numpy.testing as npt
 import pytest
 
 from curvelang import curvemap as cm
+from curvelang import model as M
 from curvelang import splines
+from curvelang.autodiff import Tensor
+from curvelang.corpus import build_vocab
 from curvelang.errors import ConfigError, LengthOutOfRange, ShapeMismatch
 from curvelang.rng import RngStream
 
@@ -96,58 +99,72 @@ class TestBasisCache:
         npt.assert_array_equal(cache.get(4).B_pinv, np.eye(4))
 
 
+def mapping_model(identity=False, l_max=16):
+    cache = cm.build_cache(cm.CurveConfig(n_ratio=2.0, eta_ratio=0.1, l_min=2, l_max=l_max, identity=identity))
+    return M.SclmModel(
+        mode="baseline-identity" if identity else "gaussian",
+        vocab=build_vocab([list("ab")]),
+        cache=cache,
+        schedule=M.build_schedule(4, "linear"),
+        backbone=M.BackboneConfig(layers=1, heads=1, d_model=4, d_ff=4, max_positions=64, time_dim=2),
+        embed_dim=4,
+    )
+
+
+def to_points(model, E):
+    """P = E @ B_pinv through ``SclmModel.to_points``, on a batch of one."""
+    return model.to_points(Tensor(E[None]), E.shape[1]).data[0]
+
+
+def to_words(model, P, length):
+    """E = P @ B through ``SclmModel.to_words``, on a batch of one."""
+    return model.to_words(Tensor(P[None]), length).data[0]
+
+
 class TestMappings:
     @pytest.fixture()
-    def cache(self):
-        return cm.build_cache(cm.CurveConfig(n_ratio=2.0, eta_ratio=0.1, l_min=2, l_max=16))
+    def model(self):
+        return mapping_model()
 
-    def test_zero_maps_to_zero(self, cache):
-        curve = cm.embed_to_curve(cm.EmbeddingSequence(np.zeros((5, 8))), cache)
-        npt.assert_array_equal(curve.points, 0.0)
-        back = cm.curve_to_embed(curve, cache)
-        npt.assert_array_equal(back.values, 0.0)
+    def test_zero_maps_to_zero(self, model):
+        points = to_points(model, np.zeros((5, 8)))
+        npt.assert_array_equal(points, 0.0)
+        npt.assert_array_equal(to_words(model, points, 8), 0.0)
 
-    def test_round_trip_in_left_inverse_regime(self, cache):
+    def test_round_trip_in_left_inverse_regime(self, model):
         rng = RngStream(3, "round").generator()
         E = rng.standard_normal((1, 3))
-        cfg = cm.CurveConfig(n_ratio=2.0, eta_ratio=0.1, l_min=2, l_max=16)
-        cache6 = cm.build_cache(cfg)
-        curve = cm.embed_to_curve(cm.EmbeddingSequence(E), cache6)
-        back = cm.curve_to_embed(curve, cache6)
-        npt.assert_allclose(back.values, E, atol=1e-10)
+        back = to_words(model, to_points(model, E), 3)
+        npt.assert_allclose(back, E, atol=1e-10)
 
-    def test_linearity(self, cache):
+    def test_linearity(self, model):
         rng = RngStream(4, "lin").generator()
         E1 = rng.standard_normal((4, 10))
         E2 = rng.standard_normal((4, 10))
         a, b = 1.7, -0.45
-        lhs = cm.embed_to_curve(cm.EmbeddingSequence(a * E1 + b * E2), cache).points
-        rhs = a * cm.embed_to_curve(cm.EmbeddingSequence(E1), cache).points + b * cm.embed_to_curve(
-            cm.EmbeddingSequence(E2), cache
-        ).points
+        lhs = to_points(model, a * E1 + b * E2)
+        rhs = a * to_points(model, E1) + b * to_points(model, E2)
         scale = max(np.abs(rhs).max(), 1.0)
         assert np.abs(lhs - rhs).max() / scale < 1e-12
 
-    def test_scaling(self, cache):
+    def test_scaling(self, model):
         rng = RngStream(5, "scale").generator()
         E = rng.standard_normal((3, 7))
-        doubled = cm.embed_to_curve(cm.EmbeddingSequence(2.0 * E), cache).points
-        npt.assert_allclose(doubled, 2.0 * cm.embed_to_curve(cm.EmbeddingSequence(E), cache).points, atol=1e-12)
+        npt.assert_allclose(to_points(model, 2.0 * E), 2.0 * to_points(model, E), atol=1e-12)
 
-    def test_replicated_control_point(self, cache):
-        pair = cache.get(9)
+    def test_replicated_control_point(self, model):
+        pair = model.pair_for(9)
         point = np.array([[2.0], [-1.0], [0.5]])
         P = np.tile(point, (1, pair.N))
-        E = cm.curve_to_embed(cm.SentenceCurve(points=P, length_l=9), cache)
-        npt.assert_allclose(E.values, np.tile(point, (1, 9)), atol=1e-12)
+        npt.assert_allclose(to_words(model, P, 9), np.tile(point, (1, 9)), atol=1e-12)
 
-    def test_convex_hull_membership(self, cache):
+    def test_convex_hull_membership(self, model):
         # every embedded value lies between the min and max of its
         # contributing control points, coordinatewise
         rng = RngStream(6, "hull").generator()
-        pair = cache.get(11)
+        pair = model.pair_for(11)
         P = rng.standard_normal((2, pair.N))
-        E = cm.curve_to_embed(cm.SentenceCurve(points=P, length_l=11), cache).values
+        E = to_words(model, P, 11)
         for j in range(11):
             support = np.flatnonzero(pair.B[:, j] > 0)
             assert len(support) <= pair.eta + 1
@@ -155,21 +172,34 @@ class TestMappings:
             high = P[:, support].max(axis=1) + 1e-12
             assert (E[:, j] >= low).all() and (E[:, j] <= high).all()
 
-    def test_shape_mismatch(self, cache):
+    def test_shape_mismatch(self, model):
         with pytest.raises(ShapeMismatch):
-            cm.curve_to_embed(cm.SentenceCurve(points=np.zeros((2, 3)), length_l=9), cache)
+            to_words(model, np.zeros((2, 3)), 9)
+        with pytest.raises(ShapeMismatch):
+            model.to_points(Tensor(np.zeros((1, 2, 5))), 9)
 
-    def test_round_trip_contraction(self, cache):
+    def test_round_trip_contraction(self, model):
         rng = RngStream(8, "contract").generator()
         eps = np.finfo(np.float64).eps
-        for length in cache.lengths():
-            pair = cache.get(length)
+        for length in model.cache.lengths():
+            pair = model.pair_for(length)
             E = rng.standard_normal((3, length))
-            recon = (E @ pair.B_pinv) @ pair.B
+            recon = to_words(model, to_points(model, E), length)
             assert np.linalg.norm(E - recon) <= np.linalg.norm(E) * (1.0 + pair.cond * eps)
             if pair.rank == length:
                 rel = np.linalg.norm(E - recon) / np.linalg.norm(E)
                 assert rel < 1e-8
+
+    def test_identity_mode_passes_through_inside_the_cache_range(self):
+        model = mapping_model(identity=True, l_max=6)
+        E = RngStream(9, "ident").generator().standard_normal((3, 6))
+        npt.assert_array_equal(to_points(model, E), E)
+        npt.assert_array_equal(to_words(model, E, 6), E)
+        for length in (1, 7):
+            with pytest.raises(LengthOutOfRange):
+                to_points(model, np.zeros((3, length)))
+            with pytest.raises(LengthOutOfRange):
+                to_words(model, np.zeros((3, length)), length)
 
 
 class TestReconstruction:

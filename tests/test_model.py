@@ -1,5 +1,7 @@
 """Schedules, noise processes, curve-wired losses, K-curve head, sampling."""
 
+import dataclasses
+import json
 import os
 
 import numpy as np
@@ -11,11 +13,11 @@ from curvelang import checkpoint, cli, splines
 from curvelang import model as M
 from curvelang.autodiff import Tensor
 from curvelang.corpus import build_vocab
-from curvelang.curvemap import CurveConfig, SentenceCurve, build_cache
+from curvelang.curvemap import CurveConfig, build_cache
 from curvelang.errors import CheckpointVersionMismatch, ConfigError, CurvelangError, IoError, ShapeMismatch, StepOutOfRange
 from curvelang.rng import RngStream
 
-from _oracles import reference_backbone, reference_gaussian_loss, reference_masked_loss
+from _oracles import reference_backbone, reference_gaussian_loss, reference_masked_loss, reference_sample
 
 
 def tiny_vocab():
@@ -36,6 +38,16 @@ def make_model(mode="gaussian", k_curves=1, force_k_head=False, seed=0, length=8
         seed=seed,
         force_k_head=force_k_head,
     )
+
+
+def jolt(model, seed, scale=0.5):
+    """Add seeded noise to every backbone parameter, so outputs are far from
+    the near-zero init; the word embeddings keep their unit norm."""
+    for name in model.store.names():
+        if name != "emb":
+            param = model.store[name].data
+            param += scale * RngStream(seed, "jolt", name).normal(param.shape)
+    return model
 
 
 def make_batch(model, n=3, length=8, seed=0):
@@ -126,11 +138,17 @@ class TestMaskedForward:
         assert abs(rate - 0.5) < 3 * np.sqrt(0.25 / y.size)
 
 
+def denoise_one(model, pts, t):
+    """``predict_clean`` on one (d, N) curve, as a batch of one; plain arrays out."""
+    e_hat, p_hat = model.predict_clean(Tensor(pts[None]), [t], 8)
+    return e_hat.data[0], p_hat.data[0]
+
+
 class TestDenoisePredict:
     def test_identity_mode_passthrough(self):
         model = make_model("baseline-identity")
         pts = RngStream(4, "p").normal((8, 8))
-        e_hat, p_hat = M.denoise_predict(model, SentenceCurve(points=pts, length_l=8), 3)
+        e_hat, p_hat = denoise_one(model, pts, 3)
         npt.assert_array_equal(e_hat, p_hat)
         npt.assert_allclose(e_hat, reference_backbone(model, pts, 3), atol=1e-12)
 
@@ -138,7 +156,7 @@ class TestDenoisePredict:
         model = make_model("gaussian")
         pair = model.pair_for(8)
         pts = RngStream(44, "p").normal((8, pair.N))
-        e_hat, p_hat = M.denoise_predict(model, SentenceCurve(points=pts, length_l=8), 3)
+        e_hat, p_hat = denoise_one(model, pts, 3)
         ref_p = reference_backbone(model, pts, 3)
         npt.assert_allclose(p_hat, ref_p, atol=1e-12)
         npt.assert_allclose(e_hat, ref_p @ pair.B, atol=1e-12)
@@ -147,7 +165,7 @@ class TestDenoisePredict:
         model = make_model("gaussian")
         pair = model.pair_for(8)
         pts = RngStream(5, "p").normal((8, pair.N))
-        e_hat, p_hat = M.denoise_predict(model, SentenceCurve(points=pts, length_l=8), 2)
+        e_hat, p_hat = denoise_one(model, pts, 2)
         assert e_hat.shape == (8, 8)
         assert p_hat.shape == (8, pair.N)
 
@@ -155,8 +173,8 @@ class TestDenoisePredict:
         model = make_model("gaussian")
         pair = model.pair_for(8)
         pts = RngStream(6, "p").normal((8, pair.N))
-        a = M.denoise_predict(model, SentenceCurve(points=pts, length_l=8), 4)
-        b = M.denoise_predict(model, SentenceCurve(points=pts, length_l=8), 4)
+        a = denoise_one(model, pts, 4)
+        b = denoise_one(model, pts, 4)
         npt.assert_array_equal(a[0], b[0])
         npt.assert_array_equal(a[1], b[1])
 
@@ -430,6 +448,18 @@ class TestSampling:
         with pytest.raises(StepOutOfRange):
             M.sample(model, 8, 99, seed=0)
 
+    def test_matches_reference_sampler(self):
+        for i, mode in enumerate(M.MODES):
+            model = jolt(make_model(mode, seed=60 + i), seed=60 + i)
+            for length, n_steps, seed in ((8, 4, 0), (5, 8, 1), (6, 1, 2)):
+                tokens, traj = M.sample(model, length, n_steps, seed=seed)
+                ref_tokens, ref_traj = reference_sample(model, length, n_steps, seed)
+                label = f"{mode} L={length} steps={n_steps}"
+                npt.assert_array_equal(tokens, ref_tokens, err_msg=label)
+                assert len(traj) == len(ref_traj) == n_steps
+                for e, ref in zip(traj, ref_traj):
+                    npt.assert_allclose(e, ref, rtol=0, atol=1e-12, err_msg=label)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -481,6 +511,27 @@ class TestCheckpoint:
         huge_name = data[: 16 + header_len] + b"\xff" * 4 + data[20 + header_len :]
         for corrupt in (huge_header, huge_name):
             path.write_bytes(corrupt)
+            with pytest.raises(IoError):
+                checkpoint.load(str(path))
+
+    def test_config_sections_must_name_every_field(self, tmp_path):
+        model = make_model("gaussian", seed=36)
+        path = tmp_path / "m.ckpt"
+        checkpoint.save(model, str(path), step=0)
+        data = path.read_bytes()
+        header_len = int.from_bytes(data[8:16], "little")
+        header = json.loads(data[16 : 16 + header_len])
+        assert header["curve"] == dataclasses.asdict(model.cache.config)
+        assert header["backbone"] == dataclasses.asdict(model.backbone)
+        # drop a field, or add one the dataclass does not have
+        for section, key in (("curve", "margin"), ("backbone", "heads"), ("curve", "extra")):
+            bad = json.loads(json.dumps(header))
+            if key in bad[section]:
+                del bad[section][key]
+            else:
+                bad[section][key] = 1
+            payload = json.dumps(bad, sort_keys=True).encode()
+            path.write_bytes(data[:8] + len(payload).to_bytes(8, "little") + payload + data[16 + header_len :])
             with pytest.raises(IoError):
                 checkpoint.load(str(path))
 

@@ -11,7 +11,8 @@ from curvelang.errors import DegenerateDistribution, NotUnitNorm, ShapeMismatch,
 from curvelang.rng import RngStream
 from curvelang.splines import build_pair, identity_pair
 
-from test_model import make_batch, make_model
+from _oracles import reference_probe_logits
+from test_model import jolt, make_batch, make_model
 
 
 class TestRelaxation:
@@ -203,6 +204,16 @@ class TestLogitProbe:
         result = theory.logit_correlation_probe(model, batch, n_noise=24, dropout_p=0.1, noise_scale=0.1, seed=2)
         npt.assert_allclose(result.matrix, result.matrix.T, atol=1e-12)
         assert (result.matrix >= 0.0).all() and (result.matrix <= 1.0 + 1e-12).all()
+
+    def test_logits_match_reference_per_perturbation(self):
+        for mode in ("gaussian", "baseline-identity"):
+            model = jolt(make_model(mode, seed=44), seed=44)
+            batch = make_batch(model, n=3, seed=44)
+            got = list(theory.probe_logits(model, batch, n_noise=12, dropout_p=0.2, noise_scale=0.3, seed=5))
+            ref = reference_probe_logits(model, batch, 12, 0.2, 0.3, 5)
+            assert len(got) == len(ref) == 3
+            for g, r in zip(got, ref):
+                npt.assert_allclose(g, r, rtol=0, atol=1e-12, err_msg=mode)
 
     def test_mixed_lengths_rejected(self):
         model = make_model("gaussian", seed=43)
