@@ -5,11 +5,12 @@ blank lines ignored), diff-friendly for experiment logs.  Every field can
 also be overridden by a command-line flag of the same name.
 """
 
+import bisect
 import dataclasses
 import typing
 from dataclasses import dataclass
 
-from .curvemap import CurveConfig
+from .curvemap import CurveConfig, resolve_dims
 from .errors import ConfigError, IoError
 from .model import MODES, AdamConfig, BackboneConfig, build_schedule
 
@@ -54,6 +55,8 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.steps < 1 or self.batch_size < 1 or self.log_interval < 1:
             raise ConfigError("steps, batch_size, and log_interval must be positive")
+        if self.embed_dim < 1:
+            raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
         # the objects a run builds check their own fields
         self.backbone_config()
         self.curve_config()
@@ -73,12 +76,15 @@ class RunConfig:
         )
 
     def curve_config(self) -> CurveConfig:
-        """Curve settings; the length range defaults to [2, max_positions].
+        """Curve settings; the length range defaults to [2, l_cap].
 
-        Pairs are built on first use, so a wide range costs nothing
-        until a length is used.
+        l_cap is the largest length whose N control points (L tokens in
+        the identity modes) fit in max_positions, so a length the model
+        could never run is out of range before its pair is built.  Pairs
+        are built on first use, so a wide range costs nothing until a
+        length is used.
         """
-        return CurveConfig(
+        config = CurveConfig(
             n_ratio=self.n_ratio,
             eta_ratio=self.eta_ratio,
             eta_fixed=self.eta_fixed,
@@ -88,6 +94,17 @@ class RunConfig:
             l_max=self.max_positions if self.l_max is None else self.l_max,
             identity=self.mode in ("baseline-identity", "masked-identity"),
         )
+        if self.l_max is not None or config.identity:
+            return config
+        # N grows with L, so the lengths that fit are a prefix of the range
+        fits = bisect.bisect_right(
+            range(config.l_min, config.l_max + 1),
+            self.max_positions,
+            key=lambda length: resolve_dims(length, config)[0],
+        )
+        if fits == 0:
+            raise ConfigError(f"no length from l_min {config.l_min} has N control points within max_positions {self.max_positions}")
+        return dataclasses.replace(config, l_max=config.l_min + fits - 1)
 
     def adam_config(self) -> AdamConfig:
         return AdamConfig(lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.adam_eps)

@@ -106,6 +106,41 @@ def build_cache(config: CurveConfig) -> BasisCache:
     return BasisCache(config)
 
 
+def _recon_noise(length: int, trials: int, seed: int, dim: int) -> np.ndarray:
+    """The (trials, dim, L) Gaussian inputs of the round trip at length L.
+
+    Trial i is drawn from the stream (seed, "recon", L, i), so every
+    configuration at one length sees the same inputs.
+    """
+    values = np.empty((trials, dim, length))
+    base = RngStream(seed, "recon", length)
+    for trial in range(trials):
+        base.child(trial).generator().standard_normal(out=values[trial])
+    return values
+
+
+def _projector(length: int, config: CurveConfig) -> np.ndarray:
+    """B_pinv @ B at length L.
+
+    The pair is not kept, so B and B_pinv are freed before the caller
+    allocates the noise stack and the residual.
+    """
+    pair = _make_pair(length, config)
+    return pair.B_pinv @ pair.B
+
+
+def _round_trip_mse(values: np.ndarray, proj: np.ndarray) -> float:
+    """Mean over trials of the MSE between each (dim, L) input and its round trip."""
+    residual = np.matmul(values, proj)
+    np.subtract(values, residual, out=residual)
+    np.square(residual, out=residual)
+    # one mean per trial, summed in trial order like a running total
+    total = 0.0
+    for mse in residual.reshape(len(values), -1).mean(axis=1):
+        total += float(mse)
+    return total / len(values)
+
+
 def reconstruction_error(
     length: int,
     config: CurveConfig,
@@ -120,15 +155,8 @@ def reconstruction_error(
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    pair = _make_pair(length, config)
-    proj = pair.B_pinv @ pair.B
-    total = 0.0
-    base = RngStream(seed, "recon", length)
-    for trial in range(trials):
-        values = base.child(trial).normal((dim, length))
-        recon = values @ proj
-        total += float(np.mean((values - recon) ** 2))
-    return total / trials
+    proj = _projector(length, config)
+    return _round_trip_mse(_recon_noise(length, trials, seed, dim), proj)
 
 
 @dataclass(frozen=True)
@@ -175,12 +203,19 @@ def reconstruction_sweep(
 
     Row order is the cross product with L outermost and eta_ratio
     innermost.  The minimum degree of 2 comes from the eta formula in
-    resolve_dims, so eta_ratio = 0.0 still uses quadratic bases.
+    resolve_dims, so eta_ratio = 0.0 still uses quadratic bases.  Each
+    row equals reconstruction_error for its cell; the noise of a length
+    is drawn once and shared by its cells.
     """
     if not (lengths and n_ratios and eta_ratios):
         raise ConfigError("sweep sets must be non-empty")
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     rows = []
     for length in lengths:
+        # drawn after the length's first pair, so a bad length fails in
+        # resolve_dims as it does in reconstruction_error
+        values = None
         for n_ratio in n_ratios:
             for eta_ratio in eta_ratios:
                 config = CurveConfig(
@@ -190,6 +225,9 @@ def reconstruction_sweep(
                     l_min=2,
                     l_max=max(length, 250),
                 )
-                mse = reconstruction_error(length, config, trials=trials, seed=seed, dim=dim)
+                proj = _projector(length, config)
+                if values is None:
+                    values = _recon_noise(length, trials, seed, dim)
+                mse = _round_trip_mse(values, proj)
                 rows.append(SweepRow(length=length, n_ratio=n_ratio, eta_ratio=eta_ratio, mse=mse))
     return SweepTable(rows=rows)

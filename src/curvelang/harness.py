@@ -190,7 +190,7 @@ def run_sampling(
         for s_idx, t in enumerate(steps_used):
             for j in range(n_points):
                 row = proj[s_idx * n_points + j]
-                lines.append(f"{int(t)},{j},{row[0]!r},{row[1]!r}")
+                lines.append(f"{int(t)},{j},{float(row[0])!r},{float(row[1])!r}")
         proj_path = os.path.join(out_dir, f"sample_{i}_projection.csv")
         with open(proj_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

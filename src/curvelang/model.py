@@ -99,6 +99,8 @@ class BackboneConfig:
     time_dim: int = 16
 
     def __post_init__(self):
+        if self.d_model < 1 or self.d_ff < 1:
+            raise ConfigError(f"d_model and d_ff must be >= 1, got {self.d_model} and {self.d_ff}")
         if self.heads < 1:
             raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.d_model % self.heads != 0:
@@ -176,6 +178,8 @@ class SclmModel:
     ):
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+        if embed_dim < 1:
+            raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
         self.mode = mode
         self.noise_kind = "masked" if mode.startswith("masked") else "gaussian"
         self.identity_b = mode in ("baseline-identity", "masked-identity")

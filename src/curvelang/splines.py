@@ -76,33 +76,39 @@ def _basis_columns(knots: KnotVector, gammas: np.ndarray) -> np.ndarray:
     """All N basis functions at each curve index in ``gammas``, as an (N, len) matrix.
 
     Cox-de Boor recursion restricted to the eta+1 functions alive on each
-    index's knot span, run for every index at once: one (len, eta+1)
-    array per quantity, one degree level per iteration.  Spans are
-    half-open [t_s, t_{s+1}), except the last, which is closed so that
-    gamma = 1 lands on the final basis function.
+    index's knot span, run for every index at once: one (eta+1, len)
+    array per quantity, row r for the r-th live function, one degree
+    level per iteration.  Spans are half-open [t_s, t_{s+1}), except the
+    last, which is closed so that gamma = 1 lands on the final basis
+    function.
     """
     t = knots.knots
     eta = knots.degree
     n_basis = knots.n_basis
+    n = gammas.size
     span = np.clip(np.searchsorted(t, gammas, side="right") - 1, eta, n_basis - 1)
-    offsets = np.arange(1, eta + 1)
-    g = gammas[:, None]
-    left = np.zeros((gammas.size, eta + 1))
-    right = np.zeros((gammas.size, eta + 1))
-    left[:, 1:] = g - t[span[:, None] + 1 - offsets]
-    right[:, 1:] = t[span[:, None] + offsets] - g
-    vals = np.zeros((gammas.size, eta + 1))
-    vals[:, 0] = 1.0
+    offsets = np.arange(eta)[:, None]
+    # right[k] = t[s+1+k] - gamma and rleft[k] = gamma - t[s+1-eta+k]: the
+    # left distances stored in reverse, so level j reads rows rleft[eta-j:]
+    # in the order left[j], left[j-1], ..., left[1]
+    right = t[span + 1 + offsets] - gammas
+    rleft = gammas - t[span + 1 - eta + offsets]
+    vals = np.zeros((eta + 1, n))
+    vals[0] = 1.0
+    denom = np.empty((eta, n))
+    terms = np.empty((eta, n))
     # Level j mixes each of the j live values into its two neighbours:
-    # vals[r] <- right[r+1] * term[r] + left[j-r+1] * term[r-1].
+    # vals[r] <- right[r] * term[r] + left[j-r+1] * term[r-1].  Row j is
+    # still zero when level j starts.
     for j in range(1, eta + 1):
-        terms = vals[:, :j] / (right[:, 1 : j + 1] + left[:, j:0:-1])
-        vals[:, :j] = right[:, 1 : j + 1] * terms
-        vals[:, j] = 0.0
-        vals[:, 1 : j + 1] += left[:, j:0:-1] * terms
-    out = np.zeros((n_basis, gammas.size))
-    rows = span[:, None] - eta + np.arange(eta + 1)
-    out[rows, np.arange(gammas.size)[:, None]] = vals
+        d, tm, lj = denom[:j], terms[:j], rleft[eta - j :]
+        np.add(right[:j], lj, out=d)
+        np.divide(vals[:j], d, out=tm)
+        np.multiply(right[:j], tm, out=vals[:j])
+        np.multiply(lj, tm, out=d)
+        vals[1 : j + 1] += d
+    out = np.zeros((n_basis, n))
+    out[span - eta + np.arange(eta + 1)[:, None], np.arange(n)] = vals
     return out
 
 

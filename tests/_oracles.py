@@ -3,7 +3,9 @@
 These deliberately avoid the package's own numerical paths: the
 eigensolver is a hand-rolled Jacobi rotation sweep, gradients come from
 central finite differences, B-spline bases come from a scalar
-one-index-at-a-time Cox-de Boor recursion, and the reference
+one-index-at-a-time Cox-de Boor recursion and from an index-major
+(L, eta+1) array recursion, the reference round-trip error draws and
+reduces one trial at a time, the reference
 language-model losses and multi-head attention are recomputed in plain
 numpy with no tape or curve machinery, the reference batcher
 rebuilds its length buckets on every call, and the reference sampler
@@ -110,6 +112,51 @@ def reference_basis_matrix(knots, eta, gammas):
         span = find_span(knots, eta, n_basis, float(gamma))
         out[span - eta : span + 1, col] = local_basis(knots, eta, span, float(gamma))
     return out
+
+
+def reference_basis_columns(knots, gammas):
+    """(N, len) basis matrix from the index-major evaluator: one (len, eta+1)
+    array per quantity, level j reading the left distances as a reversed
+    strided view."""
+    t = knots.knots
+    eta = knots.degree
+    n_basis = knots.n_basis
+    span = np.clip(np.searchsorted(t, gammas, side="right") - 1, eta, n_basis - 1)
+    offsets = np.arange(1, eta + 1)
+    g = gammas[:, None]
+    left = np.zeros((gammas.size, eta + 1))
+    right = np.zeros((gammas.size, eta + 1))
+    left[:, 1:] = g - t[span[:, None] + 1 - offsets]
+    right[:, 1:] = t[span[:, None] + offsets] - g
+    vals = np.zeros((gammas.size, eta + 1))
+    vals[:, 0] = 1.0
+    for j in range(1, eta + 1):
+        terms = vals[:, :j] / (right[:, 1 : j + 1] + left[:, j:0:-1])
+        vals[:, :j] = right[:, 1 : j + 1] * terms
+        vals[:, j] = 0.0
+        vals[:, 1 : j + 1] += left[:, j:0:-1] * terms
+    out = np.zeros((n_basis, gammas.size))
+    rows = span[:, None] - eta + np.arange(eta + 1)
+    out[rows, np.arange(gammas.size)[:, None]] = vals
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Round-trip error one trial at a time.
+# ---------------------------------------------------------------------------
+
+
+def reference_reconstruction_error(pair, trials, seed, dim):
+    """Mean over trials of the E -> P -> E MSE, each trial drawn and reduced on its own."""
+    length = pair.L
+    proj = pair.B_pinv @ pair.B
+    total = 0.0
+    base = RngStream(seed, "recon", length)
+    for trial in range(trials):
+        values = base.child(trial).normal((dim, length))
+        recon = values @ proj
+        total += float(np.mean((values - recon) ** 2))
+    return total / trials
 
 
 # ---------------------------------------------------------------------------

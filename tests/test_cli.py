@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from curvelang import cli, harness
+from curvelang import cli, harness, splines
 from curvelang.config import RunConfig, apply_overrides, dump_config, load_config
 from curvelang.corpus import ingest, write_builtin
 from curvelang.errors import ConfigError, EmptyCorpus
@@ -211,6 +211,10 @@ class TestTrainCommand:
             ("--lr", "-1"),
             ("--lr", "nan"),
             ("--max-positions", "1"),
+            ("--embed-dim", "0"),
+            ("--d-model", "0"),
+            ("--d-ff", "0"),
+            ("--n-ratio", "300"),
         ],
     )
     def test_bad_config_rejected_before_any_work(self, tmp_path, flag, value):
@@ -307,18 +311,25 @@ class TestSampleCommand:
         assert {"step", "values"} <= set(traj[0])
         proj_lines = open(os.path.join(out, "sample_0_projection.csv")).read().strip().split("\n")
         assert proj_lines[0] == "step,point_index,pc1,pc2"
+        for line in proj_lines[1:]:
+            step, index, pc1, pc2 = line.split(",")
+            int(step), int(index), float(pc1), float(pc2)
 
-    def test_length_outside_the_corpus_range(self, ckpt, tmp_path, capsys):
+    def test_length_outside_the_corpus_range(self, ckpt, tmp_path, capsys, monkeypatch):
         # every line of builtin:alternating is 16 tokens long
         out = str(tmp_path / "long")
         assert cli.main(["sample", ckpt, "--length", "20", "--steps", "3", "--n", "1", "--out", out]) == 0
         traj = json.loads(open(os.path.join(out, "sample_0_trajectory.json")).read())
         assert len(traj[0]["values"]) == 8 * 20
-        # N = 2 * 300 control points exceed max_positions = 512
-        assert cli.main(["sample", ckpt, "--length", "300", "--steps", "3", "--n", "1", "--out", out]) == 2
-        assert "exceed max_positions" in capsys.readouterr().err
-        assert cli.main(["sample", ckpt, "--length", "513", "--steps", "3", "--n", "1", "--out", out]) == 2
-        assert "outside [2, 512]" in capsys.readouterr().err
+        # the default range stops at L = 256, the last length whose
+        # N = 2 * L control points fit in max_positions = 512, so longer
+        # lengths fail before any pair is built
+        built = []
+        monkeypatch.setattr(splines, "build_pair", lambda *args, **kwargs: built.append(args))
+        for length in ("257", "300", "513"):
+            assert cli.main(["sample", ckpt, "--length", length, "--steps", "3", "--n", "1", "--out", out]) == 2
+            assert "outside [2, 256]" in capsys.readouterr().err
+        assert built == []
 
     def test_reload_same_seed_identical(self, ckpt, tmp_path):
         outs = []

@@ -14,6 +14,8 @@ from curvelang.corpus import build_vocab
 from curvelang.errors import ConfigError, LengthOutOfRange, ShapeMismatch
 from curvelang.rng import RngStream
 
+from _oracles import reference_reconstruction_error
+
 
 class TestResolveDims:
     def test_ratio_degree(self):
@@ -221,6 +223,14 @@ class TestReconstruction:
             25, cfg, trials=30, seed=2
         )
 
+    @pytest.mark.parametrize("n_ratio, eta_ratio, rank", [(1.0, 0.33, 155), (3.0, 0.0, 250)])
+    def test_matches_one_trial_at_a_time(self, n_ratio, eta_ratio, rank):
+        cfg = cm.CurveConfig(n_ratio=n_ratio, eta_ratio=eta_ratio, l_min=2, l_max=250)
+        pair = cm.BasisCache(cfg).get(250)
+        assert pair.rank == rank
+        expected = reference_reconstruction_error(pair, trials=40, seed=4, dim=16)
+        assert cm.reconstruction_error(250, cfg, trials=40, seed=4, dim=16) == expected
+
     def test_deterministic(self):
         cfg = cm.CurveConfig(n_ratio=1.5, eta_ratio=0.33, l_min=2, l_max=250)
         assert cm.reconstruction_error(50, cfg, trials=10, seed=9) == cm.reconstruction_error(
@@ -257,6 +267,21 @@ class TestSweep:
         table = cm.reconstruction_sweep(lengths=(25,), n_ratios=(1.0, 2.0, 3.0), eta_ratios=(0.0, 0.33, 0.66), trials=30, seed=0)
         by_key = {(r.n_ratio, r.eta_ratio): r.mse for r in table.rows}
         assert min(by_key, key=by_key.get) == (3.0, 0.0)
+
+    def test_rows_equal_reconstruction_error_of_their_cell(self):
+        # the sweep draws each length's noise once and shares it across cells
+        table = cm.reconstruction_sweep(lengths=(30, 75), n_ratios=(0.5, 1.0, 2.5), eta_ratios=(0.0, 0.66), trials=12, seed=5, dim=6)
+        assert len(table.rows) == 12
+        for row in table.rows:
+            cfg = cm.CurveConfig(n_ratio=row.n_ratio, eta_ratio=row.eta_ratio, l_min=2, l_max=250)
+            assert row.mse == cm.reconstruction_error(row.length, cfg, trials=12, seed=5, dim=6)
+
+    def test_bad_trials_and_lengths_are_typed(self):
+        with pytest.raises(ConfigError):
+            cm.reconstruction_sweep(lengths=(25,), trials=0)
+        for length in (1, -3):
+            with pytest.raises(LengthOutOfRange):
+                cm.reconstruction_sweep(lengths=(length,), trials=2)
 
     def test_empty_sets_rejected(self):
         with pytest.raises(ConfigError):

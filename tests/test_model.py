@@ -144,6 +144,17 @@ def denoise_one(model, pts, t):
     return e_hat.data[0], p_hat.data[0]
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("size", [0, -8])
+    def test_nonpositive_sizes_rejected(self, size):
+        for field in ("d_model", "d_ff"):
+            with pytest.raises(ConfigError):
+                M.BackboneConfig(**{field: size})
+        cache = build_cache(CurveConfig(l_min=2, l_max=8))
+        with pytest.raises(ConfigError):
+            M.SclmModel("gaussian", tiny_vocab(), cache, M.build_schedule(8, "linear"), embed_dim=size)
+
+
 class TestDenoisePredict:
     def test_identity_mode_passthrough(self):
         model = make_model("baseline-identity")

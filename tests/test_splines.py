@@ -9,7 +9,7 @@ from curvelang import splines as sp
 from curvelang.errors import DegreeTooHigh, LengthTooShort, NumericalFailure, OutOfRange, ShapeMismatch
 from curvelang.rng import RngStream
 
-from _oracles import jacobi_eigenvalues, reference_basis_matrix
+from _oracles import jacobi_eigenvalues, reference_basis_columns, reference_basis_matrix
 
 
 class TestClampedKnots:
@@ -143,6 +143,23 @@ class TestBasisOracle:
                 assert np.array_equal(sp.basis_matrix(length, n_points, eta, margin), expected)
             for gamma in (0.0, 1.0):
                 assert np.array_equal(sp.basis_vector(gamma, kv), reference_basis_matrix(kv.knots, eta, [gamma])[:, 0])
+
+    def test_highest_degree_sweep_cells_match_index_major_layout(self):
+        # the scalar recursion is too slow past eta 49; the sweep reaches 495
+        cells = set()
+        for length in cm.DEFAULT_SWEEP_LENGTHS:
+            for n_ratio in cm.DEFAULT_SWEEP_N_RATIOS:
+                for eta_ratio in cm.DEFAULT_SWEEP_ETA_RATIOS:
+                    config = cm.CurveConfig(n_ratio=n_ratio, eta_ratio=eta_ratio, l_max=max(length, 250))
+                    cells.add((length,) + cm.resolve_dims(length, config))
+        top = sorted(cells, key=lambda cell: (cell[2], cell))[-5:]
+        assert top[0][2] > 300
+        for length, n_points, eta in top:
+            kv = sp.clamped_knots(n_points, eta)
+            for margin in (0.01, 0.0):
+                gammas = sp.sample_indices(length, margin).gammas
+                B = sp.basis_matrix(length, n_points, eta, margin)
+                assert B.tobytes() == reference_basis_columns(kv, gammas).tobytes(), (length, n_points, eta, margin)
 
     def test_random_basis_vectors(self):
         rng = RngStream(13, "oracle-vec").generator()
