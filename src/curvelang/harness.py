@@ -227,7 +227,14 @@ def run_probe(
     tokenizer: str = "char",
     max_len: int = 64,
 ) -> dict:
-    """Probe two checkpoints on the same evaluation batch and compare."""
+    """Probe two checkpoints on the same evaluation batch and compare.
+
+    Bad settings raise before either checkpoint is loaded, and a
+    non-finite result raises ``NonFinite`` instead of being written.
+    """
+    if n_eval < 1:
+        raise ConfigError(f"n_eval must be at least 1, got {n_eval}")
+    theory.check_probe_settings(n_noise, dropout_p, noise_scale)
     os.makedirs(out_dir, exist_ok=True)
     corpus = resolve_corpus(RunConfig(corpus=corpus_spec, tokenizer=tokenizer, max_len=max_len), out_dir)
     model_a, _, _ = checkpoint.load(ckpt_a)
@@ -243,6 +250,9 @@ def run_probe(
     result_b = theory.logit_correlation_probe(
         model_b, batch, n_noise=n_noise, dropout_p=dropout_p, noise_scale=noise_scale, seed=seed
     )
+    for ckpt, result in ((ckpt_a, result_a), (ckpt_b, result_b)):
+        if not np.isfinite(result.mean_offdiag):
+            raise NonFinite(f"probe of {ckpt} gave mean off-diagonal correlation {result.mean_offdiag}")
     payload = {
         "model_a": {"checkpoint": ckpt_a, "mean_offdiag_dcor": result_a.mean_offdiag},
         "model_b": {"checkpoint": ckpt_b, "mean_offdiag_dcor": result_b.mean_offdiag},

@@ -15,6 +15,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import (
+    ConfigError,
     DegenerateDistribution,
     NotUnitNorm,
     ShapeMismatch,
@@ -292,28 +293,42 @@ def lemma3_bound_check(pair: BasisPair, d: int = 8, n_random: int = 20, seed: in
 # -------------------------------------------------- distance correlation
 
 
-def _centered_distances(X: np.ndarray) -> np.ndarray:
-    diff = X[:, None, :] - X[None, :, :]
-    D = np.sqrt(np.sum(diff**2, axis=-1))
-    row = D.mean(axis=1, keepdims=True)
-    col = D.mean(axis=0, keepdims=True)
-    return D - row - col + D.mean()
+def _centre_distances_into(X: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the double-centred distance matrix of samples X (n, d) into ``out`` (n, n).
 
-
-def _distance_variance(A: np.ndarray) -> float:
-    return float((A * A).mean())
-
-
-def _dcor_centered(A: np.ndarray, B: np.ndarray, dvar_a: float, dvar_b: float) -> float:
-    """Biased distance correlation of two double-centred distance matrices.
-
-    ``dvar_a`` and ``dvar_b`` are their distance variances, passed in so a
-    caller correlating many pairs computes each one once.
+    Squared distances are summed one coordinate at a time through the
+    (n, n) work buffer ``scratch``, so no (n, n, d) difference tensor is
+    built.
     """
-    if dvar_a <= 0.0 or dvar_b <= 0.0:
-        return 0.0
-    dcov2 = max(float((A * B).mean()), 0.0)
-    return float(np.sqrt(dcov2 / np.sqrt(dvar_a * dvar_b)))
+    out.fill(0.0)
+    for col in np.ascontiguousarray(X.T):
+        np.subtract(col[:, None], col[None, :], out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        out += scratch
+    np.sqrt(out, out=out)
+    row = out.mean(axis=1, keepdims=True)
+    col = out.mean(axis=0, keepdims=True)
+    grand = out.mean()
+    out -= row
+    out -= col
+    out += grand
+
+
+def _dcor_matrix(stack: np.ndarray) -> np.ndarray:
+    """Biased distance correlation between every pair of rows of ``stack``.
+
+    Each row of the (k, n²) stack is a flattened double-centred distance
+    matrix.  One Gram product gives every dcov², its diagonal the
+    distance variances; a row whose distance variance is <= 0
+    correlates 0 with every row, and a NaN propagates.
+    """
+    gram = stack @ stack.T / stack.shape[1]
+    dvar = gram.diagonal()
+    live = np.flatnonzero(~(dvar <= 0.0))
+    pairs = np.ix_(live, live)
+    matrix = np.zeros_like(gram)
+    matrix[pairs] = np.sqrt(np.maximum(gram[pairs], 0.0) / np.sqrt(np.outer(dvar[live], dvar[live])))
+    return matrix
 
 
 def distance_correlation(X: np.ndarray, Y: np.ndarray) -> float:
@@ -326,14 +341,21 @@ def distance_correlation(X: np.ndarray, Y: np.ndarray) -> float:
         Y = Y[:, None]
     if X.shape[0] != Y.shape[0]:
         raise ShapeMismatch(f"sample counts differ: {X.shape[0]} vs {Y.shape[0]}")
-    if X.shape[0] < 2:
-        raise TooFewSamples(f"need at least 2 samples, got {X.shape[0]}")
-    A = _centered_distances(X)
-    B = _centered_distances(Y)
-    return _dcor_centered(A, B, _distance_variance(A), _distance_variance(B))
+    n = X.shape[0]
+    if n < 2:
+        raise TooFewSamples(f"need at least 2 samples, got {n}")
+    stack = np.empty((2, n * n))
+    scratch = np.empty((n, n))
+    for row, samples in zip(stack, (X, Y)):
+        _centre_distances_into(samples, row.reshape(n, n), scratch)
+    return float(_dcor_matrix(stack)[0, 1])
 
 
 # ------------------------------------------------------------ logit probe
+
+# Perturbations decoded per call: the perturbed hidden states and their
+# decode temporaries are this many rows deep whatever ``n_noise`` is.
+_PROBE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -345,6 +367,21 @@ class ProbeResult:
         return {"matrix": self.matrix.tolist(), "mean_offdiag": self.mean_offdiag}
 
 
+def check_probe_settings(n_noise: int, dropout_p: float, noise_scale: float) -> None:
+    """Raise a typed error for probe settings that cannot give a correlation.
+
+    A distance correlation needs at least two perturbations; dropout
+    must keep some units, and the noise scale must be a finite
+    non-negative number.
+    """
+    if n_noise < 2:
+        raise TooFewSamples(f"n_noise must be at least 2, got {n_noise}")
+    if not 0.0 <= dropout_p < 1.0:
+        raise ConfigError(f"dropout_p must lie in [0, 1), got {dropout_p}")
+    if not (np.isfinite(noise_scale) and noise_scale >= 0.0):
+        raise ConfigError(f"noise_scale must be finite and non-negative, got {noise_scale}")
+
+
 def probe_logits(
     model,
     eval_batch: list[np.ndarray],
@@ -354,19 +391,25 @@ def probe_logits(
     seed: int = 0,
     t_frac: float = 0.5,
 ):
-    """Yield each evaluation sequence's logits (n_noise, L, |V|) under hidden-state noise.
+    """Iterate over each evaluation sequence's logits (n_noise, L, |V|) under hidden-state noise.
 
     Each sequence is noised once at a fixed diffusion step and run
     through the backbone; its final hidden state is perturbed
     ``n_noise`` times (dropout plus Gaussian noise scaled by each token's
     hidden norm), and each perturbation is decoded the way the model
-    decodes: output head, curve, word logits.
+    decodes: output head, curve, word logits.  Bad settings and batches
+    raise here, before any sequence is run.
     """
+    check_probe_settings(n_noise, dropout_p, noise_scale)
     if not eval_batch:
         raise ShapeMismatch("empty evaluation batch")
     length = len(eval_batch[0])
     if any(len(seq) != length for seq in eval_batch):
         raise ShapeMismatch("probe sequences must share one length")
+    return _sequence_logits(model, eval_batch, length, n_noise, dropout_p, noise_scale, seed, t_frac)
+
+
+def _sequence_logits(model, eval_batch, length, n_noise, dropout_p, noise_scale, seed, t_frac):
     t = max(int(round(t_frac * model.schedule.T)), 1)
     rng = RngStream(seed, "probe")
     e0 = model.embed(np.stack(eval_batch)).data
@@ -379,20 +422,26 @@ def probe_logits(
 def _perturbed_logits(model, hidden, length, n_noise, dropout_p, noise_scale, gen) -> np.ndarray:
     """Logits (n_noise, L, |V|) of ``n_noise`` perturbations of one hidden state (n_tokens, d_model).
 
-    The (n_noise, n_tokens, d_model) stack lives only in this call, so it
-    is freed before the caller builds its distance matrices.
+    Perturbations are drawn in order and decoded ``_PROBE_CHUNK`` at a
+    time.  A row of the decode's matrix products does not depend on how
+    many rows share the call, so the logits equal those of one
+    whole-stack decode bit for bit.
     """
     sigma = noise_scale * np.linalg.norm(hidden, axis=1, keepdims=True) / np.sqrt(model.backbone.d_model)
-    stack = np.empty((n_noise,) + hidden.shape)
-    for n in range(n_noise):
-        h = hidden
-        if dropout_p > 0.0:
-            h = h * (gen.random(h.shape) >= dropout_p) / (1.0 - dropout_p)
-        if noise_scale > 0.0:
-            h = h + gen.standard_normal(h.shape) * sigma
-        stack[n] = h
-    e_hat = model.to_words(model.hidden_to_points(Tensor(stack)), length)
-    return model.logits_from_clean(e_hat).data
+    logits = np.empty((n_noise, length, model.embedding.weight.shape[1]))
+    chunk = np.empty((min(n_noise, _PROBE_CHUNK),) + hidden.shape)
+    for start in range(0, n_noise, _PROBE_CHUNK):
+        block = chunk[: min(_PROBE_CHUNK, n_noise - start)]
+        for h in block:
+            h[...] = hidden
+            if dropout_p > 0.0:
+                np.multiply(h, gen.random(h.shape) >= dropout_p, out=h)
+                np.divide(h, 1.0 - dropout_p, out=h)
+            if noise_scale > 0.0:
+                np.add(h, gen.standard_normal(h.shape) * sigma, out=h)
+        e_hat = model.to_words(model.hidden_to_points(Tensor(block)), length)
+        logits[start : start + len(block)] = model.logits_from_clean(e_hat).data
+    return logits
 
 
 def logit_correlation_probe(
@@ -406,20 +455,21 @@ def logit_correlation_probe(
 ) -> ProbeResult:
     """Dependence between per-position logits under hidden-state noise.
 
-    Logits come from ``probe_logits``; the distance correlation is taken
-    between every pair of positions, and the matrices are averaged over
-    the batch.
+    Logits come from ``probe_logits``.  Each position's centred distance
+    matrix goes into one (L, n_noise²) stack, allocated once and reused
+    for every sequence; one Gram product of the stack gives the distance
+    correlation of every pair of positions, and the matrices are
+    averaged over the batch.
     """
+    sequences = probe_logits(model, eval_batch, n_noise, dropout_p, noise_scale, seed, t_frac)
+    length = len(eval_batch[0])
+    stack = np.empty((length, n_noise * n_noise))
+    scratch = np.empty((n_noise, n_noise))
     matrices = []
-    for samples in probe_logits(model, eval_batch, n_noise, dropout_p, noise_scale, seed, t_frac):
-        length = samples.shape[1]
-        matrix = np.zeros((length, length))
-        centered = [_centered_distances(samples[:, i, :]) for i in range(length)]
-        dvars = [_distance_variance(c) for c in centered]
-        for i in range(length):
-            for j in range(i, length):
-                matrix[i, j] = matrix[j, i] = _dcor_centered(centered[i], centered[j], dvars[i], dvars[j])
-        matrices.append(matrix)
+    for samples in sequences:
+        for i, row in enumerate(stack):
+            _centre_distances_into(samples[:, i, :], row.reshape(n_noise, n_noise), scratch)
+        matrices.append(_dcor_matrix(stack))
     mean_matrix = np.mean(matrices, axis=0)
     off = mean_matrix[~np.eye(length, dtype=bool)]
     return ProbeResult(matrix=mean_matrix, mean_offdiag=float(off.mean()))

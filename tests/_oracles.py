@@ -8,9 +8,12 @@ one-index-at-a-time Cox-de Boor recursion and from an index-major
 reduces one trial at a time, the reference
 language-model losses and multi-head attention are recomputed in plain
 numpy with no tape or curve machinery, the reference batcher
-rebuilds its length buckets on every call, and the reference sampler
+rebuilds its length buckets on every call, the reference sampler
 and logit probe write out the boundary map, output head, decoder and
-noising formulas inline, one sequence and one perturbation at a time.
+noising formulas inline, one sequence and one perturbation at a time,
+the reference probe matrix correlates one pair of positions at a time
+from (n, n, d) difference tensors, and the closed-form distance
+correlation sums raw pairwise distances with no centring at all.
 """
 
 import numpy as np
@@ -392,6 +395,73 @@ def reference_probe_logits(model, eval_batch, n_noise, dropout_p, noise_scale, s
             logits[n] = (emb.T @ e_hat).T
         out.append(logits)
     return out
+
+
+def _centered_distances(X):
+    diff = X[:, None, :] - X[None, :, :]
+    D = np.sqrt(np.sum(diff**2, axis=-1))
+    row = D.mean(axis=1, keepdims=True)
+    col = D.mean(axis=0, keepdims=True)
+    return D - row - col + D.mean()
+
+
+def _distance_variance(A):
+    return float((A * A).mean())
+
+
+def _dcor_centered(A, B, dvar_a, dvar_b):
+    if dvar_a <= 0.0 or dvar_b <= 0.0:
+        return 0.0
+    dcov2 = max(float((A * B).mean()), 0.0)
+    return float(np.sqrt(dcov2 / np.sqrt(dvar_a * dvar_b)))
+
+
+def reference_probe_matrix(model, eval_batch, n_noise, dropout_p, noise_scale, seed, t_frac=0.5):
+    """Batch-mean probe matrix (L, L), one pair of positions at a time.
+
+    The logits come from ``reference_probe_logits``; each position's
+    centred distance matrix is built from an (n, n, |V|) difference
+    tensor, and each pair's dcov² is its own elementwise mean.
+    """
+    matrices = []
+    for samples in reference_probe_logits(model, eval_batch, n_noise, dropout_p, noise_scale, seed, t_frac):
+        length = samples.shape[1]
+        matrix = np.zeros((length, length))
+        centered = [_centered_distances(samples[:, i, :]) for i in range(length)]
+        dvars = [_distance_variance(c) for c in centered]
+        for i in range(length):
+            for j in range(i, length):
+                matrix[i, j] = matrix[j, i] = _dcor_centered(centered[i], centered[j], dvars[i], dvars[j])
+        matrices.append(matrix)
+    return np.mean(matrices, axis=0)
+
+
+def closed_form_dcor(X, Y):
+    """Biased distance correlation from raw distances: dCov² = S1 + S2 - 2·S3.
+
+    With a_ij, b_ij the pairwise distances of n samples, S1 is the mean
+    of a_ij·b_ij, S2 the product of the means of a and b, and S3 the
+    mean over i of the product of row means of a and b (Székely,
+    Rizzo and Bakirov 2007).  Distances come from a scalar double loop.
+    """
+    X = np.asarray(X, dtype=np.float64).reshape(len(X), -1)
+    Y = np.asarray(Y, dtype=np.float64).reshape(len(Y), -1)
+    n = len(X)
+
+    def dists(Z):
+        return np.array([[np.sqrt(sum((Z[i, k] - Z[j, k]) ** 2 for k in range(Z.shape[1]))) for j in range(n)] for i in range(n)])
+
+    def dcov2(a, b):
+        s1 = (a * b).sum() / n**2
+        s2 = a.sum() / n**2 * b.sum() / n**2
+        s3 = (a.sum(axis=1) * b.sum(axis=1)).sum() / n**3
+        return s1 + s2 - 2.0 * s3
+
+    a, b = dists(X), dists(Y)
+    var_a, var_b = dcov2(a, a), dcov2(b, b)
+    if var_a <= 0.0 or var_b <= 0.0:
+        return 0.0
+    return float(np.sqrt(max(dcov2(a, b), 0.0) / np.sqrt(var_a * var_b)))
 
 
 def stress(original, projected):

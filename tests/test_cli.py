@@ -7,10 +7,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from curvelang import cli, harness, splines
+from curvelang import checkpoint, cli, harness, splines
 from curvelang.config import RunConfig, apply_overrides, dump_config, load_config
 from curvelang.corpus import ingest, write_builtin
-from curvelang.errors import ConfigError, EmptyCorpus
+from curvelang.errors import ConfigError, EmptyCorpus, NonFinite
 from curvelang.rng import RngStream
 
 from _oracles import reference_make_batch, stress
@@ -407,3 +407,67 @@ class TestProbeCommand:
         assert {"model_a", "model_b", "difference"} <= set(payload)
         diff = payload["model_a"]["mean_offdiag_dcor"] - payload["model_b"]["mean_offdiag_dcor"]
         npt.assert_allclose(payload["difference"], diff, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def probe_ckpts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("probe_models")
+    common = ["--corpus", "builtin:multimodal", "--max-len", "12", "--steps", "15"]
+    paths = []
+    for name, extra in (("curve", []), ("identity", ["--mode", "baseline-identity"])):
+        out = str(root / name)
+        cli.main(tiny_train_args(out, common + extra))
+        paths.append(os.path.join(out, "model.ckpt"))
+    return paths
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+class TestProbeInputs:
+    def _probe(self, ckpts, out, *extra):
+        return cli.main(["probe", *ckpts, "--corpus", "builtin:multimodal", "--n-eval", "2", "--n-noise", "8",
+                         "--out", out, *extra])
+
+    @pytest.mark.parametrize(
+        "flag, value, names",
+        [
+            ("--n-noise", "0", "n_noise"),
+            ("--n-noise", "1", "n_noise"),
+            ("--n-noise", "-3", "n_noise"),
+            ("--dropout-p", "1.0", "dropout_p"),
+            ("--dropout-p", "1.5", "dropout_p"),
+            ("--noise-scale", "-1", "noise_scale"),
+            ("--n-eval", "0", "n_eval"),
+        ],
+    )
+    def test_bad_value_exits_2_without_output(self, probe_ckpts, tmp_path, capsys, flag, value, names):
+        out = str(tmp_path / "probe")
+        assert self._probe(probe_ckpts, out, flag, value) == 2
+        assert names in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "probe.json"))
+
+    def test_non_finite_result_exits_2_without_output(self, probe_ckpts, tmp_path, capsys):
+        model, step, _ = checkpoint.load(probe_ckpts[0])
+        model.store["out_w"].data[...] = np.nan
+        broken = str(tmp_path / "nan.ckpt")
+        checkpoint.save(model, broken, step)
+        out = str(tmp_path / "probe")
+        with pytest.raises(NonFinite):
+            harness.run_probe(broken, probe_ckpts[1], "builtin:multimodal", out, n_eval=2, n_noise=8)
+        assert self._probe([broken, probe_ckpts[1]], out) == 2
+        assert "nan" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "probe.json"))
+
+    def test_good_run_writes_strict_json(self, probe_ckpts, tmp_path):
+        out = str(tmp_path / "probe")
+        assert self._probe(probe_ckpts, out) == 0
+        payload = _strict_json(os.path.join(out, "probe.json"))
+        for key in ("model_a", "model_b"):
+            assert 0.0 <= payload[key]["mean_offdiag_dcor"] <= 1.0
+        assert payload["n_noise"] == 8 and payload["n_eval"] == 2

@@ -1,17 +1,19 @@
 """Verification oracles: relaxation, stationarity, fiber decomposition,
 importance bounds, distance correlation, and the logit probe."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from curvelang import theory
 from curvelang import verify
-from curvelang.errors import DegenerateDistribution, NotUnitNorm, ShapeMismatch, TooFewSamples
+from curvelang.errors import ConfigError, DegenerateDistribution, NotUnitNorm, ShapeMismatch, TooFewSamples
 from curvelang.rng import RngStream
 from curvelang.splines import build_pair, identity_pair
 
-from _oracles import reference_probe_logits
+from _oracles import closed_form_dcor, reference_probe_logits, reference_probe_matrix
 from test_model import jolt, make_batch, make_model
 
 
@@ -179,6 +181,15 @@ class TestDistanceCorrelation:
         with pytest.raises(TooFewSamples):
             theory.distance_correlation(np.ones((1, 2)), np.ones((1, 2)))
 
+    def test_matches_closed_form(self):
+        rng = RngStream(6, "dc").generator()
+        for n, dx, dy in ((2, 1, 1), (7, 1, 3), (25, 3, 2), (40, 5, 5)):
+            X = rng.standard_normal((n, dx))
+            Y = np.tanh(X.sum(axis=1, keepdims=True)) + 0.5 * rng.standard_normal((n, dy))
+            assert abs(theory.distance_correlation(X, Y) - closed_form_dcor(X, Y)) < 1e-12, (n, dx, dy)
+        X = rng.standard_normal(30)
+        assert abs(theory.distance_correlation(X, X**2) - closed_form_dcor(X, X**2)) < 1e-12
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             theory.distance_correlation(np.ones((4, 2)), np.ones((5, 2)))
@@ -186,11 +197,13 @@ class TestDistanceCorrelation:
 
 class TestLogitProbe:
     def test_zero_noise_gives_zero(self):
-        model = make_model("gaussian", seed=40)
-        batch = make_batch(model, n=2)
-        result = theory.logit_correlation_probe(model, batch, n_noise=10, dropout_p=0.0, noise_scale=0.0, seed=0)
-        npt.assert_array_equal(result.matrix, 0.0)
-        assert result.mean_offdiag == 0.0
+        # n_noise below the decode chunk and across two chunks
+        for model in (make_model("gaussian", seed=40), jolt(make_model("gaussian", seed=47), seed=47)):
+            batch = make_batch(model, n=2)
+            for n_noise in (10, 45):
+                result = theory.logit_correlation_probe(model, batch, n_noise=n_noise, dropout_p=0.0, noise_scale=0.0, seed=0)
+                npt.assert_array_equal(result.matrix, 0.0)
+                assert result.mean_offdiag == 0.0
 
     def test_diagonal_is_one_under_noise(self):
         model = make_model("gaussian", seed=41)
@@ -214,6 +227,72 @@ class TestLogitProbe:
             assert len(got) == len(ref) == 3
             for g, r in zip(got, ref):
                 npt.assert_allclose(g, r, rtol=0, atol=1e-12, err_msg=mode)
+
+    def test_matrix_matches_per_pair_reference(self):
+        # n_noise below the decode chunk, equal to it, and off its multiples
+        for mode in ("gaussian", "baseline-identity"):
+            model = jolt(make_model(mode, seed=46), seed=46)
+            batch = make_batch(model, n=2, seed=46)
+            for n_noise in (2, 9, 32, 45, 70):
+                got = theory.logit_correlation_probe(model, batch, n_noise=n_noise, dropout_p=0.2, noise_scale=0.3, seed=6)
+                ref = reference_probe_matrix(model, batch, n_noise, 0.2, 0.3, 6)
+                npt.assert_allclose(got.matrix, ref, rtol=0, atol=1e-12, err_msg=f"{mode} n_noise={n_noise}")
+
+    def test_chunked_logits_equal_one_stack(self, monkeypatch):
+        model = jolt(make_model("gaussian", seed=48), seed=48)
+        batch = make_batch(model, n=2, seed=48)
+
+        def logits(chunk):
+            monkeypatch.setattr(theory, "_PROBE_CHUNK", chunk)
+            return list(theory.probe_logits(model, batch, n_noise=70, dropout_p=0.2, noise_scale=0.3, seed=8))
+
+        one_stack = logits(70)
+        for chunk in (theory._PROBE_CHUNK, 7, 1):
+            for got, want in zip(logits(chunk), one_stack):
+                assert np.array_equal(got, want), chunk
+
+    def test_peak_memory_is_one_stack_plus_buffers(self):
+        # the probe holds the (L, n²) centred stack, a few (n, n) buffers,
+        # one decode chunk and a sequence's logits; an (n, n, |V|)
+        # difference tensor or the whole perturbation stack would exceed it
+        model = jolt(make_model("gaussian", seed=45), seed=45)
+        batch = make_batch(model, n=2, seed=45)
+        n_noise, length = 200, 8
+        vocab = model.embedding.weight.shape[1]
+        chunk_rows = theory._PROBE_CHUNK * model.cache.get(length).N
+        widest = max(model.backbone.d_model, model.embed_dim, length)
+        bound = 8 * ((length + 3) * n_noise**2 + 4 * chunk_rows * widest + 2 * n_noise * length * vocab)
+        tracemalloc.start()
+        try:
+            theory.logit_correlation_probe(model, batch, n_noise=n_noise, dropout_p=0.1, noise_scale=0.1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
+
+    @pytest.mark.parametrize(
+        "settings, error",
+        [
+            ({"n_noise": 1}, TooFewSamples),
+            ({"n_noise": 0}, TooFewSamples),
+            ({"n_noise": -3}, TooFewSamples),
+            ({"dropout_p": 1.0}, ConfigError),
+            ({"dropout_p": 1.5}, ConfigError),
+            ({"dropout_p": -0.1}, ConfigError),
+            ({"dropout_p": float("nan")}, ConfigError),
+            ({"noise_scale": -1.0}, ConfigError),
+            ({"noise_scale": float("inf")}, ConfigError),
+            ({"noise_scale": float("nan")}, ConfigError),
+        ],
+    )
+    def test_bad_settings_typed(self, settings, error):
+        model = make_model("gaussian", seed=49)
+        batch = make_batch(model, n=1)
+        kwargs = {"n_noise": 4, "dropout_p": 0.1, "noise_scale": 0.1, **settings}
+        with pytest.raises(error):
+            theory.probe_logits(model, batch, **kwargs)
+        with pytest.raises(error):
+            theory.logit_correlation_probe(model, batch, **kwargs)
 
     def test_mixed_lengths_rejected(self):
         model = make_model("gaussian", seed=43)
