@@ -33,8 +33,8 @@ def set_check_finite(enabled: bool) -> None:
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype if dtype is not None else DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=DEFAULT_DTYPE)
         self.requires_grad = requires_grad
         self.grad = None
 
@@ -49,40 +49,16 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def sum(self, axis=None):
-        return sum_(self, axis)
-
-    def mean(self, axis=None):
-        return mean(self, axis)
-
-    @property
-    def T(self):
-        return transpose(self)
+def tensor(data, requires_grad: bool = False) -> Tensor:
+    return Tensor(data, requires_grad=requires_grad)
 
 
-def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
-def param(data, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=True, dtype=dtype)
+def param(data) -> Tensor:
+    return Tensor(data, requires_grad=True)
 
 
 class Tape:
@@ -101,9 +77,6 @@ class Tape:
     def __exit__(self, *exc):
         _tls.tapes.pop()
         return False
-
-    def clear(self):
-        self.entries.clear()
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(x) into grads of all recorded tensors."""
@@ -130,14 +103,6 @@ def _active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-def backward(loss: Tensor) -> None:
-    """Backward on the currently active tape."""
-    tape = _active_tape()
-    if tape is None:
-        raise RuntimeError("no active tape; run the forward pass inside `with Tape():`")
-    tape.backward(loss)
-
-
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -145,7 +110,7 @@ def _wrap(x) -> Tensor:
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     if _check_finite and not np.all(np.isfinite(out_data)):
         raise NonFinite("op produced non-finite values")
-    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs), dtype=out_data.dtype)
+    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     tape = _active_tape()
     if tape is not None and out.requires_grad:
         tape.entries.append((out, inputs, backward_fn))
@@ -503,25 +468,20 @@ def cross_entropy_loss(logits, targets, weights=None) -> Tensor:
     return _emit(np.asarray(nll), (logits,), backward_fn)
 
 
-def dropout(x, p: float, rng) -> Tensor:
+def dropout(x, p: float, gens) -> Tensor:
     """Inverted dropout.
 
-    ``rng`` is one generator, or a list of generators that draw the mask
-    of equal consecutive blocks of the leading axis in turn, so each
-    sequence of a batch keeps its own stream.
+    ``gens`` is a list of generators that draw the mask of equal
+    consecutive blocks of the leading axis in turn, so each sequence of
+    a batch keeps its own stream.
     """
     x = _wrap(x)
     if not 0.0 <= p < 1.0:
         raise ShapeMismatch(f"dropout rate must be in [0, 1), got {p}")
-    if p == 0.0:
-        return _emit(x.data.copy(), (x,), lambda g: (g,))
-    if isinstance(rng, np.random.Generator):
-        draws = rng.random(x.shape)
-    else:
-        if x.data.ndim == 0 or not rng or x.shape[0] % len(rng):
-            raise ShapeMismatch(f"cannot split dropout of shape {x.shape} into {len(rng)} blocks")
-        block = (x.shape[0] // len(rng),) + x.shape[1:]
-        draws = np.concatenate([gen.random(block) for gen in rng])
+    if x.data.ndim == 0 or not gens or x.shape[0] % len(gens):
+        raise ShapeMismatch(f"cannot split dropout of shape {x.shape} into {len(gens)} blocks")
+    block = (x.shape[0] // len(gens),) + x.shape[1:]
+    draws = np.concatenate([gen.random(block) for gen in gens])
     mask = (draws >= p) / (1.0 - p)
     return _emit(x.data * mask, (x,), lambda g: (g * mask,))
 
@@ -535,10 +495,10 @@ class ParamStore:
         self.moment2: dict[str, np.ndarray] = {}
         self.step_count = 0
 
-    def add(self, name: str, data, dtype=None) -> Tensor:
+    def add(self, name: str, data) -> Tensor:
         if name in self.params:
             raise KeyError(f"duplicate parameter name {name!r}")
-        t = param(data, dtype=dtype)
+        t = param(data)
         self.params[name] = t
         self.moment1[name] = np.zeros_like(t.data)
         self.moment2[name] = np.zeros_like(t.data)

@@ -24,10 +24,6 @@ class Vocab:
         return len(self.tokens)
 
     @property
-    def pad_id(self) -> int:
-        return 0
-
-    @property
     def mask_id(self) -> int:
         return 1
 

@@ -33,8 +33,10 @@ class CurveConfig:
     identity: bool = False
 
     def __post_init__(self):
-        if self.n_ratio <= 0:
-            raise ConfigError(f"n_ratio must be positive, got {self.n_ratio}")
+        if not (np.isfinite(self.n_ratio) and self.n_ratio > 0):
+            raise ConfigError(f"n_ratio must be finite and positive, got {self.n_ratio}")
+        if self.eta_ratio is not None and not np.isfinite(self.eta_ratio):
+            raise ConfigError(f"eta_ratio must be finite, got {self.eta_ratio}")
         if not 0.0 <= self.margin < 0.5:
             raise ConfigError(f"margin must be in [0, 0.5), got {self.margin}")
         if self.k_curves < 1:
@@ -153,8 +155,8 @@ def reconstruction_error(
     Noise streams are keyed by (seed, length, trial) only, so sweeps over
     curve hyperparameters compare configurations on identical inputs.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if trials < 1 or dim < 1:
+        raise ConfigError(f"trials and dim must be >= 1, got {trials} and {dim}")
     proj = _projector(length, config)
     return _round_trip_mse(_recon_noise(length, trials, seed, dim), proj)
 
@@ -209,8 +211,8 @@ def reconstruction_sweep(
     """
     if not (lengths and n_ratios and eta_ratios):
         raise ConfigError("sweep sets must be non-empty")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if trials < 1 or dim < 1:
+        raise ConfigError(f"trials and dim must be >= 1, got {trials} and {dim}")
     rows = []
     for length in lengths:
         # drawn after the length's first pair, so a bad length fails in

@@ -117,34 +117,20 @@ def run_training(config: RunConfig, out_dir: str) -> TrainResult:
 # ------------------------------------------------------------- projection
 
 
-def top2_projection(points: np.ndarray, iters: int = 200) -> np.ndarray:
+def top2_projection(points: np.ndarray) -> np.ndarray:
     """Project (n, d) points onto their top-2 principal axes.
 
-    Power iteration with deflation; the starting vector is a fixed ramp so
-    results are reproducible without an RNG.
+    The axes are the covariance eigenvectors of the two largest
+    eigenvalues, each signed so that its dot product with the ramp
+    (1, ..., d) is >= 0; with d = 1 the second coordinate is 0.
     """
     centered = points - points.mean(axis=0, keepdims=True)
     cov = centered.T @ centered / max(len(points), 1)
-    d = cov.shape[0]
-
-    def leading(mat):
-        v = np.arange(1.0, d + 1.0)
-        v /= np.linalg.norm(v)
-        for _ in range(iters):
-            w = mat @ v
-            norm = np.linalg.norm(w)
-            if norm < 1e-300:
-                return v, 0.0
-            v = w / norm
-        return v, float(v @ mat @ v)
-
-    v1, lam1 = leading(cov)
-    v2, _ = leading(cov - lam1 * np.outer(v1, v1))
-    v2 = v2 - (v2 @ v1) * v1
-    norm2 = np.linalg.norm(v2)
-    if norm2 > 1e-12:
-        v2 /= norm2
-    return np.stack([centered @ v1, centered @ v2], axis=1)
+    top = np.linalg.eigh(cov)[1][:, ::-1][:, :2]
+    top *= np.where(np.arange(1.0, len(cov) + 1.0) @ top < 0.0, -1.0, 1.0)
+    axes = np.zeros((len(cov), 2))
+    axes[:, : top.shape[1]] = top
+    return centered @ axes
 
 
 @dataclass(frozen=True)

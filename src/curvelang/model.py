@@ -99,14 +99,16 @@ class BackboneConfig:
     time_dim: int = 16
 
     def __post_init__(self):
+        if self.layers < 0:
+            raise ConfigError(f"layers must be >= 0, got {self.layers}")
         if self.d_model < 1 or self.d_ff < 1:
             raise ConfigError(f"d_model and d_ff must be >= 1, got {self.d_model} and {self.d_ff}")
         if self.heads < 1:
             raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.d_model % self.heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
-        if self.time_dim % 2 != 0:
-            raise ConfigError(f"time_dim must be even, got {self.time_dim}")
+        if self.time_dim < 0 or self.time_dim % 2 != 0:
+            raise ConfigError(f"time_dim must be even and >= 0, got {self.time_dim}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -243,9 +245,6 @@ class SclmModel:
 
     # ---------------------------------------------------------------- pairs
 
-    def pair_for(self, length: int):
-        return self.cache.get(length)
-
     def embed(self, tokens: np.ndarray) -> Tensor:
         """Word embeddings (B, d, L) of token ids (B, L)."""
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -258,12 +257,12 @@ class SclmModel:
         The identity modes pass e through; every mode raises
         ``LengthOutOfRange`` for a length outside the cache.
         """
-        pair = self.pair_for(length)
+        pair = self.cache.get(length)
         return e if self.identity_b else _matmul_last(e, Tensor(pair.B_pinv))
 
     def to_words(self, points: Tensor, length: int) -> Tensor:
         """Embeddings (B, d, L) along the curves of points (B, d, N): p @ B."""
-        pair = self.pair_for(length)
+        pair = self.cache.get(length)
         return points if self.identity_b else _matmul_last(points, Tensor(pair.B))
 
     # ------------------------------------------------------------- backbone
@@ -354,11 +353,6 @@ class SclmModel:
         body = self.hidden_to_points(ad.slice_(hidden, (slice(None), slice(1, hidden.shape[1]))))
         body = ad.reshape(body, (k, batch) + body.shape[1:])
         return [ad.slice_(body, i) for i in range(k)], probs
-
-    def k_curve_forward(self, points: Tensor, t: int, rng: RngStream | None = None) -> tuple[list[Tensor], Tensor]:
-        """K candidate curves (each (d, N)) of one sequence and their selection probabilities (K, 1)."""
-        curves, probs = self._k_curves(ad.reshape(points, (1,) + points.shape), [t], None if rng is None else [rng])
-        return [ad.reshape(c, c.shape[1:]) for c in curves], probs
 
     def predict_clean(self, points: Tensor, t, length: int, rngs: list[RngStream] | None = None, combine: str = "infer") -> tuple[Tensor, Tensor]:
         """Denoised (E_hat0 (B, d, L), P_hat0 (B, d, N)) in one backbone pass.
@@ -505,6 +499,10 @@ class AdamConfig:
     def __post_init__(self):
         if not (np.isfinite(self.lr) and self.lr >= 0.0):
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"beta1 and beta2 must be in [0, 1), got {self.beta1} and {self.beta2}")
+        if not (np.isfinite(self.eps) and self.eps > 0.0):
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
 
 
 def train_step(model: SclmModel, batch: list[np.ndarray], optimizer: AdamConfig, step: int) -> dict:

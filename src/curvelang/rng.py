@@ -49,11 +49,11 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         return stream(self.seed, *self.labels)
 
-    def normal(self, shape, dtype=np.float64) -> np.ndarray:
-        return self.generator().standard_normal(shape).astype(dtype, copy=False)
+    def normal(self, shape) -> np.ndarray:
+        return self.generator().standard_normal(shape)
 
-    def uniform(self, shape, dtype=np.float64) -> np.ndarray:
-        return self.generator().random(shape).astype(dtype, copy=False)
+    def uniform(self, shape) -> np.ndarray:
+        return self.generator().random(shape)
 
-    def integers(self, low, high, shape=None) -> np.ndarray:
-        return self.generator().integers(low, high, size=shape)
+    def integers(self, low, high) -> np.integer:
+        return self.generator().integers(low, high)

@@ -139,10 +139,11 @@ def basis_matrix(length: int, n_points: int, eta: int, margin: float = 0.01) -> 
     return _basis_columns(clamped_knots(n_points, eta), sample_indices(length, margin).gammas)
 
 
-def pseudo_inverse(B: np.ndarray, rcond: float | None = None) -> tuple[np.ndarray, int, float]:
+def pseudo_inverse(B: np.ndarray) -> tuple[np.ndarray, int, float]:
     """SVD-based Moore-Penrose pseudo-inverse with relative cutoff.
 
-    Singular values below ``rcond * sigma_max`` are truncated.  Returns
+    Singular values at or below 1e-12 * max(B.shape) * sigma_max are
+    truncated.  Returns
     (B_pinv, rank, cond) where cond is sigma_max / sigma_min over the
     retained spectrum.  Agrees with (B^T B)^{-1} B^T whenever B has full
     column rank, and stays well-defined when it does not.
@@ -150,15 +151,13 @@ def pseudo_inverse(B: np.ndarray, rcond: float | None = None) -> tuple[np.ndarra
     B = np.asarray(B, dtype=np.float64)
     if not np.all(np.isfinite(B)):
         raise NumericalFailure("basis matrix contains non-finite entries")
-    if rcond is None:
-        rcond = 1e-12 * max(B.shape)
     try:
         u, s, vt = np.linalg.svd(B, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((B.shape[1], B.shape[0])), 0, np.inf
-    cutoff = rcond * s[0]
+    cutoff = 1e-12 * max(B.shape) * s[0]
     keep = s > cutoff
     rank = int(np.count_nonzero(keep))
     inv_s = np.zeros_like(s)
@@ -168,16 +167,10 @@ def pseudo_inverse(B: np.ndarray, rcond: float | None = None) -> tuple[np.ndarra
     return B_pinv, rank, cond
 
 
-def build_pair(
-    length: int,
-    n_points: int,
-    eta: int,
-    margin: float = 0.01,
-    rcond: float | None = None,
-) -> BasisPair:
+def build_pair(length: int, n_points: int, eta: int, margin: float = 0.01) -> BasisPair:
     """Construct B and its pseudo-inverse for one (L, N, eta, m) setting."""
     B = basis_matrix(length, n_points, eta, margin)
-    B_pinv, rank, cond = pseudo_inverse(B, rcond)
+    B_pinv, rank, cond = pseudo_inverse(B)
     gammas = sample_indices(length, margin).gammas
     return BasisPair(B=B, B_pinv=B_pinv, N=n_points, L=length, eta=eta, rank=rank, cond=cond, gammas=gammas)
 
@@ -230,7 +223,7 @@ class SpectralReport:
         }
 
 
-def importance_ratio(B_pinv: np.ndarray, rcond: float = 1e-12, check_bound: bool = True) -> SpectralReport:
+def importance_ratio(B_pinv: np.ndarray, check_bound: bool = True) -> SpectralReport:
     """Spectrum of G and the ratio of global to local error importance.
 
     Importances are computed per embedding dimension (one row of the error
@@ -238,7 +231,7 @@ def importance_ratio(B_pinv: np.ndarray, rcond: float = 1e-12, check_bound: bool
     global importance is ||1^T B_pinv||^2 / L, local importance at
     position i is ||B_pinv[i, :]||^2.  The reported ratio divides the
     global importance by the largest local one; the bound lambda_max /
-    lambda_min uses the smallest eigenvalue above ``rcond * lambda_max``
+    lambda_min uses the smallest eigenvalue above 1e-12 * lambda_max
     since G is rank-deficient whenever N < L.
     """
     B_pinv = np.asarray(B_pinv, dtype=np.float64)
@@ -250,7 +243,7 @@ def importance_ratio(B_pinv: np.ndarray, rcond: float = 1e-12, check_bound: bool
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
     lam_max = float(eigenvalues[-1])
     lam_min = float(eigenvalues[0])
-    nonzero = eigenvalues[eigenvalues > rcond * max(lam_max, 0.0)]
+    nonzero = eigenvalues[eigenvalues > 1e-12 * max(lam_max, 0.0)]
     rank = int(nonzero.size)
     lam_min_nz = float(nonzero[0]) if rank > 0 else 0.0
     bound = lam_max / lam_min_nz if lam_min_nz > 0 else np.inf

@@ -356,15 +356,14 @@ def distance_correlation(X: np.ndarray, Y: np.ndarray) -> float:
 # Perturbations decoded per call: the perturbed hidden states and their
 # decode temporaries are this many rows deep whatever ``n_noise`` is.
 _PROBE_CHUNK = 32
+# The probe noises its inputs at this fraction of the schedule, T/2.
+_PROBE_T_FRAC = 0.5
 
 
 @dataclass(frozen=True)
 class ProbeResult:
     matrix: np.ndarray
     mean_offdiag: float
-
-    def to_dict(self) -> dict:
-        return {"matrix": self.matrix.tolist(), "mean_offdiag": self.mean_offdiag}
 
 
 def check_probe_settings(n_noise: int, dropout_p: float, noise_scale: float) -> None:
@@ -389,11 +388,10 @@ def probe_logits(
     dropout_p: float = 0.1,
     noise_scale: float = 0.1,
     seed: int = 0,
-    t_frac: float = 0.5,
 ):
     """Iterate over each evaluation sequence's logits (n_noise, L, |V|) under hidden-state noise.
 
-    Each sequence is noised once at a fixed diffusion step and run
+    Each sequence is noised once at diffusion step T/2 and run
     through the backbone; its final hidden state is perturbed
     ``n_noise`` times (dropout plus Gaussian noise scaled by each token's
     hidden norm), and each perturbation is decoded the way the model
@@ -406,11 +404,11 @@ def probe_logits(
     length = len(eval_batch[0])
     if any(len(seq) != length for seq in eval_batch):
         raise ShapeMismatch("probe sequences must share one length")
-    return _sequence_logits(model, eval_batch, length, n_noise, dropout_p, noise_scale, seed, t_frac)
+    return _sequence_logits(model, eval_batch, length, n_noise, dropout_p, noise_scale, seed)
 
 
-def _sequence_logits(model, eval_batch, length, n_noise, dropout_p, noise_scale, seed, t_frac):
-    t = max(int(round(t_frac * model.schedule.T)), 1)
+def _sequence_logits(model, eval_batch, length, n_noise, dropout_p, noise_scale, seed):
+    t = max(int(round(_PROBE_T_FRAC * model.schedule.T)), 1)
     rng = RngStream(seed, "probe")
     e0 = model.embed(np.stack(eval_batch)).data
     et = np.stack([forward_noise_gaussian(e, t, model.schedule, rng.child("input", s)) for s, e in enumerate(e0)])
@@ -451,7 +449,6 @@ def logit_correlation_probe(
     dropout_p: float = 0.1,
     noise_scale: float = 0.1,
     seed: int = 0,
-    t_frac: float = 0.5,
 ) -> ProbeResult:
     """Dependence between per-position logits under hidden-state noise.
 
@@ -461,7 +458,7 @@ def logit_correlation_probe(
     correlation of every pair of positions, and the matrices are
     averaged over the batch.
     """
-    sequences = probe_logits(model, eval_batch, n_noise, dropout_p, noise_scale, seed, t_frac)
+    sequences = probe_logits(model, eval_batch, n_noise, dropout_p, noise_scale, seed)
     length = len(eval_batch[0])
     stack = np.empty((length, n_noise * n_noise))
     scratch = np.empty((n_noise, n_noise))

@@ -22,7 +22,6 @@ from .theory import (
     relaxation_posterior_check,
 )
 
-SUITES = ("lemma1", "lemma2", "lemma3", "relaxation", "all")
 
 
 def _antipodal_vocab() -> np.ndarray:
@@ -110,21 +109,21 @@ def suite_relaxation(seed: int = 0) -> list[VerificationRecord]:
     return records
 
 
+_SUITE_FUNCTIONS = {
+    "lemma1": suite_lemma1,
+    "lemma2": suite_lemma2,
+    "lemma3": suite_lemma3,
+    "relaxation": suite_relaxation,
+}
+SUITES = (*_SUITE_FUNCTIONS, "all")
+
+
 def run_suite(name: str, seed: int = 0) -> list[VerificationRecord]:
-    if name == "lemma1":
-        return suite_lemma1(seed)
-    if name == "lemma2":
-        return suite_lemma2(seed)
-    if name == "lemma3":
-        return suite_lemma3(seed)
-    if name == "relaxation":
-        return suite_relaxation(seed)
     if name == "all":
-        records = []
-        for suite in ("lemma1", "lemma2", "lemma3", "relaxation"):
-            records.extend(run_suite(suite, seed))
-        return records
-    raise ConfigError(f"unknown suite {name!r}; choices: {SUITES}")
+        return [record for suite in _SUITE_FUNCTIONS.values() for record in suite(seed)]
+    if name not in _SUITE_FUNCTIONS:
+        raise ConfigError(f"unknown suite {name!r}; choices: {SUITES}")
+    return _SUITE_FUNCTIONS[name](seed)
 
 
 def all_asserted_pass(records: list[VerificationRecord]) -> bool:

@@ -152,7 +152,7 @@ def test_criterion_07_autodiff_soundness():
     # checked end to end: curve mapping + backbone + anchor loss
     model = make_model("gaussian", seed=77, length=6, n_ratio=1.5)
     tokens = np.array([2, 3, 2, 3, 2, 3])
-    pair = model.pair_for(6)
+    pair = model.cache.get(6)
 
     def loss_for(name, value):
         tensor = model.embedding.weight if name == "emb" else model.store[name]
@@ -195,9 +195,9 @@ def test_criterion_08_pipeline_equivalence():
     assert diff_m < 1e-6
 
     k1 = make_model("gaussian", k_curves=1, force_k_head=True, seed=90)
-    pair = k1.pair_for(8)
-    pts = ad.Tensor(RngStream(90, "pts").normal((8, pair.N)))
-    curves, probs = k1.k_curve_forward(pts, 3)
+    pair = k1.cache.get(8)
+    pts = ad.Tensor(RngStream(90, "pts").normal((1, 8, pair.N)))
+    curves, probs = k1._k_curves(pts, [3], None)
     assert probs.data.ravel().tolist() == [1.0]
     for mode in ("train", "infer"):
         combined = M.combine_curves(curves, probs, mode)

@@ -71,9 +71,11 @@ class TestForwardValues:
         npt.assert_allclose(g, [0.0, 0.0, 100.0], atol=1e-8)
 
     def test_dropout_zero_rate_is_identity(self):
-        x = RngStream(3, "dr").normal((5, 5))
-        out = ad.dropout(ad.tensor(x), 0.0, RngStream(0, "m").generator())
-        npt.assert_array_equal(out.data, x)
+        x = RngStream(3, "dr").normal((6, 5))
+        for n_gens in (1, 3):
+            gens = [RngStream(0, "m", i).generator() for i in range(n_gens)]
+            out = ad.dropout(ad.tensor(x), 0.0, gens)
+            npt.assert_array_equal(out.data, x)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeMismatch):
@@ -194,7 +196,7 @@ class TestBackwardBasics:
             x = ad.param(rng.child("x").normal((4, 4)))
             with ad.Tape() as tape:
                 y = ad.gelu(ad.matmul(x, ad.tensor(rng.child("w").normal((4, 4)))))
-                y = ad.dropout(y, 0.3, rng.child("drop").generator())
+                y = ad.dropout(y, 0.3, [rng.child("drop").generator()])
                 loss = ad.mse_loss(y, ad.tensor(np.zeros((4, 4))))
                 tape.backward(loss)
             return float(loss.data), x.grad.copy()
@@ -370,7 +372,7 @@ class TestGradientChecks:
         x = self.RNG.child("q").normal((6, 6))
 
         def op(t):
-            return ad.dropout(t, 0.4, RngStream(42, "fixed-mask").generator())
+            return ad.dropout(t, 0.4, [RngStream(42, "fixed-mask").generator()])
 
         assert _probe(op, [x]) < 1e-6
 
@@ -381,7 +383,7 @@ class TestGradientChecks:
         gens = [RngStream(43, "block", i).generator() for i in range(3)]
         out = ad.dropout(ad.tensor(x), 0.5, gens).data
         for i in range(3):
-            alone = ad.dropout(ad.tensor(x[:2]), 0.5, RngStream(43, "block", i).generator()).data
+            alone = ad.dropout(ad.tensor(x[:2]), 0.5, [RngStream(43, "block", i).generator()]).data
             npt.assert_array_equal(out[2 * i : 2 * i + 2], alone)
 
         def op(t):
@@ -501,7 +503,7 @@ class TestComposedBlock:
                     q = ad.matmul(hn, params["wq"])
                     k = ad.matmul(hn, params["wk"])
                     v = ad.matmul(hn, params["wv"])
-                    att = ad.softmax(ad.scale(ad.matmul(q, k.T), 1.0 / np.sqrt(dm)), axis=-1)
+                    att = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dm)), axis=-1)
                     h = h + ad.matmul(ad.matmul(att, v), params["wo"])
                     hn2 = ad.layer_norm(h, params["g2"], params["b2"])
                     h = h + ad.matmul(ad.gelu(ad.matmul(hn2, params["w1"])), params["w2"])

@@ -215,6 +215,19 @@ class TestTrainCommand:
             ("--d-model", "0"),
             ("--d-ff", "0"),
             ("--n-ratio", "300"),
+            ("--n-ratio", "nan"),
+            ("--n-ratio", "inf"),
+            ("--eta-ratio", "nan"),
+            ("--eta-ratio", "inf"),
+            ("--time-dim", "-2"),
+            ("--layers", "-1"),
+            ("--beta1", "1.0"),
+            ("--beta1", "-0.1"),
+            ("--beta2", "1.5"),
+            ("--beta2", "nan"),
+            ("--adam-eps", "-1"),
+            ("--adam-eps", "0"),
+            ("--adam-eps", "nan"),
         ],
     )
     def test_bad_config_rejected_before_any_work(self, tmp_path, flag, value):
@@ -258,6 +271,23 @@ class TestReconstructCommand:
             outs.append(open(os.path.join(out, "reconstruction.csv")).read())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--n-ratios", "nan"),
+            ("--n-ratios", "1.0,inf"),
+            ("--eta-ratios", "nan"),
+            ("--dim", "0"),
+            ("--dim", "-1"),
+        ],
+    )
+    def test_bad_value_exits_2_without_output(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "rec"
+        args = ["reconstruct", "--lengths", "10", "--n-ratios", "1.5", "--eta-ratios", "0.33", "--trials", "2"]
+        assert cli.main(args + [flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestSpectrumCommand:
     def test_json_fields(self, tmp_path):
@@ -273,6 +303,14 @@ class TestSpectrumCommand:
         assert cli.main(["spectrum", "--length", "6"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["L"] == 6
+
+    @pytest.mark.parametrize("flag, value", [("--n-ratio", "nan"), ("--n-ratio", "inf"), ("--eta-ratio", "nan")])
+    def test_bad_value_exits_2_without_output(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "spec"
+        assert cli.main(["spectrum", "--length", "12", flag, value, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -380,6 +418,25 @@ class TestProjection:
     def test_deterministic(self):
         cloud = RngStream(18, "pc").normal((30, 4))
         npt.assert_array_equal(harness.top2_projection(cloud), harness.top2_projection(cloud))
+
+    def test_matches_svd_oracle_when_eigenvalues_are_close(self):
+        # a (504, 32) cloud whose covariance has exactly these eigenvalues;
+        # the 2nd and 3rd are 0.5% apart
+        rng = RngStream(19, "close").generator()
+        n, d = 504, 32
+        eigenvalues = np.concatenate([[4.0, 2.0, 1.99], np.linspace(1.0, 0.1, d - 3)])
+        z = rng.standard_normal((n, d))
+        q = np.linalg.qr(z - z.mean(axis=0))[0]
+        rotation = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        cloud = (q * np.sqrt(n * eigenvalues)) @ rotation + 3.0
+        centered = cloud - cloud.mean(axis=0)
+        vt = np.linalg.svd(centered, full_matrices=False)[2][:2]
+        vt *= np.sign(vt @ np.arange(1.0, d + 1.0))[:, None]
+        npt.assert_allclose(harness.top2_projection(cloud), centered @ vt.T, rtol=0, atol=1e-10)
+
+    def test_one_dimensional_cloud(self):
+        proj = harness.top2_projection(np.array([[1.0], [4.0], [-2.0]]))
+        npt.assert_allclose(proj, [[0.0, 0.0], [3.0, 0.0], [-3.0, 0.0]], atol=1e-15)
 
 
 class TestProbeCommand:

@@ -155,7 +155,7 @@ class TestMappings:
         npt.assert_allclose(to_points(model, 2.0 * E), 2.0 * to_points(model, E), atol=1e-12)
 
     def test_replicated_control_point(self, model):
-        pair = model.pair_for(9)
+        pair = model.cache.get(9)
         point = np.array([[2.0], [-1.0], [0.5]])
         P = np.tile(point, (1, pair.N))
         npt.assert_allclose(to_words(model, P, 9), np.tile(point, (1, 9)), atol=1e-12)
@@ -164,7 +164,7 @@ class TestMappings:
         # every embedded value lies between the min and max of its
         # contributing control points, coordinatewise
         rng = RngStream(6, "hull").generator()
-        pair = model.pair_for(11)
+        pair = model.cache.get(11)
         P = rng.standard_normal((2, pair.N))
         E = to_words(model, P, 11)
         for j in range(11):
@@ -184,7 +184,7 @@ class TestMappings:
         rng = RngStream(8, "contract").generator()
         eps = np.finfo(np.float64).eps
         for length in model.cache.lengths():
-            pair = model.pair_for(length)
+            pair = model.cache.get(length)
             E = rng.standard_normal((3, length))
             recon = to_words(model, to_points(model, E), length)
             assert np.linalg.norm(E - recon) <= np.linalg.norm(E) * (1.0 + pair.cond * eps)
@@ -282,6 +282,12 @@ class TestSweep:
         for length in (1, -3):
             with pytest.raises(LengthOutOfRange):
                 cm.reconstruction_sweep(lengths=(length,), trials=2)
+        config = cm.CurveConfig(l_min=2, l_max=25)
+        for dim in (0, -1):
+            with pytest.raises(ConfigError, match="dim"):
+                cm.reconstruction_sweep(lengths=(25,), trials=2, dim=dim)
+            with pytest.raises(ConfigError, match="dim"):
+                cm.reconstruction_error(25, config, trials=2, dim=dim)
 
     def test_empty_sets_rejected(self):
         with pytest.raises(ConfigError):

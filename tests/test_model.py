@@ -165,7 +165,7 @@ class TestDenoisePredict:
 
     def test_curve_mode_matches_reference_backbone(self):
         model = make_model("gaussian")
-        pair = model.pair_for(8)
+        pair = model.cache.get(8)
         pts = RngStream(44, "p").normal((8, pair.N))
         e_hat, p_hat = denoise_one(model, pts, 3)
         ref_p = reference_backbone(model, pts, 3)
@@ -174,7 +174,7 @@ class TestDenoisePredict:
 
     def test_output_shapes(self):
         model = make_model("gaussian")
-        pair = model.pair_for(8)
+        pair = model.cache.get(8)
         pts = RngStream(5, "p").normal((8, pair.N))
         e_hat, p_hat = denoise_one(model, pts, 2)
         assert e_hat.shape == (8, 8)
@@ -182,7 +182,7 @@ class TestDenoisePredict:
 
     def test_deterministic(self):
         model = make_model("gaussian")
-        pair = model.pair_for(8)
+        pair = model.cache.get(8)
         pts = RngStream(6, "p").normal((8, pair.N))
         a = denoise_one(model, pts, 4)
         b = denoise_one(model, pts, 4)
@@ -194,7 +194,7 @@ class TestBatchedBackbone:
     def test_each_sequence_matches_reference_backbone(self):
         for heads in (1, 2, 4):
             model = make_model("gaussian", seed=40 + heads, heads=heads)
-            pair = model.pair_for(8)
+            pair = model.cache.get(8)
             pts = RngStream(45, "p", heads).normal((3, 8, pair.N))
             ts = [1, 4, 7]
             hidden = model.backbone_hidden(Tensor(pts), ts)
@@ -205,14 +205,14 @@ class TestBatchedBackbone:
 
     def test_k_head_batch_matches_one_sequence_at_a_time(self):
         model = make_model("gaussian", k_curves=3, seed=46)
-        pair = model.pair_for(8)
+        pair = model.cache.get(8)
         pts = RngStream(47, "p").normal((3, 8, pair.N))
         ts = [2, 5, 8]
         for combine in ("train", "infer"):
             e_hat, p_hat = model.predict_clean(Tensor(pts), ts, 8, combine=combine)
             for b, t in enumerate(ts):
-                curves, probs = model.k_curve_forward(Tensor(pts[b]), t)
-                single = M.combine_curves(curves, probs, combine).data
+                curves, probs = model._k_curves(Tensor(pts[b : b + 1]), [t], None)
+                single = M.combine_curves(curves, probs, combine).data[0]
                 npt.assert_allclose(p_hat.data[b], single, atol=1e-12)
                 npt.assert_allclose(e_hat.data[b], single @ pair.B, atol=1e-12)
 
@@ -269,7 +269,7 @@ class TestGaussianLoss:
         trace = {}
         with ad.Tape():
             M.gaussian_loss(model, batch, RngStream(15, "loss"), trace=trace)
-        pair = model.pair_for(8)
+        pair = model.cache.get(8)
         emb = model.embedding.weight.data
         for seq in trace["sequences"]:
             recomposed = emb.T @ (seq["p_hat"].data @ pair.B)
@@ -323,7 +323,7 @@ class TestMaskedLoss:
         trace = {}
         with ad.Tape():
             M.masked_loss(model, batch, RngStream(19, "loss"), trace=trace)
-        pair = model.pair_for(8)
+        pair = model.cache.get(8)
         emb = model.embedding.weight.data
         for seq in trace["sequences"]:
             recomposed = emb.T @ (seq["p_hat"].data @ pair.B)
@@ -333,25 +333,25 @@ class TestMaskedLoss:
 class TestKCurve:
     def test_k1_probs(self):
         model = make_model("gaussian", k_curves=1, force_k_head=True)
-        pair = model.pair_for(8)
-        pts = Tensor(RngStream(20, "p").normal((8, pair.N)))
-        _, probs = model.k_curve_forward(pts, 2)
+        pair = model.cache.get(8)
+        pts = Tensor(RngStream(20, "p").normal((1, 8, pair.N)))
+        _, probs = model._k_curves(pts, [2], None)
         npt.assert_array_equal(probs.data.ravel(), [1.0])
 
     def test_probs_sum_to_one(self):
         for k in (2, 3, 5):
             model = make_model("gaussian", k_curves=k)
-            pair = model.pair_for(8)
-            pts = Tensor(RngStream(21, "p", k).normal((8, pair.N)))
-            _, probs = model.k_curve_forward(pts, 1)
+            pair = model.cache.get(8)
+            pts = Tensor(RngStream(21, "p", k).normal((1, 8, pair.N)))
+            _, probs = model._k_curves(pts, [1], None)
             assert abs(float(probs.data.sum()) - 1.0) < 1e-12
 
     def test_identical_tokens_give_identical_curves(self):
         model = make_model("gaussian", k_curves=3)
         model.store["ktok"].data[:] = model.store["ktok"].data[0]
-        pair = model.pair_for(8)
-        pts = Tensor(RngStream(22, "p").normal((8, pair.N)))
-        curves, probs = model.k_curve_forward(pts, 3)
+        pair = model.cache.get(8)
+        pts = Tensor(RngStream(22, "p").normal((1, 8, pair.N)))
+        curves, probs = model._k_curves(pts, [3], None)
         npt.assert_allclose(probs.data.ravel(), [1 / 3] * 3, atol=1e-12)
         npt.assert_array_equal(curves[0].data, curves[1].data)
         npt.assert_array_equal(curves[1].data, curves[2].data)
@@ -375,9 +375,9 @@ class TestKCurve:
 
     def test_k1_machinery_matches_single_curve(self):
         model = make_model("gaussian", k_curves=1, force_k_head=True)
-        pair = model.pair_for(8)
-        pts = Tensor(RngStream(24, "p").normal((8, pair.N)))
-        curves, probs = model.k_curve_forward(pts, 2)
+        pair = model.cache.get(8)
+        pts = Tensor(RngStream(24, "p").normal((1, 8, pair.N)))
+        curves, probs = model._k_curves(pts, [2], None)
         for mode in ("train", "infer"):
             combined = M.combine_curves(curves, probs, mode)
             npt.assert_allclose(combined.data, curves[0].data, atol=1e-12)

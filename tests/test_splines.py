@@ -204,6 +204,13 @@ class TestPseudoInverse:
         closed = np.linalg.solve(B.T @ B, B.T)  # (B^T B)^{-1} B^T
         npt.assert_allclose(B_pinv, closed, atol=1e-10)
 
+    def test_relative_cutoff(self):
+        # the cutoff is 1e-12 * max(B.shape) * sigma_max = 3e-12
+        B_pinv, rank, cond = sp.pseudo_inverse(np.diag([1.0, 4e-12, 2e-12]))
+        assert rank == 2
+        npt.assert_allclose(cond, 2.5e11, rtol=1e-12)
+        npt.assert_allclose(B_pinv, np.diag([1.0, 2.5e11, 0.0]), rtol=1e-12, atol=0)
+
     def test_nonfinite_rejected(self):
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(NumericalFailure):
@@ -270,6 +277,12 @@ class TestImportanceRatio:
         G = pair.B_pinv @ pair.B_pinv.T
         oracle = jacobi_eigenvalues(G)
         npt.assert_allclose(report.eigenvalues, oracle, atol=1e-9)
+
+    def test_eigenvalue_cutoff(self):
+        # G = diag(1, 4e-12, 2.5e-13): only eigenvalues above 1e-12 * lambda_max count
+        report = sp.importance_ratio(np.diag([1.0, 2e-6, 5e-7]))
+        assert report.rank == 2
+        npt.assert_allclose(report.lambda_min_nonzero, 4e-12, rtol=1e-9)
 
     def test_psd_spectrum(self):
         for length, n, eta in [(6, 14, 3), (9, 9, 4), (12, 5, 2)]:
