@@ -144,4 +144,9 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
         model.store.moment1[name][...] = blobs[f"opt.m.{name}"]
         model.store.moment2[name][...] = blobs[f"opt.v.{name}"]
     model.store.step_count = header["opt_step_count"]
+    # rows past the last one with a nonzero moment have no Adam state to carry
+    for name in model.store.rows_reached:
+        moved = (model.store.moment1[name] != 0) | (model.store.moment2[name] != 0)
+        rows = np.flatnonzero(moved.reshape(len(moved), -1).any(axis=1))
+        model.store.rows_reached[name] = int(rows[-1]) + 1 if rows.size else 0
     return model, header["step"], header

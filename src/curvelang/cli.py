@@ -18,7 +18,7 @@ from .curvemap import (
     reconstruction_sweep,
     resolve_dims,
 )
-from .errors import CurvelangError
+from .errors import ConfigError, CurvelangError
 from .splines import build_pair, importance_ratio
 from .verify import SUITES, all_asserted_pass, render_table, run_suite
 
@@ -37,12 +37,12 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
     return overrides
 
 
-def _parse_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in raw.split(","))
-
-
-def _parse_ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in raw.split(","))
+def _parse_list(raw: str, kind, flag: str) -> tuple:
+    """A comma-separated ``flag`` value as a tuple of ``kind``; ConfigError if one does not parse."""
+    try:
+        return tuple(kind(x) for x in raw.split(","))
+    except ValueError:
+        raise ConfigError(f"{flag} needs comma-separated {kind.__name__} values, got {raw!r}") from None
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -60,9 +60,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     table = reconstruction_sweep(
-        lengths=_parse_ints(args.lengths),
-        n_ratios=_parse_floats(args.n_ratios),
-        eta_ratios=_parse_floats(args.eta_ratios),
+        lengths=_parse_list(args.lengths, int, "--lengths"),
+        n_ratios=_parse_list(args.n_ratios, float, "--n-ratios"),
+        eta_ratios=_parse_list(args.eta_ratios, float, "--eta-ratios"),
         trials=args.trials,
         seed=args.seed,
         dim=args.dim,

@@ -150,13 +150,17 @@ def run_sampling(
     seed: int,
 ) -> SampleResult:
     """Draw samples and export text, trajectories, and 2-D projections."""
+    if n_samples < 1:
+        raise ConfigError(f"need at least one sample, got {n_samples}")
     model, _, _ = checkpoint.load(ckpt_path)
+    # a bad step count or a length outside the cache fails before any file is written
+    steps_used = _reverse_steps(model.schedule.T, n_steps)
+    model.cache.get(length)
     os.makedirs(out_dir, exist_ok=True)
     sep = "" if all(len(tok) == 1 for tok in model.vocab.tokens[2:]) else " "
     texts = []
     traj_paths = []
     proj_paths = []
-    steps_used = _reverse_steps(model.schedule.T, n_steps)
     for i in range(n_samples):
         tokens, trajectory = sample(model, length, n_steps, seed=seed + i)
         texts.append(sep.join(model.vocab.decode(tokens)))

@@ -205,8 +205,8 @@ class SclmModel:
         cfg = self.backbone
         d, dm, dff = self.embed_dim, cfg.d_model, cfg.d_ff
 
-        def make(name, shape, std=0.02):
-            return self.store.add(name, init.child(name).normal(shape) * std)
+        def make(name, shape, std=0.02, by_rows=False):
+            return self.store.add(name, init.child(name).normal(shape) * std, by_rows)
 
         emb = make("emb", (d, self.vocab.size), std=1.0)
         self.embedding = EmbeddingTable(weight=emb, unit_norm=unit_norm)
@@ -214,7 +214,7 @@ class SclmModel:
 
         make("in_w", (d, dm))
         make("in_b", (dm,), std=0.0)
-        make("pos", (cfg.max_positions, dm))
+        make("pos", (cfg.max_positions, dm), by_rows=True)
         make("time_w", (cfg.time_dim, dm))
         make("time_b", (dm,), std=0.0)
         for i in range(cfg.layers):
@@ -302,6 +302,7 @@ class SclmModel:
         if n_tokens > self.backbone.max_positions:
             raise ShapeMismatch(f"{n_tokens} tokens exceed max_positions {self.backbone.max_positions}")
         x = _matmul_last(ad.swapaxes(points, 1, 2), p["in_w"], p["in_b"])
+        p.reach("pos", n_tokens)
         x = x + ad.slice_(p["pos"], (slice(0, n_tokens), slice(None)))
         tvec = ad.linear(Tensor(_time_features(t, self.backbone.time_dim)), p["time_w"], p["time_b"])
         tvec = ad.reshape(tvec, (batch, 1, dm))

@@ -12,8 +12,10 @@ rebuilds its length buckets on every call, the reference sampler
 and logit probe write out the boundary map, output head, decoder and
 noising formulas inline, one sequence and one perturbation at a time,
 the reference probe matrix correlates one pair of positions at a time
-from (n, n, d) difference tensors, and the closed-form distance
-correlation sums raw pairwise distances with no centring at all.
+from (n, n, d) difference tensors, the closed-form distance
+correlation sums raw pairwise distances with no centring at all, and
+the reference Adam step updates every element of every parameter that
+has a gradient, with out-of-place temporaries.
 """
 
 import numpy as np
@@ -473,3 +475,22 @@ def stress(original, projected):
     d0 = dists(original)
     d1 = dists(projected)
     return float(((d0 - d1) ** 2).sum() / (d0**2).sum())
+
+
+def reference_adam_step(store, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam over whole parameters; gradients are cleared afterward."""
+    store.step_count += 1
+    t = store.step_count
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for name, p in store.params.items():
+        if p.grad is None:
+            continue
+        m = store.moment1[name]
+        v = store.moment2[name]
+        m *= beta1
+        m += (1.0 - beta1) * p.grad
+        v *= beta2
+        v += (1.0 - beta2) * p.grad**2
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    store.zero_grad()

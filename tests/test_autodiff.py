@@ -8,7 +8,7 @@ from curvelang import autodiff as ad
 from curvelang.errors import NonFinite, NotScalar, ShapeMismatch
 from curvelang.rng import RngStream
 
-from _oracles import finite_difference_grad, reference_attention, relative_grad_error
+from _oracles import finite_difference_grad, reference_adam_step, reference_attention, relative_grad_error
 
 
 def _probe(op_fn, arrays, grad_index=0, h=1e-5):
@@ -442,6 +442,47 @@ class TestAdam:
         w.grad = np.ones(3)
         ad.adam_step(store, lr=0.1)
         assert w.grad is None
+
+    def test_matches_reference_with_unreached_trailing_rows(self):
+        # a row table whose last rows never get a gradient, beside whole
+        # parameters; one gradient array is shared by two of them, as an
+        # op's adjoint may be
+        stores = []
+        for _ in range(2):
+            store = ad.ParamStore()
+            init = RngStream(5, "adam-rows")
+            store.add("pos", init.child("pos").normal((12, 3)), by_rows=True)
+            store.add("w", init.child("w").normal((4, 3)))
+            store.add("u", init.child("u").normal((4, 3)))
+            store.add("b", init.child("b").normal((3,)))
+            stores.append(store)
+        new, ref = stores
+        reached = 0
+        for step in range(50):
+            rng = RngStream(5, "adam-grads", step)
+            rows = int(rng.child("rows").integers(1, 9))
+            reached = max(reached, rows)
+            pos_grad = np.zeros((12, 3))
+            pos_grad[:rows] = rng.child("pos").normal((rows, 3))
+            shared = rng.child("w").normal((4, 3))
+            grads = {"pos": pos_grad, "w": shared, "u": shared}
+            if step % 3:
+                grads["b"] = rng.child("b").normal((3,))
+            kept = {name: g.copy() for name, g in grads.items()}
+            new.reach("pos", rows)
+            for store in stores:
+                for name, g in grads.items():
+                    store[name].grad = g
+            ad.adam_step(new, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
+            reference_adam_step(ref, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6)
+            for name, g in grads.items():
+                assert np.array_equal(g, kept[name]), f"adam_step wrote into the {name} gradient"
+            assert new.rows_reached["pos"] == reached
+            for name in new.names():
+                for got, want in ((new[name].data, ref[name].data), (new.moment1[name], ref.moment1[name]), (new.moment2[name], ref.moment2[name])):
+                    assert np.array_equal(got, want), f"{name} at step {step}"
+        assert reached < 12
+        assert not new.moment1["pos"][reached:].any() and not new.moment2["pos"][reached:].any()
 
 
 class TestMlpGradient:

@@ -279,6 +279,11 @@ class TestReconstructCommand:
             ("--eta-ratios", "nan"),
             ("--dim", "0"),
             ("--dim", "-1"),
+            ("--lengths", "10,abc"),
+            ("--lengths", "10,"),
+            ("--lengths", "1.5"),
+            ("--n-ratios", "1.0,x"),
+            ("--eta-ratios", "0.1;0.2"),
         ],
     )
     def test_bad_value_exits_2_without_output(self, tmp_path, capsys, flag, value):
@@ -368,6 +373,15 @@ class TestSampleCommand:
             assert cli.main(["sample", ckpt, "--length", length, "--steps", "3", "--n", "1", "--out", out]) == 2
             assert "outside [2, 256]" in capsys.readouterr().err
         assert built == []
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--n", "0"), ("--n", "-1"), ("--steps", "0"), ("--length", "1"), ("--length", "300")]
+    )
+    def test_bad_argument_exits_2_without_output(self, ckpt, tmp_path, capsys, flag, value):
+        out = tmp_path / "samp"
+        assert cli.main(["sample", ckpt, "--length", "16", "--steps", "3", "--n", "1", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_reload_same_seed_identical(self, ckpt, tmp_path):
         outs = []

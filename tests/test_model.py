@@ -3,21 +3,23 @@
 import dataclasses
 import json
 import os
+import resource
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from curvelang import autodiff as ad
-from curvelang import checkpoint, cli, splines
+from curvelang import checkpoint, cli, harness, splines
 from curvelang import model as M
 from curvelang.autodiff import Tensor
+from curvelang.config import RunConfig
 from curvelang.corpus import build_vocab
 from curvelang.curvemap import CurveConfig, build_cache
 from curvelang.errors import CheckpointVersionMismatch, ConfigError, CurvelangError, IoError, ShapeMismatch, StepOutOfRange
 from curvelang.rng import RngStream
 
-from _oracles import reference_backbone, reference_gaussian_loss, reference_masked_loss, reference_sample
+from _oracles import reference_adam_step, reference_backbone, reference_gaussian_loss, reference_masked_loss, reference_sample
 
 
 def tiny_vocab():
@@ -418,6 +420,94 @@ class TestTrainStep:
         model.embedding.project()
         assert np.abs(model.embedding.weight.data - once).max() < 1e-12
         npt.assert_allclose(np.linalg.norm(once, axis=0), 1.0, atol=1e-12)
+
+
+def assert_same_state(a, b, label):
+    for name in a.store.names():
+        for got, want in (
+            (a.store[name].data, b.store[name].data),
+            (a.store.moment1[name], b.store.moment1[name]),
+            (a.store.moment2[name], b.store.moment2[name]),
+        ):
+            assert np.array_equal(got, want), f"{label}: {name}"
+
+
+def train_both_ways(monkeypatch, make, batches, label):
+    """Train two fresh models on the same batches, one with each Adam step; return the first."""
+    models = []
+    for step_fn in (ad.adam_step, reference_adam_step):
+        monkeypatch.setattr(M, "adam_step", step_fn)
+        model = make()
+        losses = [M.train_step(model, batch, M.AdamConfig(lr=3e-3), step=i) for i, batch in enumerate(batches)]
+        models.append((model, losses))
+    (new, new_losses), (ref, ref_losses) = models
+    assert new_losses == ref_losses, label
+    assert_same_state(new, ref, label)
+    return new
+
+
+class TestAdamRows:
+    """Adam on the reached rows of ``pos`` only, against whole-parameter Adam."""
+
+    def test_gaussian_training_matches_reference(self, monkeypatch):
+        def make():
+            return make_model("gaussian", k_curves=2, seed=40, dropout=0.1)
+
+        model = make()
+        new = train_both_ways(monkeypatch, make, [make_batch(model, seed=i) for i in range(30)], "gaussian")
+        # N = trunc(1.5 * 8) control points, out of 64 positions
+        assert new.store.rows_reached == {"pos": 12}
+
+    def test_masked_varying_lengths_matches_reference(self, monkeypatch):
+        lengths = [3 + (7 * i) % 8 for i in range(30)]
+
+        def make():
+            return make_model("masked", seed=41, length=10, heads=4)
+
+        model = make()
+        batches = [make_batch(model, n=3, length=n, seed=i) for i, n in enumerate(lengths)]
+        new = train_both_ways(monkeypatch, make, batches, "masked")
+        assert new.store.rows_reached == {"pos": int(10 * 1.5)}
+
+    def test_loaded_moments_past_the_trained_rows(self, monkeypatch, tmp_path):
+        # trained at L = 8 (12 rows), then at L = 4 (6 rows): rows 6 to 11
+        # carry loaded moments that a shorter step's gradient never touches
+        monkeypatch.setattr(M, "adam_step", reference_adam_step)
+        model = make_model("gaussian", seed=42)
+        for i in range(5):
+            M.train_step(model, make_batch(model, seed=i), M.AdamConfig(lr=3e-3), step=i)
+        path = str(tmp_path / "m.ckpt")
+        checkpoint.save(model, path, step=5)
+        first, _, _ = checkpoint.load(path)
+        assert first.store.rows_reached == {"pos": 12}
+        assert first.store.moment1["pos"][6:12].any() and not first.store.moment1["pos"][12:].any()
+        batches = [make_batch(model, length=4, seed=100 + i) for i in range(30)]
+        new = train_both_ways(monkeypatch, lambda: checkpoint.load(path)[0], batches, "loaded")
+        assert new.store.rows_reached == {"pos": 12}
+
+    def test_untrained_checkpoint_reaches_no_row(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        checkpoint.save(make_model("gaussian", seed=43), path, step=0)
+        assert checkpoint.load(path)[0].store.rows_reached == {"pos": 0}
+
+
+@pytest.mark.skipif(not ad.HEAP_RETAINED, reason="needs glibc's mallopt")
+def test_training_step_takes_no_page_faults(tmp_path):
+    """A step of the criterion-9 model reuses the heap pages the previous step freed."""
+    config = RunConfig(
+        mode="gaussian", corpus="builtin:alternating", batch_size=8,
+        schedule_steps=100, lr=2e-3, embed_dim=32, seed=0,
+    )
+    corpus = harness.resolve_corpus(config, str(tmp_path))
+    model = harness.build_model(config, corpus)
+    optimizer = M.AdamConfig(lr=config.lr)
+    faults = []
+    for step in range(15):
+        batch = harness.make_batch(corpus, config.batch_size, config.seed, step)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        M.train_step(model, batch, optimizer, step)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert np.median(faults[5:]) <= 8, faults
 
 
 class TestSampling:
