@@ -1,7 +1,7 @@
 """Dense-tensor reverse-mode automatic differentiation.
 
 A ``Tape`` records every op executed while it is active (thread-local);
-``Tape.backward`` walks the record in reverse and accumulates adjoints
+``Tape.backward`` consumes the record in reverse and accumulates adjoints
 into every tensor that requires gradients.  Ops are plain functions over
 ``Tensor`` values backed by numpy arrays.  Broadcasting is limited to
 bias-style row/column addition so every adjoint stays a one-liner.
@@ -27,13 +27,20 @@ _check_finite = False
 # glibc's M_TOP_PAD: the heap keeps this much free memory at its top
 # through every trim, so the pages a training step frees stay mapped for
 # the next step instead of coming back as fresh zeroed pages, and a large
-# array is cut from that top before malloc considers mmap for it.  Of the
-# powers of two from 2 MiB up, 4 MiB is the smallest at which a
-# criterion-9 step (the benchmark's gauss-l16) takes no minor page fault,
-# and 64 MiB the smallest at which a masked step on lines of up to 128
-# tokens takes none either.  The pad only holds pages a step has touched.
+# array is cut from that top before malloc considers mmap for it.  Minor
+# faults a step, median (mean) over the benchmark's timed steps (seed 11,
+# 6 s runs): a criterion-9 step (gauss-l16) takes 0 (25) at 2 MiB and
+# 0 (1) from 16 MiB up; a masked step on lines of up to 128 tokens
+# (masked-varlen) takes 666 (2,749) at 2 MiB, 0 (945) at 8 MiB, 0 (37) at
+# 32 MiB and 0 (0) at 64 MiB, the smallest power of two at which it takes
+# none.  The pad only holds pages a step has touched.
 _M_TOP_PAD = -2
 _TOP_PAD_BYTES = 64 << 20
+
+# Scores (sequences x heads x n x n) the attention adjoint works on at
+# once: 1 MiB of float64 per temporary, so a criterion-9 batch (8 x 2 x
+# 32²) is one block and a 128-token line (N = 256) is one per block.
+_ATTENTION_BLOCK = 1 << 17
 
 
 def _retain_heap() -> bool:
@@ -106,7 +113,11 @@ class Tape:
         if loss.size != 1:
             raise NotScalar(f"backward needs a scalar loss, got shape {loss.shape}")
         loss.grad = np.ones_like(loss.data)
-        for out, inputs, backward_fn in reversed(self.entries):
+        entries = self.entries
+        # playback consumes the record: an entry, with the arrays its
+        # adjoint saved, is freed as soon as that adjoint is handed on
+        while entries:
+            out, inputs, backward_fn = entries.pop()
             if out.grad is None:
                 continue
             grads = backward_fn(out.grad)
@@ -160,7 +171,11 @@ def matmul(a, b) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul of {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
-    return _emit(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+
+    def backward_fn(g):  # no product for an input that takes no gradient
+        return (g @ bd.T if a.requires_grad else None, ad.T @ g if b.requires_grad else None)
+
+    return _emit(ad @ bd, (a, b), backward_fn)
 
 
 def linear(x, w, b) -> Tensor:
@@ -171,7 +186,15 @@ def linear(x, w, b) -> Tensor:
     xd, wd = x.data, w.data
     out = xd @ wd
     out += b.data
-    return _emit(out, (x, w, b), lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
+
+    def backward_fn(g):
+        return (
+            g @ wd.T if x.requires_grad else None,
+            xd.T @ g if w.requires_grad else None,
+            g.sum(axis=0) if b.requires_grad else None,
+        )
+
+    return _emit(out, (x, w, b), backward_fn)
 
 
 def attention(q, k, v, batch: int, heads: int, scale: float, p: float = 0.0, gens=None) -> Tensor:
@@ -199,8 +222,9 @@ def attention(q, k, v, batch: int, heads: int, scale: float, p: float = 0.0, gen
     def merge(x):  # (batch, heads, n, dh) -> (batch * n, d_model)
         return x.swapaxes(1, 2).reshape(rows, width)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    s = qh @ kh.swapaxes(-1, -2)
+    # only the softmax (and the dropout mask) outlives this call: the
+    # backward pass splits q, k and v again from the inputs' arrays
+    s = split(q.data) @ split(k.data).swapaxes(-1, -2)
     s *= scale
     s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
@@ -211,24 +235,32 @@ def attention(q, k, v, batch: int, heads: int, scale: float, p: float = 0.0, gen
             raise ShapeMismatch(f"attention dropout needs {batch * heads} generators")
         draws = np.concatenate([gen.random((n, n)) for gen in gens]).reshape(s.shape)
         mask = (draws >= p) / (1.0 - p)
-    att = s if mask is None else s * mask
+    out = merge((s if mask is None else s * mask) @ split(v.data))
 
     def backward_fn(g):
-        gh = split(g)
-        d_att = gh @ vh.swapaxes(-1, -2)
-        dv = att.swapaxes(-1, -2) @ gh
-        if mask is not None:
-            d_att *= mask
-        # softmax adjoint, then the score scale
-        d_s = d_att * s
-        d_att -= d_s.sum(axis=-1, keepdims=True)
-        d_att *= s
-        d_att *= scale
-        dq = d_att @ kh
-        dk = (qh.swapaxes(-1, -2) @ d_att).swapaxes(-1, -2)
-        return merge(dq), merge(dk), merge(dv)
+        gh, qh, kh, vh = split(g), split(q.data), split(k.data), split(v.data)
+        dq, dv = np.empty_like(gh), np.empty_like(gh)
+        dk = np.empty((batch, heads, dh, n))  # kᵀ's adjoint, merged transposed
+        # the (n, n) adjoints run over blocks of whole sequences, so they
+        # never hold more than _ATTENTION_BLOCK scores at once
+        step = max(1, _ATTENTION_BLOCK // (heads * n * n))
+        for lo in range(0, batch, step):
+            blk = slice(lo, lo + step)
+            sb = s[blk]
+            att = sb if mask is None else sb * mask[blk]
+            d_att = gh[blk] @ vh[blk].swapaxes(-1, -2)
+            np.matmul(att.swapaxes(-1, -2), gh[blk], out=dv[blk])
+            if mask is not None:
+                d_att *= mask[blk]
+            # softmax adjoint, then the score scale
+            d_att -= (d_att * sb).sum(axis=-1, keepdims=True)
+            d_att *= sb
+            d_att *= scale
+            np.matmul(d_att, kh[blk], out=dq[blk])
+            np.matmul(qh[blk].swapaxes(-1, -2), d_att, out=dk[blk])
+        return merge(dq), merge(dk.swapaxes(-1, -2)), merge(dv)
 
-    return _emit(merge(att @ vh), (q, k, v), backward_fn)
+    return _emit(out, (q, k, v), backward_fn)
 
 
 def _binary_shapes_ok(a: Tensor, b: Tensor) -> bool:

@@ -95,9 +95,11 @@ def save(model: SclmModel, path: str, step: int) -> None:
 def load(path: str) -> tuple[SclmModel, int, dict]:
     """Rebuild the model from a checkpoint file; its basis pairs are built on first use.
 
-    A short read or an unparsable header or blob raises ``IoError``.  The
-    file is parsed from memory, so a corrupt length field asks for at
-    most the bytes that are there instead of allocating what it claims.
+    A short read, an unparsable header or blob, a header that is not an
+    object or lacks a key, a parameter list other than the model's, and a
+    parameter with no blob of its name raise ``IoError``.  The file is
+    parsed from memory, so a corrupt length field asks for at most the
+    bytes that are there instead of allocating what it claims.
     """
     try:
         with open(path, "rb") as fh:
@@ -114,14 +116,18 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
             raise CheckpointVersionMismatch(f"format version {version}, expected {VERSION}")
         (header_len,) = struct.unpack("<Q", _read_exact(fh, 8))
         header = json.loads(_read_exact(fh, header_len).decode("utf-8"))
-        blobs = {}
-        expected = len(header["params"]) * 3
-        for _ in range(expected):
-            name, data = _read_blob(fh)
-            blobs[name] = data
-    except ValueError as exc:
+        if not isinstance(header, dict):
+            raise IoError(f"checkpoint {path} has a header of type {type(header).__name__}, not an object")
+        blobs = dict(_read_blob(fh) for _ in range(len(header["params"]) * 3))
+        return _restore(header, blobs), header["step"], header
+    except KeyError as exc:
+        raise IoError(f"checkpoint {path} has no entry {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise IoError(f"cannot parse checkpoint {path}: {exc}") from exc
 
+
+def _restore(header: dict, blobs: dict) -> SclmModel:
+    """The model, parameters and Adam state a parsed header and its blobs describe."""
     model = SclmModel(
         mode=header["mode"],
         vocab=Vocab(tokens=tuple(header["vocab"])),
@@ -135,6 +141,9 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
         seed=header["seed"],
         force_k_head=header.get("force_k_head", False),
     )
+    listed, names = set(header["params"]), set(model.store.names())
+    if listed != names:
+        raise IoError(f"checkpoint lacks parameters {sorted(names - listed)} and has unknown {sorted(listed - names)}")
     for name in header["params"]:
         if blobs[name].shape != model.store[name].data.shape:
             raise CheckpointVersionMismatch(
@@ -149,4 +158,4 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
         moved = (model.store.moment1[name] != 0) | (model.store.moment2[name] != 0)
         rows = np.flatnonzero(moved.reshape(len(moved), -1).any(axis=1))
         model.store.rows_reached[name] = int(rows[-1]) + 1 if rows.size else 0
-    return model, header["step"], header
+    return model

@@ -184,8 +184,7 @@ class TestBackwardBasics:
             y = ad.gelu(h)
             loss = ad.sum_(y)
             tape.backward(loss)
-        for out, _, _ in tape.entries:
-            assert out.grad is None
+        assert tape.entries == []
         assert h.grad is None and y.grad is None and loss.grad is None
         assert w.grad is not None and w.grad.shape == (3, 4)
         assert x.grad is None
@@ -400,6 +399,47 @@ class TestGradientChecks:
             a = rng.standard_normal((rows, inner))
             b = rng.standard_normal((inner, cols))
             assert _probe(ad.matmul, [a, b], trial % 2) < 1e-6
+
+
+class TestAttentionBlocks:
+    """The attention adjoint over blocks of whole sequences, against one block."""
+
+    BATCH, N, SCALE = 3, 4, 0.6
+
+    def _op(self, heads, p):
+        def op(q, k, v):
+            gens = TestGradientChecks._gens(70 + heads, self.BATCH * heads) if p else None
+            return ad.attention(q, k, v, self.BATCH, heads, self.SCALE, p, gens)
+
+        return op
+
+    def _run(self, heads, p, arrays):
+        tensors = [ad.param(x) for x in arrays]
+        weights = RngStream(71, "att-weights").normal(arrays[0].shape)
+        with ad.Tape() as tape:
+            out = self._op(heads, p)(*tensors)
+            tape.backward(ad.sum_(ad.mul(out, ad.tensor(weights))))
+        return out.data, [t.grad for t in tensors]
+
+    # one sequence per block, then blocks of 2 and 1
+    @pytest.mark.parametrize("per_block", [1, 2])
+    def test_blocks_match_one_block_and_the_oracles(self, monkeypatch, per_block):
+        for heads in (1, 2, 4):
+            arrays = TestGradientChecks._attention_inputs(20 + heads, self.BATCH, self.N, 3 * heads)
+            for p in (0.0, 0.3):
+                assert ad._ATTENTION_BLOCK >= self.BATCH * heads * self.N**2
+                whole_out, whole = self._run(heads, p, arrays)
+                with monkeypatch.context() as m:
+                    m.setattr(ad, "_ATTENTION_BLOCK", per_block * heads * self.N**2)
+                    out, blocked = self._run(heads, p, arrays)
+                    for i in range(3):
+                        assert _probe(self._op(heads, p), arrays, i) < 1e-6, (heads, p, i)
+                npt.assert_array_equal(out, whole_out)
+                for a, b in zip(blocked, whole):
+                    npt.assert_array_equal(a, b, err_msg=f"heads {heads}, p {p}")
+                gens = TestGradientChecks._gens(70 + heads, self.BATCH * heads) if p else None
+                expected, _ = reference_attention(*arrays, self.BATCH, heads, self.SCALE, p, gens)
+                npt.assert_allclose(out, expected, rtol=0, atol=1e-12, err_msg=f"heads {heads}, p {p}")
 
 
 class TestAdam:

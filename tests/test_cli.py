@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -10,7 +11,7 @@ import pytest
 from curvelang import checkpoint, cli, harness, splines
 from curvelang.config import RunConfig, apply_overrides, dump_config, load_config
 from curvelang.corpus import ingest, write_builtin
-from curvelang.errors import ConfigError, EmptyCorpus, NonFinite
+from curvelang.errors import ConfigError, EmptyCorpus, IoError, NonFinite
 from curvelang.rng import RngStream
 
 from _oracles import reference_make_batch, stress
@@ -380,6 +381,48 @@ class TestSampleCommand:
     def test_bad_argument_exits_2_without_output(self, ckpt, tmp_path, capsys, flag, value):
         out = tmp_path / "samp"
         assert cli.main(["sample", ckpt, "--length", "16", "--steps", "3", "--n", "1", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @staticmethod
+    def _header_without_seed(header, body):
+        del header["seed"]
+        return json.dumps(header), body
+
+    @staticmethod
+    def _header_as_list(header, body):
+        return json.dumps([header]), body
+
+    @staticmethod
+    def _blob_renamed(header, body):
+        # the parameter blob "emb" renamed to "emx"; its moments keep their names
+        named = struct.pack("<I", 3) + b"emb"
+        assert body.count(named) == 1
+        return json.dumps(header), body.replace(named, struct.pack("<I", 3) + b"emx")
+
+    @staticmethod
+    def _parameter_unlisted(header, body):
+        # the last parameter's blobs stay behind as bytes nothing reads
+        header["params"].pop()
+        return json.dumps(header), body
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        ["_header_without_seed", "_header_as_list", "_blob_renamed", "_parameter_unlisted"],
+        ids=["no-seed", "list", "renamed-blob", "unlisted-parameter"],
+    )
+    def test_malformed_checkpoint_exits_2_without_output(self, ckpt, tmp_path, capsys, corrupt):
+        raw = open(ckpt, "rb").read()
+        (header_len,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + header_len])
+        payload, body = getattr(self, corrupt)(header, raw[16 + header_len :])
+        payload = payload.encode("utf-8")
+        broken = tmp_path / "broken.ckpt"
+        broken.write_bytes(raw[:8] + struct.pack("<Q", len(payload)) + payload + body)
+        with pytest.raises(IoError):
+            checkpoint.load(str(broken))
+        out = tmp_path / "samp"
+        assert cli.main(["sample", str(broken), "--length", "16", "--steps", "3", "--n", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 

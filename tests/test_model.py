@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import resource
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -508,6 +509,36 @@ def test_training_step_takes_no_page_faults(tmp_path):
         M.train_step(model, batch, optimizer, step)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert np.median(faults[5:]) <= 8, faults
+
+
+def test_backward_holds_no_more_than_the_forward_pass_left():
+    """The backward pass frees each op's saved arrays once it has used
+    them, so its peak is the forward pass's live memory plus the
+    parameter gradients and a few activation-sized adjoints."""
+    length = 64
+    vocab = build_vocab([list("abcdefgh")])
+    model = M.SclmModel(
+        mode="masked", vocab=vocab, cache=build_cache(CurveConfig(l_min=2, l_max=length)),
+        schedule=M.build_schedule(100, "linear"), backbone=M.BackboneConfig(), embed_dim=32, seed=0,
+    )
+    model.cache.get(length)
+    rng = RngStream(3, "batch").generator()
+    batch = [rng.integers(2, vocab.size, size=length) for _ in range(8)]
+    grad_bytes = sum(model.store[name].data.nbytes for name in model.store.names())
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            loss, _ = M.masked_loss(model, batch, RngStream(0, "train", 0))
+            forward_end = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # with every tape entry kept until the tape is dropped, this backward
+    # pass peaked 9.4 MB above the forward pass's end; consuming it, 1.8 MB
+    assert peak <= forward_end + grad_bytes + (2 << 20), (forward_end, peak)
+    assert tape.entries == []
 
 
 class TestSampling:
