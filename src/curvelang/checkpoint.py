@@ -95,11 +95,12 @@ def save(model: SclmModel, path: str, step: int) -> None:
 def load(path: str) -> tuple[SclmModel, int, dict]:
     """Rebuild the model from a checkpoint file; its basis pairs are built on first use.
 
-    A short read, an unparsable header or blob, a header that is not an
-    object or lacks a key, a parameter list other than the model's, and a
-    parameter with no blob of its name raise ``IoError``.  The file is
-    parsed from memory, so a corrupt length field asks for at most the
-    bytes that are there instead of allocating what it claims.
+    A short read, bytes after the last blob, an unparsable header or blob,
+    a header that is not an object or lacks a key, a parameter list other
+    than the model's, and a parameter with no blob of its name raise
+    ``IoError``.  The file is parsed from memory, so a corrupt length
+    field asks for at most the bytes that are there instead of allocating
+    what it claims.
     """
     try:
         with open(path, "rb") as fh:
@@ -119,6 +120,9 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
         if not isinstance(header, dict):
             raise IoError(f"checkpoint {path} has a header of type {type(header).__name__}, not an object")
         blobs = dict(_read_blob(fh) for _ in range(len(header["params"]) * 3))
+        trailing = len(raw) - fh.tell()
+        if trailing:
+            raise IoError(f"checkpoint {path} has {trailing} bytes after its last blob")
         return _restore(header, blobs), header["step"], header
     except KeyError as exc:
         raise IoError(f"checkpoint {path} has no entry {exc}") from exc

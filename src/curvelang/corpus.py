@@ -27,11 +27,13 @@ class Vocab:
     def mask_id(self) -> int:
         return 1
 
+    @cached_property
     def index(self) -> dict[str, int]:
+        """Token -> id, built on first use and kept."""
         return {tok: i for i, tok in enumerate(self.tokens)}
 
     def encode(self, pieces: list[str]) -> np.ndarray:
-        idx = self.index()
+        idx = self.index
         return np.array([idx[p] for p in pieces], dtype=np.int64)
 
     def decode(self, ids) -> list[str]:

@@ -124,11 +124,17 @@ def _recon_noise(length: int, trials: int, seed: int, dim: int) -> np.ndarray:
 def _projector(length: int, config: CurveConfig) -> np.ndarray:
     """B_pinv @ B at length L.
 
-    The pair is not kept, so B and B_pinv are freed before the caller
-    allocates the noise stack and the residual.
+    Multiplies by the dense B its pseudo-inverse came from, instead of
+    building a pair and scattering its band again.  Nothing is kept, so B
+    and B_pinv are freed before the caller allocates the noise stack and
+    the residual.
     """
-    pair = _make_pair(length, config)
-    return pair.B_pinv @ pair.B
+    if config.identity:
+        return np.eye(length)
+    n_points, eta = resolve_dims(length, config)
+    B = splines.basis_matrix(length, n_points, eta, config.margin)
+    B_pinv, _, _ = splines.pseudo_inverse(B)
+    return B_pinv @ B
 
 
 def _round_trip_mse(values: np.ndarray, proj: np.ndarray) -> float:

@@ -44,9 +44,17 @@ class SampleIndices:
 
 @dataclass(frozen=True)
 class BasisPair:
-    """A basis matrix together with its Moore-Penrose pseudo-inverse."""
+    """A basis matrix, kept as its band, together with its Moore-Penrose pseudo-inverse.
 
-    B: np.ndarray
+    Column j of ``B`` is zero outside rows ``first[j]`` to
+    ``first[j] + len(band) - 1``, whose values are ``band[:, j]``: the
+    eta+1 live basis functions of a curve pair, the single 1 of an
+    identity pair.  ``B`` scatters the band into a fresh dense (N, L)
+    array on every access.
+    """
+
+    band: np.ndarray
+    first: np.ndarray
     B_pinv: np.ndarray
     N: int
     L: int
@@ -54,6 +62,10 @@ class BasisPair:
     rank: int
     cond: float
     gammas: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def B(self) -> np.ndarray:
+        return _scatter(self.band, self.first, self.N)
 
 
 def clamped_knots(n_points: int, eta: int) -> KnotVector:
@@ -72,21 +84,42 @@ def clamped_knots(n_points: int, eta: int) -> KnotVector:
     return KnotVector(knots=knots, degree=eta)
 
 
+def _first_live(knots: KnotVector, gammas: np.ndarray) -> np.ndarray:
+    """Index of the first of the eta+1 basis functions alive at each curve index.
+
+    Spans are half-open [t_s, t_{s+1}), except the last, which is closed
+    so that gamma = 1 lands on the final basis function.
+    """
+    eta = knots.degree
+    return np.clip(np.searchsorted(knots.knots, gammas, side="right") - 1, eta, knots.n_basis - 1) - eta
+
+
+def _band_index(first: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices in the dense matrix of a (depth, len) band's entries."""
+    return first + np.arange(depth)[:, None], np.arange(first.size)
+
+
+def _scatter(band: np.ndarray, first: np.ndarray, n_rows: int) -> np.ndarray:
+    """The dense (n_rows, len) matrix whose columns hold ``band`` from row ``first`` on."""
+    out = np.zeros((n_rows, first.size))
+    out[_band_index(first, len(band))] = band
+    return out
+
+
 def _basis_columns(knots: KnotVector, gammas: np.ndarray) -> np.ndarray:
     """All N basis functions at each curve index in ``gammas``, as an (N, len) matrix.
 
     Cox-de Boor recursion restricted to the eta+1 functions alive on each
     index's knot span, run for every index at once: one (eta+1, len)
     array per quantity, row r for the r-th live function, one degree
-    level per iteration.  Spans are half-open [t_s, t_{s+1}), except the
-    last, which is closed so that gamma = 1 lands on the final basis
-    function.
+    level per iteration.  The band is then scattered into the dense
+    matrix.
     """
     t = knots.knots
     eta = knots.degree
-    n_basis = knots.n_basis
     n = gammas.size
-    span = np.clip(np.searchsorted(t, gammas, side="right") - 1, eta, n_basis - 1)
+    first = _first_live(knots, gammas)
+    span = first + eta
     offsets = np.arange(eta)[:, None]
     # right[k] = t[s+1+k] - gamma and rleft[k] = gamma - t[s+1-eta+k]: the
     # left distances stored in reverse, so level j reads rows rleft[eta-j:]
@@ -107,9 +140,7 @@ def _basis_columns(knots: KnotVector, gammas: np.ndarray) -> np.ndarray:
         np.multiply(right[:j], tm, out=vals[:j])
         np.multiply(lj, tm, out=d)
         vals[1 : j + 1] += d
-    out = np.zeros((n_basis, n))
-    out[span - eta + np.arange(eta + 1)[:, None], np.arange(n)] = vals
-    return out
+    return _scatter(vals, first, knots.n_basis)
 
 
 def basis_vector(gamma: float, knots: KnotVector) -> np.ndarray:
@@ -168,18 +199,34 @@ def pseudo_inverse(B: np.ndarray) -> tuple[np.ndarray, int, float]:
 
 
 def build_pair(length: int, n_points: int, eta: int, margin: float = 0.01) -> BasisPair:
-    """Construct B and its pseudo-inverse for one (L, N, eta, m) setting."""
+    """Construct B and its pseudo-inverse for one (L, N, eta, m) setting.
+
+    The dense B lives only as long as its SVD; the pair keeps its band.
+    """
     B = basis_matrix(length, n_points, eta, margin)
     B_pinv, rank, cond = pseudo_inverse(B)
     gammas = sample_indices(length, margin).gammas
-    return BasisPair(B=B, B_pinv=B_pinv, N=n_points, L=length, eta=eta, rank=rank, cond=cond, gammas=gammas)
+    first = _first_live(clamped_knots(n_points, eta), gammas)
+    band = B[_band_index(first, eta + 1)]
+    return BasisPair(
+        band=band, first=first, B_pinv=B_pinv, N=n_points, L=length, eta=eta, rank=rank, cond=cond, gammas=gammas
+    )
 
 
 def identity_pair(length: int) -> BasisPair:
     """Degenerate pair with B = B_pinv = I, bypassing the curve mapping."""
-    eye = np.eye(length)
     gammas = sample_indices(length, 0.0).gammas if length >= 2 else np.zeros(length)
-    return BasisPair(B=eye, B_pinv=eye.copy(), N=length, L=length, eta=1, rank=length, cond=1.0, gammas=gammas)
+    return BasisPair(
+        band=np.ones((1, length)),
+        first=np.arange(length),
+        B_pinv=np.eye(length),
+        N=length,
+        L=length,
+        eta=1,
+        rank=length,
+        cond=1.0,
+        gammas=gammas,
+    )
 
 
 def error_importance(V: np.ndarray, B_pinv: np.ndarray) -> float:

@@ -58,6 +58,19 @@ class TestIngest:
         # b:5, a:2, c:2 -> b, a, c after reserved ids
         assert corpus.vocab.tokens[2:] == ("b", "a", "c")
 
+    def test_encode_matches_a_per_token_lookup(self, tmp_path):
+        path = tmp_path / "e.txt"
+        lines = ["the cat sat", "a cat sat on the mat", "the mat"]
+        path.write_text("\n".join(lines) + "\n")
+        corpus = ingest(str(path), "whitespace")
+        vocab = corpus.vocab
+        for line, seq in zip(lines, corpus.sequences):
+            ids = [vocab.tokens.index(tok) for tok in line.split()]
+            assert seq.dtype == np.int64 and seq.tolist() == ids
+        assert vocab.encode(["mat", "the", "mat"]).tolist() == [vocab.tokens.index(t) for t in ("mat", "the", "mat")]
+        # the token -> id index is built once per vocabulary
+        assert vocab.index is vocab.index
+
     def test_builtin_corpora(self, tmp_path):
         for name in ("alternating", "grammar3", "multimodal"):
             path = write_builtin(name, str(tmp_path / f"{name}.txt"), seed=1)
@@ -337,6 +350,19 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
 
+def blob_offsets(body: bytes) -> list[int]:
+    """Start of each blob in a checkpoint body: name, ndim, dims, then float32 data."""
+    offsets, at = [], 0
+    while at < len(body):
+        offsets.append(at)
+        (name_len,) = struct.unpack_from("<I", body, at)
+        at += 4 + name_len
+        (ndim,) = struct.unpack_from("<I", body, at)
+        dims = struct.unpack_from(f"<{ndim}I", body, at + 4)
+        at += 4 + 4 * ndim + 4 * int(np.prod(dims, dtype=np.int64))
+    return offsets
+
+
 @pytest.fixture(scope="module")
 def ckpt(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("train"))
@@ -406,12 +432,37 @@ class TestSampleCommand:
         header["params"].pop()
         return json.dumps(header), body
 
+    @staticmethod
+    def _parameter_and_blobs_unlisted(header, body):
+        # the last parameter goes with its three blobs, so every byte is read
+        header["params"].pop()
+        return json.dumps(header), body[: blob_offsets(body)[-3]]
+
+    @staticmethod
+    def _trailing_byte(header, body):
+        return json.dumps(header), body + b"\x00"
+
+    @staticmethod
+    def _extra_blob(header, body):
+        name = b"extra"
+        blob = struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 2) + np.zeros(2, "<f4").tobytes()
+        return json.dumps(header), body + blob
+
     @pytest.mark.parametrize(
-        "corrupt",
-        ["_header_without_seed", "_header_as_list", "_blob_renamed", "_parameter_unlisted"],
-        ids=["no-seed", "list", "renamed-blob", "unlisted-parameter"],
+        "corrupt, message",
+        [
+            ("_header_without_seed", "no entry 'seed'"),
+            ("_header_as_list", "not an object"),
+            ("_blob_renamed", "no entry 'emb'"),
+            ("_parameter_unlisted", "bytes after its last blob"),
+            ("_parameter_and_blobs_unlisted", "lacks parameters"),
+            ("_trailing_byte", "1 bytes after its last blob"),
+            ("_extra_blob", "25 bytes after its last blob"),
+        ],
+        ids=["no-seed", "list", "renamed-blob", "unlisted-parameter", "parameter-and-blobs-unlisted",
+             "trailing-byte", "extra-blob"],
     )
-    def test_malformed_checkpoint_exits_2_without_output(self, ckpt, tmp_path, capsys, corrupt):
+    def test_malformed_checkpoint_exits_2_without_output(self, ckpt, tmp_path, capsys, corrupt, message):
         raw = open(ckpt, "rb").read()
         (header_len,) = struct.unpack("<Q", raw[8:16])
         header = json.loads(raw[16 : 16 + header_len])
@@ -419,7 +470,7 @@ class TestSampleCommand:
         payload = payload.encode("utf-8")
         broken = tmp_path / "broken.ckpt"
         broken.write_bytes(raw[:8] + struct.pack("<Q", len(payload)) + payload + body)
-        with pytest.raises(IoError):
+        with pytest.raises(IoError, match=message):
             checkpoint.load(str(broken))
         out = tmp_path / "samp"
         assert cli.main(["sample", str(broken), "--length", "16", "--steps", "3", "--n", "1", "--out", str(out)]) == 2

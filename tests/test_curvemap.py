@@ -167,8 +167,9 @@ class TestMappings:
         pair = model.cache.get(11)
         P = rng.standard_normal((2, pair.N))
         E = to_words(model, P, 11)
+        B = pair.B
         for j in range(11):
-            support = np.flatnonzero(pair.B[:, j] > 0)
+            support = np.flatnonzero(B[:, j] > 0)
             assert len(support) <= pair.eta + 1
             low = P[:, support].min(axis=1) - 1e-12
             high = P[:, support].max(axis=1) + 1e-12

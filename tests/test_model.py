@@ -55,7 +55,7 @@ def jolt(model, seed, scale=0.5):
 
 def make_batch(model, n=3, length=8, seed=0):
     rng = RngStream(seed, "batch").generator()
-    ids = np.array([model.vocab.index()[c] for c in "ab"])
+    ids = np.array([model.vocab.index[c] for c in "ab"])
     return [ids[rng.integers(0, 2, size=length)] for _ in range(n)]
 
 

@@ -110,6 +110,17 @@ class TestBasisMatrix:
         npt.assert_allclose(B[:, 1], [0.25, 0.5, 0.25], atol=1e-15)
 
 
+def highest_degree_sweep_cells(count=5):
+    """The (L, N, eta) of the default sweep's ``count`` highest-degree cells."""
+    cells = set()
+    for length in cm.DEFAULT_SWEEP_LENGTHS:
+        for n_ratio in cm.DEFAULT_SWEEP_N_RATIOS:
+            for eta_ratio in cm.DEFAULT_SWEEP_ETA_RATIOS:
+                config = cm.CurveConfig(n_ratio=n_ratio, eta_ratio=eta_ratio, l_max=max(length, 250))
+                cells.add((length,) + cm.resolve_dims(length, config))
+    return sorted(cells, key=lambda cell: (cell[2], cell))[-count:]
+
+
 class TestBasisOracle:
     """The array evaluator against the scalar Cox-de Boor recursion, bit for bit."""
 
@@ -146,13 +157,7 @@ class TestBasisOracle:
 
     def test_highest_degree_sweep_cells_match_index_major_layout(self):
         # the scalar recursion is too slow past eta 49; the sweep reaches 495
-        cells = set()
-        for length in cm.DEFAULT_SWEEP_LENGTHS:
-            for n_ratio in cm.DEFAULT_SWEEP_N_RATIOS:
-                for eta_ratio in cm.DEFAULT_SWEEP_ETA_RATIOS:
-                    config = cm.CurveConfig(n_ratio=n_ratio, eta_ratio=eta_ratio, l_max=max(length, 250))
-                    cells.add((length,) + cm.resolve_dims(length, config))
-        top = sorted(cells, key=lambda cell: (cell[2], cell))[-5:]
+        top = highest_degree_sweep_cells()
         assert top[0][2] > 300
         for length, n_points, eta in top:
             kv = sp.clamped_knots(n_points, eta)
@@ -170,6 +175,52 @@ class TestBasisOracle:
             # a random index, or one that sits exactly on a knot
             gamma = float(rng.random()) if rng.random() < 0.5 else float(kv.knots[int(rng.integers(0, len(kv.knots)))])
             assert np.array_equal(sp.basis_vector(gamma, kv), reference_basis_matrix(kv.knots, eta, [gamma])[:, 0])
+
+
+class TestBandStorage:
+    """A pair keeps B as its (eta+1, L) band and rebuilds the dense matrix on access."""
+
+    @staticmethod
+    def default_cells():
+        config = cm.CurveConfig()
+        return [(length,) + cm.resolve_dims(length, config) for length in (2, 3, 16, 17, 64, 128, 199, 250)]
+
+    def test_B_is_the_basis_matrix_bit_for_bit(self):
+        # margin 0 puts the first and last columns at gamma = 0 and 1
+        default = self.default_cells()
+        for margin, cells in ((0.01, default), (0.0, default), (0.01, highest_degree_sweep_cells())):
+            for length, n_points, eta in cells:
+                pair = sp.build_pair(length, n_points, eta, margin)
+                B = sp.basis_matrix(length, n_points, eta, margin)
+                assert pair.band.shape == (eta + 1, length) and pair.first.shape == (length,)
+                assert pair.B.shape == B.shape and pair.B.tobytes() == B.tobytes(), (length, n_points, eta, margin)
+        # the SVD ran on that same matrix
+        for length, n_points, eta in self.default_cells():
+            B = sp.basis_matrix(length, n_points, eta)
+            assert sp.build_pair(length, n_points, eta).B_pinv.tobytes() == sp.pseudo_inverse(B)[0].tobytes()
+
+    def test_writing_into_B_leaves_the_next_one_alone(self):
+        pair = sp.build_pair(17, 34, 3)
+        first = pair.B
+        first[...] = 7.0
+        assert np.array_equal(pair.B, sp.basis_matrix(17, 34, 3))
+
+    def test_band_takes_little_more_than_half_the_dense_bytes(self):
+        # per pair (N + eta + 2) / 2N of dense B plus B_pinv: 55.2% at L = 250
+        held = dense = 0
+        for length, n_points, eta in self.default_cells():
+            pair = sp.build_pair(length, n_points, eta)
+            held += pair.band.nbytes + pair.first.nbytes + pair.B_pinv.nbytes
+            dense += n_points * length * 8 + pair.B_pinv.nbytes
+        assert held <= 0.56 * dense
+
+    def test_identity_pair_holds_one_square_array(self):
+        length = 6
+        pair = sp.identity_pair(length)
+        square = [v for v in vars(pair).values() if isinstance(v, np.ndarray) and v.shape == (length, length)]
+        assert len(square) == 1
+        assert pair.B.tobytes() == np.eye(length).tobytes()
+        assert pair.B_pinv.tobytes() == np.eye(length).tobytes()
 
 
 class TestPseudoInverse:
