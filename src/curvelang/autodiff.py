@@ -17,12 +17,11 @@ import threading
 
 import numpy as np
 
-from .errors import NonFinite, NotScalar, ShapeMismatch
+from .errors import NotScalar, ShapeMismatch
 
 DEFAULT_DTYPE = np.float64
 
 _tls = threading.local()
-_check_finite = False
 
 # glibc's M_TOP_PAD: the heap keeps this much free memory at its top
 # through every trim, so the pages a training step frees stay mapped for
@@ -52,12 +51,6 @@ def _retain_heap() -> bool:
 
 
 HEAP_RETAINED = _retain_heap()
-
-
-def set_check_finite(enabled: bool) -> None:
-    """Globally toggle NaN/inf detection on op outputs."""
-    global _check_finite
-    _check_finite = bool(enabled)
 
 
 class Tensor:
@@ -142,8 +135,6 @@ def _wrap(x) -> Tensor:
 
 
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if _check_finite and not np.all(np.isfinite(out_data)):
-        raise NonFinite("op produced non-finite values")
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     tape = _active_tape()
     if tape is not None and out.requires_grad:

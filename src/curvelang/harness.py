@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,16 +220,19 @@ def run_probe(
 ) -> dict:
     """Probe two checkpoints on the same evaluation batch and compare.
 
-    Bad settings raise before either checkpoint is loaded, and a
-    non-finite result raises ``NonFinite`` instead of being written.
+    Bad settings raise before either checkpoint is loaded.  A checkpoint
+    that does not load, a vocabulary mismatch and a non-finite result
+    raise before anything is written: a builtin corpus is read from a
+    temporary directory and written to ``out_dir`` with ``probe.json``.
     """
     if n_eval < 1:
         raise ConfigError(f"n_eval must be at least 1, got {n_eval}")
     theory.check_probe_settings(n_noise, dropout_p, noise_scale)
-    os.makedirs(out_dir, exist_ok=True)
-    corpus = resolve_corpus(RunConfig(corpus=corpus_spec, tokenizer=tokenizer, max_len=max_len), out_dir)
     model_a, _, _ = checkpoint.load(ckpt_a)
     model_b, _, _ = checkpoint.load(ckpt_b)
+    corpus_config = RunConfig(corpus=corpus_spec, tokenizer=tokenizer, max_len=max_len)
+    with tempfile.TemporaryDirectory() as scratch:
+        corpus = resolve_corpus(corpus_config, scratch)
     for model in (model_a, model_b):
         if tuple(model.vocab.tokens) != tuple(corpus.vocab.tokens):
             raise ConfigError("probe corpus vocabulary does not match a checkpoint")
@@ -254,6 +258,9 @@ def run_probe(
         "noise_scale": noise_scale,
         "seed": seed,
     }
+    os.makedirs(out_dir, exist_ok=True)
+    if corpus_spec.startswith("builtin:"):
+        resolve_corpus(corpus_config, out_dir)
     out_path = os.path.join(out_dir, "probe.json")
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -170,6 +170,103 @@ def basis_matrix(length: int, n_points: int, eta: int, margin: float = 0.01) -> 
     return _basis_columns(clamped_knots(n_points, eta), sample_indices(length, margin).gammas)
 
 
+def _cutoff(shape: tuple[int, int], sigma_max: float) -> float:
+    """Singular values at or below this are truncated."""
+    return 1e-12 * max(shape) * sigma_max
+
+
+def _svd(B: np.ndarray):
+    try:
+        return np.linalg.svd(B, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+
+
+def _is_centrosymmetric(B: np.ndarray) -> bool:
+    """True when B's part that is not centrosymmetric is within B's own cutoff.
+
+    That part is (B - B[::-1, ::-1]) / 2.  Its Frobenius norm is compared
+    with the cutoff at max|B|, which is at most sigma_max, so no SVD is
+    needed to decide.
+    """
+    if min(B.shape) < 2:
+        return False
+    skew = np.linalg.norm(B - B[::-1, ::-1]) / 2.0
+    return bool(skew <= _cutoff(B.shape, np.abs(B).max()))
+
+
+def _centro_blocks(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd blocks of B's centrosymmetric part (B + B[::-1, ::-1]) / 2.
+
+    Row pairs (i, N-1-i) and column pairs (j, L-1-j) go to (sum, difference)
+    / sqrt(2); a middle row or column of odd N or L stays in the even block
+    unscaled.  The even block is ceil(N/2) x ceil(L/2), the odd one
+    floor(N/2) x floor(L/2).
+    """
+    n, l = B.shape
+    p, q = n // 2, l // 2
+    flipped = B[::-1, ::-1]
+    # corners B[i, j] + B[N-1-i, L-1-j] and B[i, L-1-j] + B[N-1-i, j]
+    direct = B[:p, :q] + flipped[:p, :q]
+    crossed = B[:p, ::-1][:, :q] + flipped[:p, ::-1][:, :q]
+    even = np.empty((n - p, l - q))
+    np.add(direct, crossed, out=even[:p, :q])
+    even[:p, :q] *= 0.5
+    odd = np.subtract(direct, crossed, out=direct)
+    odd *= 0.5
+    half = np.sqrt(0.5)
+    if n % 2:
+        even[p, :q] = (B[p, :q] + flipped[p, :q]) * half
+    if l % 2:
+        even[:p, q] = (B[:p, q] + flipped[:p, q]) * half
+    if n % 2 and l % 2:
+        even[p, q] = B[p, q]
+    return even, odd
+
+
+def _centro_pseudo_inverse(B: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Pseudo-inverse of B's centrosymmetric part from its even and odd blocks.
+
+    The even/odd change of basis is orthogonal, so the blocks' singular
+    values together are the part's, and its pseudo-inverse is the inverse
+    change of basis applied to the blocks' pseudo-inverses; that is itself
+    centrosymmetric, so only its top ceil(L/2) rows are computed.
+    """
+    n, l = B.shape
+    p, q = n // 2, l // 2
+    blocks = [_svd(block) for block in _centro_blocks(B)]
+    sigma_max = max(s[0] for _, s, _ in blocks)
+    if sigma_max == 0.0:
+        return np.zeros((l, n)), 0, np.inf
+    cutoff = _cutoff(B.shape, sigma_max)
+    rank, sigma_min = 0, np.inf
+    for i, (u, s, vt) in enumerate(blocks):
+        keep = s > cutoff
+        r = int(np.count_nonzero(keep))
+        if r:
+            sigma_min = min(sigma_min, s[r - 1])
+        # half the block's pseudo-inverse: the inverse change of basis
+        # scales each of its entries by 1/2, or by sqrt(1/2) on a middle
+        # row or column
+        blocks[i] = (vt[:r].T * (0.5 / s[:r])) @ u[:, :r].T
+        rank += r
+        # the factors are freed before B_pinv is allocated
+        del u, vt
+    even, odd = blocks
+    B_pinv = np.empty((l, n))
+    np.add(even[:q, :p], odd, out=B_pinv[:q, :p])
+    np.subtract(even[:q, :p], odd, out=B_pinv[:q, ::-1][:, :p])
+    if n % 2:
+        B_pinv[:q, p] = even[:q, p] * np.sqrt(2.0)
+    if l % 2:
+        B_pinv[q, :p] = B_pinv[q, ::-1][:p] = even[q, :p] * np.sqrt(2.0)
+    if n % 2 and l % 2:
+        B_pinv[q, p] = even[q, p] * 2.0
+    B_pinv[l - q :] = B_pinv[:q][::-1, ::-1]
+    cond = float(sigma_max / sigma_min) if rank > 0 else np.inf
+    return B_pinv, rank, cond
+
+
 def pseudo_inverse(B: np.ndarray) -> tuple[np.ndarray, int, float]:
     """SVD-based Moore-Penrose pseudo-inverse with relative cutoff.
 
@@ -178,18 +275,33 @@ def pseudo_inverse(B: np.ndarray) -> tuple[np.ndarray, int, float]:
     (B_pinv, rank, cond) where cond is sigma_max / sigma_min over the
     retained spectrum.  Agrees with (B^T B)^{-1} B^T whenever B has full
     column rank, and stays well-defined when it does not.
+
+    A curve basis is centrosymmetric, B[::-1, ::-1] == B up to rounding,
+    since its sample indices and knots are symmetric about 1/2.  Such a B
+    is inverted as two half-size blocks (Cantoni and Butler 1976): pairing
+    rows (i, N-1-i) and columns (j, L-1-j) into sums and differences is an
+    orthogonal change of basis, under which the centrosymmetric part
+    (B + B[::-1, ::-1]) / 2 is block diagonal, an even block of about
+    ceil(N/2) x ceil(L/2) and an odd one of floor(N/2) x floor(L/2).  Their
+    two SVDs cost about a quarter of the full one.  One cutoff, from the
+    larger sigma_max of the two, truncates both spectra.
+
+    The split is taken only when the part it drops, (B - B[::-1, ::-1]) / 2,
+    has Frobenius norm at or below the cutoff taken at max|B| (at most
+    sigma_max, so at most the cutoff itself).  The dropped part then moves
+    no singular value by more than the cutoff: it is as small as the
+    singular values the cutoff already treats as zero.  Every other B,
+    and any B with fewer than two rows or columns, takes the plain SVD.
     """
     B = np.asarray(B, dtype=np.float64)
     if not np.all(np.isfinite(B)):
         raise NumericalFailure("basis matrix contains non-finite entries")
-    try:
-        u, s, vt = np.linalg.svd(B, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+    if _is_centrosymmetric(B):
+        return _centro_pseudo_inverse(B)
+    u, s, vt = _svd(B)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((B.shape[1], B.shape[0])), 0, np.inf
-    cutoff = 1e-12 * max(B.shape) * s[0]
-    keep = s > cutoff
+    keep = s > _cutoff(B.shape, s[0])
     rank = int(np.count_nonzero(keep))
     inv_s = np.zeros_like(s)
     inv_s[keep] = 1.0 / s[keep]

@@ -4,8 +4,9 @@ These deliberately avoid the package's own numerical paths: the
 eigensolver is a hand-rolled Jacobi rotation sweep, gradients come from
 central finite differences, B-spline bases come from a scalar
 one-index-at-a-time Cox-de Boor recursion and from an index-major
-(L, eta+1) array recursion, the reference round-trip error draws and
-reduces one trial at a time, the reference
+(L, eta+1) array recursion, the reference pseudo-inverse is one SVD of
+the whole matrix with no even/odd split, the reference round-trip error
+draws and reduces one trial at a time, the reference
 language-model losses and multi-head attention are recomputed in plain
 numpy with no tape or curve machinery, the reference batcher
 rebuilds its length buckets on every call, the reference sampler
@@ -144,6 +145,23 @@ def reference_basis_columns(knots, gammas):
     rows = span[:, None] - eta + np.arange(eta + 1)
     out[rows, np.arange(gammas.size)[:, None]] = vals
     return out
+
+
+def reference_pseudo_inverse(B):
+    """(B_pinv, rank, cond) from one plain SVD of the whole matrix.
+
+    Singular values at or below 1e-12 * max(B.shape) * sigma_max are
+    dropped, the cutoff ``splines.pseudo_inverse`` documents.
+    """
+    B = np.asarray(B, dtype=np.float64)
+    u, s, vt = np.linalg.svd(B, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((B.shape[1], B.shape[0])), 0, np.inf
+    keep = s > 1e-12 * max(B.shape) * s[0]
+    rank = int(np.count_nonzero(keep))
+    inv_s = np.zeros_like(s)
+    inv_s[keep] = 1.0 / s[keep]
+    return (vt.T * inv_s) @ u.T, rank, float(s[0] / s[keep][-1])
 
 
 # ---------------------------------------------------------------------------

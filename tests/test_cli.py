@@ -629,6 +629,24 @@ class TestProbeInputs:
         assert "nan" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "probe.json"))
 
+    def test_vocabulary_mismatch_exits_2_without_creating_out(self, probe_ckpts, tmp_path, capsys):
+        out = str(tmp_path / "probe")
+        args = ["probe", *probe_ckpts, "--corpus", "builtin:alternating", "--n-eval", "2", "--n-noise", "8",
+                "--out", out]
+        assert cli.main(args) == 2
+        assert "vocabulary" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_truncated_checkpoint_exits_2_without_creating_out(self, probe_ckpts, tmp_path, capsys):
+        data = open(probe_ckpts[0], "rb").read()
+        cut = str(tmp_path / "cut.ckpt")
+        with open(cut, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        out = str(tmp_path / "probe")
+        assert self._probe([cut, probe_ckpts[1]], out) == 2
+        assert "error" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_good_run_writes_strict_json(self, probe_ckpts, tmp_path):
         out = str(tmp_path / "probe")
         assert self._probe(probe_ckpts, out) == 0

@@ -9,7 +9,7 @@ from curvelang import splines as sp
 from curvelang.errors import DegreeTooHigh, LengthTooShort, NumericalFailure, OutOfRange, ShapeMismatch
 from curvelang.rng import RngStream
 
-from _oracles import jacobi_eigenvalues, reference_basis_columns, reference_basis_matrix
+from _oracles import jacobi_eigenvalues, reference_basis_columns, reference_basis_matrix, reference_pseudo_inverse
 
 
 class TestClampedKnots:
@@ -110,15 +110,20 @@ class TestBasisMatrix:
         npt.assert_allclose(B[:, 1], [0.25, 0.5, 0.25], atol=1e-15)
 
 
-def highest_degree_sweep_cells(count=5):
-    """The (L, N, eta) of the default sweep's ``count`` highest-degree cells."""
-    cells = set()
+def sweep_cells():
+    """The (L, N, eta) of each of the 150 default sweep cells, in sweep order."""
+    cells = []
     for length in cm.DEFAULT_SWEEP_LENGTHS:
         for n_ratio in cm.DEFAULT_SWEEP_N_RATIOS:
             for eta_ratio in cm.DEFAULT_SWEEP_ETA_RATIOS:
                 config = cm.CurveConfig(n_ratio=n_ratio, eta_ratio=eta_ratio, l_max=max(length, 250))
-                cells.add((length,) + cm.resolve_dims(length, config))
-    return sorted(cells, key=lambda cell: (cell[2], cell))[-count:]
+                cells.append((length,) + cm.resolve_dims(length, config))
+    return cells
+
+
+def highest_degree_sweep_cells(count=5):
+    """The (L, N, eta) of the default sweep's ``count`` highest-degree cells."""
+    return sorted(set(sweep_cells()), key=lambda cell: (cell[2], cell))[-count:]
 
 
 class TestBasisOracle:
@@ -266,6 +271,105 @@ class TestPseudoInverse:
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(NumericalFailure):
             sp.pseudo_inverse(bad)
+
+
+# (L, N, eta) of every pair the tests build: odd and even N and L, N < L
+TEST_SHAPES = [
+    (3, 6, 2), (4, 2, 1), (4, 8, 2), (5, 9, 2), (6, 6, 3), (6, 12, 3), (8, 3, 2), (10, 4, 2),
+    (10, 20, 2), (10, 20, 5), (10, 25, 5), (10, 30, 8), (16, 8, 2), (16, 32, 4), (17, 34, 3),
+]
+
+
+def assert_matches_oracle(B, where):
+    B_pinv, rank, cond = sp.pseudo_inverse(B)
+    ref_pinv, ref_rank, ref_cond = reference_pseudo_inverse(B)
+    assert rank == ref_rank, where
+    assert abs(cond - ref_cond) <= 1e-12 * ref_cond, where
+    assert np.abs(B_pinv - ref_pinv).max() <= 1e-12 * np.abs(ref_pinv).max(), where
+
+
+class TestCentrosymmetricSplit:
+    """A curve basis is inverted as two half-size blocks; the plain SVD is the oracle."""
+
+    def test_default_cache_lengths_match_one_plain_svd(self):
+        for margin in (0.01, 0.0):
+            config = cm.CurveConfig(margin=margin)
+            for length in range(2, 251):
+                n_points, eta = cm.resolve_dims(length, config)
+                assert_matches_oracle(sp.basis_matrix(length, n_points, eta, margin), (length, margin))
+
+    def test_odd_even_and_wide_shapes_match_one_plain_svd(self):
+        assert {(length % 2, n % 2) for length, n, _ in TEST_SHAPES} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        for length, n_points, eta in TEST_SHAPES:
+            for margin in (0.01, 0.0):
+                assert_matches_oracle(sp.basis_matrix(length, n_points, eta, margin), (length, n_points, eta, margin))
+
+    def test_sweep_cells_keep_their_rank(self):
+        # cond reaches 1e10 here, and two SVDs agree on it only to about
+        # eps * cond, so it is compared as sigma_min / sigma_max, which
+        # they agree on to 1e-13
+        deficient = 0
+        for length, n_points, eta in sweep_cells():
+            B = sp.basis_matrix(length, n_points, eta)
+            _, rank, cond = sp.pseudo_inverse(B)
+            s = np.linalg.svd(B, compute_uv=False)
+            ref_rank = int(np.count_nonzero(s > 1e-12 * max(B.shape) * s[0]))
+            assert rank == ref_rank, (length, n_points, eta)
+            assert abs(1.0 / cond - s[ref_rank - 1] / s[0]) <= 1e-13, (length, n_points, eta)
+            deficient += rank < length
+        assert deficient == 76
+
+    @staticmethod
+    def skewed(times_cutoff):
+        """The L=16 default basis plus a part that is not centrosymmetric.
+
+        That part, (B - B[::-1, ::-1]) / 2, has Frobenius norm
+        ``times_cutoff`` times the cutoff at max|B|.
+        """
+        B = sp.basis_matrix(16, 32, 4)
+        eps = times_cutoff * 1e-12 * 32 * np.abs(B).max() / np.sqrt(2.0)
+        B[0, 0] += eps
+        B[-1, -1] -= eps
+        return B
+
+    def test_other_inputs_take_the_plain_svd_bit_for_bit(self):
+        for bad in (
+            np.diag([1.0, 4e-12, 2e-12]),
+            RngStream(7, "plain-svd").generator().standard_normal((7, 4)),
+            self.skewed(1.5),
+        ):
+            assert not sp._is_centrosymmetric(bad)
+            got, ref = sp.pseudo_inverse(bad), reference_pseudo_inverse(bad)
+            assert got[0].tobytes() == ref[0].tobytes() and got[1:] == ref[1:]
+
+    def test_a_skew_part_within_the_cutoff_still_splits(self):
+        near = self.skewed(0.5)
+        assert sp._is_centrosymmetric(near)
+        # what comes back is the pseudo-inverse of the centrosymmetric part
+        B_pinv, rank, cond = sp.pseudo_inverse(near)
+        ref_pinv, ref_rank, ref_cond = reference_pseudo_inverse((near + near[::-1, ::-1]) / 2.0)
+        assert rank == ref_rank == reference_pseudo_inverse(near)[1]
+        assert abs(cond - ref_cond) <= 1e-12 * ref_cond
+        assert np.abs(B_pinv - ref_pinv).max() <= 1e-12 * np.abs(ref_pinv).max()
+
+    def test_one_cutoff_truncates_both_blocks(self):
+        # even block diag(1, 0.5), odd block diag(0.1, 2e-12): the shared
+        # cutoff 4e-12 drops 2e-12, which the odd block's own (4e-13) would keep
+        h = np.sqrt(0.5)
+        even_rows = np.array([[h, 0, 0, h], [0, h, h, 0]])
+        odd_rows = np.array([[h, 0, 0, -h], [0, h, -h, 0]])
+        M = even_rows.T @ np.diag([1.0, 0.5]) @ even_rows + odd_rows.T @ np.diag([0.1, 2e-12]) @ odd_rows
+        assert sp._is_centrosymmetric(M)
+        B_pinv, rank, cond = sp.pseudo_inverse(M)
+        ref_pinv, ref_rank, ref_cond = reference_pseudo_inverse(M)
+        assert rank == ref_rank == 3
+        npt.assert_allclose(cond, ref_cond, rtol=1e-12)
+        assert np.abs(B_pinv - ref_pinv).max() <= 1e-12 * np.abs(ref_pinv).max()
+
+    def test_pseudo_inverse_of_a_curve_basis_is_centrosymmetric(self):
+        for length, n_points, eta in TEST_SHAPES:
+            B_pinv = sp.pseudo_inverse(sp.basis_matrix(length, n_points, eta))[0]
+            assert B_pinv.tobytes() == np.ascontiguousarray(B_pinv[::-1, ::-1]).tobytes(), (length, n_points, eta)
 
 
 class TestErrorImportance:
