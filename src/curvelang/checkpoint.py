@@ -4,7 +4,8 @@ Layout: magic ``SCLM``, format version (u32 LE), header length (u64 LE),
 UTF-8 JSON header (config, vocab, schedule, step, blob names), then one
 blob per name: name length (u32) + name, ndim (u32), dims (u32 each),
 float32 little-endian data.  Optimizer moments ride along as blobs with
-an ``opt.`` prefix so training can resume.
+an ``opt.`` prefix so training can resume.  ``save`` writes to
+``path + ".tmp"`` and renames it over ``path``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import os
 import struct
 
 import numpy as np
@@ -78,8 +80,11 @@ def save(model: SclmModel, path: str, step: int) -> None:
         "params": model.store.names(),
     }
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
+    # written beside the target and renamed over it, so a failed save
+    # leaves any earlier checkpoint at path whole
+    tmp = path + ".tmp"
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", VERSION))
             fh.write(struct.pack("<Q", len(payload)))
@@ -88,8 +93,12 @@ def save(model: SclmModel, path: str, step: int) -> None:
                 _write_blob(fh, name, model.store[name].data)
                 _write_blob(fh, f"opt.m.{name}", model.store.moment1[name])
                 _write_blob(fh, f"opt.v.{name}", model.store.moment2[name])
+        os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load(path: str) -> tuple[SclmModel, int, dict]:

@@ -121,8 +121,8 @@ def _recon_noise(length: int, trials: int, seed: int, dim: int) -> np.ndarray:
     return values
 
 
-def _projector(length: int, config: CurveConfig) -> np.ndarray:
-    """B_pinv @ B at length L.
+def _projector(length: int, config: CurveConfig) -> tuple[np.ndarray, int, float]:
+    """B_pinv @ B at length L, with B_pinv's rank and condition number.
 
     Multiplies by the dense B its pseudo-inverse came from, instead of
     building a pair and scattering its band again.  Nothing is kept, so B
@@ -130,11 +130,11 @@ def _projector(length: int, config: CurveConfig) -> np.ndarray:
     the residual.
     """
     if config.identity:
-        return np.eye(length)
+        return np.eye(length), length, 1.0
     n_points, eta = resolve_dims(length, config)
     B = splines.basis_matrix(length, n_points, eta, config.margin)
-    B_pinv, _, _ = splines.pseudo_inverse(B)
-    return B_pinv @ B
+    B_pinv, rank, cond = splines.pseudo_inverse(B)
+    return B_pinv @ B, rank, cond
 
 
 def _round_trip_mse(values: np.ndarray, proj: np.ndarray) -> float:
@@ -163,16 +163,20 @@ def reconstruction_error(
     """
     if trials < 1 or dim < 1:
         raise ConfigError(f"trials and dim must be >= 1, got {trials} and {dim}")
-    proj = _projector(length, config)
+    proj, _, _ = _projector(length, config)
     return _round_trip_mse(_recon_noise(length, trials, seed, dim), proj)
 
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep cell: its round-trip MSE, and the rank and condition number of its B_pinv."""
+
     length: int
     n_ratio: float
     eta_ratio: float
     mse: float
+    rank: int
+    cond: float
 
 
 @dataclass(frozen=True)
@@ -180,14 +184,21 @@ class SweepTable:
     rows: list[SweepRow] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = ["L,n_ratio,eta_ratio,mse"]
+        lines = ["L,n_ratio,eta_ratio,mse,rank,cond"]
         for row in self.rows:
-            lines.append(f"{row.length},{row.n_ratio!r},{row.eta_ratio!r},{row.mse!r}")
+            lines.append(f"{row.length},{row.n_ratio!r},{row.eta_ratio!r},{row.mse!r},{row.rank},{row.cond!r}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         payload = [
-            {"L": row.length, "n_ratio": row.n_ratio, "eta_ratio": row.eta_ratio, "mse": row.mse}
+            {
+                "L": row.length,
+                "n_ratio": row.n_ratio,
+                "eta_ratio": row.eta_ratio,
+                "mse": row.mse,
+                "rank": row.rank,
+                "cond": row.cond,
+            }
             for row in self.rows
         ]
         return json.dumps(payload, indent=2)
@@ -233,9 +244,11 @@ def reconstruction_sweep(
                     l_min=2,
                     l_max=max(length, 250),
                 )
-                proj = _projector(length, config)
+                proj, rank, cond = _projector(length, config)
                 if values is None:
                     values = _recon_noise(length, trials, seed, dim)
                 mse = _round_trip_mse(values, proj)
-                rows.append(SweepRow(length=length, n_ratio=n_ratio, eta_ratio=eta_ratio, mse=mse))
+                rows.append(
+                    SweepRow(length=length, n_ratio=n_ratio, eta_ratio=eta_ratio, mse=mse, rank=rank, cond=cond)
+                )
     return SweepTable(rows=rows)

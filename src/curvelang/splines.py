@@ -44,18 +44,22 @@ class SampleIndices:
 
 @dataclass(frozen=True)
 class BasisPair:
-    """A basis matrix, kept as its band, together with its Moore-Penrose pseudo-inverse.
+    """A basis matrix, kept as its band, and the top half of its pseudo-inverse.
 
     Column j of ``B`` is zero outside rows ``first[j]`` to
     ``first[j] + len(band) - 1``, whose values are ``band[:, j]``: the
     eta+1 live basis functions of a curve pair, the single 1 of an
     identity pair.  ``B`` scatters the band into a fresh dense (N, L)
     array on every access.
+
+    ``B_pinv`` is centrosymmetric, so ``pinv_top`` holds only its first
+    ceil(L/2) rows; each access of ``B_pinv`` returns a fresh dense
+    (L, N) array whose other rows are those reversed in both axes.
     """
 
     band: np.ndarray
     first: np.ndarray
-    B_pinv: np.ndarray
+    pinv_top: np.ndarray
     N: int
     L: int
     eta: int
@@ -66,6 +70,13 @@ class BasisPair:
     @property
     def B(self) -> np.ndarray:
         return _scatter(self.band, self.first, self.N)
+
+    @property
+    def B_pinv(self) -> np.ndarray:
+        B_pinv = np.empty((self.L, self.N))
+        B_pinv[: len(self.pinv_top)] = self.pinv_top
+        _mirror_rows(B_pinv)
+        return B_pinv
 
 
 def clamped_knots(n_points: int, eta: int) -> KnotVector:
@@ -224,20 +235,27 @@ def _centro_blocks(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
-def _centro_pseudo_inverse(B: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Pseudo-inverse of B's centrosymmetric part from its even and odd blocks.
+def _mirror_rows(B_pinv: np.ndarray) -> None:
+    """Fill the last floor(L/2) rows of a centrosymmetric (L, N) array from its first rows."""
+    q = len(B_pinv) // 2
+    B_pinv[len(B_pinv) - q :] = B_pinv[:q][::-1, ::-1]
+
+
+def _centro_pseudo_inverse(B: np.ndarray, top: np.ndarray) -> tuple[int, float]:
+    """Top of the pseudo-inverse of B's centrosymmetric part, from its even and odd blocks.
 
     The even/odd change of basis is orthogonal, so the blocks' singular
     values together are the part's, and its pseudo-inverse is the inverse
     change of basis applied to the blocks' pseudo-inverses; that is itself
-    centrosymmetric, so only its top ceil(L/2) rows are computed.
+    centrosymmetric, so only its first ceil(L/2) rows are computed, into
+    ``top``, and its other rows are those reversed in both axes
+    (``_mirror_rows``).  Returns (rank, cond).
     """
     n, l = B.shape
     p, q = n // 2, l // 2
     blocks = [_svd(block) for block in _centro_blocks(B)]
     sigma_max = max(s[0] for _, s, _ in blocks)
-    if sigma_max == 0.0:
-        return np.zeros((l, n)), 0, np.inf
+    # a zero B has cutoff 0, keeps nothing and gets a zero top
     cutoff = _cutoff(B.shape, sigma_max)
     rank, sigma_min = 0, np.inf
     for i, (u, s, vt) in enumerate(blocks):
@@ -250,21 +268,19 @@ def _centro_pseudo_inverse(B: np.ndarray) -> tuple[np.ndarray, int, float]:
         # row or column
         blocks[i] = (vt[:r].T * (0.5 / s[:r])) @ u[:, :r].T
         rank += r
-        # the factors are freed before B_pinv is allocated
+        # each block's factors are freed once its half is formed
         del u, vt
     even, odd = blocks
-    B_pinv = np.empty((l, n))
-    np.add(even[:q, :p], odd, out=B_pinv[:q, :p])
-    np.subtract(even[:q, :p], odd, out=B_pinv[:q, ::-1][:, :p])
+    np.add(even[:q, :p], odd, out=top[:q, :p])
+    np.subtract(even[:q, :p], odd, out=top[:q, ::-1][:, :p])
     if n % 2:
-        B_pinv[:q, p] = even[:q, p] * np.sqrt(2.0)
+        top[:q, p] = even[:q, p] * np.sqrt(2.0)
     if l % 2:
-        B_pinv[q, :p] = B_pinv[q, ::-1][:p] = even[q, :p] * np.sqrt(2.0)
+        top[q, :p] = top[q, ::-1][:p] = even[q, :p] * np.sqrt(2.0)
     if n % 2 and l % 2:
-        B_pinv[q, p] = even[q, p] * 2.0
-    B_pinv[l - q :] = B_pinv[:q][::-1, ::-1]
+        top[q, p] = even[q, p] * 2.0
     cond = float(sigma_max / sigma_min) if rank > 0 else np.inf
-    return B_pinv, rank, cond
+    return rank, cond
 
 
 def pseudo_inverse(B: np.ndarray) -> tuple[np.ndarray, int, float]:
@@ -297,7 +313,11 @@ def pseudo_inverse(B: np.ndarray) -> tuple[np.ndarray, int, float]:
     if not np.all(np.isfinite(B)):
         raise NumericalFailure("basis matrix contains non-finite entries")
     if _is_centrosymmetric(B):
-        return _centro_pseudo_inverse(B)
+        n, l = B.shape
+        B_pinv = np.empty((l, n))
+        rank, cond = _centro_pseudo_inverse(B, B_pinv[: l - l // 2])
+        _mirror_rows(B_pinv)
+        return B_pinv, rank, cond
     u, s, vt = _svd(B)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((B.shape[1], B.shape[0])), 0, np.inf
@@ -314,14 +334,21 @@ def build_pair(length: int, n_points: int, eta: int, margin: float = 0.01) -> Ba
     """Construct B and its pseudo-inverse for one (L, N, eta, m) setting.
 
     The dense B lives only as long as its SVD; the pair keeps its band.
+    A curve basis is centrosymmetric (see ``pseudo_inverse``), so the
+    top ceil(L/2) rows of B_pinv are written straight into an array of
+    their own and the dense B_pinv is never formed.  A basis that is not
+    centrosymmetric raises NumericalFailure.
     """
     B = basis_matrix(length, n_points, eta, margin)
-    B_pinv, rank, cond = pseudo_inverse(B)
+    if not _is_centrosymmetric(B):
+        raise NumericalFailure(f"basis for L={length}, N={n_points}, eta={eta} is not centrosymmetric")
+    pinv_top = np.empty((length - length // 2, n_points))
+    rank, cond = _centro_pseudo_inverse(B, pinv_top)
     gammas = sample_indices(length, margin).gammas
     first = _first_live(clamped_knots(n_points, eta), gammas)
     band = B[_band_index(first, eta + 1)]
     return BasisPair(
-        band=band, first=first, B_pinv=B_pinv, N=n_points, L=length, eta=eta, rank=rank, cond=cond, gammas=gammas
+        band=band, first=first, pinv_top=pinv_top, N=n_points, L=length, eta=eta, rank=rank, cond=cond, gammas=gammas
     )
 
 
@@ -331,7 +358,7 @@ def identity_pair(length: int) -> BasisPair:
     return BasisPair(
         band=np.ones((1, length)),
         first=np.arange(length),
-        B_pinv=np.eye(length),
+        pinv_top=np.eye(length - length // 2, length),
         N=length,
         L=length,
         eta=1,

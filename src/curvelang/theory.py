@@ -246,7 +246,9 @@ def lemma3_bound_check(pair: BasisPair, d: int = 8, n_random: int = 20, seed: in
     Per-position ratios are asserted only when G has full rank (N >= L);
     rank-deficient pairs are reported with both eigenvalue conventions.
     """
-    report = importance_ratio(pair.B_pinv, check_bound=False)
+    # each B_pinv read rebuilds the dense array, so it is read once
+    B_pinv = pair.B_pinv
+    report = importance_ratio(B_pinv, check_bound=False)
     L = pair.L
     full_rank = report.rank == L
     records = []
@@ -264,7 +266,7 @@ def lemma3_bound_check(pair: BasisPair, d: int = 8, n_random: int = 20, seed: in
                 detail={"lambda_min_full": report.lambda_min, "rank": report.rank},
             )
         )
-    G = pair.B_pinv @ pair.B_pinv.T
+    G = B_pinv @ B_pinv.T
     eigvals, eigvecs = np.linalg.eigh(G)
     keep = eigvals > 1e-12 * max(eigvals[-1], 0.0)
     basis = eigvecs[:, keep]
@@ -272,7 +274,7 @@ def lemma3_bound_check(pair: BasisPair, d: int = 8, n_random: int = 20, seed: in
     for j in range(n_random):
         V = rng.child(j).normal((d, L))
         V /= np.linalg.norm(V)
-        imp = error_importance(V, pair.B_pinv)
+        imp = error_importance(V, B_pinv)
         upper = report.lambda_max * float(np.sum(V**2))
         lower = report.lambda_min_nonzero * float(np.sum((V @ basis) ** 2))
         ok = lower - 1e-9 <= imp <= upper + 1e-9

@@ -272,7 +272,7 @@ class TestReconstructCommand:
         )
         assert code == 0
         lines = open(os.path.join(out, "reconstruction.csv")).read().strip().split("\n")
-        assert lines[0] == "L,n_ratio,eta_ratio,mse"
+        assert lines[0] == "L,n_ratio,eta_ratio,mse,rank,cond"
         assert len(lines) == 1 + 8
         payload = json.loads(open(os.path.join(out, "reconstruction.json")).read())
         assert len(payload) == 8

@@ -256,13 +256,37 @@ class TestSweep:
 
     def test_csv_shape(self, small_table):
         lines = small_table.to_csv().strip().split("\n")
-        assert lines[0] == "L,n_ratio,eta_ratio,mse"
+        assert lines[0] == "L,n_ratio,eta_ratio,mse,rank,cond"
         assert len(lines) == 1 + len(small_table.rows)
+        for line, row in zip(lines[1:], small_table.rows):
+            assert line.split(",") == [str(row.length), repr(row.n_ratio), repr(row.eta_ratio), repr(row.mse),
+                                       str(row.rank), repr(row.cond)]
 
     def test_json_round_trip(self, small_table):
         payload = json.loads(small_table.to_json())
         assert payload[0]["L"] == 25
-        assert set(payload[0]) == {"L", "n_ratio", "eta_ratio", "mse"}
+        assert set(payload[0]) == {"L", "n_ratio", "eta_ratio", "mse", "rank", "cond"}
+        for item, row in zip(payload, small_table.rows):
+            assert (item["mse"], item["rank"], item["cond"]) == (row.mse, row.rank, row.cond)
+
+    def test_rows_report_the_rank_and_cond_of_their_basis(self, small_table):
+        # rank and cond from one plain SVD under the same relative cutoff;
+        # cond reaches 5e9 here, where two SVDs agree on it only to about
+        # eps * cond, so it is compared as sigma_min / sigma_max
+        for row in small_table.rows:
+            cfg = cm.CurveConfig(n_ratio=row.n_ratio, eta_ratio=row.eta_ratio, l_min=2, l_max=250)
+            n_points, eta = cm.resolve_dims(row.length, cfg)
+            s = np.linalg.svd(splines.basis_matrix(row.length, n_points, eta), compute_uv=False)
+            kept = s[s > 1e-12 * max(n_points, row.length) * s[0]]
+            assert row.rank == kept.size, row
+            assert abs(1.0 / row.cond - kept[-1] / kept[0]) <= 1e-13, row
+        assert {row.rank < row.length for row in small_table.rows} == {False, True}
+
+    def test_identity_projector_has_full_rank_and_unit_cond(self):
+        for length in (2, 7, 25):
+            proj, rank, cond = cm._projector(length, cm.CurveConfig(identity=True))
+            assert proj.tobytes() == np.eye(length).tobytes()
+            assert (rank, cond) == (length, 1.0)
 
     def test_best_cell_in_l25_slice(self):
         table = cm.reconstruction_sweep(lengths=(25,), n_ratios=(1.0, 2.0, 3.0), eta_ratios=(0.0, 0.33, 0.66), trials=30, seed=0)

@@ -619,6 +619,33 @@ class TestCheckpoint:
         sb = M.sample(b, 8, 4, seed=9)
         npt.assert_array_equal(sa[0], sb[0])
 
+    @pytest.mark.parametrize("error, raised", [(OSError(28, "No space left on device"), IoError), (ValueError("x"), ValueError)])
+    def test_failed_save_leaves_the_old_checkpoint_whole(self, tmp_path, monkeypatch, error, raised):
+        path = str(tmp_path / "m.ckpt")
+        checkpoint.save(make_model("gaussian", seed=37), path, step=0)
+        old = open(path, "rb").read()
+        real, written = checkpoint._write_blob, []
+
+        def write_four_blobs(fh, name, array):
+            if len(written) == 4:
+                raise error
+            written.append(name)
+            real(fh, name, array)
+
+        monkeypatch.setattr(checkpoint, "_write_blob", write_four_blobs)
+        with pytest.raises(raised):
+            checkpoint.save(make_model("gaussian", seed=38), path, step=3)
+        assert len(written) == 4
+        assert open(path, "rb").read() == old
+        assert os.listdir(tmp_path) == ["m.ckpt"]
+
+    def test_save_over_a_checkpoint_replaces_it_and_leaves_no_temporary(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        checkpoint.save(make_model("gaussian", seed=37), path, step=0)
+        checkpoint.save(make_model("gaussian", seed=38), path, step=3)
+        assert os.listdir(tmp_path) == ["m.ckpt"]
+        assert checkpoint.load(path)[1] == 3
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"SCLM" + (99).to_bytes(4, "little") + b"\x00" * 16)

@@ -210,22 +210,73 @@ class TestBandStorage:
         first[...] = 7.0
         assert np.array_equal(pair.B, sp.basis_matrix(17, 34, 3))
 
-    def test_band_takes_little_more_than_half_the_dense_bytes(self):
-        # per pair (N + eta + 2) / 2N of dense B plus B_pinv: 55.2% at L = 250
+    def test_pair_holds_under_a_third_of_the_dense_bytes(self):
+        # per pair (eta + 2) / 2N + ceil(L/2) / 2L of dense B plus B_pinv:
+        # 30.2% at L = 250, and 30.3% over these lengths
         held = dense = 0
         for length, n_points, eta in self.default_cells():
             pair = sp.build_pair(length, n_points, eta)
-            held += pair.band.nbytes + pair.first.nbytes + pair.B_pinv.nbytes
-            dense += n_points * length * 8 + pair.B_pinv.nbytes
-        assert held <= 0.56 * dense
+            held += pair.band.nbytes + pair.first.nbytes + pair.pinv_top.nbytes
+            dense += 2 * n_points * length * 8
+        assert held <= 0.31 * dense
 
-    def test_identity_pair_holds_one_square_array(self):
+    def test_identity_pair_holds_no_square_array(self):
         length = 6
         pair = sp.identity_pair(length)
-        square = [v for v in vars(pair).values() if isinstance(v, np.ndarray) and v.shape == (length, length)]
-        assert len(square) == 1
+        assert not [v for v in vars(pair).values() if isinstance(v, np.ndarray) and v.shape == (length, length)]
         assert pair.B.tobytes() == np.eye(length).tobytes()
         assert pair.B_pinv.tobytes() == np.eye(length).tobytes()
+
+
+class TestHalfPseudoInverseStorage:
+    """A pair keeps the top ceil(L/2) rows of B_pinv and rebuilds the rest on access."""
+
+    def test_B_pinv_is_the_pseudo_inverse_bit_for_bit(self):
+        shapes = [(4, 2, 1), (8, 3, 2), (10, 4, 2), (5, 9, 2), (17, 34, 3)]
+        assert {(length % 2, n % 2) for length, n, _ in shapes} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        for margin in (0.01, 0.0):
+            config = cm.CurveConfig(margin=margin)
+            cells = [(length,) + cm.resolve_dims(length, config) for length in range(2, 251)] + shapes
+            for length, n_points, eta in cells:
+                B = sp.basis_matrix(length, n_points, eta, margin)
+                B_pinv, rank, cond = sp.pseudo_inverse(B)
+                pair = sp.build_pair(length, n_points, eta, margin)
+                assert pair.B_pinv.shape == (length, n_points)
+                assert pair.B_pinv.tobytes() == B_pinv.tobytes(), (length, n_points, eta, margin)
+                assert (pair.rank, pair.cond) == (rank, cond)
+
+    def test_B_pinv_matches_one_plain_svd(self):
+        # an oracle that shares no code with the even/odd split or the mirror
+        for length, n_points, eta in [(4, 2, 1), (8, 3, 2), (10, 4, 2), (5, 9, 2), (17, 34, 3), (250, 500, 50)]:
+            ref = reference_pseudo_inverse(sp.basis_matrix(length, n_points, eta))[0]
+            got = sp.build_pair(length, n_points, eta).B_pinv
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (length, n_points, eta)
+
+    def test_identity_B_pinv_is_eye(self):
+        for length in range(1, 8):
+            pair = sp.identity_pair(length)
+            assert pair.B_pinv.shape == (length, length)
+            assert pair.B_pinv.tobytes() == np.eye(length).tobytes(), length
+
+    def test_top_owns_its_memory(self):
+        pairs = [sp.build_pair(length, n, eta) for length, n, eta in TEST_SHAPES]
+        pairs += [sp.identity_pair(length) for length in range(1, 8)]
+        for pair in pairs:
+            assert pair.pinv_top.base is None, (pair.L, pair.N)
+            assert pair.pinv_top.shape == ((pair.L + 1) // 2, pair.N), (pair.L, pair.N)
+            assert pair.pinv_top.flags.c_contiguous
+
+    def test_writing_into_B_pinv_leaves_the_next_one_alone(self):
+        pair = sp.build_pair(17, 34, 3)
+        first = pair.B_pinv
+        expected = first.tobytes()
+        first[...] = 7.0
+        assert pair.B_pinv.tobytes() == expected
+
+    def test_a_basis_that_is_not_centrosymmetric_raises(self, monkeypatch):
+        monkeypatch.setattr(sp, "_is_centrosymmetric", lambda B: False)
+        with pytest.raises(NumericalFailure):
+            sp.build_pair(16, 32, 4)
 
 
 class TestPseudoInverse:
