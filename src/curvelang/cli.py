@@ -89,7 +89,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     )
     n_points, eta = resolve_dims(args.length, config)
     pair = build_pair(args.length, n_points, eta, args.margin)
-    report = importance_ratio(pair.B_pinv, check_bound=False)
+    report = importance_ratio(pair.B_pinv)
     payload = report.to_dict()
     payload.update({"L": pair.L, "N": pair.N, "eta": pair.eta, "cond": pair.cond, "basis_rank": pair.rank})
     text = json.dumps(payload, indent=2, sort_keys=True)

@@ -7,6 +7,7 @@ also be overridden by a command-line flag of the same name.
 
 import bisect
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass
 
@@ -57,6 +58,10 @@ class RunConfig:
             raise ConfigError("steps, batch_size, and log_interval must be positive")
         if self.embed_dim < 1:
             raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if self.max_len < 2:
+            raise ConfigError(f"max_len must be >= 2, got {self.max_len}")
+        if not (math.isfinite(self.lambda_anchor) and self.lambda_anchor >= 0.0):
+            raise ConfigError(f"lambda_anchor must be finite and non-negative, got {self.lambda_anchor}")
         # the objects a run builds check their own fields
         self.backbone_config()
         self.curve_config()

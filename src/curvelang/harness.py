@@ -228,9 +228,9 @@ def run_probe(
     if n_eval < 1:
         raise ConfigError(f"n_eval must be at least 1, got {n_eval}")
     theory.check_probe_settings(n_noise, dropout_p, noise_scale)
+    corpus_config = RunConfig(corpus=corpus_spec, tokenizer=tokenizer, max_len=max_len).validate()
     model_a, _, _ = checkpoint.load(ckpt_a)
     model_b, _, _ = checkpoint.load(ckpt_b)
-    corpus_config = RunConfig(corpus=corpus_spec, tokenizer=tokenizer, max_len=max_len)
     with tempfile.TemporaryDirectory() as scratch:
         corpus = resolve_corpus(corpus_config, scratch)
     for model in (model_a, model_b):

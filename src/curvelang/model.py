@@ -182,6 +182,8 @@ class SclmModel:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
         if embed_dim < 1:
             raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
+        if k_curves < 1:
+            raise ConfigError(f"k_curves must be >= 1, got {k_curves}")
         self.mode = mode
         self.noise_kind = "masked" if mode.startswith("masked") else "gaussian"
         self.identity_b = mode in ("baseline-identity", "masked-identity")

@@ -9,7 +9,7 @@ All spline math is float64 regardless of what the model side uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +35,6 @@ class KnotVector:
 
 
 @dataclass(frozen=True)
-class SampleIndices:
-    """The curve indices Gamma at which the L embedding points are read off."""
-
-    gammas: np.ndarray
-    margin: float
-
-
-@dataclass(frozen=True)
 class BasisPair:
     """A basis matrix, kept as its band, and the top half of its pseudo-inverse.
 
@@ -65,7 +57,6 @@ class BasisPair:
     eta: int
     rank: int
     cond: float
-    gammas: np.ndarray = field(repr=False, default=None)
 
     @property
     def B(self) -> np.ndarray:
@@ -165,20 +156,19 @@ def basis_vector(gamma: float, knots: KnotVector) -> np.ndarray:
     return _basis_columns(knots, np.array([float(gamma)]))[:, 0]
 
 
-def sample_indices(length: int, margin: float = 0.01) -> SampleIndices:
-    """L uniformly spaced curve indices spanning [margin, 1 - margin]."""
+def sample_indices(length: int, margin: float = 0.01) -> np.ndarray:
+    """The L curve indices Gamma, uniformly spaced over [margin, 1 - margin]."""
     if length < 2:
         raise LengthTooShort(f"need at least 2 sample points, got {length}")
     if not 0.0 <= margin < 0.5:
         raise OutOfRange(f"margin {margin} outside [0, 0.5)")
     i = np.arange(length, dtype=np.float64)
-    gammas = margin + (1.0 - 2.0 * margin) * i / (length - 1)
-    return SampleIndices(gammas=gammas, margin=margin)
+    return margin + (1.0 - 2.0 * margin) * i / (length - 1)
 
 
 def basis_matrix(length: int, n_points: int, eta: int, margin: float = 0.01) -> np.ndarray:
     """Basis vectors at the L sample indices, one per column of an (N, L) matrix."""
-    return _basis_columns(clamped_knots(n_points, eta), sample_indices(length, margin).gammas)
+    return _basis_columns(clamped_knots(n_points, eta), sample_indices(length, margin))
 
 
 def _cutoff(shape: tuple[int, int], sigma_max: float) -> float:
@@ -186,19 +176,12 @@ def _cutoff(shape: tuple[int, int], sigma_max: float) -> float:
     return 1e-12 * max(shape) * sigma_max
 
 
-def _svd(B: np.ndarray):
-    try:
-        return np.linalg.svd(B, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-
-
 def _is_centrosymmetric(B: np.ndarray) -> bool:
     """True when B's part that is not centrosymmetric is within B's own cutoff.
 
     That part is (B - B[::-1, ::-1]) / 2.  Its Frobenius norm is compared
-    with the cutoff at max|B|, which is at most sigma_max, so no SVD is
-    needed to decide.
+    with the cutoff at max|B|, at most sigma_max, so no SVD is needed, and
+    dropping it moves no singular value by more than the cutoff.
     """
     if min(B.shape) < 2:
         return False
@@ -249,11 +232,17 @@ def _centro_pseudo_inverse(B: np.ndarray, top: np.ndarray) -> tuple[int, float]:
     change of basis applied to the blocks' pseudo-inverses; that is itself
     centrosymmetric, so only its first ceil(L/2) rows are computed, into
     ``top``, and its other rows are those reversed in both axes
-    (``_mirror_rows``).  Returns (rank, cond).
+    (``_mirror_rows``).  Returns (rank, cond).  A B that is not
+    centrosymmetric raises NumericalFailure.
     """
+    if not _is_centrosymmetric(B):
+        raise NumericalFailure(f"{B.shape[0]} x {B.shape[1]} matrix is not centrosymmetric")
     n, l = B.shape
     p, q = n // 2, l // 2
-    blocks = [_svd(block) for block in _centro_blocks(B)]
+    try:
+        blocks = [np.linalg.svd(block, full_matrices=False) for block in _centro_blocks(B)]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
     sigma_max = max(s[0] for _, s, _ in blocks)
     # a zero B has cutoff 0, keeps nothing and gets a zero top
     cutoff = _cutoff(B.shape, sigma_max)
@@ -284,49 +273,34 @@ def _centro_pseudo_inverse(B: np.ndarray, top: np.ndarray) -> tuple[int, float]:
 
 
 def pseudo_inverse(B: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """SVD-based Moore-Penrose pseudo-inverse with relative cutoff.
+    """SVD-based Moore-Penrose pseudo-inverse of a centrosymmetric B, with relative cutoff.
 
     Singular values at or below 1e-12 * max(B.shape) * sigma_max are
-    truncated.  Returns
-    (B_pinv, rank, cond) where cond is sigma_max / sigma_min over the
-    retained spectrum.  Agrees with (B^T B)^{-1} B^T whenever B has full
-    column rank, and stays well-defined when it does not.
+    truncated.  Returns (B_pinv, rank, cond) where cond is sigma_max /
+    sigma_min over the retained spectrum.  Agrees with (B^T B)^{-1} B^T
+    whenever B has full column rank, and stays well-defined when it does
+    not.
 
     A curve basis is centrosymmetric, B[::-1, ::-1] == B up to rounding,
-    since its sample indices and knots are symmetric about 1/2.  Such a B
-    is inverted as two half-size blocks (Cantoni and Butler 1976): pairing
+    since its sample indices and knots are symmetric about 1/2.  It is
+    inverted as two half-size blocks (Cantoni and Butler 1976): pairing
     rows (i, N-1-i) and columns (j, L-1-j) into sums and differences is an
     orthogonal change of basis, under which the centrosymmetric part
     (B + B[::-1, ::-1]) / 2 is block diagonal, an even block of about
     ceil(N/2) x ceil(L/2) and an odd one of floor(N/2) x floor(L/2).  Their
     two SVDs cost about a quarter of the full one.  One cutoff, from the
-    larger sigma_max of the two, truncates both spectra.
-
-    The split is taken only when the part it drops, (B - B[::-1, ::-1]) / 2,
-    has Frobenius norm at or below the cutoff taken at max|B| (at most
-    sigma_max, so at most the cutoff itself).  The dropped part then moves
-    no singular value by more than the cutoff: it is as small as the
-    singular values the cutoff already treats as zero.  Every other B,
-    and any B with fewer than two rows or columns, takes the plain SVD.
+    larger sigma_max of the two, truncates both spectra.  Any other B,
+    including one with fewer than two rows or columns, raises
+    NumericalFailure (``_is_centrosymmetric``).
     """
     B = np.asarray(B, dtype=np.float64)
+    # ahead of the symmetry test, whose arithmetic would itself warn on inf
     if not np.all(np.isfinite(B)):
         raise NumericalFailure("basis matrix contains non-finite entries")
-    if _is_centrosymmetric(B):
-        n, l = B.shape
-        B_pinv = np.empty((l, n))
-        rank, cond = _centro_pseudo_inverse(B, B_pinv[: l - l // 2])
-        _mirror_rows(B_pinv)
-        return B_pinv, rank, cond
-    u, s, vt = _svd(B)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((B.shape[1], B.shape[0])), 0, np.inf
-    keep = s > _cutoff(B.shape, s[0])
-    rank = int(np.count_nonzero(keep))
-    inv_s = np.zeros_like(s)
-    inv_s[keep] = 1.0 / s[keep]
-    B_pinv = (vt.T * inv_s) @ u.T
-    cond = float(s[0] / s[keep][-1]) if rank > 0 else np.inf
+    n, l = B.shape
+    B_pinv = np.empty((l, n))
+    rank, cond = _centro_pseudo_inverse(B, B_pinv[: l - l // 2])
+    _mirror_rows(B_pinv)
     return B_pinv, rank, cond
 
 
@@ -334,27 +308,19 @@ def build_pair(length: int, n_points: int, eta: int, margin: float = 0.01) -> Ba
     """Construct B and its pseudo-inverse for one (L, N, eta, m) setting.
 
     The dense B lives only as long as its SVD; the pair keeps its band.
-    A curve basis is centrosymmetric (see ``pseudo_inverse``), so the
-    top ceil(L/2) rows of B_pinv are written straight into an array of
-    their own and the dense B_pinv is never formed.  A basis that is not
-    centrosymmetric raises NumericalFailure.
+    The top ceil(L/2) rows of B_pinv are written straight into an array
+    of their own, so the dense B_pinv is never formed.
     """
     B = basis_matrix(length, n_points, eta, margin)
-    if not _is_centrosymmetric(B):
-        raise NumericalFailure(f"basis for L={length}, N={n_points}, eta={eta} is not centrosymmetric")
     pinv_top = np.empty((length - length // 2, n_points))
     rank, cond = _centro_pseudo_inverse(B, pinv_top)
-    gammas = sample_indices(length, margin).gammas
-    first = _first_live(clamped_knots(n_points, eta), gammas)
+    first = _first_live(clamped_knots(n_points, eta), sample_indices(length, margin))
     band = B[_band_index(first, eta + 1)]
-    return BasisPair(
-        band=band, first=first, pinv_top=pinv_top, N=n_points, L=length, eta=eta, rank=rank, cond=cond, gammas=gammas
-    )
+    return BasisPair(band=band, first=first, pinv_top=pinv_top, N=n_points, L=length, eta=eta, rank=rank, cond=cond)
 
 
 def identity_pair(length: int) -> BasisPair:
     """Degenerate pair with B = B_pinv = I, bypassing the curve mapping."""
-    gammas = sample_indices(length, 0.0).gammas if length >= 2 else np.zeros(length)
     return BasisPair(
         band=np.ones((1, length)),
         first=np.arange(length),
@@ -364,7 +330,6 @@ def identity_pair(length: int) -> BasisPair:
         eta=1,
         rank=length,
         cond=1.0,
-        gammas=gammas,
     )
 
 
@@ -409,7 +374,7 @@ class SpectralReport:
         }
 
 
-def importance_ratio(B_pinv: np.ndarray, check_bound: bool = True) -> SpectralReport:
+def importance_ratio(B_pinv: np.ndarray) -> SpectralReport:
     """Spectrum of G and the ratio of global to local error importance.
 
     Importances are computed per embedding dimension (one row of the error
@@ -439,9 +404,6 @@ def importance_ratio(B_pinv: np.ndarray, check_bound: bool = True) -> SpectralRe
     importance_local = np.sum(B_pinv**2, axis=1)
     local_max = float(importance_local.max())
     ratio = importance_global / local_max if local_max > 0 else np.inf
-
-    if check_bound and rank == L and ratio > bound + 1e-9:
-        raise NumericalFailure(f"importance ratio {ratio} exceeds spectral bound {bound}")
     return SpectralReport(
         eigenvalues=eigenvalues,
         lambda_max=lam_max,

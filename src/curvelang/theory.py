@@ -248,7 +248,7 @@ def lemma3_bound_check(pair: BasisPair, d: int = 8, n_random: int = 20, seed: in
     """
     # each B_pinv read rebuilds the dense array, so it is read once
     B_pinv = pair.B_pinv
-    report = importance_ratio(B_pinv, check_bound=False)
+    report = importance_ratio(B_pinv)
     L = pair.L
     full_rank = report.rank == L
     records = []

@@ -250,6 +250,22 @@ class TestTrainCommand:
         assert cli.main(tiny_train_args(str(out), [flag, value])) == 2
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--lambda-anchor", "nan"),
+            ("--lambda-anchor", "inf"),
+            ("--lambda-anchor", "-1"),
+            ("--max-len", "-5"),
+            ("--max-len", "1"),
+        ],
+    )
+    def test_bad_run_setting_exits_2_without_creating_out(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "bad"
+        assert cli.main(tiny_train_args(str(out), [flag, value])) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_run_config(self, tmp_path):
         out = str(tmp_path / "cfg")
         cli.main(tiny_train_args(out))
@@ -616,6 +632,13 @@ class TestProbeInputs:
         assert self._probe(probe_ckpts, out, flag, value) == 2
         assert names in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "probe.json"))
+
+    @pytest.mark.parametrize("value", ["-5", "1"])
+    def test_bad_max_len_exits_2_without_creating_out(self, probe_ckpts, tmp_path, capsys, value):
+        out = str(tmp_path / "probe")
+        assert self._probe(probe_ckpts, out, "--max-len", value) == 2
+        assert "max_len" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_non_finite_result_exits_2_without_output(self, probe_ckpts, tmp_path, capsys):
         model, step, _ = checkpoint.load(probe_ckpts[0])

@@ -156,6 +156,8 @@ class TestConstruction:
         cache = build_cache(CurveConfig(l_min=2, l_max=8))
         with pytest.raises(ConfigError):
             M.SclmModel("gaussian", tiny_vocab(), cache, M.build_schedule(8, "linear"), embed_dim=size)
+        with pytest.raises(ConfigError, match=f"k_curves must be >= 1, got {size}"):
+            M.SclmModel("gaussian", tiny_vocab(), cache, M.build_schedule(8, "linear"), k_curves=size)
 
 
 class TestDenoisePredict:

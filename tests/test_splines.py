@@ -75,20 +75,20 @@ class TestBasisVector:
 
 class TestSampleIndices:
     def test_two_points_with_margin(self):
-        npt.assert_allclose(sp.sample_indices(2, 0.01).gammas, [0.01, 0.99])
+        npt.assert_allclose(sp.sample_indices(2, 0.01), [0.01, 0.99])
 
     def test_no_margin(self):
-        npt.assert_allclose(sp.sample_indices(3, 0.0).gammas, [0.0, 0.5, 1.0])
+        npt.assert_allclose(sp.sample_indices(3, 0.0), [0.0, 0.5, 1.0])
 
     def test_five_points(self):
-        npt.assert_allclose(sp.sample_indices(5, 0.01).gammas, [0.01, 0.255, 0.5, 0.745, 0.99])
+        npt.assert_allclose(sp.sample_indices(5, 0.01), [0.01, 0.255, 0.5, 0.745, 0.99])
 
     def test_too_short(self):
         with pytest.raises(LengthTooShort):
             sp.sample_indices(1, 0.01)
 
     def test_strictly_increasing_uniform(self):
-        g = sp.sample_indices(17, 0.03).gammas
+        g = sp.sample_indices(17, 0.03)
         diffs = np.diff(g)
         assert (diffs > 0).all()
         npt.assert_allclose(diffs, diffs[0])
@@ -134,7 +134,7 @@ class TestBasisOracle:
         for length in range(2, 65):
             n_points, eta = cm.resolve_dims(length, config)
             kv = sp.clamped_knots(n_points, eta)
-            gammas = sp.sample_indices(length, config.margin).gammas
+            gammas = sp.sample_indices(length, config.margin)
             expected = reference_basis_matrix(kv.knots, eta, gammas)
             assert np.array_equal(sp.basis_matrix(length, n_points, eta, config.margin), expected), length
 
@@ -154,7 +154,7 @@ class TestBasisOracle:
             length, n_points, eta = cells[int(i)]
             kv = sp.clamped_knots(n_points, eta)
             for margin in (0.01, 0.0):
-                gammas = sp.sample_indices(length, margin).gammas
+                gammas = sp.sample_indices(length, margin)
                 expected = reference_basis_matrix(kv.knots, eta, gammas)
                 assert np.array_equal(sp.basis_matrix(length, n_points, eta, margin), expected)
             for gamma in (0.0, 1.0):
@@ -167,7 +167,7 @@ class TestBasisOracle:
         for length, n_points, eta in top:
             kv = sp.clamped_knots(n_points, eta)
             for margin in (0.01, 0.0):
-                gammas = sp.sample_indices(length, margin).gammas
+                gammas = sp.sample_indices(length, margin)
                 B = sp.basis_matrix(length, n_points, eta, margin)
                 assert B.tobytes() == reference_basis_columns(kv, gammas).tobytes(), (length, n_points, eta, margin)
 
@@ -312,11 +312,20 @@ class TestPseudoInverse:
         npt.assert_allclose(B_pinv, closed, atol=1e-10)
 
     def test_relative_cutoff(self):
-        # the cutoff is 1e-12 * max(B.shape) * sigma_max = 3e-12
-        B_pinv, rank, cond = sp.pseudo_inverse(np.diag([1.0, 4e-12, 2e-12]))
+        # singular values 1 and 4e-12 in the even block, 2e-12 in the odd
+        # one: the cutoff 1e-12 * max(B.shape) * sigma_max = 3e-12 drops
+        # only the last
+        h = np.sqrt(0.5)
+        even_rows = np.array([[0, 1, 0], [h, 0, h]])
+        odd_rows = np.array([[h, 0, -h]])
+        B = even_rows.T @ np.diag([1.0, 4e-12]) @ even_rows + odd_rows.T @ np.diag([2e-12]) @ odd_rows
+        B_pinv, rank, cond = sp.pseudo_inverse(B)
         assert rank == 2
         npt.assert_allclose(cond, 2.5e11, rtol=1e-12)
-        npt.assert_allclose(B_pinv, np.diag([1.0, 2.5e11, 0.0]), rtol=1e-12, atol=0)
+        expected = even_rows.T @ np.diag([1.0, 2.5e11]) @ even_rows
+        npt.assert_allclose(B_pinv, expected, rtol=1e-12, atol=0)
+        # the dropped third direction, e_0 - e_2, is zeroed exactly
+        assert B_pinv[:, 0].tobytes() == B_pinv[:, 2].tobytes()
 
     def test_nonfinite_rejected(self):
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
@@ -340,7 +349,7 @@ def assert_matches_oracle(B, where):
 
 
 class TestCentrosymmetricSplit:
-    """A curve basis is inverted as two half-size blocks; the plain SVD is the oracle."""
+    """Every B is inverted as two half-size blocks, or raises; the plain SVD is the oracle."""
 
     def test_default_cache_lengths_match_one_plain_svd(self):
         for margin in (0.01, 0.0):
@@ -383,15 +392,17 @@ class TestCentrosymmetricSplit:
         B[-1, -1] -= eps
         return B
 
-    def test_other_inputs_take_the_plain_svd_bit_for_bit(self):
+    def test_other_inputs_raise(self):
         for bad in (
             np.diag([1.0, 4e-12, 2e-12]),
             RngStream(7, "plain-svd").generator().standard_normal((7, 4)),
             self.skewed(1.5),
+            np.ones((1, 4)),
+            np.ones((4, 1)),
         ):
             assert not sp._is_centrosymmetric(bad)
-            got, ref = sp.pseudo_inverse(bad), reference_pseudo_inverse(bad)
-            assert got[0].tobytes() == ref[0].tobytes() and got[1:] == ref[1:]
+            with pytest.raises(NumericalFailure, match="not centrosymmetric"):
+                sp.pseudo_inverse(bad)
 
     def test_a_skew_part_within_the_cutoff_still_splits(self):
         near = self.skewed(0.5)
@@ -492,7 +503,7 @@ class TestImportanceRatio:
 
     def test_psd_spectrum(self):
         for length, n, eta in [(6, 14, 3), (9, 9, 4), (12, 5, 2)]:
-            report = sp.importance_ratio(sp.build_pair(length, n, eta).B_pinv, check_bound=False)
+            report = sp.importance_ratio(sp.build_pair(length, n, eta).B_pinv)
             assert report.eigenvalues.min() > -1e-10
 
     def test_bound_sweep_full_rank(self):
