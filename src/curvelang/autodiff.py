@@ -377,15 +377,15 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return _emit(out, (a,), lambda g: (g - s * g.sum(axis=axis, keepdims=True),))
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x, gain, bias) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (eps 1e-5), then affine."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
     xd = x.data
     xhat = xd - xd.mean(axis=-1, keepdims=True)
     # the biased variance, summed as np.var sums it
     inv_std = np.square(xhat).sum(axis=-1, keepdims=True)
     inv_std /= xd.shape[-1]
-    inv_std += eps
+    inv_std += 1e-5
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
     xhat *= inv_std

@@ -152,7 +152,7 @@ def _restore(header: dict, blobs: dict) -> SclmModel:
         unit_norm=header["unit_norm"],
         lambda_anchor=header["lambda_anchor"],
         seed=header["seed"],
-        force_k_head=header.get("force_k_head", False),
+        force_k_head=header["force_k_head"],
     )
     listed, names = set(header["params"]), set(model.store.names())
     if listed != names:

@@ -52,9 +52,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     result = harness.run_training(config, out_dir)
     with open(os.path.join(out_dir, "run.cfg"), "w", encoding="utf-8") as fh:
         fh.write(dump_config(config))
-    final = {k: v for k, v in result.final.items()}
     print(f"trained {config.steps} steps; wrote {result.losses_path} and {result.checkpoint_path}")
-    print(f"final record: {json.dumps(final, sort_keys=True)}")
+    print(f"final record: {json.dumps(result.final, sort_keys=True)}")
     return 0
 
 

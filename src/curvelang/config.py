@@ -11,6 +11,7 @@ import math
 import typing
 from dataclasses import dataclass
 
+from .corpus import BUILTIN_CORPORA, TOKENIZERS
 from .curvemap import CurveConfig, resolve_dims
 from .errors import ConfigError, IoError
 from .model import MODES, AdamConfig, BackboneConfig, build_schedule
@@ -58,6 +59,10 @@ class RunConfig:
             raise ConfigError("steps, batch_size, and log_interval must be positive")
         if self.embed_dim < 1:
             raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if self.tokenizer not in TOKENIZERS:
+            raise ConfigError(f"unknown tokenizer {self.tokenizer!r}; choices: {sorted(TOKENIZERS)}")
+        if self.corpus.startswith("builtin:") and self.corpus.split(":", 1)[1] not in BUILTIN_CORPORA:
+            raise ConfigError(f"unknown builtin corpus {self.corpus!r}; choices: {sorted(BUILTIN_CORPORA)}")
         if self.max_len < 2:
             raise ConfigError(f"max_len must be >= 2, got {self.max_len}")
         if not (math.isfinite(self.lambda_anchor) and self.lambda_anchor >= 0.0):

@@ -69,12 +69,7 @@ class Corpus:
         return buckets
 
 
-def _tokenize(line: str, tokenizer: str) -> list[str]:
-    if tokenizer == "char":
-        return list(line)
-    if tokenizer == "whitespace":
-        return line.split()
-    raise IoError(f"unknown tokenizer {tokenizer!r}")
+TOKENIZERS = {"char": list, "whitespace": str.split}
 
 
 def ingest(path: str, tokenizer: str = "char", max_len: int = 250) -> Corpus:
@@ -84,6 +79,9 @@ def ingest(path: str, tokenizer: str = "char", max_len: int = 250) -> Corpus:
     are dropped.  The vocabulary is rebuilt from the (truncated) corpus so
     encoding is deterministic for a given file.
     """
+    if tokenizer not in TOKENIZERS:
+        raise IoError(f"unknown tokenizer {tokenizer!r}; choices: {sorted(TOKENIZERS)}")
+    split = TOKENIZERS[tokenizer]
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -91,7 +89,7 @@ def ingest(path: str, tokenizer: str = "char", max_len: int = 250) -> Corpus:
         raise IoError(f"cannot read corpus {path}: {exc}") from exc
     token_lists = []
     for line in lines:
-        pieces = _tokenize(line, tokenizer)[:max_len]
+        pieces = split(line)[:max_len]
         if len(pieces) >= 2:
             token_lists.append(pieces)
     if not token_lists:
@@ -101,30 +99,30 @@ def ingest(path: str, tokenizer: str = "char", max_len: int = 250) -> Corpus:
     return Corpus(sequences=sequences, vocab=vocab, source=path, tokenizer=tokenizer)
 
 
-def alternating_text(n_lines: int = 256, length: int = 16) -> str:
-    """Strictly alternating a/b lines; both phases appear equally often."""
+def alternating_text() -> str:
+    """256 strictly alternating a/b lines of 16 tokens; both phases appear equally often."""
     lines = []
-    for i in range(n_lines):
+    for i in range(256):
         start = "ab" if i % 2 == 0 else "ba"
-        lines.append((start * length)[:length])
+        lines.append((start * 16)[:16])
     return "\n".join(lines) + "\n"
 
 
-def grammar3_text(n_lines: int = 256, n_triples: int = 5, seed: int = 0) -> str:
-    """Lines drawn from the (abc|acb)+ pattern."""
-    rng = RngStream(seed, "grammar3").generator()
+def grammar3_text() -> str:
+    """256 lines of five triples drawn from the (abc|acb)+ pattern."""
+    rng = RngStream(0, "grammar3").generator()
     lines = []
-    for _ in range(n_lines):
-        triples = ["abc" if rng.random() < 0.5 else "acb" for _ in range(n_triples)]
+    for _ in range(256):
+        triples = ["abc" if rng.random() < 0.5 else "acb" for _ in range(5)]
         lines.append("".join(triples))
     return "\n".join(lines) + "\n"
 
 
-def multimodal_text(n_lines: int = 256, seed: int = 0) -> str:
-    """A shared prefix followed by one of two equally likely continuations."""
-    rng = RngStream(seed, "multimodal").generator()
+def multimodal_text() -> str:
+    """256 lines: a shared prefix followed by one of two equally likely continuations."""
+    rng = RngStream(0, "multimodal").generator()
     lines = []
-    for _ in range(n_lines):
+    for _ in range(256):
         cont = "cccccccc" if rng.random() < 0.5 else "dddddddd"
         lines.append("aabb" + cont)
     return "\n".join(lines) + "\n"
@@ -137,12 +135,11 @@ BUILTIN_CORPORA = {
 }
 
 
-def write_builtin(name: str, path: str, seed: int = 0) -> str:
+def write_builtin(name: str, path: str) -> str:
     """Materialize a bundled toy corpus; returns the path written."""
     if name not in BUILTIN_CORPORA:
         raise IoError(f"unknown builtin corpus {name!r}; choices: {sorted(BUILTIN_CORPORA)}")
-    maker = BUILTIN_CORPORA[name]
-    text = maker() if name == "alternating" else maker(seed=seed)
+    text = BUILTIN_CORPORA[name]()
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -216,7 +216,6 @@ def reconstruction_sweep(
     trials: int = 100,
     seed: int = 0,
     dim: int = 16,
-    margin: float = 0.01,
 ) -> SweepTable:
     """Round-trip error over the full (L, n_ratio, eta_ratio) grid.
 
@@ -240,7 +239,6 @@ def reconstruction_sweep(
                 config = CurveConfig(
                     n_ratio=n_ratio,
                     eta_ratio=eta_ratio,
-                    margin=margin,
                     l_min=2,
                     l_max=max(length, 250),
                 )

@@ -79,8 +79,8 @@ class TrainResult:
 def run_training(config: RunConfig, out_dir: str) -> TrainResult:
     """Train for the configured step budget; write losses.csv + model.ckpt."""
     config.validate()
-    os.makedirs(out_dir, exist_ok=True)
     corpus = resolve_corpus(config, out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     start_step = 0
     if config.resume:
         model, start_step = checkpoint.load(config.resume)[:2]

@@ -26,10 +26,9 @@ MODES = ("gaussian", "masked", "baseline-identity", "masked-identity")
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step alpha and cumulative alpha-bar tables, indexed 0..T."""
+    """Cumulative alpha-bar table, indexed 0..T."""
 
     T: int
-    alphas: np.ndarray
     alpha_bars: np.ndarray
     kind: str
 
@@ -63,9 +62,7 @@ def build_schedule(T: int, kind: str = "sqrt") -> NoiseSchedule:
         abar = np.maximum(abar, 1e-12)
     else:
         raise ConfigError(f"unknown schedule kind {kind!r}")
-    alphas = np.ones(T + 1)
-    alphas[1:] = abar[1:] / abar[:-1]
-    return NoiseSchedule(T=T, alphas=alphas, alpha_bars=abar, kind=kind)
+    return NoiseSchedule(T=T, alpha_bars=abar, kind=kind)
 
 
 def forward_noise_gaussian(E0: np.ndarray, t: int, schedule: NoiseSchedule, rng: RngStream) -> np.ndarray:
@@ -398,15 +395,7 @@ def combine_curves(curves: list[Tensor], probs: Tensor, mode: str) -> Tensor:
 # ------------------------------------------------------------------- losses
 
 
-def _trace_sequences(trace: dict | None, **batched) -> None:
-    """Record one entry per sequence, sliced from batched arrays."""
-    if trace is None:
-        return
-    n = len(next(iter(batched.values())))
-    trace["sequences"] = [{name: value[i] for name, value in batched.items()} for i in range(n)]
-
-
-def gaussian_loss(model: SclmModel, batch: list[np.ndarray], rng: RngStream, trace: dict | None = None) -> tuple[Tensor, dict]:
+def gaussian_loss(model: SclmModel, batch: list[np.ndarray], rng: RngStream) -> tuple[Tensor, dict]:
     """Diffusion MSE plus anchor cross-entropy, averaged over the batch.
 
     Each sequence draws its own step, noise and dropout; the backbone
@@ -425,19 +414,11 @@ def gaussian_loss(model: SclmModel, batch: list[np.ndarray], rng: RngStream, tra
     e0 = model.embed(tokens)
     et = ad.mul(e0, Tensor(np.sqrt(abar))) + Tensor(np.sqrt(1.0 - abar) * eps)
     drops = [rng.child("drop", i) for i in range(n)]
-    e_hat, p_hat = model.predict_clean(model.to_points(et, length), ts, length, drops, combine="train")
+    e_hat, _ = model.predict_clean(model.to_points(et, length), ts, length, drops, combine="train")
     diffusion = ad.mse_loss(e_hat, e0)
     logits = model.logits_from_clean(e_hat)
     anchor = ad.cross_entropy_loss(ad.reshape(logits, (n * length, -1)), tokens.ravel())
     total = diffusion + ad.scale(anchor, model.lambda_anchor)
-    _trace_sequences(
-        trace,
-        t=[int(t) for t in ts],
-        e0=[Tensor(x) for x in e0.data],
-        e_hat=[Tensor(x) for x in e_hat.data],
-        p_hat=[Tensor(x) for x in p_hat.data],
-        logits=[Tensor(x.T) for x in logits.data],
-    )
     record = {
         "diffusion": float(diffusion.data),
         "anchor": float(anchor.data),
@@ -446,7 +427,7 @@ def gaussian_loss(model: SclmModel, batch: list[np.ndarray], rng: RngStream, tra
     return total, record
 
 
-def masked_loss(model: SclmModel, batch: list[np.ndarray], rng: RngStream, trace: dict | None = None) -> tuple[Tensor, dict]:
+def masked_loss(model: SclmModel, batch: list[np.ndarray], rng: RngStream) -> tuple[Tensor, dict]:
     """Noise-weighted cross-entropy on masked positions, per-token scale.
 
     Sequences with no masked position leave the batch before the
@@ -470,7 +451,7 @@ def masked_loss(model: SclmModel, batch: list[np.ndarray], rng: RngStream, trace
     ids, ts, yts, masked = (list(col) for col in zip(*kept))
     et = model.embed(np.stack(yts))
     drops = [rng.child("drop", i) for i in ids]
-    e_hat, p_hat = model.predict_clean(model.to_points(et, length), ts, length, drops, combine="train")
+    e_hat, _ = model.predict_clean(model.to_points(et, length), ts, length, drops, combine="train")
     logits = model.logits_from_clean(e_hat)
     rows = np.concatenate([j * length + idx for j, idx in enumerate(masked)])
     targets = np.concatenate([batch[i][idx] for i, idx in zip(ids, masked)])
@@ -481,14 +462,6 @@ def masked_loss(model: SclmModel, batch: list[np.ndarray], rng: RngStream, trace
     )
     picked = ad.slice_(ad.reshape(logits, (len(kept) * length, -1)), rows)
     total = ad.cross_entropy_loss(picked, targets, weights)
-    _trace_sequences(
-        trace,
-        t=ts,
-        yt=yts,
-        masked_idx=masked,
-        p_hat=[Tensor(x) for x in p_hat.data],
-        logits=[Tensor(x.T) for x in logits.data],
-    )
     return total, {"loss": float(total.data)}
 
 

@@ -27,11 +27,6 @@ def _key(seed: int, labels: tuple) -> np.ndarray:
     return np.frombuffer(digest, dtype=np.uint64)
 
 
-def stream(seed: int, *labels) -> np.random.Generator:
-    """Return a fresh generator for the (seed, labels...) stream."""
-    return np.random.Generator(np.random.Philox(key=_key(seed, labels)))
-
-
 class RngStream:
     """A named random stream that can derive child streams.
 
@@ -47,7 +42,8 @@ class RngStream:
         return RngStream(self.seed, *(self.labels + labels))
 
     def generator(self) -> np.random.Generator:
-        return stream(self.seed, *self.labels)
+        """A fresh generator for the (seed, labels...) stream."""
+        return np.random.Generator(np.random.Philox(key=_key(self.seed, self.labels)))
 
     def normal(self, shape) -> np.ndarray:
         return self.generator().standard_normal(shape)

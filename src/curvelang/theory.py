@@ -63,24 +63,10 @@ class VerificationRecord:
         }
 
 
-def _record(claim, lhs, rhs, tolerance, asserted=True, detail=None) -> VerificationRecord:
-    residual = float(abs(lhs - rhs))
-    return VerificationRecord(
-        claim=claim,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        residual=residual,
-        tolerance=tolerance,
-        passed=residual <= tolerance,
-        asserted=asserted,
-        detail=detail or {},
-    )
-
-
 # ----------------------------------------------------- continuous relaxation
 
 
-def relaxation_posterior_check(E: np.ndarray, z: np.ndarray, sigma2: float, tolerance: float = 1e-12) -> VerificationRecord:
+def relaxation_posterior_check(E: np.ndarray, z: np.ndarray, sigma2: float) -> VerificationRecord:
     """Exact Bayes posterior under Gaussian likelihoods vs the softmax form.
 
     With unit-norm embedding columns and a uniform prior, the two agree
@@ -108,8 +94,8 @@ def relaxation_posterior_check(E: np.ndarray, z: np.ndarray, sigma2: float, tole
         lhs=float(bayes[0]),
         rhs=float(soft[0]),
         residual=residual,
-        tolerance=tolerance,
-        passed=residual <= tolerance,
+        tolerance=1e-12,
+        passed=residual <= 1e-12,
         asserted=on_sphere,
         detail={"z_norm": float(np.linalg.norm(z)), "bayes": bayes.tolist(), "softmax": soft.tolist()},
     )
@@ -118,7 +104,7 @@ def relaxation_posterior_check(E: np.ndarray, z: np.ndarray, sigma2: float, tole
 # ----------------------------------------------------------- MLE optimality
 
 
-def lemma1_stationarity(E: np.ndarray, y: int, tolerance: float = 1e-10) -> VerificationRecord:
+def lemma1_stationarity(E: np.ndarray, y: int) -> VerificationRecord:
     """Tangential gradient of the NLL at h = e_y, plus the isotropy defect.
 
     The optimality claim is conditional on the tangent-space isotropy of
@@ -144,8 +130,8 @@ def lemma1_stationarity(E: np.ndarray, y: int, tolerance: float = 1e-10) -> Veri
         lhs=grad_norm,
         rhs=0.0,
         residual=grad_norm,
-        tolerance=tolerance,
-        passed=grad_norm <= tolerance,
+        tolerance=1e-10,
+        passed=grad_norm <= 1e-10,
         asserted=defect <= 1e-9,
         detail={"isotropy_defect": defect, "target": int(y)},
     )
@@ -200,7 +186,7 @@ def random_fiber_spec(n_curves: int = 4, n_sentences: int = 2, n_conditions: int
     )
 
 
-def lemma2_decomposition_check(spec: ToyFiberSpec, tolerance: float = 1e-12) -> VerificationRecord:
+def lemma2_decomposition_check(spec: ToyFiberSpec) -> VerificationRecord:
     """Brute-force the identity CE_Y = CE_P - E_Y[KL(P|Y,X)] + C.
 
     All expectations enumerate the finite curve alphabet exactly; the
@@ -228,11 +214,14 @@ def lemma2_decomposition_check(spec: ToyFiberSpec, tolerance: float = 1e-12) -> 
         # decoding is deterministic, so H(Y|P) contributes exactly zero
     constant = h_y_given_p - h_p_given_yx
     rhs = ce_p - e_kl + constant
-    return _record(
-        "lemma2",
-        ce_y,
-        rhs,
-        tolerance,
+    residual = float(abs(ce_y - rhs))
+    return VerificationRecord(
+        claim="lemma2",
+        lhs=float(ce_y),
+        rhs=float(rhs),
+        residual=residual,
+        tolerance=1e-12,
+        passed=residual <= 1e-12,
         detail={"ce_y": ce_y, "ce_p": ce_p, "e_kl": e_kl, "constant": constant},
     )
 
@@ -240,11 +229,13 @@ def lemma2_decomposition_check(spec: ToyFiberSpec, tolerance: float = 1e-12) -> 
 # ------------------------------------------------------ importance bounds
 
 
-def lemma3_bound_check(pair: BasisPair, d: int = 8, n_random: int = 20, seed: int = 0) -> list[VerificationRecord]:
+def lemma3_bound_check(pair: BasisPair, n_random: int = 20, seed: int = 0) -> list[VerificationRecord]:
     """Check the global/local importance bound and the Rayleigh sandwich.
 
-    Per-position ratios are asserted only when G has full rank (N >= L);
-    rank-deficient pairs are reported with both eigenvalue conventions.
+    The sandwich is checked on ``n_random`` unit-norm (4, L) error
+    matrices.  Per-position ratios are asserted only when G has full rank
+    (N >= L); rank-deficient pairs are reported with both eigenvalue
+    conventions.
     """
     # each B_pinv read rebuilds the dense array, so it is read once
     B_pinv = pair.B_pinv
@@ -272,7 +263,7 @@ def lemma3_bound_check(pair: BasisPair, d: int = 8, n_random: int = 20, seed: in
     basis = eigvecs[:, keep]
     rng = RngStream(seed, "lemma3")
     for j in range(n_random):
-        V = rng.child(j).normal((d, L))
+        V = rng.child(j).normal((4, L))
         V /= np.linalg.norm(V)
         imp = error_importance(V, B_pinv)
         upper = report.lambda_max * float(np.sum(V**2))

@@ -30,13 +30,13 @@ def _antipodal_vocab() -> np.ndarray:
     return np.stack([e1, -e1, e2, -e2], axis=1)
 
 
-def _simplex_vocab(dim: int = 4) -> np.ndarray:
-    """dim+1 unit vectors with constant pairwise inner product -1/dim."""
-    n = dim + 1
-    gram_offdiag = -1.0 / dim
+def _simplex_vocab() -> np.ndarray:
+    """5 unit vectors in 4 dimensions with constant pairwise inner product -1/4."""
+    n = 5
+    gram_offdiag = -1.0 / 4
     basis = np.eye(n) - np.full((n, n), 1.0 / n)
     u, s, _ = np.linalg.svd(basis)
-    pts = (u[:, :dim] * np.sqrt(s[:dim])).T
+    pts = (u[:, :4] * np.sqrt(s[:4])).T
     pts /= np.linalg.norm(pts, axis=0, keepdims=True)
     assert np.allclose(pts.T @ pts - np.eye(n), gram_offdiag * (1 - np.eye(n)), atol=1e-9)
     return pts
@@ -50,7 +50,7 @@ def suite_lemma1(seed: int = 0) -> list[VerificationRecord]:
     records = []
     anti = _antipodal_vocab()
     records.append(lemma1_stationarity(anti, 0))
-    simplex = _simplex_vocab(4)
+    simplex = _simplex_vocab()
     rng = RngStream(seed, "lemma1").generator()
     target = int(rng.integers(0, simplex.shape[1]))
     records.append(lemma1_stationarity(simplex, target))
@@ -59,14 +59,14 @@ def suite_lemma1(seed: int = 0) -> list[VerificationRecord]:
     return records
 
 
-def suite_lemma2(seed: int = 0, n_tables: int = 100) -> list[VerificationRecord]:
+def suite_lemma2(seed: int = 0) -> list[VerificationRecord]:
     records = []
     base = random_fiber_spec(n_curves=4, n_sentences=2, n_conditions=3, seed=seed)
     matched = dataclasses.replace(base, model_table=base.data_table.copy())
     records.append(lemma2_decomposition_check(matched))
     injective = random_fiber_spec(n_curves=3, n_sentences=3, n_conditions=2, seed=seed + 1)
     records.append(lemma2_decomposition_check(injective))
-    for i in range(n_tables):
+    for i in range(100):
         spec = random_fiber_spec(
             n_curves=4 + (i % 3),
             n_sentences=2 + (i % 2),
@@ -77,18 +77,18 @@ def suite_lemma2(seed: int = 0, n_tables: int = 100) -> list[VerificationRecord]
     return records
 
 
-def suite_lemma3(seed: int = 0, n_configs: int = 50) -> list[VerificationRecord]:
+def suite_lemma3(seed: int = 0) -> list[VerificationRecord]:
     records = []
-    records.extend(lemma3_bound_check(identity_pair(6), d=4, n_random=5, seed=seed))
+    records.extend(lemma3_bound_check(identity_pair(6), n_random=5, seed=seed))
     rng = RngStream(seed, "lemma3cfg").generator()
-    for i in range(n_configs):
+    for i in range(50):
         length = int(rng.integers(3, 24))
         n_points = int(rng.integers(length, 3 * length + 1))
         eta = int(rng.integers(1, min(n_points - 1, 8) + 1))
         pair = build_pair(length, n_points, eta)
-        records.extend(lemma3_bound_check(pair, d=4, n_random=4, seed=seed + i))
+        records.extend(lemma3_bound_check(pair, n_random=4, seed=seed + i))
     # rank-deficient pairs are reported but not asserted
-    records.extend(lemma3_bound_check(build_pair(10, 4, 2), d=4, n_random=4, seed=seed))
+    records.extend(lemma3_bound_check(build_pair(10, 4, 2), n_random=4, seed=seed))
     return records
 
 

@@ -146,7 +146,7 @@ def test_criterion_06_stationarity_and_relaxation():
     """Tangential gradients on symmetric vocabularies; Bayes-softmax identity."""
     anti = lemma1_stationarity(_antipodal_vocab(), 0)
     assert anti.residual < 1e-10
-    simplex = lemma1_stationarity(_simplex_vocab(4), 2)
+    simplex = lemma1_stationarity(_simplex_vocab(), 2)
     assert simplex.residual < 1e-10
     rng = RngStream(2024, "accept6").generator()
     E = rng.standard_normal((5, 9))

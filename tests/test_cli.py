@@ -1,5 +1,6 @@
 """Corpus ingestion, config files, CLI subcommands, and output determinism."""
 
+import hashlib
 import json
 import os
 import struct
@@ -50,6 +51,8 @@ class TestIngest:
         corpus = ingest(str(path), "whitespace")
         assert "the" in corpus.vocab.tokens
         assert len(corpus.sequences) == 2
+        with pytest.raises(IoError, match="unknown tokenizer 'words'"):
+            ingest(str(path), "words")
 
     def test_vocab_order_frequency_then_lexicographic(self, tmp_path):
         path = tmp_path / "v.txt"
@@ -72,10 +75,17 @@ class TestIngest:
         assert vocab.index is vocab.index
 
     def test_builtin_corpora(self, tmp_path):
-        for name in ("alternating", "grammar3", "multimodal"):
-            path = write_builtin(name, str(tmp_path / f"{name}.txt"), seed=1)
-            corpus = ingest(path, "char")
-            assert len(corpus.sequences) > 0
+        # the bundled corpora are fixed datasets, pinned byte for byte
+        digests = {
+            "alternating": "312a5a894ae40be025d28c9ebfecef27",
+            "grammar3": "32b1bffdfd50ded219b434f7bfca7a53",
+            "multimodal": "a15ac2d6c1a4e0542562e423599f81bd",
+        }
+        for name, digest in digests.items():
+            path = write_builtin(name, str(tmp_path / f"{name}.txt"))
+            raw = open(path, "rb").read()
+            assert hashlib.blake2b(raw, digest_size=16).hexdigest() == digest, name
+            assert len(ingest(path, "char").sequences) == 256
 
 
 class TestMakeBatch:
@@ -258,6 +268,9 @@ class TestTrainCommand:
             ("--lambda-anchor", "-1"),
             ("--max-len", "-5"),
             ("--max-len", "1"),
+            ("--tokenizer", "foo"),
+            ("--corpus", "builtin:nope"),
+            ("--corpus", "no-such-dir/corpus.txt"),
         ],
     )
     def test_bad_run_setting_exits_2_without_creating_out(self, tmp_path, capsys, flag, value):
@@ -432,6 +445,11 @@ class TestSampleCommand:
         return json.dumps(header), body
 
     @staticmethod
+    def _header_without_force_k_head(header, body):
+        del header["force_k_head"]
+        return json.dumps(header), body
+
+    @staticmethod
     def _header_as_list(header, body):
         return json.dumps([header]), body
 
@@ -468,6 +486,7 @@ class TestSampleCommand:
         "corrupt, message",
         [
             ("_header_without_seed", "no entry 'seed'"),
+            ("_header_without_force_k_head", "no entry 'force_k_head'"),
             ("_header_as_list", "not an object"),
             ("_blob_renamed", "no entry 'emb'"),
             ("_parameter_unlisted", "bytes after its last blob"),
@@ -475,7 +494,7 @@ class TestSampleCommand:
             ("_trailing_byte", "1 bytes after its last blob"),
             ("_extra_blob", "25 bytes after its last blob"),
         ],
-        ids=["no-seed", "list", "renamed-blob", "unlisted-parameter", "parameter-and-blobs-unlisted",
+        ids=["no-seed", "no-force-k-head", "list", "renamed-blob", "unlisted-parameter", "parameter-and-blobs-unlisted",
              "trailing-byte", "extra-blob"],
     )
     def test_malformed_checkpoint_exits_2_without_output(self, ckpt, tmp_path, capsys, corrupt, message):
@@ -638,6 +657,20 @@ class TestProbeInputs:
         out = str(tmp_path / "probe")
         assert self._probe(probe_ckpts, out, "--max-len", value) == 2
         assert "max_len" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--tokenizer", "foo", "unknown tokenizer 'foo'"), ("--corpus", "builtin:nope", "unknown builtin corpus")],
+    )
+    def test_bad_corpus_setting_exits_2_before_loading(self, probe_ckpts, tmp_path, capsys, monkeypatch, flag, value, message):
+        def refuse(path):
+            raise AssertionError(f"checkpoint {path} loaded")
+
+        monkeypatch.setattr(checkpoint, "load", refuse)
+        out = str(tmp_path / "probe")
+        assert self._probe(probe_ckpts, out, flag, value) == 2
+        assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_non_finite_result_exits_2_without_output(self, probe_ckpts, tmp_path, capsys):

@@ -59,6 +59,16 @@ def make_batch(model, n=3, length=8, seed=0):
     return [ids[rng.integers(0, 2, size=length)] for _ in range(n)]
 
 
+def assert_logits_factor_through_curves(model, points, ts):
+    """The logits of predict_clean's output equal emb.T @ (P_hat0 @ B), sequence by sequence."""
+    e_hat, p_hat = model.predict_clean(points, ts, 8, combine="train")
+    logits = model.logits_from_clean(e_hat).data
+    B = model.cache.get(8).B
+    emb = model.embedding.weight.data
+    for seq_logits, seq_points in zip(logits, p_hat.data):
+        npt.assert_allclose(seq_logits.T, emb.T @ (seq_points @ B), atol=1e-10)
+
+
 class TestSchedule:
     def test_linear_endpoints(self):
         s = M.build_schedule(100, "linear")
@@ -67,7 +77,7 @@ class TestSchedule:
 
     def test_linear_alpha_arithmetic(self):
         s = M.build_schedule(4, "linear")
-        npt.assert_allclose(s.alphas[2], (0.5 / 0.75))
+        npt.assert_allclose(s.alpha_bars[2] / s.alpha_bars[1], (0.5 / 0.75))
 
     def test_sqrt_shape(self):
         s = M.build_schedule(100, "sqrt")
@@ -87,7 +97,7 @@ class TestSchedule:
 
 class TestForwardNoise:
     def test_alpha_bar_one_returns_input(self):
-        sched = M.NoiseSchedule(T=2, alphas=np.ones(3), alpha_bars=np.array([1.0, 1.0, 0.5]), kind="linear")
+        sched = M.NoiseSchedule(T=2, alpha_bars=np.array([1.0, 1.0, 0.5]), kind="linear")
         E0 = RngStream(0, "e0").normal((4, 6))
         out = M.forward_noise_gaussian(E0, 1, sched, RngStream(1, "n"))
         npt.assert_array_equal(out, E0)
@@ -269,22 +279,15 @@ class TestGaussianLoss:
         assert abs(record["anchor"] - ref["anchor"]) < 1e-6
 
     def test_logits_factor_through_curve_mapping(self):
-        model = make_model("gaussian", seed=15)
-        batch = make_batch(model, n=2)
-        trace = {}
-        with ad.Tape():
-            M.gaussian_loss(model, batch, RngStream(15, "loss"), trace=trace)
-        pair = model.cache.get(8)
-        emb = model.embedding.weight.data
-        for seq in trace["sequences"]:
-            recomposed = emb.T @ (seq["p_hat"].data @ pair.B)
-            npt.assert_allclose(seq["logits"].data, recomposed, atol=1e-10)
+        model = jolt(make_model("gaussian", seed=15), 15)
+        et = RngStream(15, "et").normal((2, model.embed_dim, 8))
+        assert_logits_factor_through_curves(model, model.to_points(Tensor(et), 8), [3, 7])
 
 
 class TestMaskedLoss:
     def test_no_masks_zero_loss(self):
         model = make_model("masked")
-        never = M.NoiseSchedule(T=4, alphas=np.ones(5), alpha_bars=np.ones(5), kind="linear")
+        never = M.NoiseSchedule(T=4, alpha_bars=np.ones(5), kind="linear")
         model.schedule = never
         batch = make_batch(model, n=2)
         with ad.Tape():
@@ -315,24 +318,18 @@ class TestMaskedLoss:
         # an all-mask line has no position to predict
         batch = make_batch(model, n=3) + [np.full(8, mask_id)]
         batch = [batch[0], batch[3], batch[1], batch[2]]
-        trace = {}
         with ad.Tape():
-            _, record = M.masked_loss(model, batch, RngStream(50, "loss"), trace=trace)
+            _, record = M.masked_loss(model, batch, RngStream(50, "loss"))
         ref = reference_masked_loss(model, batch, RngStream(50, "loss"))
         assert abs(record["loss"] - ref) < 1e-12
-        assert 1 <= len(trace["sequences"]) <= 3
+        # a positive loss means at least one of the three other lines stayed
+        assert ref > 0.0
 
     def test_logits_factor_through_curve_mapping(self):
-        model = make_model("masked", seed=19)
-        batch = make_batch(model, n=2)
-        trace = {}
-        with ad.Tape():
-            M.masked_loss(model, batch, RngStream(19, "loss"), trace=trace)
-        pair = model.cache.get(8)
-        emb = model.embedding.weight.data
-        for seq in trace["sequences"]:
-            recomposed = emb.T @ (seq["p_hat"].data @ pair.B)
-            npt.assert_allclose(seq["logits"].data, recomposed, atol=1e-10)
+        model = jolt(make_model("masked", seed=19), 19)
+        yt = np.stack(make_batch(model, n=2))
+        yt[:, ::3] = model.vocab.mask_id
+        assert_logits_factor_through_curves(model, model.to_points(model.embed(yt), 8), [2, 5])
 
 
 class TestKCurve:

@@ -50,7 +50,7 @@ class TestLemma1:
         assert rec.residual < 1e-12
 
     def test_simplex_vocabulary(self):
-        pts = verify._simplex_vocab(4)
+        pts = verify._simplex_vocab()
         for y in range(pts.shape[1]):
             rec = theory.lemma1_stationarity(pts, y)
             assert rec.asserted, f"defect unexpectedly large at {y}"
@@ -98,18 +98,18 @@ class TestLemma2:
 
 class TestLemma3:
     def test_identity_all_ratios_one(self):
-        records = theory.lemma3_bound_check(identity_pair(6), d=4, n_random=3, seed=0)
+        records = theory.lemma3_bound_check(identity_pair(6), n_random=3, seed=0)
         ratio_recs = [r for r in records if r.claim.startswith("lemma3/ratio")]
         assert all(r.passed for r in ratio_recs)
         assert all(abs(r.lhs - 1.0) < 1e-12 for r in ratio_recs)
         assert all(abs(r.rhs - 1.0) < 1e-12 for r in ratio_recs)
 
     def test_tall_pair_bound_holds(self):
-        records = theory.lemma3_bound_check(build_pair(10, 30, 8), d=4, n_random=6, seed=1)
+        records = theory.lemma3_bound_check(build_pair(10, 30, 8), n_random=6, seed=1)
         assert all(r.passed for r in records if r.asserted)
 
     def test_rank_deficient_reported(self):
-        records = theory.lemma3_bound_check(build_pair(10, 4, 2), d=4, n_random=2, seed=2)
+        records = theory.lemma3_bound_check(build_pair(10, 4, 2), n_random=2, seed=2)
         ratio_recs = [r for r in records if r.claim.startswith("lemma3/ratio")]
         assert all(not r.asserted for r in ratio_recs)
         assert all(r.detail["rank"] == 4 for r in ratio_recs)
