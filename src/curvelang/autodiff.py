@@ -1,9 +1,9 @@
 """Dense-tensor reverse-mode automatic differentiation.
 
-A ``Tape`` records every op executed while it is active (thread-local);
+A ``Tape`` records every op run while it is the innermost open tape;
 ``Tape.backward`` consumes the record in reverse and accumulates adjoints
-into every tensor that requires gradients.  Ops are plain functions over
-``Tensor`` values backed by numpy arrays.  Broadcasting is limited to
+into every tensor that requires gradients.  Ops are plain functions of
+``Tensor`` inputs backed by numpy arrays.  Broadcasting is limited to
 bias-style row/column addition so every adjoint stays a one-liner.
 ``matmul`` is the 2-D product and ``linear`` the 2-D product plus a row
 bias; ``attention`` is multi-head softmax attention over the rows of a
@@ -13,15 +13,10 @@ batch of sequences as one op, with a hand-written adjoint.
 from __future__ import annotations
 
 import ctypes
-import threading
 
 import numpy as np
 
 from .errors import NotScalar, ShapeMismatch
-
-DEFAULT_DTYPE = np.float64
-
-_tls = threading.local()
 
 # glibc's M_TOP_PAD: the heap keeps this much free memory at its top
 # through every trim, so the pages a training step frees stay mapped for
@@ -57,7 +52,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None
 
@@ -76,14 +71,6 @@ class Tensor:
         return add(self, other)
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def param(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
-
-
 class Tape:
     """Ordered record of executed ops; one consumer, reverse playback."""
 
@@ -91,15 +78,11 @@ class Tape:
         self.entries = []
 
     def __enter__(self):
-        stack = getattr(_tls, "tapes", None)
-        if stack is None:
-            stack = _tls.tapes = []
-        stack.append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        _tls.tapes.pop()
-        return False
+        _tapes.pop()
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(x) into grads of all recorded tensors."""
@@ -125,20 +108,14 @@ class Tape:
                 inp.grad = g if inp.grad is None else inp.grad + g
 
 
-def _active_tape() -> Tape | None:
-    stack = getattr(_tls, "tapes", None)
-    return stack[-1] if stack else None
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+# open tapes, innermost last; an op is recorded on the last one only
+_tapes: list[Tape] = []
 
 
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
-    tape = _active_tape()
-    if tape is not None and out.requires_grad:
-        tape.entries.append((out, inputs, backward_fn))
+    if out.requires_grad and _tapes:
+        _tapes[-1].entries.append((out, inputs, backward_fn))
     return out
 
 
@@ -158,7 +135,6 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul of {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
@@ -171,7 +147,6 @@ def matmul(a, b) -> Tensor:
 
 def linear(x, w, b) -> Tensor:
     """Rows of x (n, k) times w (k, m) plus the row bias b (m,), as one op."""
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeMismatch(f"linear of {x.shape} by {w.shape} plus {b.shape}")
     xd, wd = x.data, w.data
@@ -197,7 +172,6 @@ def attention(q, k, v, batch: int, heads: int, scale: float, p: float = 0.0, gen
     columns.  With ``p > 0``, ``gens`` holds one generator per (sequence,
     head), sequence-major, and each draws its (n, n) mask in turn.
     """
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeMismatch(f"attention of {q.shape}, {k.shape} and {v.shape}")
     rows, width = q.shape
@@ -224,8 +198,7 @@ def attention(q, k, v, batch: int, heads: int, scale: float, p: float = 0.0, gen
     if p > 0.0:
         if gens is None or len(gens) != batch * heads:
             raise ShapeMismatch(f"attention dropout needs {batch * heads} generators")
-        draws = np.concatenate([gen.random((n, n)) for gen in gens]).reshape(s.shape)
-        mask = (draws >= p) / (1.0 - p)
+        mask = _dropout_mask(gens, (n, n), p).reshape(s.shape)
     out = merge((s if mask is None else s * mask) @ split(v.data))
 
     def backward_fn(g):
@@ -254,6 +227,12 @@ def attention(q, k, v, batch: int, heads: int, scale: float, p: float = 0.0, gen
     return _emit(out, (q, k, v), backward_fn)
 
 
+def _dropout_mask(gens, block: tuple, p: float) -> np.ndarray:
+    """Inverted-dropout mask at rate p: one ``block`` per generator, in turn, on the leading axis."""
+    draws = np.concatenate([gen.random(block) for gen in gens])
+    return (draws >= p) / (1.0 - p)
+
+
 def _binary_shapes_ok(a: Tensor, b: Tensor) -> bool:
     try:
         out_shape = np.broadcast_shapes(a.shape, b.shape)
@@ -263,7 +242,6 @@ def _binary_shapes_ok(a: Tensor, b: Tensor) -> bool:
 
 
 def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
     if not _binary_shapes_ok(a, b):
         raise ShapeMismatch(f"add of {a.shape} and {b.shape}")
     a_shape, b_shape = a.shape, b.shape
@@ -271,7 +249,6 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
     if not _binary_shapes_ok(a, b):
         raise ShapeMismatch(f"sub of {a.shape} and {b.shape}")
     a_shape, b_shape = a.shape, b.shape
@@ -279,7 +256,6 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
     if not _binary_shapes_ok(a, b):
         raise ShapeMismatch(f"mul of {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
@@ -288,20 +264,17 @@ def mul(a, b) -> Tensor:
 
 
 def scale(a, c: float) -> Tensor:
-    a = _wrap(a)
     c = float(c)
     return _emit(a.data * c, (a,), lambda g: (g * c,))
 
 
 def transpose(a) -> Tensor:
-    a = _wrap(a)
     if a.data.ndim != 2:
         raise ShapeMismatch(f"transpose expects a matrix, got shape {a.shape}")
     return _emit(a.data.T.copy(), (a,), lambda g: (g.T,))
 
 
 def reshape(a, shape) -> Tensor:
-    a = _wrap(a)
     a_shape = a.shape
     try:
         out = a.data.reshape(shape)
@@ -311,12 +284,10 @@ def reshape(a, shape) -> Tensor:
 
 
 def swapaxes(a, axis1: int, axis2: int) -> Tensor:
-    a = _wrap(a)
     return _emit(a.data.swapaxes(axis1, axis2), (a,), lambda g: (g.swapaxes(axis1, axis2),))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -334,7 +305,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def slice_(a, key) -> Tensor:
     """Static slice, or a gather of distinct indices; the adjoint scatters
     back into a zero buffer."""
-    a = _wrap(a)
     a_shape = a.shape
 
     def backward_fn(g):
@@ -347,7 +317,6 @@ def slice_(a, key) -> Tensor:
 
 def embedding_lookup(table, ids) -> Tensor:
     """Gather columns of a (d, V) table at integer ids -> (d, len(ids))."""
-    table = _wrap(table)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ShapeMismatch(f"ids must be 1-D, got shape {ids.shape}")
@@ -362,7 +331,6 @@ def embedding_lookup(table, ids) -> Tensor:
 
 
 def softmax(a, axis: int = -1) -> Tensor:
-    a = _wrap(a)
     z = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=axis, keepdims=True)
@@ -370,7 +338,6 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
-    a = _wrap(a)
     z = a.data - a.data.max(axis=axis, keepdims=True)
     out = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
     s = np.exp(out)
@@ -379,7 +346,6 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
 def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (eps 1e-5), then affine."""
-    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
     xd = x.data
     xhat = xd - xd.mean(axis=-1, keepdims=True)
     # the biased variance, summed as np.var sums it
@@ -412,7 +378,6 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 def gelu(x) -> Tensor:
     """Tanh-approximate GELU: 0.5 x (1 + tanh(c (x + 0.044715 x³)))."""
-    x = _wrap(x)
     xd = x.data
     t = xd * xd
     t *= xd
@@ -444,13 +409,11 @@ def gelu(x) -> Tensor:
 
 
 def relu(x) -> Tensor:
-    x = _wrap(x)
     mask = x.data > 0
     return _emit(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
 def mean(a, axis=None) -> Tensor:
-    a = _wrap(a)
     a_shape = a.shape
     count = a.size if axis is None else a.shape[axis]
 
@@ -463,7 +426,6 @@ def mean(a, axis=None) -> Tensor:
 
 
 def sum_(a, axis=None) -> Tensor:
-    a = _wrap(a)
     a_shape = a.shape
 
     def backward_fn(g):
@@ -475,7 +437,6 @@ def sum_(a, axis=None) -> Tensor:
 
 
 def mse_loss(pred, target) -> Tensor:
-    pred, target = _wrap(pred), _wrap(target)
     if pred.shape != target.shape:
         raise ShapeMismatch(f"mse_loss of {pred.shape} and {target.shape}")
     diff = pred.data - target.data
@@ -492,7 +453,6 @@ def cross_entropy_loss(logits, targets, weights=None) -> Tensor:
 
     The mean over rows, or with per-row ``weights`` the weighted sum.
     """
-    logits = _wrap(logits)
     targets = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2 or targets.ndim != 1 or targets.shape[0] != logits.shape[0]:
         raise ShapeMismatch(f"cross_entropy_loss of {logits.shape} with targets {targets.shape}")
@@ -521,14 +481,11 @@ def dropout(x, p: float, gens) -> Tensor:
     consecutive blocks of the leading axis in turn, so each sequence of
     a batch keeps its own stream.
     """
-    x = _wrap(x)
     if not 0.0 <= p < 1.0:
         raise ShapeMismatch(f"dropout rate must be in [0, 1), got {p}")
     if x.data.ndim == 0 or not gens or x.shape[0] % len(gens):
         raise ShapeMismatch(f"cannot split dropout of shape {x.shape} into {len(gens)} blocks")
-    block = (x.shape[0] // len(gens),) + x.shape[1:]
-    draws = np.concatenate([gen.random(block) for gen in gens])
-    mask = (draws >= p) / (1.0 - p)
+    mask = _dropout_mask(gens, (x.shape[0] // len(gens),) + x.shape[1:], p)
     return _emit(x.data * mask, (x,), lambda g: (g * mask,))
 
 
@@ -552,7 +509,7 @@ class ParamStore:
     def add(self, name: str, data, by_rows: bool = False) -> Tensor:
         if name in self.params:
             raise KeyError(f"duplicate parameter name {name!r}")
-        t = param(data)
+        t = Tensor(data, requires_grad=True)
         self.params[name] = t
         self.moment1[name] = np.zeros_like(t.data)
         self.moment2[name] = np.zeros_like(t.data)

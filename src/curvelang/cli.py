@@ -45,6 +45,10 @@ def _parse_list(raw: str, kind, flag: str) -> tuple:
         raise ConfigError(f"{flag} needs comma-separated {kind.__name__} values, got {raw!r}") from None
 
 
+def _json_value(value):  # what json cannot encode itself: numpy arrays and scalars
+    return value.tolist()
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else RunConfig()
     config = apply_overrides(config, _collect_overrides(args))
@@ -89,9 +93,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     n_points, eta = resolve_dims(args.length, config)
     pair = build_pair(args.length, n_points, eta, args.margin)
     report = importance_ratio(pair.B_pinv)
-    payload = report.to_dict()
+    payload = dataclasses.asdict(report)
     payload.update({"L": pair.L, "N": pair.N, "eta": pair.eta, "cond": pair.cond, "basis_rank": pair.rank})
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_value)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"spectrum_L{args.length}.json")
@@ -110,7 +114,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"verify_{args.suite}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump([r.to_dict() for r in records], fh, indent=2, sort_keys=True)
+            json.dump([dataclasses.asdict(r) for r in records], fh, indent=2, sort_keys=True, default=_json_value)
         print(f"wrote {path}")
     return 0 if all_asserted_pass(records) else 1
 

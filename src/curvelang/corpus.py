@@ -53,8 +53,6 @@ def build_vocab(token_lists: list[list[str]]) -> Vocab:
 class Corpus:
     sequences: list[np.ndarray]
     vocab: Vocab
-    source: str
-    tokenizer: str
 
     def lengths(self) -> list[int]:
         return sorted({len(s) for s in self.sequences})
@@ -96,7 +94,7 @@ def ingest(path: str, tokenizer: str = "char", max_len: int = 250) -> Corpus:
         raise EmptyCorpus(f"no usable sequences in {path}")
     vocab = build_vocab(token_lists)
     sequences = [vocab.encode(pieces) for pieces in token_lists]
-    return Corpus(sequences=sequences, vocab=vocab, source=path, tokenizer=tokenizer)
+    return Corpus(sequences=sequences, vocab=vocab)
 
 
 def alternating_text() -> str:

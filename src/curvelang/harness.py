@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,19 +25,26 @@ from .model import SclmModel, _reverse_steps, build_schedule, sample, train_step
 from .rng import RngStream
 
 
+def _corpus_path(config: RunConfig, out_dir: str) -> str:
+    """The configured corpus file; a builtin is written into out_dir first."""
+    if not config.corpus.startswith("builtin:"):
+        return config.corpus
+    # builtins are fixed datasets: their content never depends on the run
+    # seed, so seed sweeps train on identical corpora
+    name = config.corpus.split(":", 1)[1]
+    os.makedirs(out_dir, exist_ok=True)
+    return write_builtin(name, os.path.join(out_dir, f"corpus_{name}.txt"))
+
+
 def resolve_corpus(config: RunConfig, out_dir: str) -> Corpus:
     """Ingest the configured corpus, materializing builtins into out_dir."""
-    source = config.corpus
-    if source.startswith("builtin:"):
-        # builtins are fixed datasets: their content never depends on the
-        # run seed, so seed sweeps train on identical corpora
-        name = source.split(":", 1)[1]
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, f"corpus_{name}.txt")
-        write_builtin(name, path)
-    else:
-        path = source
-    return ingest(path, tokenizer=config.tokenizer, max_len=config.max_len)
+    return ingest(_corpus_path(config, out_dir), tokenizer=config.tokenizer, max_len=config.max_len)
+
+
+def read_corpus(config: RunConfig) -> Corpus:
+    """Ingest the configured corpus, reading a builtin from a temporary directory."""
+    with tempfile.TemporaryDirectory() as scratch:
+        return resolve_corpus(config, scratch)
 
 
 def build_model(config: RunConfig, corpus: Corpus) -> SclmModel:
@@ -76,20 +83,43 @@ class TrainResult:
     final: dict
 
 
+# checkpoint header entries that are also the RunConfig fields build_model reads
+_RESUME_SETTINGS = ("mode", "seed", "embed_dim", "k_curves", "unit_norm", "lambda_anchor")
+
+
+def _check_resume(config: RunConfig, header: dict) -> None:
+    """ConfigError naming a checkpoint setting that ``build_model`` would set otherwise from ``config``."""
+    sections = {
+        "schedule": {"T": config.schedule_steps, "kind": config.schedule_kind},
+        "backbone": asdict(config.backbone_config()),
+        "curve": asdict(config.curve_config()),
+    }
+    settings = [(key, getattr(config, key), header[key]) for key in _RESUME_SETTINGS]
+    settings += [(f"{key}.{f}", v, header[key][f]) for key, section in sections.items() for f, v in section.items()]
+    for name, value, saved in settings:
+        if value != saved:
+            raise ConfigError(
+                f"resume checkpoint has {name} {saved!r}, these settings give {value!r};"
+                " resume with the run's own settings (--config <out>/run.cfg)"
+            )
+
+
 def run_training(config: RunConfig, out_dir: str) -> TrainResult:
-    """Train for the configured step budget; write losses.csv + model.ckpt."""
+    """Train for the configured step budget; write losses.csv + model.ckpt once every check has passed."""
     config.validate()
-    corpus = resolve_corpus(config, out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    start_step = 0
+    model, start_step = None, 0
     if config.resume:
-        model, start_step = checkpoint.load(config.resume)[:2]
-        if tuple(model.vocab.tokens) != tuple(corpus.vocab.tokens):
-            raise ConfigError("resume checkpoint vocabulary does not match the corpus")
+        model, start_step, saved = checkpoint.load(config.resume)
         if start_step >= config.steps:
             raise ConfigError(f"checkpoint already at step {start_step}, budget is {config.steps}")
-    else:
+        _check_resume(config, saved)
+    corpus = read_corpus(config)
+    if model is None:
         model = build_model(config, corpus)
+    elif tuple(model.vocab.tokens) != tuple(corpus.vocab.tokens):
+        raise ConfigError("resume checkpoint vocabulary does not match the corpus")
+    os.makedirs(out_dir, exist_ok=True)
+    _corpus_path(config, out_dir)
     optimizer = config.adam_config()
     gaussian = model.noise_kind == "gaussian"
     header = "step,diffusion,anchor,total" if gaussian else "step,loss"
@@ -138,8 +168,6 @@ def top2_projection(points: np.ndarray) -> np.ndarray:
 class SampleResult:
     samples_path: str
     trajectory_paths: list[str]
-    projection_paths: list[str]
-    texts: list[str]
 
 
 def run_sampling(
@@ -161,7 +189,6 @@ def run_sampling(
     sep = "" if all(len(tok) == 1 for tok in model.vocab.tokens[2:]) else " "
     texts = []
     traj_paths = []
-    proj_paths = []
     for i in range(n_samples):
         tokens, trajectory = sample(model, length, n_steps, seed=seed + i)
         texts.append(sep.join(model.vocab.decode(tokens)))
@@ -185,17 +212,11 @@ def run_sampling(
         proj_path = os.path.join(out_dir, f"sample_{i}_projection.csv")
         with open(proj_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        proj_paths.append(proj_path)
 
     samples_path = os.path.join(out_dir, "samples.txt")
     with open(samples_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(texts) + "\n")
-    return SampleResult(
-        samples_path=samples_path,
-        trajectory_paths=traj_paths,
-        projection_paths=proj_paths,
-        texts=texts,
-    )
+    return SampleResult(samples_path=samples_path, trajectory_paths=traj_paths)
 
 
 def probe_eval_batch(corpus: Corpus, length: int, n_eval: int) -> list[np.ndarray]:
@@ -231,8 +252,7 @@ def run_probe(
     corpus_config = RunConfig(corpus=corpus_spec, tokenizer=tokenizer, max_len=max_len).validate()
     model_a, _, _ = checkpoint.load(ckpt_a)
     model_b, _, _ = checkpoint.load(ckpt_b)
-    with tempfile.TemporaryDirectory() as scratch:
-        corpus = resolve_corpus(corpus_config, scratch)
+    corpus = read_corpus(corpus_config)
     for model in (model_a, model_b):
         if tuple(model.vocab.tokens) != tuple(corpus.vocab.tokens):
             raise ConfigError("probe corpus vocabulary does not match a checkpoint")
@@ -259,8 +279,7 @@ def run_probe(
         "seed": seed,
     }
     os.makedirs(out_dir, exist_ok=True)
-    if corpus_spec.startswith("builtin:"):
-        resolve_corpus(corpus_config, out_dir)
+    _corpus_path(corpus_config, out_dir)
     out_path = os.path.join(out_dir, "probe.json")
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

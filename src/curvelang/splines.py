@@ -360,19 +360,6 @@ class SpectralReport:
     ratio: float
     rank: int
 
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues": [float(x) for x in self.eigenvalues],
-            "lambda_max": self.lambda_max,
-            "lambda_min": self.lambda_min,
-            "lambda_min_nonzero": self.lambda_min_nonzero,
-            "ratio_bound": self.ratio_bound,
-            "importance_global": self.importance_global,
-            "importance_local": [float(x) for x in self.importance_local],
-            "ratio": self.ratio,
-            "rank": self.rank,
-        }
-
 
 def importance_ratio(B_pinv: np.ndarray) -> SpectralReport:
     """Spectrum of G and the ratio of global to local error importance.

@@ -37,31 +37,6 @@ class VerificationRecord:
     asserted: bool = True
     detail: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        def clean(value):
-            if isinstance(value, (bool, np.bool_)):
-                return bool(value)
-            if isinstance(value, (int, np.integer)):
-                return int(value)
-            if isinstance(value, (float, np.floating)):
-                return float(value)
-            if isinstance(value, np.ndarray):
-                return value.tolist()
-            if isinstance(value, (list, tuple)):
-                return [clean(v) for v in value]
-            return value
-
-        return {
-            "claim": self.claim,
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "residual": float(self.residual),
-            "tolerance": float(self.tolerance),
-            "passed": bool(self.passed),
-            "asserted": bool(self.asserted),
-            "detail": {k: clean(v) for k, v in self.detail.items()},
-        }
-
 
 # ----------------------------------------------------- continuous relaxation
 
@@ -229,7 +204,7 @@ def lemma2_decomposition_check(spec: ToyFiberSpec) -> VerificationRecord:
 # ------------------------------------------------------ importance bounds
 
 
-def lemma3_bound_check(pair: BasisPair, n_random: int = 20, seed: int = 0) -> list[VerificationRecord]:
+def lemma3_bound_check(pair: BasisPair, n_random: int, seed: int) -> list[VerificationRecord]:
     """Check the global/local importance bound and the Rayleigh sandwich.
 
     The sandwich is checked on ``n_random`` unit-norm (4, L) error

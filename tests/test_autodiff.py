@@ -21,12 +21,12 @@ def _probe(op_fn, arrays, grad_index=0, h=1e-5):
 
     def run(values):
         nonlocal weights
-        tensors = [ad.param(v.copy()) for v in values]
+        tensors = [ad.Tensor(v.copy(), requires_grad=True) for v in values]
         with ad.Tape() as tape:
             out = op_fn(*tensors)
             if weights is None:
                 weights = RngStream(99, "probe").normal(out.shape)
-            loss = ad.sum_(ad.mul(out, ad.tensor(weights)))
+            loss = ad.sum_(ad.mul(out, ad.Tensor(weights)))
             tape.backward(loss)
         return float(loss.data), tensors
 
@@ -44,71 +44,71 @@ def _probe(op_fn, arrays, grad_index=0, h=1e-5):
 
 class TestForwardValues:
     def test_softmax_uniform(self):
-        out = ad.softmax(ad.tensor(np.zeros((1, 4))), axis=1)
+        out = ad.softmax(ad.Tensor(np.zeros((1, 4))), axis=1)
         npt.assert_allclose(out.data, 0.25)
 
     def test_matmul_identity(self):
         x = RngStream(1, "mm").normal((3, 5))
-        npt.assert_array_equal(ad.matmul(ad.tensor(np.eye(3)), ad.tensor(x)).data, x)
+        npt.assert_array_equal(ad.matmul(ad.Tensor(np.eye(3)), ad.Tensor(x)).data, x)
 
     def test_cross_entropy_margin(self):
         logits = np.array([[10.0, 0.0], [0.0, 10.0]])
-        loss = ad.cross_entropy_loss(ad.tensor(logits), np.array([0, 1]))
+        loss = ad.cross_entropy_loss(ad.Tensor(logits), np.array([0, 1]))
         assert float(loss.data) < 1e-4
 
     def test_log_softmax_matches_log_of_softmax(self):
         x = RngStream(2, "ls").normal((4, 6))
         npt.assert_allclose(
-            ad.log_softmax(ad.tensor(x), axis=1).data,
-            np.log(ad.softmax(ad.tensor(x), axis=1).data),
+            ad.log_softmax(ad.Tensor(x), axis=1).data,
+            np.log(ad.softmax(ad.Tensor(x), axis=1).data),
             atol=1e-12,
         )
 
     def test_relu_and_gelu_limits(self):
         x = np.array([-100.0, 0.0, 100.0])
-        npt.assert_allclose(ad.relu(ad.tensor(x)).data, [0.0, 0.0, 100.0])
-        g = ad.gelu(ad.tensor(x)).data
+        npt.assert_allclose(ad.relu(ad.Tensor(x)).data, [0.0, 0.0, 100.0])
+        g = ad.gelu(ad.Tensor(x)).data
         npt.assert_allclose(g, [0.0, 0.0, 100.0], atol=1e-8)
 
     def test_dropout_zero_rate_is_identity(self):
         x = RngStream(3, "dr").normal((6, 5))
         for n_gens in (1, 3):
             gens = [RngStream(0, "m", i).generator() for i in range(n_gens)]
-            out = ad.dropout(ad.tensor(x), 0.0, gens)
+            out = ad.dropout(ad.Tensor(x), 0.0, gens)
             npt.assert_array_equal(out.data, x)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeMismatch):
-            ad.matmul(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((2, 3))))
+            ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 3))))
         with pytest.raises(ShapeMismatch):
-            ad.add(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((4, 5))))
+            ad.add(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 5))))
         with pytest.raises(ShapeMismatch):
-            ad.mse_loss(ad.tensor(np.zeros(3)), ad.tensor(np.zeros(4)))
+            ad.mse_loss(ad.Tensor(np.zeros(3)), ad.Tensor(np.zeros(4)))
 
 
 class TestBackwardBasics:
     def test_sum_grad_is_ones(self):
-        x = ad.param(RngStream(4, "s").normal(7))
+        x = ad.Tensor(RngStream(4, "s").normal(7), requires_grad=True)
         with ad.Tape() as tape:
             tape.backward(ad.sum_(x))
         npt.assert_array_equal(x.grad, np.ones(7))
 
     def test_mse_grad(self):
         data = RngStream(5, "m").normal(6)
-        x = ad.param(data)
+        x = ad.Tensor(data, requires_grad=True)
         with ad.Tape() as tape:
-            tape.backward(ad.mse_loss(x, ad.tensor(np.zeros(6))))
+            tape.backward(ad.mse_loss(x, ad.Tensor(np.zeros(6))))
         npt.assert_allclose(x.grad, 2.0 * data / 6.0, atol=1e-14)
 
     def test_not_scalar(self):
-        x = ad.param(np.zeros((2, 2)))
+        x = ad.Tensor(np.zeros((2, 2)), requires_grad=True)
         with ad.Tape() as tape:
             y = ad.scale(x, 2.0)
             with pytest.raises(NotScalar):
                 tape.backward(y)
 
     def test_grad_accumulates_across_reuse(self):
-        x = ad.param(np.array([3.0]))
+        x = ad.Tensor(np.array([3.0]), requires_grad=True)
         with ad.Tape() as tape:
             y = ad.add(ad.mul(x, x), x)  # x^2 + x
             tape.backward(ad.sum_(y))
@@ -120,9 +120,9 @@ class TestBackwardBasics:
         w = RngStream(13, "w").normal((3, 4))
 
         def run(x_data):
-            x = ad.param(x_data)
+            x = ad.Tensor(x_data, requires_grad=True)
             with ad.Tape() as tape:
-                loss = ad.sum_(ad.mul(ad.add(x, x), ad.tensor(w)))
+                loss = ad.sum_(ad.mul(ad.add(x, x), ad.Tensor(w)))
                 tape.backward(loss)
             return float(loss.data), x.grad
 
@@ -141,13 +141,13 @@ class TestBackwardBasics:
         for a_first in (True, False):
 
             def run(a_data, b_data, _a_first=a_first):
-                a, b = ad.param(a_data), ad.param(b_data)
+                a, b = ad.Tensor(a_data, requires_grad=True), ad.Tensor(b_data, requires_grad=True)
                 with ad.Tape() as tape:
                     if _a_first:
-                        other = ad.sum_(ad.mul(a, ad.tensor(w2)))
-                    s = ad.sum_(ad.mul(ad.add(a, b), ad.tensor(w1)))
+                        other = ad.sum_(ad.mul(a, ad.Tensor(w2)))
+                    s = ad.sum_(ad.mul(ad.add(a, b), ad.Tensor(w1)))
                     if not _a_first:
-                        other = ad.sum_(ad.mul(a, ad.tensor(w2)))
+                        other = ad.sum_(ad.mul(a, ad.Tensor(w2)))
                     loss = ad.add(s, other)
                     tape.backward(loss)
                 return float(loss.data), a.grad, b.grad
@@ -161,16 +161,28 @@ class TestBackwardBasics:
             assert relative_grad_error(numeric_b, b_grad) < 1e-8, a_first
 
     def test_no_grad_leakage(self):
-        x = ad.param(np.ones((2, 2)))
-        c = ad.tensor(np.ones((2, 2)))
+        x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+        c = ad.Tensor(np.ones((2, 2)))
         with ad.Tape() as tape:
             tape.backward(ad.sum_(ad.mul(x, c)))
         assert x.grad is not None
         assert c.grad is None
 
+    def test_nested_tapes_record_on_the_innermost_only(self):
+        x = ad.Tensor(np.ones(3), requires_grad=True)
+        with ad.Tape() as outer:
+            first = ad.scale(x, 3.0)
+            with ad.Tape() as inner:
+                middle = ad.scale(x, 4.0)
+            last = ad.scale(x, 5.0)  # the outer tape records again
+        assert [entry[0] for entry in outer.entries] == [first, last]
+        assert [entry[0] for entry in inner.entries] == [middle]
+        ad.scale(x, 6.0)  # outside any tape: recorded nowhere
+        assert len(outer.entries) == 2 and len(inner.entries) == 1
+
     def test_op_outputs_release_grads_and_parameters_keep_them(self):
-        w = ad.param(RngStream(10, "w").normal((3, 4)))
-        x = ad.tensor(RngStream(11, "x").normal((2, 3)))
+        w = ad.Tensor(RngStream(10, "w").normal((3, 4)), requires_grad=True)
+        x = ad.Tensor(RngStream(11, "x").normal((2, 3)))
         with ad.Tape() as tape:
             h = ad.matmul(x, w)
             y = ad.gelu(h)
@@ -184,11 +196,11 @@ class TestBackwardBasics:
     def test_determinism(self):
         def run():
             rng = RngStream(6, "det")
-            x = ad.param(rng.child("x").normal((4, 4)))
+            x = ad.Tensor(rng.child("x").normal((4, 4)), requires_grad=True)
             with ad.Tape() as tape:
-                y = ad.gelu(ad.matmul(x, ad.tensor(rng.child("w").normal((4, 4)))))
+                y = ad.gelu(ad.matmul(x, ad.Tensor(rng.child("w").normal((4, 4)))))
                 y = ad.dropout(y, 0.3, [rng.child("drop").generator()])
-                loss = ad.mse_loss(y, ad.tensor(np.zeros((4, 4))))
+                loss = ad.mse_loss(y, ad.Tensor(np.zeros((4, 4))))
                 tape.backward(loss)
             return float(loss.data), x.grad.copy()
 
@@ -255,7 +267,7 @@ class TestGradientChecks:
         b = self.RNG.child("u").normal(3)
         for i in range(3):
             assert _probe(ad.linear, [x, w, b], i) < 1e-6, i
-        npt.assert_allclose(ad.linear(ad.tensor(x), ad.tensor(w), ad.tensor(b)).data, x @ w + b, rtol=1e-14)
+        npt.assert_allclose(ad.linear(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)).data, x @ w + b, rtol=1e-14)
 
     @staticmethod
     def _attention_inputs(seed, batch, n, width):
@@ -287,7 +299,7 @@ class TestGradientChecks:
             q, k, v = self._attention_inputs(10 + heads, batch, n, width)
             for p in (0.0, 0.4):
                 gens = self._gens(60 + heads, batch * heads) if p else None
-                out = ad.attention(ad.tensor(q), ad.tensor(k), ad.tensor(v), batch, heads, 0.45, p, gens).data
+                out = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), batch, heads, 0.45, p, gens).data
                 ref_gens = self._gens(60 + heads, batch * heads) if p else None
                 expected, masks = reference_attention(q, k, v, batch, heads, 0.45, p, ref_gens)
                 npt.assert_allclose(out, expected, rtol=0, atol=1e-12, err_msg=f"heads {heads}, p {p}")
@@ -298,20 +310,20 @@ class TestGradientChecks:
                 for hd in range(heads):
                     eye[:, hd * dh : hd * dh + n] = np.tile(np.eye(n), (batch, 1))
                 gens = self._gens(60 + heads, batch * heads) if p else None
-                att = ad.attention(ad.tensor(q), ad.tensor(k), ad.tensor(eye), batch, heads, 0.45, p, gens).data
+                att = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(eye), batch, heads, 0.45, p, gens).data
                 att = att.reshape(batch, n, heads, dh)[..., :n].swapaxes(1, 2)
                 npt.assert_array_equal(att == 0, masks == 0)
                 if p:
                     assert (masks == 0).any() and (masks != 0).any()
 
     def test_batched_shape_errors(self):
-        x = ad.tensor(np.zeros((6, 4)))
+        x = ad.Tensor(np.zeros((6, 4)))
         with pytest.raises(ShapeMismatch):
-            ad.linear(x, ad.tensor(np.zeros((3, 2))), ad.tensor(np.zeros(2)))
+            ad.linear(x, ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros(2)))
         with pytest.raises(ShapeMismatch):
-            ad.linear(x, ad.tensor(np.zeros((4, 2))), ad.tensor(np.zeros(3)))
+            ad.linear(x, ad.Tensor(np.zeros((4, 2))), ad.Tensor(np.zeros(3)))
         with pytest.raises(ShapeMismatch):
-            ad.attention(x, x, ad.tensor(np.zeros((6, 2))), 2, 2, 1.0)
+            ad.attention(x, x, ad.Tensor(np.zeros((6, 2))), 2, 2, 1.0)
         with pytest.raises(ShapeMismatch):
             ad.attention(x, x, x, 4, 2, 1.0)
         with pytest.raises(ShapeMismatch):
@@ -321,9 +333,9 @@ class TestGradientChecks:
         with pytest.raises(ShapeMismatch):
             ad.attention(x, x, x, 2, 2, 1.0, 1.0, [RngStream(0, "a", i).generator() for i in range(4)])
         with pytest.raises(ShapeMismatch):
-            ad.reshape(ad.tensor(np.zeros((2, 3))), (4, 2))
+            ad.reshape(ad.Tensor(np.zeros((2, 3))), (4, 2))
         with pytest.raises(ShapeMismatch):
-            ad.dropout(ad.tensor(np.zeros((5, 2))), 0.5, [RngStream(0, "d", i).generator() for i in range(2)])
+            ad.dropout(ad.Tensor(np.zeros((5, 2))), 0.5, [RngStream(0, "d", i).generator() for i in range(2)])
 
     def test_embedding_lookup(self):
         table = self.RNG.child("k").normal((4, 9))
@@ -354,10 +366,10 @@ class TestGradientChecks:
         logp = logits - logits.max(axis=1, keepdims=True)
         logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
         expected = -(weights * logp[np.arange(4), labels]).sum()
-        out = ad.cross_entropy_loss(ad.tensor(logits), labels, weights)
+        out = ad.cross_entropy_loss(ad.Tensor(logits), labels, weights)
         npt.assert_allclose(float(out.data), expected, rtol=1e-13)
         with pytest.raises(ShapeMismatch):
-            ad.cross_entropy_loss(ad.tensor(logits), labels, weights[:3])
+            ad.cross_entropy_loss(ad.Tensor(logits), labels, weights[:3])
 
     def test_dropout_fixed_mask(self):
         x = self.RNG.child("q").normal((6, 6))
@@ -372,9 +384,9 @@ class TestGradientChecks:
         # blocks, each exactly as that generator alone would draw it
         x = np.ones((6, 4))
         gens = [RngStream(43, "block", i).generator() for i in range(3)]
-        out = ad.dropout(ad.tensor(x), 0.5, gens).data
+        out = ad.dropout(ad.Tensor(x), 0.5, gens).data
         for i in range(3):
-            alone = ad.dropout(ad.tensor(x[:2]), 0.5, [RngStream(43, "block", i).generator()]).data
+            alone = ad.dropout(ad.Tensor(x[:2]), 0.5, [RngStream(43, "block", i).generator()]).data
             npt.assert_array_equal(out[2 * i : 2 * i + 2], alone)
 
         def op(t):
@@ -406,11 +418,11 @@ class TestAttentionBlocks:
         return op
 
     def _run(self, heads, p, arrays):
-        tensors = [ad.param(x) for x in arrays]
+        tensors = [ad.Tensor(x, requires_grad=True) for x in arrays]
         weights = RngStream(71, "att-weights").normal(arrays[0].shape)
         with ad.Tape() as tape:
             out = self._op(heads, p)(*tensors)
-            tape.backward(ad.sum_(ad.mul(out, ad.tensor(weights))))
+            tape.backward(ad.sum_(ad.mul(out, ad.Tensor(weights))))
         return out.data, [t.grad for t in tensors]
 
     # one sequence per block, then blocks of 2 and 1
@@ -439,7 +451,7 @@ class TestAdam:
         store = ad.ParamStore()
         w = store.add("w", np.array([1.0, -2.0]))
         with ad.Tape() as tape:
-            loss = ad.mse_loss(ad.mul(w, ad.tensor(np.zeros(2))), ad.tensor(np.zeros(2)))
+            loss = ad.mse_loss(ad.mul(w, ad.Tensor(np.zeros(2))), ad.Tensor(np.zeros(2)))
             tape.backward(loss)
         ad.adam_step(store, lr=0.1)
         npt.assert_array_equal(w.data, [1.0, -2.0])
@@ -463,7 +475,7 @@ class TestAdam:
         w = store.add("w", np.array([5.0]))
         for _ in range(2000):
             with ad.Tape() as tape:
-                loss = ad.mse_loss(w, ad.tensor(np.array([2.0])))
+                loss = ad.mse_loss(w, ad.Tensor(np.array([2.0])))
                 tape.backward(loss)
             ad.adam_step(store, lr=1e-2)
         assert abs(float(w.data[0]) - 2.0) < 1e-3
@@ -527,14 +539,14 @@ class TestMlpGradient:
         target = rng.child("y").normal((5, 4))
 
         def forward(ws):
-            params = [ad.param(w.copy()) for w in ws]
+            params = [ad.Tensor(w.copy(), requires_grad=True) for w in ws]
             with ad.Tape() as tape:
-                h = ad.tensor(x0)
+                h = ad.Tensor(x0)
                 for i, (w, b) in enumerate(zip(params, biases)):
-                    h = ad.matmul(h, w) + ad.tensor(b)
+                    h = ad.matmul(h, w) + ad.Tensor(b)
                     if i < 2:
                         h = ad.relu(h)
-                loss = ad.mse_loss(h, ad.tensor(target))
+                loss = ad.mse_loss(h, ad.Tensor(target))
                 tape.backward(loss)
             return float(loss.data), params
 
@@ -567,8 +579,8 @@ class TestComposedBlock:
         target = rng.child("y").normal((n, dm))
 
         def forward(vals):
-            params = {k: ad.param(vals[k].copy()) for k in names}
-            x = ad.tensor(x0)
+            params = {k: ad.Tensor(vals[k].copy(), requires_grad=True) for k in names}
+            x = ad.Tensor(x0)
             with ad.Tape() as tape:
                 h = x
                 for _ in range(2):
@@ -580,7 +592,7 @@ class TestComposedBlock:
                     h = h + ad.matmul(ad.matmul(att, v), params["wo"])
                     hn2 = ad.layer_norm(h, params["g2"], params["b2"])
                     h = h + ad.matmul(ad.gelu(ad.matmul(hn2, params["w1"])), params["w2"])
-                loss = ad.mse_loss(h, ad.tensor(target))
+                loss = ad.mse_loss(h, ad.Tensor(target))
                 tape.backward(loss)
             return float(loss.data), params
 

@@ -207,6 +207,29 @@ class TestTrainCommand:
         args = tiny_train_args(out2, ["--resume", os.path.join(out1, "model.ckpt"), "--steps", "20"])
         assert cli.main(args) == 2
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--mode", "masked"], "mode"),
+            (["--d-model", "32"], "backbone.d_model"),
+            (["--seed", "9"], "seed"),
+            (["--steps", "20"], "already at step 20"),
+            (["--corpus", "builtin:grammar3"], "vocabulary"),
+        ],
+    )
+    def test_resume_that_disagrees_exits_2_without_creating_out(self, ckpt, tmp_path, capsys, extra, message):
+        out = tmp_path / "resumed"
+        assert cli.main(tiny_train_args(str(out), ["--resume", ckpt, "--steps", "30", *extra])) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_resume_from_a_missing_checkpoint_exits_2_without_creating_out(self, tmp_path, capsys):
+        out = tmp_path / "resumed"
+        args = tiny_train_args(str(out), ["--resume", str(tmp_path / "missing.ckpt"), "--steps", "30"])
+        assert cli.main(args) == 2
+        assert "cannot read checkpoint" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_masked_mode_csv_header(self, tmp_path):
         out = str(tmp_path / "m")
         args = tiny_train_args(out, ["--mode", "masked", "--corpus", "builtin:grammar3"])
