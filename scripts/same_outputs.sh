@@ -20,6 +20,11 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 # one BLAS thread, so a product sums in the same order in both runs
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
+# one line of each length 8, 16, ..., 128 letters: at N = 2L control
+# points, attention splits a batch of lines of 80 letters or more into
+# several blocks of sequences, and a 128-letter line is a block of its own
+long=$work/long.txt
+awk 'BEGIN { for (n = 8; n <= 128; n += 8) { line = ""; for (i = 0; i < n; i++) line = line substr("abcdefgh", (3 * i + n / 8) % 8 + 1, 1); print line } }' > "$long"
 
 run_all() {
     tree=$1
@@ -40,10 +45,12 @@ run_all() {
     cli k2 train $small --k-curves 2 --dropout 0.1 --out "$out/k2"
     cli ident train $small --mode baseline-identity --corpus builtin:multimodal --out "$out/ident"
     cli mident train $small --mode masked-identity --out "$out/mident"
+    cli long train $small --mode masked --corpus "$long" --max-len 128 --dropout 0.1 --steps 8 --out "$out/long"
 
     for run in gauss resumed k2; do
         cli "sample_$run" sample "$out/$run/model.ckpt" --length 12 --steps 5 --n 2 --seed 1 --out "$out/sample_$run"
     done
+    cli sample_long sample "$out/long/model.ckpt" --length 128 --steps 5 --n 2 --seed 1 --out "$out/sample_long"
     cli probe probe "$out/gauss/model.ckpt" "$out/ident/model.ckpt" --n-eval 4 --n-noise 50 --out "$out/probe"
     cli reconstruct reconstruct --lengths 16,40 --n-ratios 1.5,2.0 --eta-ratios 0.1,0.2 --trials 5 --dim 4 --out "$out/reconstruct"
     cli verify verify all --out "$out/verify"

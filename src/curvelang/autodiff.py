@@ -7,7 +7,8 @@ into every tensor that requires gradients.  Ops are plain functions of
 bias-style row/column addition so every adjoint stays a one-liner.
 ``matmul`` is the 2-D product and ``linear`` the 2-D product plus a row
 bias; ``attention`` is multi-head softmax attention over the rows of a
-batch of sequences as one op, with a hand-written adjoint.
+batch of sequences as one op, with a hand-written adjoint that rebuilds
+the softmax from row statistics.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from .errors import NotScalar, ShapeMismatch
 _M_TOP_PAD = -2
 _TOP_PAD_BYTES = 64 << 20
 
-# Scores (sequences x heads x n x n) the attention adjoint works on at
-# once: 1 MiB of float64 per temporary, so a criterion-9 batch (8 x 2 x
-# 32²) is one block and a 128-token line (N = 256) is one per block.
+# Scores (sequences x heads x n x n) attention works on at once, in the
+# forward pass and in the adjoint: 1 MiB of float64 per temporary, so a
+# criterion-9 batch (8 x 2 x 32²) is one block and a 128-token line
+# (N = 256) is one per block.
 _ATTENTION_BLOCK = 1 << 17
 
 
@@ -179,6 +181,8 @@ def attention(q, k, v, batch: int, heads: int, scale: float, p: float = 0.0, gen
         raise ShapeMismatch(f"attention of {q.shape} as {batch} sequences with {heads} heads")
     if not 0.0 <= p < 1.0:
         raise ShapeMismatch(f"dropout rate must be in [0, 1), got {p}")
+    if p > 0.0 and (gens is None or len(gens) != batch * heads):
+        raise ShapeMismatch(f"attention dropout needs {batch * heads} generators")
     n, dh = rows // batch, width // heads
 
     def split(x):  # (batch * n, d_model) -> (batch, heads, n, dh)
@@ -187,35 +191,51 @@ def attention(q, k, v, batch: int, heads: int, scale: float, p: float = 0.0, gen
     def merge(x):  # (batch, heads, n, dh) -> (batch * n, d_model)
         return x.swapaxes(1, 2).reshape(rows, width)
 
-    # only the softmax (and the dropout mask) outlives this call: the
-    # backward pass splits q, k and v again from the inputs' arrays
-    s = split(q.data) @ split(k.data).swapaxes(-1, -2)
-    s *= scale
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
-    mask = None
-    if p > 0.0:
-        if gens is None or len(gens) != batch * heads:
-            raise ShapeMismatch(f"attention dropout needs {batch * heads} generators")
-        mask = _dropout_mask(gens, (n, n), p).reshape(s.shape)
-    out = merge((s if mask is None else s * mask) @ split(v.data))
+    # only each row's max and sum (and the dropout masks, as booleans)
+    # outlive this call: the backward pass splits q, k and v again from
+    # the inputs' arrays and rebuilds each block's softmax from them
+    row_max = np.empty((batch, heads, n, 1))
+    row_sum = np.empty((batch, heads, n, 1))
+
+    def block_softmax(qh, kh, blk, fresh):
+        s = qh[blk] @ kh[blk].swapaxes(-1, -2)
+        s *= scale
+        if fresh:
+            np.max(s, axis=-1, keepdims=True, out=row_max[blk])
+        s -= row_max[blk]
+        np.exp(s, out=s)
+        if fresh:
+            np.sum(s, axis=-1, keepdims=True, out=row_sum[blk])
+        s /= row_sum[blk]
+        return s
+
+    # both passes run over blocks of whole sequences, so they never hold
+    # more than _ATTENTION_BLOCK scores at once
+    step = max(1, _ATTENTION_BLOCK // (heads * n * n))
+    blocks = [slice(lo, lo + step) for lo in range(0, batch, step)]
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    outh = np.empty_like(qh)
+    keep = []
+    for blk in blocks:
+        att = block_softmax(qh, kh, blk, True)
+        if p > 0.0:
+            keep.append(_dropout_mask(gens[blk.start * heads : blk.stop * heads], (n, n), p).reshape(att.shape))
+            att *= keep[-1] / (1.0 - p)
+        np.matmul(att, vh[blk], out=outh[blk])
+    out = merge(outh)
 
     def backward_fn(g):
         gh, qh, kh, vh = split(g), split(q.data), split(k.data), split(v.data)
         dq, dv = np.empty_like(gh), np.empty_like(gh)
         dk = np.empty((batch, heads, dh, n))  # kᵀ's adjoint, merged transposed
-        # the (n, n) adjoints run over blocks of whole sequences, so they
-        # never hold more than _ATTENTION_BLOCK scores at once
-        step = max(1, _ATTENTION_BLOCK // (heads * n * n))
-        for lo in range(0, batch, step):
-            blk = slice(lo, lo + step)
-            sb = s[blk]
-            att = sb if mask is None else sb * mask[blk]
+        for i, blk in enumerate(blocks):
+            sb = block_softmax(qh, kh, blk, False)
+            mask = keep[i] / (1.0 - p) if keep else None
+            att = sb if mask is None else sb * mask
             d_att = gh[blk] @ vh[blk].swapaxes(-1, -2)
             np.matmul(att.swapaxes(-1, -2), gh[blk], out=dv[blk])
             if mask is not None:
-                d_att *= mask[blk]
+                d_att *= mask
             # softmax adjoint, then the score scale
             d_att -= (d_att * sb).sum(axis=-1, keepdims=True)
             d_att *= sb
@@ -228,9 +248,8 @@ def attention(q, k, v, batch: int, heads: int, scale: float, p: float = 0.0, gen
 
 
 def _dropout_mask(gens, block: tuple, p: float) -> np.ndarray:
-    """Inverted-dropout mask at rate p: one ``block`` per generator, in turn, on the leading axis."""
-    draws = np.concatenate([gen.random(block) for gen in gens])
-    return (draws >= p) / (1.0 - p)
+    """Kept entries at rate p: one ``block`` per generator, in turn, on the leading axis."""
+    return np.concatenate([gen.random(block) for gen in gens]) >= p
 
 
 def _binary_shapes_ok(a: Tensor, b: Tensor) -> bool:
@@ -347,7 +366,8 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (eps 1e-5), then affine."""
     xd = x.data
-    xhat = xd - xd.mean(axis=-1, keepdims=True)
+    mu = xd.mean(axis=-1, keepdims=True)
+    xhat = xd - mu
     # the biased variance, summed as np.var sums it
     inv_std = np.square(xhat).sum(axis=-1, keepdims=True)
     inv_std /= xd.shape[-1]
@@ -360,6 +380,10 @@ def layer_norm(x, gain, bias) -> Tensor:
     gain_data, bias_shape, gain_shape = gain.data, bias.shape, gain.shape
 
     def backward_fn(g):
+        # only the row statistics outlive the forward pass: xhat again
+        # from the input, by the forward's two operations
+        xhat = xd - mu
+        xhat *= inv_std
         dgain = _reduce_to(g * xhat, gain_shape)
         dbias = _reduce_to(g, bias_shape)
         dx = g * gain_data
@@ -485,8 +509,8 @@ def dropout(x, p: float, gens) -> Tensor:
         raise ShapeMismatch(f"dropout rate must be in [0, 1), got {p}")
     if x.data.ndim == 0 or not gens or x.shape[0] % len(gens):
         raise ShapeMismatch(f"cannot split dropout of shape {x.shape} into {len(gens)} blocks")
-    mask = _dropout_mask(gens, (x.shape[0] // len(gens),) + x.shape[1:], p)
-    return _emit(x.data * mask, (x,), lambda g: (g * mask,))
+    keep = _dropout_mask(gens, (x.shape[0] // len(gens),) + x.shape[1:], p)
+    return _emit(x.data * (keep / (1.0 - p)), (x,), lambda g: (g * (keep / (1.0 - p)),))
 
 
 class ParamStore:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 def _key(seed: int, labels: tuple) -> np.ndarray:
@@ -25,6 +26,24 @@ def _key(seed: int, labels: tuple) -> np.ndarray:
             h.update(b"s" + str(label).encode())
     digest = h.digest()
     return np.frombuffer(digest, dtype=np.uint64)
+
+
+class _KeySeed(ISeedSequence):
+    """A Philox key handed over as the seed sequence's whole state.
+
+    ``Philox(key=...)`` would first build a ``SeedSequence`` from OS
+    entropy and then discard it; Philox asks its seed sequence for
+    exactly the two 64-bit key words, so this gives the same state (the
+    key, a zero counter) without that draw.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
 
 
 class RngStream:
@@ -43,7 +62,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """A fresh generator for the (seed, labels...) stream."""
-        return np.random.Generator(np.random.Philox(key=_key(self.seed, self.labels)))
+        return np.random.Generator(np.random.Philox(_KeySeed(_key(self.seed, self.labels))))
 
     def normal(self, shape) -> np.ndarray:
         return self.generator().standard_normal(shape)

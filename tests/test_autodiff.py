@@ -446,6 +446,59 @@ class TestAttentionBlocks:
                 npt.assert_allclose(out, expected, rtol=0, atol=1e-12, err_msg=f"heads {heads}, p {p}")
 
 
+def _saved_arrays(fn):
+    """Every distinct array a backward closure keeps alive.
+
+    Walks the closure's cells through the functions, tensors, lists and
+    tuples they hold; a view counts as the array it views.
+    """
+    seen, found, todo = set(), {}, [fn]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            found[id(obj)] = obj
+        elif isinstance(obj, ad.Tensor):
+            todo.extend([obj.data, obj.grad])
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in obj.__closure__)
+    return list(found.values())
+
+
+class TestSavedForBackward:
+    """What the attention and layer-norm adjoints keep between the passes."""
+
+    def test_attention_keeps_no_score_stack(self):
+        batch, heads, n, width = 2, 2, 64, 8
+        arrays = TestGradientChecks._attention_inputs(80, batch, n, width)
+        stack_bytes = batch * heads * n * n * 8
+        for p in (0.0, 0.3):
+            gens = TestGradientChecks._gens(81, batch * heads) if p else None
+            q, k, v = (ad.Tensor(x, requires_grad=True) for x in arrays)
+            with ad.Tape() as tape:
+                ad.attention(q, k, v, batch, heads, 0.5, p, gens)
+            (_, _, backward_fn), = tape.entries
+            saved = sum(a.nbytes for a in _saved_arrays(backward_fn))
+            assert saved < stack_bytes, (p, saved, stack_bytes)
+
+    def test_layer_norm_keeps_no_activation_of_its_own(self):
+        rows, d = 64, 16
+        x = ad.Tensor(RngStream(82, "ln").normal((rows, d)), requires_grad=True)
+        gain = ad.Tensor(np.ones(d), requires_grad=True)
+        bias = ad.Tensor(np.zeros(d), requires_grad=True)
+        with ad.Tape() as tape:
+            ad.layer_norm(x, gain, bias)
+        (_, _, backward_fn), = tape.entries
+        own = [a for a in _saved_arrays(backward_fn) if a is not x.data and a.shape == (rows, d)]
+        assert own == []
+
+
 class TestAdam:
     def test_zero_grad_no_change(self):
         store = ad.ParamStore()

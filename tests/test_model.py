@@ -540,6 +540,30 @@ def test_backward_holds_no_more_than_the_forward_pass_left():
     assert tape.entries == []
 
 
+@pytest.mark.parametrize("dropout, limit_mib", [(0.0, 52), (0.1, 56)])
+def test_long_line_step_keeps_no_attention_stack(tmp_path, dropout, limit_mib):
+    """A masked step on 8 lines of 128 tokens (N = 256) keeps only row
+    statistics and boolean masks for the attention adjoint; keeping each
+    layer's softmax, and float dropout masks, this step peaked at 64.1 MiB
+    (86.1 MiB with dropout)."""
+    path = tmp_path / "corpus.txt"
+    path.write_text("abcdefgh" * 16 + "\n", encoding="utf-8")
+    config = RunConfig(
+        mode="masked", corpus=str(path), max_len=128, schedule_kind="linear",
+        schedule_steps=100, batch_size=8, lr=2e-3, embed_dim=32, seed=0, dropout=dropout,
+    )
+    corpus = harness.resolve_corpus(config, str(tmp_path))
+    model = harness.build_model(config, corpus)
+    model.cache.get(128)
+    tracemalloc.start()
+    try:
+        M.train_step(model, [corpus.sequences[0]] * 8, M.AdamConfig(lr=config.lr), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib << 20, peak / (1 << 20)
+
+
 class TestSampling:
     def test_reverse_steps_full_stride(self):
         assert M._reverse_steps(10, 10) == list(range(10, 0, -1))
