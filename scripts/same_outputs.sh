@@ -43,11 +43,12 @@ run_all() {
     cli masked20 train $small --mode masked --corpus builtin:grammar3 --dropout 0.1 --steps 20 --out "$out/masked20"
     cli resumed train --config "$out/masked20/run.cfg" --resume "$out/masked20/model.ckpt" --steps 40 --out "$out/resumed"
     cli k2 train $small --k-curves 2 --dropout 0.1 --out "$out/k2"
+    cli mk2 train $small --mode masked --corpus builtin:grammar3 --k-curves 2 --dropout 0.1 --out "$out/mk2"
     cli ident train $small --mode baseline-identity --corpus builtin:multimodal --out "$out/ident"
     cli mident train $small --mode masked-identity --out "$out/mident"
     cli long train $small --mode masked --corpus "$long" --max-len 128 --dropout 0.1 --steps 8 --out "$out/long"
 
-    for run in gauss resumed k2; do
+    for run in gauss resumed k2 mk2; do
         cli "sample_$run" sample "$out/$run/model.ckpt" --length 12 --steps 5 --n 2 --seed 1 --out "$out/sample_$run"
     done
     cli sample_long sample "$out/long/model.ckpt" --length 128 --steps 5 --n 2 --seed 1 --out "$out/sample_long"

@@ -8,7 +8,9 @@ bias-style row/column addition so every adjoint stays a one-liner.
 ``matmul`` is the 2-D product and ``linear`` the 2-D product plus a row
 bias; ``attention`` is multi-head softmax attention over the rows of a
 batch of sequences as one op, with a hand-written adjoint that rebuilds
-the softmax from row statistics.
+the softmax from row statistics, and ``feed_forward`` is a transformer
+feed-forward block as one op, whose adjoint rebuilds its activation from
+the pre-activation.
 """
 
 from __future__ import annotations
@@ -165,6 +167,68 @@ def linear(x, w, b) -> Tensor:
     return _emit(out, (x, w, b), backward_fn)
 
 
+def feed_forward(x, w1, b1, w2, b2, p: float = 0.0, gens=None) -> Tensor:
+    """``linear(dropout(gelu(linear(x, w1, b1)), p, gens), w2, b2)`` as one op.
+
+    The forward pass runs exactly those four ops' operations in turn.
+    Only the pre-activation ``u = x w1 + b1`` (and with ``p > 0`` the
+    boolean keep mask) outlives the call: the adjoint rebuilds GELU's
+    tanh and output from ``u`` by the same operations, so every gradient
+    is bit for bit the unfused chain's, and it holds at most three
+    arrays of u's shape at once.
+    """
+    if (
+        x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
+        or x.shape[1] != w1.shape[0] or w1.shape[1] != w2.shape[0]
+        or b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],)
+    ):
+        raise ShapeMismatch(f"feed_forward of {x.shape} by {w1.shape} plus {b1.shape}, then {w2.shape} plus {b2.shape}")
+    if not 0.0 <= p < 1.0:
+        raise ShapeMismatch(f"dropout rate must be in [0, 1), got {p}")
+    rows = x.shape[0]
+    if p > 0.0 and (not gens or rows % len(gens)):
+        raise ShapeMismatch(f"cannot split dropout of {rows} rows into {len(gens or ())} blocks")
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    u = xd @ w1d
+    u += b1.data
+    t = _gelu_tanh(u)
+    a = _gelu_out(u, t, out=t)
+    keep = None
+    if p > 0.0:
+        keep = _dropout_mask(gens, (rows // len(gens), u.shape[1]), p)
+        a *= keep / (1.0 - p)
+    out = a @ w2d
+    out += b2.data
+    del t, a
+
+    def backward_fn(g):
+        # each buffer is dropped once used up, so at most three are alive
+        t = _gelu_tanh(u)
+        dw2 = None
+        if w2.requires_grad:
+            a = _gelu_out(u, t)
+            if keep is not None:
+                a *= keep / (1.0 - p)
+            dw2 = a.T @ g
+            del a
+        du = _gelu_slope(u, t)
+        del t
+        da = g @ w2d.T
+        if keep is not None:
+            da *= keep / (1.0 - p)
+        du *= da
+        del da
+        return (
+            du @ w1d.T if x.requires_grad else None,
+            xd.T @ du if w1.requires_grad else None,
+            du.sum(axis=0) if b1.requires_grad else None,
+            dw2,
+            g.sum(axis=0) if b2.requires_grad else None,
+        )
+
+    return _emit(out, (x, w1, b1, w2, b2), backward_fn)
+
+
 def attention(q, k, v, batch: int, heads: int, scale: float, p: float = 0.0, gens=None) -> Tensor:
     """Multi-head softmax attention over (batch * n, d_model) rows.
 
@@ -185,15 +249,18 @@ def attention(q, k, v, batch: int, heads: int, scale: float, p: float = 0.0, gen
         raise ShapeMismatch(f"attention dropout needs {batch * heads} generators")
     n, dh = rows // batch, width // heads
 
-    def split(x):  # (batch * n, d_model) -> (batch, heads, n, dh)
-        return np.ascontiguousarray(x.reshape(batch, n, heads, dh).swapaxes(1, 2))
+    def view(x):  # (batch * n, d_model) -> (batch, heads, n, dh), a view of the rows
+        return np.ascontiguousarray(x).reshape(batch, n, heads, dh).swapaxes(1, 2)
+
+    def split(x):  # the same heads, copied
+        return np.ascontiguousarray(view(x))
 
     def merge(x):  # (batch, heads, n, dh) -> (batch * n, d_model)
         return x.swapaxes(1, 2).reshape(rows, width)
 
     # only each row's max and sum (and the dropout masks, as booleans)
-    # outlive this call: the backward pass splits q, k and v again from
-    # the inputs' arrays and rebuilds each block's softmax from them
+    # outlive this call: the backward pass takes the heads of q, k and v
+    # from the inputs' arrays again and rebuilds each block's softmax
     row_max = np.empty((batch, heads, n, 1))
     row_sum = np.empty((batch, heads, n, 1))
 
@@ -225,8 +292,11 @@ def attention(q, k, v, batch: int, heads: int, scale: float, p: float = 0.0, gen
     out = merge(outh)
 
     def backward_fn(g):
-        gh, qh, kh, vh = split(g), split(q.data), split(k.data), split(v.data)
-        dq, dv = np.empty_like(gh), np.empty_like(gh)
+        # heads are read in place, not copied, except one column wide:
+        # BLAS sums such a head, a strided vector, in another order
+        heads_of = view if dh > 1 else split
+        gh, qh, kh, vh = heads_of(g), heads_of(q.data), heads_of(k.data), heads_of(v.data)
+        dq, dv = np.empty((batch, heads, n, dh)), np.empty((batch, heads, n, dh))
         dk = np.empty((batch, heads, dh, n))  # kᵀ's adjoint, merged transposed
         for i, blk in enumerate(blocks):
             sb = block_softmax(qh, kh, blk, False)
@@ -400,32 +470,55 @@ def layer_norm(x, gain, bias) -> Tensor:
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(c (x + 0.044715 x³)), the inner term of tanh-approximate GELU."""
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    return t
+
+
+def _gelu_out(x: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
+    """0.5 x (1 + t) for t = _gelu_tanh(x), into ``out`` if given."""
+    out = np.add(t, 1.0, out=out)
+    out *= x
+    out *= 0.5
+    return out
+
+
+def _gelu_slope(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """GELU's derivative at x, 0.5 (1 + t) + 0.5 x (1 - t²) c (1 + 3 · 0.044715 x²).
+
+    Takes over the buffer of t = _gelu_tanh(x) and holds at most two
+    more arrays of its shape at once.
+    """
+    dx = t * t
+    np.subtract(1.0, dx, out=dx)
+    tmp = 0.5 * x
+    dx *= tmp
+    d_inner = np.multiply(x, x, out=tmp)
+    d_inner *= 3 * 0.044715
+    d_inner += 1.0
+    d_inner *= _GELU_C
+    dx *= d_inner
+    del tmp, d_inner
+    t += 1.0
+    t *= 0.5
+    dx += t
+    return dx
+
+
 def gelu(x) -> Tensor:
     """Tanh-approximate GELU: 0.5 x (1 + tanh(c (x + 0.044715 x³)))."""
     xd = x.data
-    t = xd * xd
-    t *= xd
-    t *= 0.044715
-    t += xd
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out = t + 1.0
-    out *= xd
-    out *= 0.5
+    t = _gelu_tanh(xd)
+    out = _gelu_out(xd, t)
 
     def backward_fn(g):
-        # 0.5 (1 + t) + 0.5 x (1 - t²) c (1 + 3 · 0.044715 x²), times g
-        d_inner = xd * xd
-        d_inner *= 3 * 0.044715
-        d_inner += 1.0
-        d_inner *= _GELU_C
-        dx = t * t
-        np.subtract(1.0, dx, out=dx)
-        dx *= 0.5 * xd
-        dx *= d_inner
-        half = t + 1.0
-        half *= 0.5
-        dx += half
+        dx = _gelu_slope(xd, t.copy())
         dx *= g
         return (dx,)
 

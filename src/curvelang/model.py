@@ -283,10 +283,9 @@ class SclmModel:
             ctx = ad.attention(q, k, v, batch, heads, inv_sqrt, p_drop, gens)
             h = h + ad.linear(ctx, p[f"l{i}.wo"], p[f"l{i}.bo"])
             hn2 = ad.layer_norm(h, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
-            ff = ad.gelu(ad.linear(hn2, p[f"l{i}.ff_w1"], p[f"l{i}.ff_b1"]))
-            if p_drop:
-                ff = ad.dropout(ff, p_drop, [r.child("ff", i).generator() for r in rngs])
-            h = h + ad.linear(ff, p[f"l{i}.ff_w2"], p[f"l{i}.ff_b2"])
+            gens = [r.child("ff", i).generator() for r in rngs] if p_drop else None
+            ff = ad.feed_forward(hn2, p[f"l{i}.ff_w1"], p[f"l{i}.ff_b1"], p[f"l{i}.ff_w2"], p[f"l{i}.ff_b2"], p_drop, gens)
+            h = h + ff
         return ad.layer_norm(h, p["lnf_g"], p["lnf_b"])
 
     def _embed_tokens(self, points: Tensor, t, curve_tokens: bool) -> Tensor:
@@ -347,8 +346,8 @@ class SclmModel:
         k, batch = self.k_curves, points.shape[0]
         hidden = self.backbone_hidden(points, t, rngs, curve_tokens=True)
         head_vec = ad.slice_(hidden, (slice(None), 0))
-        s1 = ad.gelu(ad.linear(head_vec, self.store["score_w1"], self.store["score_b1"]))
-        scores = ad.linear(s1, self.store["score_w2"], self.store["score_b2"])
+        p = self.store
+        scores = ad.feed_forward(head_vec, p["score_w1"], p["score_b1"], p["score_w2"], p["score_b2"])
         probs = ad.softmax(ad.reshape(scores, (k, batch)), axis=0)
         body = self.hidden_to_points(ad.slice_(hidden, (slice(None), slice(1, hidden.shape[1]))))
         body = ad.reshape(body, (k, batch) + body.shape[1:])

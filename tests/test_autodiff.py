@@ -270,6 +270,65 @@ class TestGradientChecks:
         npt.assert_allclose(ad.linear(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)).data, x @ w + b, rtol=1e-14)
 
     @staticmethod
+    def _feed_forward_inputs(seed, rows, d, d_ff):
+        rng = RngStream(seed, "feed-forward")
+        shapes = {"x": (rows, d), "w1": (d, d_ff), "b1": (d_ff,), "w2": (d_ff, d), "b2": (d,)}
+        return [rng.child(name).normal(shape) for name, shape in shapes.items()]
+
+    @staticmethod
+    def _ff_gens(count):
+        return [RngStream(45, "ff-drop", i).generator() for i in range(count)]
+
+    def test_feed_forward(self):
+        arrays = self._feed_forward_inputs(30, 6, 4, 7)
+        for p in (0.0, 0.3):
+
+            def op(*tensors, _p=p):
+                return ad.feed_forward(*tensors, _p, self._ff_gens(2) if _p else None)
+
+            for i in range(5):
+                assert _probe(op, arrays, i) < 1e-6, (p, i)
+
+    def test_feed_forward_matches_the_unfused_chain_bit_for_bit(self):
+        arrays = self._feed_forward_inputs(31, 8, 5, 9)
+        weights = RngStream(32, "ff-weights").normal((8, 5))
+
+        def run(fused, p, x_grad):
+            tensors = [ad.Tensor(a, requires_grad=x_grad or i > 0) for i, a in enumerate(arrays)]
+            x, w1, b1, w2, b2 = tensors
+            gens = self._ff_gens(2) if p else None
+            with ad.Tape() as tape:
+                if fused:
+                    out = ad.feed_forward(x, w1, b1, w2, b2, p, gens)
+                else:
+                    a = ad.gelu(ad.linear(x, w1, b1))
+                    out = ad.linear(ad.dropout(a, p, gens) if p else a, w2, b2)
+                tape.backward(ad.sum_(ad.mul(out, ad.Tensor(weights))))
+            return out.data, [t.grad for t in tensors]
+
+        for p in (0.0, 0.3):
+            for x_grad in (True, False):
+                out, grads = run(True, p, x_grad)
+                ref_out, ref_grads = run(False, p, x_grad)
+                npt.assert_array_equal(out, ref_out)
+                assert (grads[0] is None) == (not x_grad)
+                for got, want in zip(grads, ref_grads):
+                    assert (got is None and want is None) or np.array_equal(got, want), (p, x_grad)
+
+    def test_feed_forward_shape_errors(self):
+        x, w1, b1, w2, b2 = (ad.Tensor(a) for a in self._feed_forward_inputs(33, 6, 4, 7))
+        for p in (-0.1, 1.0):
+            with pytest.raises(ShapeMismatch):
+                ad.feed_forward(x, w1, b1, w2, b2, p, self._ff_gens(2))
+        for gens in (self._ff_gens(4), [], None):
+            with pytest.raises(ShapeMismatch):
+                ad.feed_forward(x, w1, b1, w2, b2, 0.5, gens)
+        with pytest.raises(ShapeMismatch):
+            ad.feed_forward(x, w1, b2, w2, b2)
+        with pytest.raises(ShapeMismatch):
+            ad.feed_forward(x, w1, b1, w1, b2)
+
+    @staticmethod
     def _attention_inputs(seed, batch, n, width):
         rng = RngStream(seed, "attention")
         return [rng.child(name).normal((batch * n, width)) for name in "qkv"]
@@ -315,6 +374,29 @@ class TestGradientChecks:
                 npt.assert_array_equal(att == 0, masks == 0)
                 if p:
                     assert (masks == 0).any() and (masks != 0).any()
+
+    def test_each_head_matches_attention_over_its_columns_alone(self):
+        # bit for bit, also for heads one column wide, whose strided
+        # columns BLAS would sum in another order than a contiguous copy
+        batch, heads = 3, 4
+
+        def run(arrays, n_heads, weights):
+            tensors = [ad.Tensor(a, requires_grad=True) for a in arrays]
+            with ad.Tape() as tape:
+                out = ad.attention(*tensors, batch, n_heads, 0.6)
+                tape.backward(ad.sum_(ad.mul(out, ad.Tensor(weights))))
+            return [out.data] + [t.grad for t in tensors]
+
+        for n in (2, 7):
+            for dh in (1, 3):
+                rng = RngStream(5, "heads", n, dh)
+                arrays = [rng.child(name).normal((batch * n, heads * dh)) for name in "qkvw"]
+                together = run(arrays[:3], heads, arrays[3])
+                for hd in range(heads):
+                    cols = slice(hd * dh, (hd + 1) * dh)
+                    alone = run([np.ascontiguousarray(a[:, cols]) for a in arrays[:3]], 1, arrays[3][:, cols])
+                    for got, want in zip(together, alone):
+                        npt.assert_array_equal(got[:, cols], want, err_msg=f"n {n}, dh {dh}, head {hd}")
 
     def test_batched_shape_errors(self):
         x = ad.Tensor(np.zeros((6, 4)))
@@ -472,7 +554,7 @@ def _saved_arrays(fn):
 
 
 class TestSavedForBackward:
-    """What the attention and layer-norm adjoints keep between the passes."""
+    """What the attention, layer-norm and feed-forward adjoints keep between the passes."""
 
     def test_attention_keeps_no_score_stack(self):
         batch, heads, n, width = 2, 2, 64, 8
@@ -497,6 +579,20 @@ class TestSavedForBackward:
         (_, _, backward_fn), = tape.entries
         own = [a for a in _saved_arrays(backward_fn) if a is not x.data and a.shape == (rows, d)]
         assert own == []
+
+    def test_feed_forward_keeps_only_its_pre_activation(self):
+        rows, d, d_ff = 12, 4, 32
+        arrays = TestGradientChecks._feed_forward_inputs(84, rows, d, d_ff)
+        for p in (0.0, 0.3):
+            x, w1, b1, w2, b2 = (ad.Tensor(a, requires_grad=True) for a in arrays)
+            with ad.Tape() as tape:
+                ad.feed_forward(x, w1, b1, w2, b2, p, TestGradientChecks._ff_gens(3) if p else None)
+            (_, _, backward_fn), = tape.entries
+            wide = [a for a in _saved_arrays(backward_fn) if a.shape == (rows, d_ff)]
+            floats = [a for a in wide if a.dtype != bool]
+            assert len(floats) == 1, p
+            npt.assert_array_equal(floats[0], arrays[0] @ arrays[1] + arrays[2])
+            assert len(wide) == (2 if p else 1), p
 
 
 class TestAdam:

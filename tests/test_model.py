@@ -540,12 +540,8 @@ def test_backward_holds_no_more_than_the_forward_pass_left():
     assert tape.entries == []
 
 
-@pytest.mark.parametrize("dropout, limit_mib", [(0.0, 52), (0.1, 56)])
-def test_long_line_step_keeps_no_attention_stack(tmp_path, dropout, limit_mib):
-    """A masked step on 8 lines of 128 tokens (N = 256) keeps only row
-    statistics and boolean masks for the attention adjoint; keeping each
-    layer's softmax, and float dropout masks, this step peaked at 64.1 MiB
-    (86.1 MiB with dropout)."""
+def _long_line_step_peak(tmp_path, dropout):
+    """The tracemalloc peak of a masked step on 8 lines of 128 tokens (N = 256)."""
     path = tmp_path / "corpus.txt"
     path.write_text("abcdefgh" * 16 + "\n", encoding="utf-8")
     config = RunConfig(
@@ -558,9 +554,27 @@ def test_long_line_step_keeps_no_attention_stack(tmp_path, dropout, limit_mib):
     tracemalloc.start()
     try:
         M.train_step(model, [corpus.sequences[0]] * 8, M.AdamConfig(lr=config.lr), 0)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dropout, limit_mib", [(0.0, 52), (0.1, 56)])
+def test_long_line_step_keeps_no_attention_stack(tmp_path, dropout, limit_mib):
+    """A masked step on 8 lines of 128 tokens (N = 256) keeps only row
+    statistics and boolean masks for the attention adjoint; keeping each
+    layer's softmax, and float dropout masks, this step peaked at 64.1 MiB
+    (86.1 MiB with dropout)."""
+    peak = _long_line_step_peak(tmp_path, dropout)
+    assert peak < limit_mib << 20, peak / (1 << 20)
+
+
+@pytest.mark.parametrize("dropout, limit_mib", [(0.0, 40), (0.1, 44)])
+def test_long_line_step_keeps_only_the_feed_forward_pre_activation(tmp_path, dropout, limit_mib):
+    """The feed-forward adjoint keeps its pre-activation (and a boolean
+    mask) and rebuilds GELU's tanh and output; keeping them as well, this
+    step peaked at 44.3 MiB (48.8 MiB with dropout)."""
+    peak = _long_line_step_peak(tmp_path, dropout)
     assert peak < limit_mib << 20, peak / (1 << 20)
 
 
