@@ -25,6 +25,10 @@ export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 # several blocks of sequences, and a 128-letter line is a block of its own
 long=$work/long.txt
 awk 'BEGIN { for (n = 8; n <= 128; n += 8) { line = ""; for (i = 0; i < n; i++) line = line substr("abcdefgh", (3 * i + n / 8) % 8 + 1, 1); print line } }' > "$long"
+# 2-letter lines: trained one line a step on a linear 20-step schedule,
+# 15 of 40 steps mask no position and so run Adam with no gradient at all
+pairs=$work/pairs.txt
+printf 'ab\nba\naa\nbb\n' > "$pairs"
 
 run_all() {
     tree=$1
@@ -47,6 +51,7 @@ run_all() {
     cli ident train $small --mode baseline-identity --corpus builtin:multimodal --out "$out/ident"
     cli mident train $small --mode masked-identity --out "$out/mident"
     cli long train $small --mode masked --corpus "$long" --max-len 128 --dropout 0.1 --steps 8 --out "$out/long"
+    cli pairs train $small --mode masked --corpus "$pairs" --batch-size 1 --schedule-kind linear --out "$out/pairs"
 
     for run in gauss resumed k2 mk2; do
         cli "sample_$run" sample "$out/$run/model.ckpt" --length 12 --steps 5 --n 2 --seed 1 --out "$out/sample_$run"

@@ -3,8 +3,11 @@
 A ``Tape`` records every op run while it is the innermost open tape;
 ``Tape.backward`` consumes the record in reverse and accumulates adjoints
 into every tensor that requires gradients.  Ops are plain functions of
-``Tensor`` inputs backed by numpy arrays.  Broadcasting is limited to
-bias-style row/column addition so every adjoint stays a one-liner.
+``Tensor`` inputs backed by numpy arrays.  A tape entry holds the
+gradient slots of the op's output and inputs, not the tensors, so an
+output's array lives only while a caller or some adjoint holds it.
+Broadcasting is limited to bias-style row/column addition so every
+adjoint stays a one-liner.
 ``matmul`` is the 2-D product and ``linear`` the 2-D product plus a row
 bias; ``attention`` is multi-head softmax attention over the rows of a
 batch of sequences as one op, with a hand-written adjoint that rebuilds
@@ -16,6 +19,7 @@ the pre-activation.
 from __future__ import annotations
 
 import ctypes
+import math
 
 import numpy as np
 
@@ -52,13 +56,34 @@ def _retain_heap() -> bool:
 HEAP_RETAINED = _retain_heap()
 
 
+class Slot:
+    """A tensor's gradient slot: all a tape entry keeps of a tensor."""
+
+    __slots__ = ("requires_grad", "grad")
+
+    def __init__(self, requires_grad: bool):
+        self.requires_grad = requires_grad
+        self.grad = None
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
-        self.grad = None
+        self.slot = Slot(requires_grad)
+
+    @property
+    def requires_grad(self):
+        return self.slot.requires_grad
+
+    @property
+    def grad(self):
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, value):
+        self.slot.grad = value
 
     @property
     def shape(self):
@@ -94,8 +119,9 @@ class Tape:
             raise NotScalar(f"backward needs a scalar loss, got shape {loss.shape}")
         loss.grad = np.ones_like(loss.data)
         entries = self.entries
-        # playback consumes the record: an entry, with the arrays its
-        # adjoint saved, is freed as soon as that adjoint is handed on
+        # playback consumes the record of (output slot, input slots,
+        # adjoint) entries: an entry, with the arrays its adjoint saved,
+        # is freed as soon as that adjoint is handed on
         while entries:
             out, inputs, backward_fn = entries.pop()
             if out.grad is None:
@@ -119,7 +145,7 @@ _tapes: list[Tape] = []
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     if out.requires_grad and _tapes:
-        _tapes[-1].entries.append((out, inputs, backward_fn))
+        _tapes[-1].entries.append((out.slot, tuple(t.slot for t in inputs), backward_fn))
     return out
 
 
@@ -607,32 +633,40 @@ def dropout(x, p: float, gens) -> Tensor:
 
 
 class ParamStore:
-    """Named parameters plus Adam first/second-moment state.
+    """Named parameters plus Adam first/second-moment state, in three flat buffers.
 
-    A parameter added with ``by_rows`` is read one leading block of rows
-    at a time (a position table).  ``reach`` keeps the most rows any
-    forward pass has read, a count that only grows, and Adam updates only
-    those rows: a row that has never had a gradient has zero moments, so
-    Adam would move it by exactly 0.
+    Built once from the full parameter list, ``(name, shape, by_rows)``
+    triples.  Every parameter's ``data``, and its two moments, are views
+    into ``values``, ``first`` and ``second``; ``names()`` keeps the
+    list's order, while the buffers put parameters with ``by_rows`` (a
+    position table, read one leading block of rows at a time) last.
+    ``reach`` keeps the most rows any forward pass has read, a count that
+    only grows, and Adam updates only those rows: a row that has never
+    had a gradient has zero moments, so Adam would move it by exactly 0.
     """
 
-    def __init__(self):
+    def __init__(self, specs):
         self.params: dict[str, Tensor] = {}
         self.moment1: dict[str, np.ndarray] = {}
         self.moment2: dict[str, np.ndarray] = {}
-        self.rows_reached: dict[str, int] = {}
+        self.rows_reached = {name: 0 for name, _, by_rows in specs if by_rows}
         self.step_count = 0
-
-    def add(self, name: str, data, by_rows: bool = False) -> Tensor:
-        if name in self.params:
-            raise KeyError(f"duplicate parameter name {name!r}")
-        t = Tensor(data, requires_grad=True)
-        self.params[name] = t
-        self.moment1[name] = np.zeros_like(t.data)
-        self.moment2[name] = np.zeros_like(t.data)
-        if by_rows:
-            self.rows_reached[name] = 0
-        return t
+        total = sum(math.prod(shape) for _, shape, _ in specs)
+        self.values, self.first, self.second = np.zeros(total), np.zeros(total), np.zeros(total)
+        # each parameter's first entry in the buffers, in buffer order: a
+        # stable sort puts the row tables, and so their unreached rows, last
+        self.offsets: dict[str, int] = {}
+        lo = 0
+        for name, shape, _ in sorted(specs, key=lambda spec: spec[2]):
+            if name in self.offsets:
+                raise KeyError(f"duplicate parameter name {name!r}")
+            self.offsets[name] = lo
+            lo += math.prod(shape)
+        for name, shape, _ in specs:
+            part = slice(self.offsets[name], self.offsets[name] + math.prod(shape))
+            self.params[name] = Tensor(self.values[part].reshape(shape), requires_grad=True)
+            self.moment1[name] = self.first[part].reshape(shape)
+            self.moment2[name] = self.second[part].reshape(shape)
 
     def reach(self, name: str, rows: int) -> None:
         """Record that a forward pass reads the first ``rows`` rows of ``name``."""
@@ -658,21 +692,37 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update; gradients are cleared afterward.
 
-    Each parameter's passes run in place on two temporaries, in the
+    The gradients are gathered into one temporary, and the passes run
+    once per run of adjacent parameters in the buffers that have one (a
+    training step is one run), in place on it and one more, in the
     rounding order of ``m = β1 m + (1-β1) g``, ``v = β2 v + (1-β2) g²`` and
-    ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``; the gradient, which an op
-    may share with another input, is only read.
+    ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``.  A parameter without a
+    gradient keeps its value and moments; the gradients are only read.
     """
     store.step_count += 1
     t = store.step_count
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    for name, p in store.params.items():
-        if p.grad is None:
+    # each parameter's gradient, flat, and the runs they cover in the
+    # buffers, [start, end), in buffer order
+    grads, runs = [], []
+    for name, lo in store.offsets.items():
+        g = store.params[name].grad
+        if g is None:
             continue
-        key = slice(0, store.rows_reached[name]) if name in store.rows_reached else ...
-        g, w = p.grad[key], p.data[key]
-        m, v = store.moment1[name][key], store.moment2[name][key]
+        if name in store.rows_reached:
+            g = g[: store.rows_reached[name]]
+        grads.append(g.ravel())
+        if runs and runs[-1][1] == lo:
+            runs[-1][1] += g.size
+        else:
+            runs.append([lo, lo + g.size])
+    gathered = np.concatenate(grads) if grads else None
+    at = 0
+    for lo, hi in runs:
+        g = gathered[at : at + hi - lo]
+        at += hi - lo
+        w, m, v = store.values[lo:hi], store.first[lo:hi], store.second[lo:hi]
         a = g * (1.0 - beta1)
         m *= beta1
         m += a
@@ -682,7 +732,7 @@ def adam_step(
         v += a
         np.divide(m, c1, out=a)
         a *= lr
-        b = v / c2
+        b = np.divide(v, c2, out=g)  # the gathered gradient is used up
         np.sqrt(b, out=b)
         b += eps
         a /= b

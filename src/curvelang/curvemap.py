@@ -121,6 +121,7 @@ def _recon_noise(length: int, trials: int, seed: int, dim: int) -> np.ndarray:
     return values
 
 
+@splines.one_blas_thread()
 def _projector(length: int, config: CurveConfig) -> tuple[np.ndarray, int, float]:
     """B_pinv @ B at length L, with B_pinv's rank and condition number.
 

@@ -196,21 +196,17 @@ class SclmModel:
         self.seed = seed
         # the K-curve head: learnable curve tokens plus a shallow scorer
         self.k_head = k_curves >= 2 or force_k_head
-        self.store = ParamStore()
         self._init_params(unit_norm)
 
     def _init_params(self, unit_norm: bool) -> None:
-        init = RngStream(self.seed, "init")
         cfg = self.backbone
         d, dm, dff = self.embed_dim, cfg.d_model, cfg.d_ff
+        specs = []  # (name, shape, by_rows, std), in checkpoint order
 
         def make(name, shape, std=0.02, by_rows=False):
-            return self.store.add(name, init.child(name).normal(shape) * std, by_rows)
+            specs.append((name, shape, by_rows, std))
 
-        emb = make("emb", (d, self.vocab.size), std=1.0)
-        self.embedding = EmbeddingTable(weight=emb, unit_norm=unit_norm)
-        self.embedding.project()
-
+        make("emb", (d, self.vocab.size), std=1.0)
         make("in_w", (d, dm))
         make("in_b", (dm,), std=0.0)
         make("pos", (cfg.max_positions, dm), by_rows=True)
@@ -218,20 +214,17 @@ class SclmModel:
         make("time_b", (dm,), std=0.0)
         for i in range(cfg.layers):
             make(f"l{i}.ln1_g", (dm,), std=0.0)
-            self.store[f"l{i}.ln1_g"].data += 1.0
             make(f"l{i}.ln1_b", (dm,), std=0.0)
             for proj in ("q", "k", "v", "o"):
                 make(f"l{i}.w{proj}", (dm, dm))
                 make(f"l{i}.b{proj}", (dm,), std=0.0)
             make(f"l{i}.ln2_g", (dm,), std=0.0)
-            self.store[f"l{i}.ln2_g"].data += 1.0
             make(f"l{i}.ln2_b", (dm,), std=0.0)
             make(f"l{i}.ff_w1", (dm, dff))
             make(f"l{i}.ff_b1", (dff,), std=0.0)
             make(f"l{i}.ff_w2", (dff, dm))
             make(f"l{i}.ff_b2", (dm,), std=0.0)
         make("lnf_g", (dm,), std=0.0)
-        self.store["lnf_g"].data += 1.0
         make("lnf_b", (dm,), std=0.0)
         make("out_w", (dm, d))
         make("out_b", (d,), std=0.0)
@@ -241,6 +234,18 @@ class SclmModel:
             make("score_b1", (dm,), std=0.0)
             make("score_w2", (dm, 1))
             make("score_b2", (1,), std=0.0)
+
+        self.store = ParamStore([spec[:3] for spec in specs])
+        init = RngStream(self.seed, "init")
+        # each parameter is drawn straight into its view of the store
+        for name, _, _, std in specs:
+            view = self.store[name].data
+            init.child(name).generator().standard_normal(out=view)
+            view *= std
+            if name.endswith("_g"):  # a layer norm's gain starts at one
+                view += 1.0
+        self.embedding = EmbeddingTable(weight=self.store["emb"], unit_norm=unit_norm)
+        self.embedding.project()
 
     # ---------------------------------------------------------------- pairs
 

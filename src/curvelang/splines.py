@@ -9,6 +9,10 @@ All spline math is float64 regardless of what the model side uses.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +24,47 @@ from .errors import (
     OutOfRange,
     ShapeMismatch,
 )
+
+
+def _blas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or None where they are missing."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*")
+    for path in glob.glob(libs):
+        try:
+            lib = ctypes.CDLL(path)
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+# OpenBLAS may sum a product or an SVD in another order on another
+# number of threads: at 2 threads against 1, the pseudo-inverses of 80 of
+# the 249 default lengths differ, all at L >= 159.  So every pseudo-
+# inverse, and the sweep's projector, runs on one thread
+# (``one_blas_thread``) and is the same at any OPENBLAS_NUM_THREADS.
+# BLAS_PINNED is False, and nothing is pinned, where numpy's
+# OpenBLAS or its thread setter is not found.
+_BLAS_THREADS = _blas_threads()
+BLAS_PINNED = _BLAS_THREADS is not None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block, or the decorated function, on one OpenBLAS thread; then restore the previous count."""
+    # nothing to pin where the setter is missing, and no set call at one
+    # thread already: with one, the benchmark's cache build read 12%
+    # slower at OPENBLAS_NUM_THREADS=1 (10 pairs)
+    before = _BLAS_THREADS[0]() if _BLAS_THREADS else 1
+    if before == 1:
+        yield
+        return
+    set_ = _BLAS_THREADS[1]
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 @dataclass(frozen=True)
@@ -224,6 +269,7 @@ def _mirror_rows(B_pinv: np.ndarray) -> None:
     B_pinv[len(B_pinv) - q :] = B_pinv[:q][::-1, ::-1]
 
 
+@one_blas_thread()
 def _centro_pseudo_inverse(B: np.ndarray, top: np.ndarray) -> tuple[int, float]:
     """Top of the pseudo-inverse of B's centrosymmetric part, from its even and odd blocks.
 

@@ -1,10 +1,16 @@
 """Forward values, adjoint correctness, and optimizer behavior."""
 
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from curvelang import autodiff as ad
+from curvelang import checkpoint
+from curvelang import model as M
+from curvelang.corpus import build_vocab
+from curvelang.curvemap import CurveConfig, build_cache
 from curvelang.errors import NotScalar, ShapeMismatch
 from curvelang.rng import RngStream
 
@@ -175,10 +181,33 @@ class TestBackwardBasics:
             with ad.Tape() as inner:
                 middle = ad.scale(x, 4.0)
             last = ad.scale(x, 5.0)  # the outer tape records again
-        assert [entry[0] for entry in outer.entries] == [first, last]
-        assert [entry[0] for entry in inner.entries] == [middle]
+        assert [entry[0] for entry in outer.entries] == [first.slot, last.slot]
+        assert [entry[0] for entry in inner.entries] == [middle.slot]
         ad.scale(x, 6.0)  # outside any tape: recorded nowhere
         assert len(outer.entries) == 2 and len(inner.entries) == 1
+
+    def test_tape_keeps_no_residual_branch_array(self):
+        # add's adjoint reads only shapes, so once the caller drops the
+        # branch linear(x, w, b), nothing holds its array; the gradients
+        # are those of a run that keeps it
+        rng = RngStream(12, "branch")
+        arrays = [rng.child(name).normal(shape) for name, shape in (("h", (5, 4)), ("x", (5, 3)), ("w", (3, 4)), ("b", (4,)))]
+
+        def run(keep_branch):
+            h, x, w, b = (ad.Tensor(a, requires_grad=True) for a in arrays)
+            with ad.Tape() as tape:
+                branch = ad.linear(x, w, b)
+                alive = weakref.ref(branch.data)
+                out = h + branch
+                if not keep_branch:
+                    del branch
+                    assert alive() is None
+                    assert len(tape.entries) == 2
+                tape.backward(ad.sum_(ad.mul(out, out)))
+            return [t.grad for t in (h, x, w, b)]
+
+        for got, want in zip(run(False), run(True)):
+            npt.assert_array_equal(got, want)
 
     def test_op_outputs_release_grads_and_parameters_keep_them(self):
         w = ad.Tensor(RngStream(10, "w").normal((3, 4)), requires_grad=True)
@@ -597,8 +626,9 @@ class TestSavedForBackward:
 
 class TestAdam:
     def test_zero_grad_no_change(self):
-        store = ad.ParamStore()
-        w = store.add("w", np.array([1.0, -2.0]))
+        store = ad.ParamStore([("w", (2,), False)])
+        w = store["w"]
+        w.data[...] = [1.0, -2.0]
         with ad.Tape() as tape:
             loss = ad.mse_loss(ad.mul(w, ad.Tensor(np.zeros(2))), ad.Tensor(np.zeros(2)))
             tape.backward(loss)
@@ -608,8 +638,9 @@ class TestAdam:
     def test_constant_grad_step_size_approaches_lr(self):
         # with a constant gradient the bias-corrected update tends to
         # lr * sign(g) in magnitude
-        store = ad.ParamStore()
-        w = store.add("w", np.array([0.0]))
+        store = ad.ParamStore([("w", (1,), False)])
+        w = store["w"]
+        w.data[...] = [0.0]
         g = np.array([3.7])
         for _ in range(500):
             w.grad = g.copy()
@@ -620,8 +651,9 @@ class TestAdam:
         npt.assert_allclose(before - w.data, [0.01], rtol=1e-6)
 
     def test_quadratic_convergence(self):
-        store = ad.ParamStore()
-        w = store.add("w", np.array([5.0]))
+        store = ad.ParamStore([("w", (1,), False)])
+        w = store["w"]
+        w.data[...] = [5.0]
         for _ in range(2000):
             with ad.Tape() as tape:
                 loss = ad.mse_loss(w, ad.Tensor(np.array([2.0])))
@@ -630,37 +662,33 @@ class TestAdam:
         assert abs(float(w.data[0]) - 2.0) < 1e-3
 
     def test_grads_cleared_after_step(self):
-        store = ad.ParamStore()
-        w = store.add("w", np.ones(3))
+        store = ad.ParamStore([("w", (3,), False)])
+        w = store["w"]
+        w.data[...] = np.ones(3)
         w.grad = np.ones(3)
         ad.adam_step(store, lr=0.1)
         assert w.grad is None
 
-    def test_matches_reference_with_unreached_trailing_rows(self):
-        # a row table whose last rows never get a gradient, beside whole
-        # parameters; one gradient array is shared by two of them, as an
-        # op's adjoint may be
+    @staticmethod
+    def _stores():
+        """Two stores of the same values: a row table beside whole parameters."""
         stores = []
         for _ in range(2):
-            store = ad.ParamStore()
+            store = ad.ParamStore([("pos", (12, 3), True), ("w", (4, 3), False), ("u", (4, 3), False), ("b", (3,), False)])
             init = RngStream(5, "adam-rows")
-            store.add("pos", init.child("pos").normal((12, 3)), by_rows=True)
-            store.add("w", init.child("w").normal((4, 3)))
-            store.add("u", init.child("u").normal((4, 3)))
-            store.add("b", init.child("b").normal((3,)))
+            for name in store.names():
+                store[name].data[...] = init.child(name).normal(store[name].shape)
             stores.append(store)
+        return stores
+
+    @staticmethod
+    def _train_against_reference(stores, skip_middle, steps=50):
+        """Adam and the reference Adam on the same gradients; returns the rows reached."""
         new, ref = stores
         reached = 0
-        for step in range(50):
-            rng = RngStream(5, "adam-grads", step)
-            rows = int(rng.child("rows").integers(1, 9))
+        for step in range(steps):
+            rows, grads = TestAdam._grads(step, skip_middle)
             reached = max(reached, rows)
-            pos_grad = np.zeros((12, 3))
-            pos_grad[:rows] = rng.child("pos").normal((rows, 3))
-            shared = rng.child("w").normal((4, 3))
-            grads = {"pos": pos_grad, "w": shared, "u": shared}
-            if step % 3:
-                grads["b"] = rng.child("b").normal((3,))
             kept = {name: g.copy() for name, g in grads.items()}
             new.reach("pos", rows)
             for store in stores:
@@ -674,8 +702,98 @@ class TestAdam:
             for name in new.names():
                 for got, want in ((new[name].data, ref[name].data), (new.moment1[name], ref.moment1[name]), (new.moment2[name], ref.moment2[name])):
                     assert np.array_equal(got, want), f"{name} at step {step}"
+        return reached
+
+    @staticmethod
+    def _grads(step, skip_middle):
+        rng = RngStream(5, "adam-grads", step)
+        rows = int(rng.child("rows").integers(1, 9))
+        pos_grad = np.zeros((12, 3))
+        pos_grad[:rows] = rng.child("pos").normal((rows, 3))
+        shared = rng.child("w").normal((4, 3))
+        grads = {"pos": pos_grad, "w": shared, "u": shared}
+        if step % 3:
+            grads["b"] = rng.child("b").normal((3,))
+        if skip_middle and step % 4 == 1:
+            del grads["u"]
+        return rows, grads
+
+    def test_matches_reference_with_unreached_trailing_rows(self):
+        # a row table whose last rows never get a gradient, beside whole
+        # parameters; one gradient array is shared by two of them, as an
+        # op's adjoint may be
+        new, _ = stores = self._stores()
+        reached = self._train_against_reference(stores, skip_middle=False)
         assert reached < 12
         assert not new.moment1["pos"][reached:].any() and not new.moment2["pos"][reached:].any()
+
+    def test_matches_reference_when_a_middle_parameter_has_no_gradient(self):
+        # u lies between w and b in the buffers: without its gradient the
+        # step updates two runs and leaves u's value and moments alone
+        new, _ = stores = self._stores()
+        self._train_against_reference(stores, skip_middle=True)
+        assert new.offsets["w"] < new.offsets["u"] < new.offsets["b"] < new.offsets["pos"]
+
+    def test_step_without_gradients_changes_nothing_but_counts(self):
+        new, _ = stores = self._stores()
+        self._train_against_reference(stores, skip_middle=False, steps=5)
+        before = [buf.copy() for buf in (new.values, new.first, new.second)]
+        ad.adam_step(new, lr=0.01)
+        assert new.step_count == 6
+        for got, want in zip((new.values, new.first, new.second), before):
+            assert np.array_equal(got, want)
+
+
+class TestParamStore:
+    SPECS = [("a", (2, 3), False), ("pos", (5, 2), True), ("b", (4,), False), ("rows", (3, 2), True), ("c", (1,), False)]
+
+    def test_parameters_and_moments_are_views_of_three_buffers(self):
+        store = ad.ParamStore(self.SPECS)
+        assert store.names() == [name for name, _, _ in self.SPECS]
+        buffers = (store.values, store.first, store.second)
+        assert all(buf.shape == (6 + 10 + 4 + 6 + 1,) for buf in buffers)
+        for name, shape, _ in self.SPECS:
+            views = (store[name].data, store.moment1[name], store.moment2[name])
+            for i, view in enumerate(views):
+                assert view.shape == shape, name
+                assert [np.shares_memory(view, buf) for buf in buffers] == [j == i for j in range(3)], name
+        # the row tables fill the buffers' tail, in list order
+        tail = store.values[-(10 + 6):]
+        assert np.shares_memory(tail[:10], store["pos"].data) and np.shares_memory(tail[10:], store["rows"].data)
+        assert not np.shares_memory(store.values[:-16], store["pos"].data)
+        assert list(store.offsets) == ["a", "b", "c", "pos", "rows"]
+        assert store.rows_reached == {"pos": 0, "rows": 0}
+
+    def test_duplicate_name_is_refused(self):
+        with pytest.raises(KeyError):
+            ad.ParamStore([("w", (2,), False), ("w", (3,), False)])
+
+    def test_loaded_checkpoint_keeps_views_and_resumes_exactly(self, tmp_path):
+        # a model trained in memory, its state rounded to the checkpoint's
+        # float32 in place, takes the same next step as the loaded copy
+        model = M.SclmModel(
+            mode="masked", vocab=build_vocab([list("abcd")]), cache=build_cache(CurveConfig(l_min=2, l_max=8)),
+            schedule=M.build_schedule(10, "linear"),
+            backbone=M.BackboneConfig(layers=1, d_model=8, d_ff=16, dropout=0.1, max_positions=32, time_dim=4),
+            embed_dim=4, seed=3,
+        )
+        batches = [[RngStream(3, "batch", i, j).generator().integers(1, 5, size=6) for j in range(3)] for i in range(4)]
+        optimizer = M.AdamConfig(lr=1e-2)
+        for step in range(3):
+            M.train_step(model, batches[step], optimizer, step)
+        path = str(tmp_path / "m.ckpt")
+        checkpoint.save(model, path, step=3)
+        loaded, _, _ = checkpoint.load(path)
+        for name in loaded.store.names():
+            for view, buf in ((loaded.store[name].data, loaded.store.values), (loaded.store.moment1[name], loaded.store.first), (loaded.store.moment2[name], loaded.store.second)):
+                assert np.shares_memory(view, buf), name
+        for buf in (model.store.values, model.store.first, model.store.second):
+            buf[...] = buf.astype(np.float32)
+        assert loaded.store.rows_reached == model.store.rows_reached and loaded.store.step_count == model.store.step_count
+        records = [M.train_step(m, batches[3], optimizer, 3) for m in (model, loaded)]
+        assert records[0] == records[1]
+        for got, want in zip((loaded.store.values, loaded.store.first, loaded.store.second), (model.store.values, model.store.first, model.store.second)):
+            assert np.array_equal(got, want)
 
 
 class TestMlpGradient:

@@ -1,5 +1,9 @@
 """Basis construction, pseudo-inverse contracts, and spectral analysis."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -515,3 +519,28 @@ class TestImportanceRatio:
             report = sp.importance_ratio(sp.build_pair(length, n, eta).B_pinv)
             for imp in report.importance_local:
                 assert report.importance_global / imp <= report.ratio_bound + 1e-9
+
+
+# pinv_top bytes at the lengths where 2 threads and 1 differed unpinned,
+# and the README's L=75 sweep cell
+_THREAD_PROBE = """
+import hashlib
+from curvelang import curvemap
+from curvelang.curvemap import CurveConfig
+cache = curvemap.build_cache(CurveConfig())
+for length in (159, 200, 250):
+    print(length, hashlib.sha256(cache.get(length).pinv_top.tobytes()).hexdigest())
+print(repr(curvemap.reconstruction_error(75, CurveConfig(n_ratio=2.5, eta_ratio=0.33))))
+"""
+
+
+@pytest.mark.skipif(not sp.BLAS_PINNED, reason="numpy's OpenBLAS thread setter not found: nothing is pinned")
+def test_pseudo_inverse_is_the_same_at_any_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(sp.__file__))
+    outputs = []
+    for threads in ("2", "1"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert len(outputs[0].splitlines()) == 4
+    assert outputs[0] == outputs[1]
