@@ -261,36 +261,52 @@ def lemma3_bound_check(pair: BasisPair, n_random: int, seed: int) -> list[Verifi
 # -------------------------------------------------- distance correlation
 
 
-def _centre_distances_into(X: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write the double-centred distance matrix of samples X (n, d) into ``out`` (n, n).
+# Distances per block of the dCov kernel: a (k, rows, n) block of
+# pairwise distances holds at most 1 MiB of float64 (one row when k·n
+# alone is more), so no (k, n²) array is built.
+_DCOV_BLOCK = 1 << 17
 
-    Squared distances are summed one coordinate at a time through the
-    (n, n) work buffer ``scratch``, so no (n, n, d) difference tensor is
-    built.
+
+def _dcov_gram(samples: np.ndarray) -> np.ndarray:
+    """(k, k) Gram of biased dCov² between k sets of n samples, given as (n, k, d).
+
+    dCov² = S1 + S2 - 2·S3 from the pairwise distances a, b of two sets:
+    S1 the mean of a·b, S2 the product of their means, S3 the mean product
+    of their row means (Székely, Rizzo and Bakirov 2007).  Each block of
+    rows adds its row sums and its Gram D Dᵀ to running totals.
     """
-    out.fill(0.0)
-    for col in np.ascontiguousarray(X.T):
-        np.subtract(col[:, None], col[None, :], out=scratch)
-        np.multiply(scratch, scratch, out=scratch)
-        out += scratch
-    np.sqrt(out, out=out)
-    row = out.mean(axis=1, keepdims=True)
-    col = out.mean(axis=0, keepdims=True)
-    grand = out.mean()
-    out -= row
-    out -= col
-    out += grand
+    n, k, d = samples.shape
+    # one contiguous (k, n) array per coordinate: strided views of the
+    # samples made the subtractions slower
+    cols = np.ascontiguousarray(samples.transpose(2, 1, 0))
+    step = max(1, _DCOV_BLOCK // (k * n))
+    dist = np.empty(k * min(step, n) * n)
+    scratch = np.empty_like(dist)
+    row_sums = np.empty((k, n))
+    gram = np.zeros((k, k))
+    for lo in range(0, n, step):
+        rows = min(step, n - lo)
+        block = dist[: k * rows * n].reshape(k, rows, n)
+        work = scratch[: k * rows * n].reshape(k, rows, n)
+        block.fill(0.0)
+        for col in cols:
+            np.subtract(col[:, lo : lo + rows, None], col[:, None, :], out=work)
+            np.multiply(work, work, out=work)
+            block += work
+        np.sqrt(block, out=block)
+        block.sum(axis=2, out=row_sums[:, lo : lo + rows])
+        flat = block.reshape(k, rows * n)
+        gram += flat @ flat.T
+    totals = row_sums.sum(axis=1)
+    return gram / n**2 + np.outer(totals, totals) / n**4 - 2.0 * (row_sums @ row_sums.T) / n**3
 
 
-def _dcor_matrix(stack: np.ndarray) -> np.ndarray:
-    """Biased distance correlation between every pair of rows of ``stack``.
+def _dcor_matrix(gram: np.ndarray) -> np.ndarray:
+    """Biased distance correlations from a (k, k) Gram of dCov².
 
-    Each row of the (k, n²) stack is a flattened double-centred distance
-    matrix.  One Gram product gives every dcov², its diagonal the
-    distance variances; a row whose distance variance is <= 0
-    correlates 0 with every row, and a NaN propagates.
+    The diagonal holds the distance variances; a set whose distance
+    variance is <= 0 correlates 0 with every set, and a NaN propagates.
     """
-    gram = stack @ stack.T / stack.shape[1]
     dvar = gram.diagonal()
     live = np.flatnonzero(~(dvar <= 0.0))
     pairs = np.ix_(live, live)
@@ -303,6 +319,8 @@ def distance_correlation(X: np.ndarray, Y: np.ndarray) -> float:
     """Biased-statistic distance correlation in [0, 1]; 0 if degenerate."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
+    if not (1 <= X.ndim <= 2 and 1 <= Y.ndim <= 2):
+        raise ShapeMismatch(f"samples must be (n,) or (n, d), got shapes {X.shape} and {Y.shape}")
     if X.ndim == 1:
         X = X[:, None]
     if Y.ndim == 1:
@@ -312,11 +330,11 @@ def distance_correlation(X: np.ndarray, Y: np.ndarray) -> float:
     n = X.shape[0]
     if n < 2:
         raise TooFewSamples(f"need at least 2 samples, got {n}")
-    stack = np.empty((2, n * n))
-    scratch = np.empty((n, n))
-    for row, samples in zip(stack, (X, Y)):
-        _centre_distances_into(samples, row.reshape(n, n), scratch)
-    return float(_dcor_matrix(stack)[0, 1])
+    # the narrower set is padded with zero coordinates, which add nothing
+    samples = np.zeros((n, 2, max(X.shape[1], Y.shape[1])))
+    samples[:, 0, : X.shape[1]] = X
+    samples[:, 1, : Y.shape[1]] = Y
+    return float(_dcor_matrix(_dcov_gram(samples))[0, 1])
 
 
 # ------------------------------------------------------------ logit probe
@@ -420,21 +438,14 @@ def logit_correlation_probe(
 ) -> ProbeResult:
     """Dependence between per-position logits under hidden-state noise.
 
-    Logits come from ``probe_logits``.  Each position's centred distance
-    matrix goes into one (L, n_noise²) stack, allocated once and reused
-    for every sequence; one Gram product of the stack gives the distance
+    Logits come from ``probe_logits``.  One pass of the dCov kernel
+    over a sequence's (n_noise, L, |V|) logits gives the distance
     correlation of every pair of positions, and the matrices are
     averaged over the batch.
     """
     sequences = probe_logits(model, eval_batch, n_noise, dropout_p, noise_scale, seed)
     length = len(eval_batch[0])
-    stack = np.empty((length, n_noise * n_noise))
-    scratch = np.empty((n_noise, n_noise))
-    matrices = []
-    for samples in sequences:
-        for i, row in enumerate(stack):
-            _centre_distances_into(samples[:, i, :], row.reshape(n_noise, n_noise), scratch)
-        matrices.append(_dcor_matrix(stack))
+    matrices = [_dcor_matrix(_dcov_gram(samples)) for samples in sequences]
     mean_matrix = np.mean(matrices, axis=0)
     off = mean_matrix[~np.eye(length, dtype=bool)]
     return ProbeResult(matrix=mean_matrix, mean_offdiag=float(off.mean()))

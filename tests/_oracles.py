@@ -436,6 +436,13 @@ def _dcor_centered(A, B, dvar_a, dvar_b):
     return float(np.sqrt(dcov2 / np.sqrt(dvar_a * dvar_b)))
 
 
+def centred_dcor(X, Y):
+    """Biased distance correlation of samples X, Y from their double-centred distance matrices."""
+    A = _centered_distances(np.asarray(X, dtype=np.float64).reshape(len(X), -1))
+    B = _centered_distances(np.asarray(Y, dtype=np.float64).reshape(len(Y), -1))
+    return _dcor_centered(A, B, _distance_variance(A), _distance_variance(B))
+
+
 def reference_probe_matrix(model, eval_batch, n_noise, dropout_p, noise_scale, seed, t_frac=0.5):
     """Batch-mean probe matrix (L, L), one pair of positions at a time.
 

@@ -13,7 +13,7 @@ from curvelang.errors import ConfigError, DegenerateDistribution, NotUnitNorm, S
 from curvelang.rng import RngStream
 from curvelang.splines import build_pair, identity_pair
 
-from _oracles import closed_form_dcor, reference_probe_logits, reference_probe_matrix
+from _oracles import centred_dcor, closed_form_dcor, reference_probe_logits, reference_probe_matrix
 from test_model import jolt, make_batch, make_model
 
 
@@ -190,9 +190,25 @@ class TestDistanceCorrelation:
         X = rng.standard_normal(30)
         assert abs(theory.distance_correlation(X, X**2) - closed_form_dcor(X, X**2)) < 1e-12
 
+    def test_matches_double_centred_oracle(self):
+        # the kernel shares closed_form_dcor's S1 + S2 - 2·S3 algebra, so it
+        # is also checked against the double-centred definition
+        rng = RngStream(6, "dc").generator()
+        for n, dx, dy in ((2, 1, 1), (7, 1, 3), (25, 3, 2), (40, 5, 5)):
+            X = rng.standard_normal((n, dx))
+            Y = np.tanh(X.sum(axis=1, keepdims=True)) + 0.5 * rng.standard_normal((n, dy))
+            assert abs(theory.distance_correlation(X, Y) - centred_dcor(X, Y)) < 1e-12, (n, dx, dy)
+        X = rng.standard_normal(30)
+        assert abs(theory.distance_correlation(X, X**2) - centred_dcor(X, X**2)) < 1e-12
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             theory.distance_correlation(np.ones((4, 2)), np.ones((5, 2)))
+
+    @pytest.mark.parametrize("x_shape, y_shape", [((10, 2, 3), (10, 4)), ((10, 4), (10, 1, 1)), ((10, 1, 1, 1), (10,)), ((), (10,))])
+    def test_samples_of_other_than_one_or_two_axes_rejected(self, x_shape, y_shape):
+        with pytest.raises(ShapeMismatch):
+            theory.distance_correlation(np.ones(x_shape), np.ones(y_shape))
 
 
 class TestLogitProbe:
@@ -269,6 +285,41 @@ class TestLogitProbe:
         finally:
             tracemalloc.stop()
         assert peak <= bound, (peak, bound)
+
+    def test_peak_memory_has_no_length_by_n_noise_squared_term(self):
+        # an (L, n²) stack of centred distance matrices alone would take
+        # 22 MiB at L = 32, n_noise = 300; the blocked kernel holds two
+        # 1 MiB distance blocks, a sequence's logits and their transpose
+        length, n_noise = 32, 300
+        model = jolt(make_model("gaussian", seed=45, length=length), seed=45)
+        batch = make_batch(model, n=2, length=length, seed=45)
+        tracemalloc.start()
+        try:
+            theory.logit_correlation_probe(model, batch, n_noise=n_noise, dropout_p=0.1, noise_scale=0.1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, peak
+
+    def test_blocks_of_one_row_and_a_short_last_block(self, monkeypatch):
+        model = jolt(make_model("gaussian", seed=46), seed=46)
+        batch = make_batch(model, n=2, seed=46)
+        n_noise, length = 45, len(batch[0])
+        ref = reference_probe_matrix(model, batch, n_noise, 0.2, 0.3, 6)
+        rng = RngStream(7, "blocks").generator()
+        samples = rng.standard_normal((n_noise, 5, 3))
+        samples[:, 2] = samples[0, 2]
+        # rows per block: 1, 4 (a last block of 1 row), 7 (of 3 rows), all
+        for rows in (1, 4, 7, n_noise):
+            monkeypatch.setattr(theory, "_DCOV_BLOCK", rows * length * n_noise)
+            got = theory.logit_correlation_probe(model, batch, n_noise=n_noise, dropout_p=0.2, noise_scale=0.3, seed=6)
+            npt.assert_allclose(got.matrix, ref, rtol=0, atol=1e-12, err_msg=f"{rows} rows")
+            monkeypatch.setattr(theory, "_DCOV_BLOCK", rows * 5 * n_noise)
+            matrix = theory._dcor_matrix(theory._dcov_gram(samples))
+            assert not matrix[2].any() and not matrix[:, 2].any(), rows
+            for i in (0, 1, 3, 4):
+                for j in (0, 1, 3, 4):
+                    assert abs(matrix[i, j] - centred_dcor(samples[:, i], samples[:, j])) < 1e-12, (rows, i, j)
 
     @pytest.mark.parametrize(
         "settings, error",
