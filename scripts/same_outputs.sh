@@ -53,7 +53,8 @@ run_all() {
     cli long train $small --mode masked --corpus "$long" --max-len 128 --dropout 0.1 --steps 8 --out "$out/long"
     cli pairs train $small --mode masked --corpus "$pairs" --batch-size 1 --schedule-kind linear --out "$out/pairs"
 
-    for run in gauss resumed k2 mk2; do
+    # the identity runs sample with a to_points and to_words that bypass the curve map
+    for run in gauss resumed k2 mk2 ident mident; do
         cli "sample_$run" sample "$out/$run/model.ckpt" --length 12 --steps 5 --n 2 --seed 1 --out "$out/sample_$run"
     done
     cli sample_long sample "$out/long/model.ckpt" --length 128 --steps 5 --n 2 --seed 1 --out "$out/sample_long"

@@ -8,12 +8,12 @@ gradient slots of the op's output and inputs, not the tensors, so an
 output's array lives only while a caller or some adjoint holds it.
 Broadcasting is limited to bias-style row/column addition so every
 adjoint stays a one-liner.
-``matmul`` is the 2-D product and ``linear`` the 2-D product plus a row
-bias; ``attention`` is multi-head softmax attention over the rows of a
-batch of sequences as one op, with a hand-written adjoint that rebuilds
-the softmax from row statistics, and ``feed_forward`` is a transformer
-feed-forward block as one op, whose adjoint rebuilds its activation from
-the pre-activation.
+``linear``, ``feed_forward`` and ``cross_entropy_loss`` act on the last
+axis of an input of any rank, whose leading axes they flatten into rows;
+``attention`` is multi-head softmax attention over (batch, n, d_model)
+sequences as one op, with an adjoint that rebuilds the softmax from row
+statistics, and ``feed_forward``'s adjoint rebuilds its activation from
+the pre-activation.  The model calls no plain 2-D ``matmul``.
 """
 
 from __future__ import annotations
@@ -175,46 +175,50 @@ def matmul(a, b) -> Tensor:
     return _emit(ad @ bd, (a, b), backward_fn)
 
 
-def linear(x, w, b) -> Tensor:
-    """Rows of x (n, k) times w (k, m) plus the row bias b (m,), as one op."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
-        raise ShapeMismatch(f"linear of {x.shape} by {w.shape} plus {b.shape}")
-    xd, wd = x.data, w.data
+def linear(x, w, b=None) -> Tensor:
+    """x (..., k) times w (k, m), plus the row bias b (m,) if given, as one 2-D product."""
+    if x.data.ndim == 0 or w.data.ndim != 2 or x.shape[-1] != w.shape[0] or (b is not None and b.shape != (w.shape[1],)):
+        raise ShapeMismatch(f"linear of {x.shape} by {w.shape} plus {None if b is None else b.shape}")
+    x_shape, x_grad, w_grad, b_grad = x.shape, x.requires_grad, w.requires_grad, b is not None and b.requires_grad
+    xd, wd = x.data.reshape(-1, w.shape[0]), w.data
     out = xd @ wd
-    out += b.data
+    if b is not None:
+        out += b.data
 
     def backward_fn(g):
+        g = g.reshape(-1, wd.shape[1])
         return (
-            g @ wd.T if x.requires_grad else None,
-            xd.T @ g if w.requires_grad else None,
-            g.sum(axis=0) if b.requires_grad else None,
+            (g @ wd.T).reshape(x_shape) if x_grad else None,
+            xd.T @ g if w_grad else None,
+            g.sum(axis=0) if b_grad else None,
         )
 
-    return _emit(out, (x, w, b), backward_fn)
+    return _emit(out.reshape(x_shape[:-1] + (wd.shape[1],)), (x, w) if b is None else (x, w, b), backward_fn)
 
 
 def feed_forward(x, w1, b1, w2, b2, p: float = 0.0, gens=None) -> Tensor:
     """``linear(dropout(gelu(linear(x, w1, b1)), p, gens), w2, b2)`` as one op.
 
-    The forward pass runs exactly those four ops' operations in turn.
-    Only the pre-activation ``u = x w1 + b1`` (and with ``p > 0`` the
-    boolean keep mask) outlives the call: the adjoint rebuilds GELU's
-    tanh and output from ``u`` by the same operations, so every gradient
-    is bit for bit the unfused chain's, and it holds at most three
-    arrays of u's shape at once.
+    The forward pass runs exactly those four ops' operations in turn on
+    the rows of x (..., k).  Only the pre-activation ``u = x w1 + b1``
+    (and with ``p > 0`` the boolean keep mask) outlives the call: the
+    adjoint rebuilds GELU's tanh and output from ``u`` by the same
+    operations, so every gradient is bit for bit the unfused chain's,
+    and it holds at most three arrays of u's shape at once.
     """
     if (
-        x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
-        or x.shape[1] != w1.shape[0] or w1.shape[1] != w2.shape[0]
+        x.data.ndim == 0 or w1.data.ndim != 2 or w2.data.ndim != 2
+        or x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]
         or b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],)
     ):
         raise ShapeMismatch(f"feed_forward of {x.shape} by {w1.shape} plus {b1.shape}, then {w2.shape} plus {b2.shape}")
     if not 0.0 <= p < 1.0:
         raise ShapeMismatch(f"dropout rate must be in [0, 1), got {p}")
-    rows = x.shape[0]
+    x_shape, x_grad = x.shape, x.requires_grad
+    xd, w1d, w2d = x.data.reshape(-1, w1.shape[0]), w1.data, w2.data
+    rows = xd.shape[0]
     if p > 0.0 and (not gens or rows % len(gens)):
         raise ShapeMismatch(f"cannot split dropout of {rows} rows into {len(gens or ())} blocks")
-    xd, w1d, w2d = x.data, w1.data, w2.data
     u = xd @ w1d
     u += b1.data
     t = _gelu_tanh(u)
@@ -229,6 +233,7 @@ def feed_forward(x, w1, b1, w2, b2, p: float = 0.0, gens=None) -> Tensor:
 
     def backward_fn(g):
         # each buffer is dropped once used up, so at most three are alive
+        g = g.reshape(-1, w2d.shape[1])
         t = _gelu_tanh(u)
         dw2 = None
         if w2.requires_grad:
@@ -245,44 +250,44 @@ def feed_forward(x, w1, b1, w2, b2, p: float = 0.0, gens=None) -> Tensor:
         du *= da
         del da
         return (
-            du @ w1d.T if x.requires_grad else None,
+            (du @ w1d.T).reshape(x_shape) if x_grad else None,
             xd.T @ du if w1.requires_grad else None,
             du.sum(axis=0) if b1.requires_grad else None,
             dw2,
             g.sum(axis=0) if b2.requires_grad else None,
         )
 
-    return _emit(out, (x, w1, b1, w2, b2), backward_fn)
+    return _emit(out.reshape(x_shape[:-1] + (w2d.shape[1],)), (x, w1, b1, w2, b2), backward_fn)
 
 
-def attention(q, k, v, batch: int, heads: int, scale: float, p: float = 0.0, gens=None) -> Tensor:
-    """Multi-head softmax attention over (batch * n, d_model) rows.
+def attention(q, k, v, heads: int, scale: float, p: float = 0.0, gens=None) -> Tensor:
+    """Multi-head softmax attention over (batch, n, d_model) sequences.
 
-    Rows are ``batch`` sequences of n tokens; each head attends within its
-    sequence over its d_model / heads columns: softmax(scale * q kᵀ),
-    inverted dropout at rate ``p``, times v, heads merged back into
-    columns.  With ``p > 0``, ``gens`` holds one generator per (sequence,
-    head), sequence-major, and each draws its (n, n) mask in turn.
+    Each head attends within its sequence over its d_model / heads
+    columns: softmax(scale * q kᵀ), inverted dropout at rate ``p``, times
+    v, heads merged back into columns.  With ``p > 0``, ``gens`` holds one
+    generator per (sequence, head), sequence-major, and each draws its
+    (n, n) mask in turn.
     """
-    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+    if q.data.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeMismatch(f"attention of {q.shape}, {k.shape} and {v.shape}")
-    rows, width = q.shape
-    if batch < 1 or heads < 1 or rows % batch or width % heads:
-        raise ShapeMismatch(f"attention of {q.shape} as {batch} sequences with {heads} heads")
+    batch, n, width = q.shape
+    if heads < 1 or width % heads:
+        raise ShapeMismatch(f"attention of {q.shape} with {heads} heads")
     if not 0.0 <= p < 1.0:
         raise ShapeMismatch(f"dropout rate must be in [0, 1), got {p}")
     if p > 0.0 and (gens is None or len(gens) != batch * heads):
         raise ShapeMismatch(f"attention dropout needs {batch * heads} generators")
-    n, dh = rows // batch, width // heads
+    dh = width // heads
 
-    def view(x):  # (batch * n, d_model) -> (batch, heads, n, dh), a view of the rows
+    def view(x):  # (batch, n, d_model) -> (batch, heads, n, dh), a view of the sequences
         return np.ascontiguousarray(x).reshape(batch, n, heads, dh).swapaxes(1, 2)
 
     def split(x):  # the same heads, copied
         return np.ascontiguousarray(view(x))
 
-    def merge(x):  # (batch, heads, n, dh) -> (batch * n, d_model)
-        return x.swapaxes(1, 2).reshape(rows, width)
+    def merge(x):  # (batch, heads, n, dh) -> (batch, n, d_model)
+        return x.swapaxes(1, 2).reshape(batch, n, width)
 
     # only each row's max and sum (and the dropout masks, as booleans)
     # outlive this call: the backward pass takes the heads of q, k and v
@@ -431,18 +436,19 @@ def slice_(a, key) -> Tensor:
 
 
 def embedding_lookup(table, ids) -> Tensor:
-    """Gather columns of a (d, V) table at integer ids -> (d, len(ids))."""
+    """Columns of a (d, V) table at integer ids (..., n): (..., d, n), a view of a (d, ..., n) array."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeMismatch(f"ids must be 1-D, got shape {ids.shape}")
-    t_shape = table.shape
+    if ids.ndim == 0:
+        raise ShapeMismatch("ids must have at least one axis, got a scalar")
+    t_shape, flat = table.shape, ids.ravel()
 
     def backward_fn(g):
         buf = np.zeros(t_shape, dtype=g.dtype)
-        np.add.at(buf, (slice(None), ids), g)
+        np.add.at(buf, (slice(None), flat), np.moveaxis(g, -2, 0).reshape(t_shape[0], -1))
         return (buf,)
 
-    return _emit(table.data[:, ids].copy(), (table,), backward_fn)
+    cols = table.data[:, flat].copy().reshape((t_shape[0],) + ids.shape)
+    return _emit(np.moveaxis(cols, 0, -2), (table,), backward_fn)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -592,27 +598,29 @@ def mse_loss(pred, target) -> Tensor:
 
 
 def cross_entropy_loss(logits, targets, weights=None) -> Tensor:
-    """Negative log-likelihood over rows of (n, V) logits.
+    """Negative log-likelihood over the rows of (..., V) logits.
 
-    The mean over rows, or with per-row ``weights`` the weighted sum.
+    The mean over rows, or with per-row ``weights`` the weighted sum;
+    ``targets`` and ``weights`` have the logits' leading shape.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    if logits.data.ndim != 2 or targets.ndim != 1 or targets.shape[0] != logits.shape[0]:
+    if logits.data.ndim == 0 or targets.shape != logits.shape[:-1]:
         raise ShapeMismatch(f"cross_entropy_loss of {logits.shape} with targets {targets.shape}")
-    n = logits.shape[0]
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (n,):
-            raise ShapeMismatch(f"cross_entropy_loss weights of shape {weights.shape} for {n} rows")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+        if weights.shape != targets.shape:
+            raise ShapeMismatch(f"cross_entropy_loss weights of shape {weights.shape} for targets {targets.shape}")
+    logits_shape, targets, n = logits.shape, targets.ravel(), targets.size
+    rows = logits.data.reshape(n, logits_shape[-1])
+    z = rows - rows.max(axis=1, keepdims=True)
     log_z = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     picked = log_z[np.arange(n), targets]
-    nll = -picked.mean() if weights is None else -(weights * picked).sum()
+    nll = -picked.mean() if weights is None else -(weights.ravel() * picked).sum()
 
     def backward_fn(g):
         grad = np.exp(log_z)
         grad[np.arange(n), targets] -= 1.0
-        return (g * grad / n,) if weights is None else (g * grad * weights[:, None],)
+        return ((g * grad / n if weights is None else g * grad * weights.reshape(-1, 1)).reshape(logits_shape),)
 
     return _emit(np.asarray(nll), (logits,), backward_fn)
 

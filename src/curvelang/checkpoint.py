@@ -51,6 +51,8 @@ def _read_blob(fh) -> tuple[str, np.ndarray]:
     shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
     count = int(np.prod(shape)) if shape else 1
     data = np.frombuffer(_read_exact(fh, count * 4), dtype="<f4").reshape(shape)
+    if not np.isfinite(data).all():
+        raise IoError(f"checkpoint blob {name} holds a non-finite value")
     return name, data.astype(np.float64)
 
 
@@ -105,11 +107,11 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
     """Rebuild the model from a checkpoint file; its basis pairs are built on first use.
 
     A short read, bytes after the last blob, an unparsable header or blob,
-    a header that is not an object or lacks a key, a parameter list other
-    than the model's, and a parameter with no blob of its name raise
-    ``IoError``.  The file is parsed from memory, so a corrupt length
-    field asks for at most the bytes that are there instead of allocating
-    what it claims.
+    a header that is not an object or lacks a key, a step count that is no
+    integer >= 0, a non-finite blob value, a parameter list other than the
+    model's, and a parameter with no blob of its name raise ``IoError``.
+    The file is parsed from memory, so a corrupt length field asks for at
+    most the bytes that are there instead of allocating what it claims.
     """
     try:
         with open(path, "rb") as fh:
@@ -132,6 +134,9 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
         trailing = len(raw) - fh.tell()
         if trailing:
             raise IoError(f"checkpoint {path} has {trailing} bytes after its last blob")
+        for key in ("step", "opt_step_count"):
+            if type(header[key]) is not int or header[key] < 0:
+                raise IoError(f"checkpoint {key} must be an integer >= 0, got {header[key]!r}")
         return _restore(header, blobs), header["step"], header
     except KeyError as exc:
         raise IoError(f"checkpoint {path} has no entry {exc}") from exc

@@ -132,14 +132,6 @@ def _time_features(t, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
-def _matmul_last(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Apply a (n, m) matrix, and the bias b (m,) if given, to the last
-    axis of x (..., n) as one 2-D op."""
-    rows = ad.reshape(x, (-1, x.shape[-1]))
-    out = ad.matmul(rows, w) if b is None else ad.linear(rows, w, b)
-    return ad.reshape(out, x.shape[:-1] + (w.shape[1],))
-
-
 def _batch_length(batch: list[np.ndarray]) -> int:
     length = len(batch[0])
     if any(len(tokens) != length for tokens in batch):
@@ -156,9 +148,9 @@ class SclmModel:
 
     The model works on batches of sequences of one length: embeddings
     (B, d, L), control points (B, d, N), one diffusion step per
-    sequence.  The backbone runs the whole batch as (B * n_tokens,
-    d_model) rows; attention splits them into sequences and heads inside
-    one op.
+    sequence.  The backbone runs the whole batch as (B, n_tokens,
+    d_model) sequences; every weight acts on the last axis, and attention
+    splits the sequences into heads inside one op.
     """
 
     def __init__(
@@ -251,9 +243,7 @@ class SclmModel:
 
     def embed(self, tokens: np.ndarray) -> Tensor:
         """Word embeddings (B, d, L) of token ids (B, L)."""
-        tokens = np.asarray(tokens, dtype=np.int64)
-        cols = ad.embedding_lookup(self.embedding.weight, tokens.ravel())
-        return ad.swapaxes(ad.reshape(cols, (self.embed_dim,) + tokens.shape), 0, 1)
+        return ad.embedding_lookup(self.embedding.weight, tokens)
 
     def to_points(self, e: Tensor, length: int) -> Tensor:
         """Control points (B, d, N) of embeddings (B, d, L): e @ B_pinv.
@@ -262,17 +252,17 @@ class SclmModel:
         ``LengthOutOfRange`` for a length outside the cache.
         """
         pair = self.cache.get(length)
-        return e if self.identity_b else _matmul_last(e, Tensor(pair.B_pinv))
+        return e if self.identity_b else ad.linear(e, Tensor(pair.B_pinv))
 
     def to_words(self, points: Tensor, length: int) -> Tensor:
         """Embeddings (B, d, L) along the curves of points (B, d, N): p @ B."""
         pair = self.cache.get(length)
-        return points if self.identity_b else _matmul_last(points, Tensor(pair.B))
+        return points if self.identity_b else ad.linear(points, Tensor(pair.B))
 
     # ------------------------------------------------------------- backbone
 
-    def _blocks(self, h: Tensor, batch: int, rngs: list[RngStream] | None) -> Tensor:
-        """Transformer layers over (batch * n_tokens, d_model) rows."""
+    def _blocks(self, h: Tensor, rngs: list[RngStream] | None) -> Tensor:
+        """Transformer layers over (batch, n_tokens, d_model) sequences."""
         cfg = self.backbone
         p = self.store
         heads = cfg.heads
@@ -285,7 +275,7 @@ class SclmModel:
             k = ad.linear(hn, p[f"l{i}.wk"], p[f"l{i}.bk"])
             v = ad.linear(hn, p[f"l{i}.wv"], p[f"l{i}.bv"])
             gens = [r.child("att", i, hd).generator() for r in rngs for hd in range(heads)] if p_drop else None
-            ctx = ad.attention(q, k, v, batch, heads, inv_sqrt, p_drop, gens)
+            ctx = ad.attention(q, k, v, heads, inv_sqrt, p_drop, gens)
             h = h + ad.linear(ctx, p[f"l{i}.wo"], p[f"l{i}.bo"])
             hn2 = ad.layer_norm(h, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
             gens = [r.child("ff", i).generator() for r in rngs] if p_drop else None
@@ -304,11 +294,10 @@ class SclmModel:
         dm = self.backbone.d_model
         if n_tokens > self.backbone.max_positions:
             raise ShapeMismatch(f"{n_tokens} tokens exceed max_positions {self.backbone.max_positions}")
-        x = _matmul_last(ad.swapaxes(points, 1, 2), p["in_w"], p["in_b"])
+        x = ad.linear(ad.swapaxes(points, 1, 2), p["in_w"], p["in_b"])
         p.reach("pos", n_tokens)
         x = x + ad.slice_(p["pos"], (slice(0, n_tokens), slice(None)))
-        tvec = ad.linear(Tensor(_time_features(t, self.backbone.time_dim)), p["time_w"], p["time_b"])
-        tvec = ad.reshape(tvec, (batch, 1, dm))
+        tvec = ad.linear(Tensor(_time_features(t, self.backbone.time_dim)[:, None]), p["time_w"], p["time_b"])
         x = x + tvec
         if curve_tokens:
             k = self.k_curves
@@ -323,20 +312,17 @@ class SclmModel:
         ``t`` holds one diffusion step per sequence, ``rngs`` one dropout
         stream per sequence.  ``curve_tokens`` is as in ``_embed_tokens``.
         """
-        x = self._embed_tokens(points, t, curve_tokens)
-        batch, n_tokens, dm = x.shape
         if rngs is not None and curve_tokens:
             rngs = list(rngs) * self.k_curves
-        h = self._blocks(ad.reshape(x, (batch * n_tokens, dm)), batch, rngs)
-        return ad.reshape(h, x.shape)
+        return self._blocks(self._embed_tokens(points, t, curve_tokens), rngs)
 
     def hidden_to_points(self, hidden: Tensor) -> Tensor:
         """Project hidden states (B, n_tokens, d_model) back to (B, d, n_tokens)."""
-        return ad.swapaxes(_matmul_last(hidden, self.store["out_w"], self.store["out_b"]), 1, 2)
+        return ad.swapaxes(ad.linear(hidden, self.store["out_w"], self.store["out_b"]), 1, 2)
 
     def logits_from_clean(self, e_hat: Tensor) -> Tensor:
         """Logits (B, L, |V|) from denoised embedding sequences (B, d, L)."""
-        return _matmul_last(ad.swapaxes(e_hat, 1, 2), self.embedding.weight)
+        return ad.linear(ad.swapaxes(e_hat, 1, 2), self.embedding.weight)
 
     def decode(self, e_hat: Tensor) -> np.ndarray:
         """Most likely token ids (B, L) of embedding sequences (B, d, L)."""
@@ -421,7 +407,7 @@ def gaussian_loss(model: SclmModel, batch: list[np.ndarray], rng: RngStream) -> 
     e_hat, _ = model.predict_clean(model.to_points(et, length), ts, length, drops, combine="train")
     diffusion = ad.mse_loss(e_hat, e0)
     logits = model.logits_from_clean(e_hat)
-    anchor = ad.cross_entropy_loss(ad.reshape(logits, (n * length, -1)), tokens.ravel())
+    anchor = ad.cross_entropy_loss(logits, tokens)
     total = diffusion + ad.scale(anchor, model.lambda_anchor)
     record = {
         "diffusion": float(diffusion.data),
@@ -457,14 +443,15 @@ def masked_loss(model: SclmModel, batch: list[np.ndarray], rng: RngStream) -> tu
     drops = [rng.child("drop", i) for i in ids]
     e_hat, _ = model.predict_clean(model.to_points(et, length), ts, length, drops, combine="train")
     logits = model.logits_from_clean(e_hat)
-    rows = np.concatenate([j * length + idx for j, idx in enumerate(masked)])
+    # each masked position, as a (sequence, position) index into the logits
+    at = (np.concatenate([np.full(idx.size, j) for j, idx in enumerate(masked)]), np.concatenate(masked))
     targets = np.concatenate([batch[i][idx] for i, idx in zip(ids, masked)])
     # sequence i contributes weight(t_i) * |masked_i| / L times its mean CE,
     # averaged over the whole batch: weight(t_i) / (L * len(batch)) per row
     weights = np.concatenate(
         [np.full(idx.size, model.schedule.masked_weight(t) / (length * len(batch))) for t, idx in zip(ts, masked)]
     )
-    picked = ad.slice_(ad.reshape(logits, (len(kept) * length, -1)), rows)
+    picked = ad.slice_(logits, at)
     total = ad.cross_entropy_loss(picked, targets, weights)
     return total, {"loss": float(total.data)}
 

@@ -212,26 +212,25 @@ def _time_features(t, dim):
     return np.concatenate([np.sin(angles), np.cos(angles)])[None, :]
 
 
-def reference_attention(q, k, v, batch, heads, scale, p=0.0, gens=None):
-    """Multi-head attention over (batch * n, d_model) rows, one sequence
-    and one head at a time.
+def reference_attention(q, k, v, heads, scale, p=0.0, gens=None):
+    """Multi-head attention over (batch, n, d_model) sequences, one
+    sequence and one head at a time.
 
-    Returns the (batch * n, d_model) output and the (batch, heads, n, n)
+    Returns the (batch, n, d_model) output and the (batch, heads, n, n)
     inverted-dropout masks (all ones without dropout); ``gens`` holds one
     generator per (sequence, head), sequence-major.
     """
-    n = q.shape[0] // batch
-    dh = q.shape[1] // heads
+    batch, n, width = q.shape
+    dh = width // heads
     out = np.zeros_like(q)
     masks = np.ones((batch, heads, n, n))
     for b in range(batch):
-        rows = slice(b * n, (b + 1) * n)
         for hd in range(heads):
             cols = slice(hd * dh, (hd + 1) * dh)
-            att = _softmax_rows(q[rows, cols] @ k[rows, cols].T * scale)
+            att = _softmax_rows(q[b, :, cols] @ k[b, :, cols].T * scale)
             if p > 0:
                 masks[b, hd] = (gens[b * heads + hd].random((n, n)) >= p) / (1.0 - p)
-            out[rows, cols] = (att * masks[b, hd]) @ v[rows, cols]
+            out[b, :, cols] = (att * masks[b, hd]) @ v[b, :, cols]
     return out, masks
 
 

@@ -298,6 +298,13 @@ class TestGradientChecks:
             assert _probe(ad.linear, [x, w, b], i) < 1e-6, i
         npt.assert_allclose(ad.linear(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)).data, x @ w + b, rtol=1e-14)
 
+    def test_linear_without_bias(self):
+        x = self.RNG.child("s").normal((5, 4))
+        w = self.RNG.child("t").normal((4, 3))
+        for i in range(2):
+            assert _probe(ad.linear, [x, w], i) < 1e-6, i
+        npt.assert_array_equal(ad.linear(ad.Tensor(x), ad.Tensor(w)).data, x @ w)
+
     @staticmethod
     def _feed_forward_inputs(seed, rows, d, d_ff):
         rng = RngStream(seed, "feed-forward")
@@ -360,7 +367,7 @@ class TestGradientChecks:
     @staticmethod
     def _attention_inputs(seed, batch, n, width):
         rng = RngStream(seed, "attention")
-        return [rng.child(name).normal((batch * n, width)) for name in "qkv"]
+        return [rng.child(name).normal((batch, n, width)) for name in "qkv"]
 
     @staticmethod
     def _gens(seed, count):
@@ -374,7 +381,7 @@ class TestGradientChecks:
 
                 def op(q, k, v, _heads=heads, _p=p):
                     gens = self._gens(50 + _heads, batch * _heads) if _p else None
-                    return ad.attention(q, k, v, batch, _heads, 0.7, _p, gens)
+                    return ad.attention(q, k, v, _heads, 0.7, _p, gens)
 
                 for i in range(3):
                     assert _probe(op, arrays, i) < 1e-6, (heads, p, i)
@@ -387,18 +394,18 @@ class TestGradientChecks:
             q, k, v = self._attention_inputs(10 + heads, batch, n, width)
             for p in (0.0, 0.4):
                 gens = self._gens(60 + heads, batch * heads) if p else None
-                out = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), batch, heads, 0.45, p, gens).data
+                out = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), heads, 0.45, p, gens).data
                 ref_gens = self._gens(60 + heads, batch * heads) if p else None
-                expected, masks = reference_attention(q, k, v, batch, heads, 0.45, p, ref_gens)
+                expected, masks = reference_attention(q, k, v, heads, 0.45, p, ref_gens)
                 npt.assert_allclose(out, expected, rtol=0, atol=1e-12, err_msg=f"heads {heads}, p {p}")
                 # with v the identity in each head's first n columns, the
                 # output is that head's dropped attention matrix: its zeros
                 # are exactly the dropout mask's
-                eye = np.zeros((batch * n, width))
+                eye = np.zeros((batch, n, width))
                 for hd in range(heads):
-                    eye[:, hd * dh : hd * dh + n] = np.tile(np.eye(n), (batch, 1))
+                    eye[:, :, hd * dh : hd * dh + n] = np.eye(n)
                 gens = self._gens(60 + heads, batch * heads) if p else None
-                att = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(eye), batch, heads, 0.45, p, gens).data
+                att = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(eye), heads, 0.45, p, gens).data
                 att = att.reshape(batch, n, heads, dh)[..., :n].swapaxes(1, 2)
                 npt.assert_array_equal(att == 0, masks == 0)
                 if p:
@@ -412,37 +419,39 @@ class TestGradientChecks:
         def run(arrays, n_heads, weights):
             tensors = [ad.Tensor(a, requires_grad=True) for a in arrays]
             with ad.Tape() as tape:
-                out = ad.attention(*tensors, batch, n_heads, 0.6)
+                out = ad.attention(*tensors, n_heads, 0.6)
                 tape.backward(ad.sum_(ad.mul(out, ad.Tensor(weights))))
             return [out.data] + [t.grad for t in tensors]
 
         for n in (2, 7):
             for dh in (1, 3):
                 rng = RngStream(5, "heads", n, dh)
-                arrays = [rng.child(name).normal((batch * n, heads * dh)) for name in "qkvw"]
+                arrays = [rng.child(name).normal((batch, n, heads * dh)) for name in "qkvw"]
                 together = run(arrays[:3], heads, arrays[3])
                 for hd in range(heads):
                     cols = slice(hd * dh, (hd + 1) * dh)
-                    alone = run([np.ascontiguousarray(a[:, cols]) for a in arrays[:3]], 1, arrays[3][:, cols])
+                    alone = run([np.ascontiguousarray(a[..., cols]) for a in arrays[:3]], 1, arrays[3][..., cols])
                     for got, want in zip(together, alone):
-                        npt.assert_array_equal(got[:, cols], want, err_msg=f"n {n}, dh {dh}, head {hd}")
+                        npt.assert_array_equal(got[..., cols], want, err_msg=f"n {n}, dh {dh}, head {hd}")
 
     def test_batched_shape_errors(self):
-        x = ad.Tensor(np.zeros((6, 4)))
+        x = ad.Tensor(np.zeros((2, 3, 4)))
         with pytest.raises(ShapeMismatch):
             ad.linear(x, ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros(2)))
         with pytest.raises(ShapeMismatch):
             ad.linear(x, ad.Tensor(np.zeros((4, 2))), ad.Tensor(np.zeros(3)))
         with pytest.raises(ShapeMismatch):
-            ad.attention(x, x, ad.Tensor(np.zeros((6, 2))), 2, 2, 1.0)
+            ad.linear(x, ad.Tensor(np.zeros((3, 2))))
         with pytest.raises(ShapeMismatch):
-            ad.attention(x, x, x, 4, 2, 1.0)
+            ad.attention(x, x, ad.Tensor(np.zeros((2, 3, 2))), 2, 1.0)
         with pytest.raises(ShapeMismatch):
-            ad.attention(x, x, x, 2, 3, 1.0)
+            ad.attention(ad.Tensor(np.zeros((6, 4))), ad.Tensor(np.zeros((6, 4))), ad.Tensor(np.zeros((6, 4))), 2, 1.0)
         with pytest.raises(ShapeMismatch):
-            ad.attention(x, x, x, 2, 2, 1.0, 0.5, [RngStream(0, "a", i).generator() for i in range(3)])
+            ad.attention(x, x, x, 3, 1.0)
         with pytest.raises(ShapeMismatch):
-            ad.attention(x, x, x, 2, 2, 1.0, 1.0, [RngStream(0, "a", i).generator() for i in range(4)])
+            ad.attention(x, x, x, 2, 1.0, 0.5, [RngStream(0, "a", i).generator() for i in range(3)])
+        with pytest.raises(ShapeMismatch):
+            ad.attention(x, x, x, 2, 1.0, 1.0, [RngStream(0, "a", i).generator() for i in range(4)])
         with pytest.raises(ShapeMismatch):
             ad.reshape(ad.Tensor(np.zeros((2, 3))), (4, 2))
         with pytest.raises(ShapeMismatch):
@@ -524,7 +533,7 @@ class TestAttentionBlocks:
     def _op(self, heads, p):
         def op(q, k, v):
             gens = TestGradientChecks._gens(70 + heads, self.BATCH * heads) if p else None
-            return ad.attention(q, k, v, self.BATCH, heads, self.SCALE, p, gens)
+            return ad.attention(q, k, v, heads, self.SCALE, p, gens)
 
         return op
 
@@ -553,8 +562,88 @@ class TestAttentionBlocks:
                 for a, b in zip(blocked, whole):
                     npt.assert_array_equal(a, b, err_msg=f"heads {heads}, p {p}")
                 gens = TestGradientChecks._gens(70 + heads, self.BATCH * heads) if p else None
-                expected, _ = reference_attention(*arrays, self.BATCH, heads, self.SCALE, p, gens)
+                expected, _ = reference_attention(*arrays, heads, self.SCALE, p, gens)
                 npt.assert_allclose(out, expected, rtol=0, atol=1e-12, err_msg=f"heads {heads}, p {p}")
+
+
+class TestLeadingAxes:
+    """An op on (B, n, k) inputs gives, bit for bit, the values and
+    adjoints of the same op on the flattened (B * n, k) rows."""
+
+    B, N = 3, 4
+    RNG = RngStream(90, "leading-axes")
+
+    @staticmethod
+    def _run(op, arrays, weights=None):
+        """Output and input adjoints of sum(op(*arrays) * weights); the
+        weights default to one seeded draw in the output's flat order."""
+        tensors = [ad.Tensor(a, requires_grad=True) for a in arrays]
+        with ad.Tape() as tape:
+            out = op(*tensors)
+            if weights is None:
+                weights = RngStream(91, "weights").normal(out.size).reshape(out.shape)
+            tape.backward(ad.sum_(ad.mul(out, ad.Tensor(weights))))
+        return out.data, [t.grad for t in tensors]
+
+    def _assert_rows_match(self, op, x, params, op_rows=None):
+        out, grads = self._run(op, [x] + params)
+        want_out, want = self._run(op_rows or op, [x.reshape(-1, x.shape[-1])] + params)
+        if out.ndim:
+            assert out.shape == x.shape[:-1] + want_out.shape[-1:]
+        npt.assert_array_equal(out, want_out.reshape(out.shape))
+        npt.assert_array_equal(grads[0], want[0].reshape(x.shape))
+        for got, expected in zip(grads[1:], want[1:]):
+            npt.assert_array_equal(got, expected)
+
+    def test_linear(self):
+        x = self.RNG.child("x").normal((self.B, self.N, 5))
+        w = self.RNG.child("w").normal((5, 3))
+        b = self.RNG.child("b").normal(3)
+        self._assert_rows_match(ad.linear, x, [w, b])
+        self._assert_rows_match(ad.linear, x, [w])
+
+    def test_feed_forward(self):
+        x = self.RNG.child("ff-x").normal((self.B, self.N, 5))
+        params = [self.RNG.child(name).normal(shape) for name, shape in (("w1", (5, 7)), ("b1", (7,)), ("w2", (7, 5)), ("b2", (5,)))]
+        for p in (0.0, 0.3):
+
+            def op(*tensors, _p=p):
+                # one dropout stream per sequence, drawn afresh for each run
+                return ad.feed_forward(*tensors, _p, TestGradientChecks._ff_gens(self.B) if _p else None)
+
+            self._assert_rows_match(op, x, params)
+
+    def test_cross_entropy_loss(self):
+        logits = self.RNG.child("logits").normal((self.B, self.N, 6))
+        targets = self.RNG.child("targets").generator().integers(0, 6, size=(self.B, self.N))
+        weights = self.RNG.child("ce-weights").uniform((self.B, self.N))
+        self._assert_rows_match(
+            lambda t: ad.cross_entropy_loss(t, targets), logits, [], lambda t: ad.cross_entropy_loss(t, targets.ravel())
+        )
+        self._assert_rows_match(
+            lambda t: ad.cross_entropy_loss(t, targets, weights),
+            logits,
+            [],
+            lambda t: ad.cross_entropy_loss(t, targets.ravel(), weights.ravel()),
+        )
+        with pytest.raises(ShapeMismatch):
+            ad.cross_entropy_loss(ad.Tensor(logits), targets.ravel())
+        with pytest.raises(ShapeMismatch):
+            ad.cross_entropy_loss(ad.Tensor(logits), targets, weights.ravel())
+
+    def test_embedding_lookup(self):
+        d = 4
+        table = self.RNG.child("table").normal((d, 9))
+        ids = np.array([[1, 3, 3, 0], [8, 1, 2, 3], [0, 0, 5, 1]])  # repeats accumulate
+        weights = self.RNG.child("emb-weights").normal((self.B, d, self.N))
+        out, (grad,) = self._run(lambda t: ad.embedding_lookup(t, ids), [table], weights)
+        flat_weights = np.moveaxis(weights, 1, 0).reshape(d, -1)
+        want_out, (want,) = self._run(lambda t: ad.embedding_lookup(t, ids.ravel()), [table], flat_weights)
+        assert out.shape == (self.B, d, self.N)
+        npt.assert_array_equal(np.moveaxis(out, 1, 0).reshape(d, -1), want_out)
+        npt.assert_array_equal(grad, want)
+        with pytest.raises(ShapeMismatch):
+            ad.embedding_lookup(ad.Tensor(table), 3)
 
 
 def _saved_arrays(fn):
@@ -593,7 +682,7 @@ class TestSavedForBackward:
             gens = TestGradientChecks._gens(81, batch * heads) if p else None
             q, k, v = (ad.Tensor(x, requires_grad=True) for x in arrays)
             with ad.Tape() as tape:
-                ad.attention(q, k, v, batch, heads, 0.5, p, gens)
+                ad.attention(q, k, v, heads, 0.5, p, gens)
             (_, _, backward_fn), = tape.entries
             saved = sum(a.nbytes for a in _saved_arrays(backward_fn))
             assert saved < stack_bytes, (p, saved, stack_bytes)

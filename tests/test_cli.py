@@ -505,6 +505,26 @@ class TestSampleCommand:
         blob = struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 2) + np.zeros(2, "<f4").tobytes()
         return json.dumps(header), body + blob
 
+    @staticmethod
+    def _negative_step(header, body):
+        header["step"] = -5
+        return json.dumps(header), body
+
+    @staticmethod
+    def _negative_opt_step_count(header, body):
+        header["opt_step_count"] = -3
+        return json.dumps(header), body
+
+    @staticmethod
+    def _fractional_step(header, body):
+        header["step"] = 2.5
+        return json.dumps(header), body
+
+    @staticmethod
+    def _nan_in_last_blob(header, body):
+        # the file's last float: an Adam second moment
+        return json.dumps(header), body[:-4] + np.array([np.nan], "<f4").tobytes()
+
     @pytest.mark.parametrize(
         "corrupt, message",
         [
@@ -516,9 +536,13 @@ class TestSampleCommand:
             ("_parameter_and_blobs_unlisted", "lacks parameters"),
             ("_trailing_byte", "1 bytes after its last blob"),
             ("_extra_blob", "25 bytes after its last blob"),
+            ("_negative_step", "step must be an integer >= 0, got -5"),
+            ("_negative_opt_step_count", "opt_step_count must be an integer >= 0, got -3"),
+            ("_fractional_step", "step must be an integer >= 0, got 2.5"),
+            ("_nan_in_last_blob", "non-finite value"),
         ],
         ids=["no-seed", "no-force-k-head", "list", "renamed-blob", "unlisted-parameter", "parameter-and-blobs-unlisted",
-             "trailing-byte", "extra-blob"],
+             "trailing-byte", "extra-blob", "negative-step", "negative-opt-step-count", "fractional-step", "nan-blob"],
     )
     def test_malformed_checkpoint_exits_2_without_output(self, ckpt, tmp_path, capsys, corrupt, message):
         raw = open(ckpt, "rb").read()
@@ -696,15 +720,22 @@ class TestProbeInputs:
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    def test_non_finite_result_exits_2_without_output(self, probe_ckpts, tmp_path, capsys):
-        model, step, _ = checkpoint.load(probe_ckpts[0])
-        model.store["out_w"].data[...] = np.nan
-        broken = str(tmp_path / "nan.ckpt")
-        checkpoint.save(model, broken, step)
+    def test_non_finite_result_exits_2_without_output(self, probe_ckpts, tmp_path, capsys, monkeypatch):
+        # a checkpoint that holds a NaN does not load, so the NaN goes into
+        # the first model's weights as it is loaded
+        load = checkpoint.load
+
+        def load_with_nan(path):
+            model, step, header = load(path)
+            if path == probe_ckpts[0]:
+                model.store["out_w"].data[...] = np.nan
+            return model, step, header
+
+        monkeypatch.setattr(checkpoint, "load", load_with_nan)
         out = str(tmp_path / "probe")
         with pytest.raises(NonFinite):
-            harness.run_probe(broken, probe_ckpts[1], "builtin:multimodal", out, n_eval=2, n_noise=8)
-        assert self._probe([broken, probe_ckpts[1]], out) == 2
+            harness.run_probe(probe_ckpts[0], probe_ckpts[1], "builtin:multimodal", out, n_eval=2, n_noise=8)
+        assert self._probe(list(probe_ckpts), out) == 2
         assert "nan" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "probe.json"))
 

@@ -1,5 +1,6 @@
 """Schedules, noise processes, curve-wired losses, K-curve head, sampling."""
 
+import collections
 import dataclasses
 import json
 import os
@@ -508,6 +509,31 @@ def test_training_step_takes_no_page_faults(tmp_path):
         M.train_step(model, batch, optimizer, step)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert np.median(faults[5:]) <= 8, faults
+
+
+def test_gaussian_step_records_no_layout_plumbing(tmp_path, monkeypatch):
+    """A step of the criterion-9 model runs in one layout: its tape holds no
+    reshape, and a swapaxes only where the (B, d, L) curve layout meets the
+    (B, n_tokens, d_model) backbone and the logits."""
+    config = RunConfig(
+        mode="gaussian", corpus="builtin:alternating", batch_size=8,
+        schedule_steps=100, lr=2e-3, embed_dim=32, seed=0,
+    )
+    corpus = harness.resolve_corpus(config, str(tmp_path))
+    model = harness.build_model(config, corpus)
+    # each entry counted by the op its adjoint belongs to, before the
+    # backward pass consumes the tape
+    ops = collections.Counter()
+    backward = ad.Tape.backward
+
+    def counting_backward(tape, loss):
+        ops.update(fn.__qualname__.split(".")[0] for _, _, fn in tape.entries)
+        backward(tape, loss)
+
+    monkeypatch.setattr(ad.Tape, "backward", counting_backward)
+    batch = harness.make_batch(corpus, config.batch_size, config.seed, 0)
+    M.train_step(model, batch, M.AdamConfig(lr=config.lr), 0)
+    assert ops["reshape"] == 0 and ops["swapaxes"] == 3, ops
 
 
 def test_backward_holds_no_more_than_the_forward_pass_left():
