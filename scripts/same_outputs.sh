@@ -7,7 +7,13 @@
 # Each tree is a checkout with the package under src/.  Both trees write
 # under the same work directory in turn, so the paths their outputs embed
 # (run.cfg, printed messages) are the same; the two output sets are then
-# compared with diff -r.  Exits 0 when they match and 1 when they differ.
+# compared byte for byte.  Exits 0 when they match and 1 when they differ.
+#
+# When they differ, one line per differing file says how.  A text file's
+# line gives the largest absolute and the largest relative difference
+# between the numbers at the same position in its two copies, and whether
+# any text other than those numbers differs.  A binary file's line says
+# "binary differs".
 set -eu
 
 if [ $# -ne 2 ]; then
@@ -76,9 +82,66 @@ run_all "$change"
 mv "$work/out" "$work/change"
 
 count=$(find "$work/parent" -type f | wc -l)
-if diff -r "$work/parent" "$work/change"; then
+if diff -rq "$work/parent" "$work/change" > /dev/null; then
     echo "same outputs: $count files"
 else
+    python3 - "$work/parent" "$work/change" <<'PY'
+import math
+import os
+import re
+import sys
+
+NUMBER = re.compile(r"[-+]?(?:(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf|NaN|Infinity)\b)")
+
+
+def files(root):
+    return {os.path.relpath(os.path.join(d, f), root) for d, _, names in os.walk(root) for f in names}
+
+
+def text(data):
+    """The data as text, or None for a binary file."""
+    try:
+        return None if b"\0" in data else data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+def numeric_report(old, new):
+    """The largest absolute and relative differences of position-paired numbers, and whether the rest differs."""
+    pairs = [(float(a), float(b)) for a, b in zip(NUMBER.findall(old), NUMBER.findall(new))]
+    changed, abs_diff, rel_diff = 0, 0.0, 0.0
+    for a, b in pairs:
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        changed += 1
+        d = abs(a - b)
+        if not math.isfinite(d):
+            abs_diff = rel_diff = math.inf
+            continue
+        abs_diff = max(abs_diff, d)
+        rel_diff = max(rel_diff, d / max(abs(a), abs(b)))
+    other = "differs" if NUMBER.sub("#", old) != NUMBER.sub("#", new) else "same"
+    return f"{changed} of {len(pairs)} numbers differ, max abs {abs_diff:.3g}, max rel {rel_diff:.3g}; other text {other}"
+
+
+parent, change = sys.argv[1:]
+old_files, new_files = files(parent), files(change)
+for name in sorted(old_files | new_files):
+    if name not in old_files or name not in new_files:
+        print(f"{name}: only in the {'parent' if name in old_files else 'change'} tree")
+        continue
+    with open(os.path.join(parent, name), "rb") as f:
+        old = f.read()
+    with open(os.path.join(change, name), "rb") as f:
+        new = f.read()
+    if old == new:
+        continue
+    old_text, new_text = text(old), text(new)
+    if old_text is None or new_text is None:
+        print(f"{name}: binary differs")
+    else:
+        print(f"{name}: {numeric_report(old_text, new_text)}")
+PY
     echo "outputs differ" >&2
     exit 1
 fi

@@ -81,13 +81,13 @@ class KnotVector:
 
 @dataclass(frozen=True)
 class BasisPair:
-    """A basis matrix, kept as its band, and the top half of its pseudo-inverse.
+    """The left half of a basis matrix, kept as its band, and the top half of its pseudo-inverse.
 
-    Column j of ``B`` is zero outside rows ``first[j]`` to
-    ``first[j] + len(band) - 1``, whose values are ``band[:, j]``: the
+    For j < ceil(L/2), column j of ``B`` is zero outside rows ``first[j]``
+    to ``first[j] + len(band) - 1``, whose values are ``band[:, j]``: the
     eta+1 live basis functions of a curve pair, the single 1 of an
     identity pair.  ``B`` scatters the band into a fresh dense (N, L)
-    array on every access.
+    array on every access and mirrors it into the last floor(L/2) columns.
 
     ``B_pinv`` is centrosymmetric, so ``pinv_top`` holds only its first
     ceil(L/2) rows; each access of ``B_pinv`` returns a fresh dense
@@ -105,7 +105,7 @@ class BasisPair:
 
     @property
     def B(self) -> np.ndarray:
-        return _scatter(self.band, self.first, self.N)
+        return _scatter(self.band, self.first, self.N, self.L)
 
     @property
     def B_pinv(self) -> np.ndarray:
@@ -146,21 +146,28 @@ def _band_index(first: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
     return first + np.arange(depth)[:, None], np.arange(first.size)
 
 
-def _scatter(band: np.ndarray, first: np.ndarray, n_rows: int) -> np.ndarray:
-    """The dense (n_rows, len) matrix whose columns hold ``band`` from row ``first`` on."""
-    out = np.zeros((n_rows, first.size))
+def _mirror_columns(B: np.ndarray) -> None:
+    """Fill the last floor(L/2) columns of a centrosymmetric (N, L) array from its first columns."""
+    q = B.shape[1] // 2
+    B[:, B.shape[1] - q :] = B[:, :q][::-1, ::-1]
+
+
+def _scatter(band: np.ndarray, first: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """The dense (n_rows, n_cols) matrix with ``band`` from row ``first`` on in its first columns, and their mirror."""
+    out = np.zeros((n_rows, n_cols))
     out[_band_index(first, len(band))] = band
+    _mirror_columns(out)
     return out
 
 
-def _basis_columns(knots: KnotVector, gammas: np.ndarray) -> np.ndarray:
-    """All N basis functions at each curve index in ``gammas``, as an (N, len) matrix.
+def _basis_columns(knots: KnotVector, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eta+1 live basis functions at each curve index in ``gammas``: the band and ``first``.
 
     Cox-de Boor recursion restricted to the eta+1 functions alive on each
     index's knot span, run for every index at once: one (eta+1, len)
     array per quantity, row r for the r-th live function, one degree
-    level per iteration.  The band is then scattered into the dense
-    matrix.
+    level per iteration.  Row r of the (eta+1, len) band is basis
+    function ``first + r``.
     """
     t = knots.knots
     eta = knots.degree
@@ -187,7 +194,7 @@ def _basis_columns(knots: KnotVector, gammas: np.ndarray) -> np.ndarray:
         np.multiply(right[:j], tm, out=vals[:j])
         np.multiply(lj, tm, out=d)
         vals[1 : j + 1] += d
-    return _scatter(vals, first, knots.n_basis)
+    return vals, first
 
 
 def basis_vector(gamma: float, knots: KnotVector) -> np.ndarray:
@@ -198,7 +205,7 @@ def basis_vector(gamma: float, knots: KnotVector) -> np.ndarray:
     """
     if not 0.0 <= gamma <= 1.0:
         raise OutOfRange(f"curve index {gamma} outside [0, 1]")
-    return _basis_columns(knots, np.array([float(gamma)]))[:, 0]
+    return _scatter(*_basis_columns(knots, np.array([float(gamma)])), knots.n_basis, 1)[:, 0]
 
 
 def sample_indices(length: int, margin: float = 0.01) -> np.ndarray:
@@ -212,8 +219,14 @@ def sample_indices(length: int, margin: float = 0.01) -> np.ndarray:
 
 
 def basis_matrix(length: int, n_points: int, eta: int, margin: float = 0.01) -> np.ndarray:
-    """Basis vectors at the L sample indices, one per column of an (N, L) matrix."""
-    return _basis_columns(clamped_knots(n_points, eta), sample_indices(length, margin))
+    """Basis vectors at the L sample indices, one per column of an (N, L) matrix.
+
+    Knots and indices are symmetric about 1/2, so Cox-de Boor runs at the
+    first ceil(L/2) indices and column L-1-j is column j reversed in both
+    axes: ``B[::-1, ::-1] == B`` exactly, but in an odd L's middle column.
+    """
+    gammas = sample_indices(length, margin)[: length - length // 2]
+    return _scatter(*_basis_columns(clamped_knots(n_points, eta), gammas), n_points, length)
 
 
 def _cutoff(shape: tuple[int, int], sigma_max: float) -> float:
@@ -353,14 +366,15 @@ def pseudo_inverse(B: np.ndarray) -> tuple[np.ndarray, int, float]:
 def build_pair(length: int, n_points: int, eta: int, margin: float = 0.01) -> BasisPair:
     """Construct B and its pseudo-inverse for one (L, N, eta, m) setting.
 
-    The dense B lives only as long as its SVD; the pair keeps its band.
+    The dense B lives only as long as its SVD; the pair keeps the band
+    of its first ceil(L/2) columns, the ones Cox-de Boor evaluated.
     The top ceil(L/2) rows of B_pinv are written straight into an array
     of their own, so the dense B_pinv is never formed.
     """
     B = basis_matrix(length, n_points, eta, margin)
     pinv_top = np.empty((length - length // 2, n_points))
     rank, cond = _centro_pseudo_inverse(B, pinv_top)
-    first = _first_live(clamped_knots(n_points, eta), sample_indices(length, margin))
+    first = _first_live(clamped_knots(n_points, eta), sample_indices(length, margin)[: len(pinv_top)])
     band = B[_band_index(first, eta + 1)]
     return BasisPair(band=band, first=first, pinv_top=pinv_top, N=n_points, L=length, eta=eta, rank=rank, cond=cond)
 
@@ -368,8 +382,8 @@ def build_pair(length: int, n_points: int, eta: int, margin: float = 0.01) -> Ba
 def identity_pair(length: int) -> BasisPair:
     """Degenerate pair with B = B_pinv = I, bypassing the curve mapping."""
     return BasisPair(
-        band=np.ones((1, length)),
-        first=np.arange(length),
+        band=np.ones((1, length - length // 2)),
+        first=np.arange(length - length // 2),
         pinv_top=np.eye(length - length // 2, length),
         N=length,
         L=length,

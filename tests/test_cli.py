@@ -291,6 +291,8 @@ class TestTrainCommand:
             ("--lambda-anchor", "-1"),
             ("--max-len", "-5"),
             ("--max-len", "1"),
+            # a batch this large once ended in a raw numpy MemoryError from make_batch
+            ("--batch-size", "100000000000"),
             ("--tokenizer", "foo"),
             ("--corpus", "builtin:nope"),
             ("--corpus", "no-such-dir/corpus.txt"),
