@@ -13,7 +13,8 @@
 # line gives the largest absolute and the largest relative difference
 # between the numbers at the same position in its two copies, and whether
 # any text other than those numbers differs.  A binary file's line says
-# "binary differs".
+# "binary differs".  Each tree's run also prints "resume exact: yes" when
+# its 20 + 20-step resumed checkpoint equals its 40-step one, else "no".
 set -eu
 
 if [ $# -ne 2 ]; then
@@ -52,6 +53,8 @@ run_all() {
     cli masked train $small --mode masked --corpus builtin:grammar3 --dropout 0.1 --out "$out/masked"
     cli masked20 train $small --mode masked --corpus builtin:grammar3 --dropout 0.1 --steps 20 --out "$out/masked20"
     cli resumed train --config "$out/masked20/run.cfg" --resume "$out/masked20/model.ckpt" --steps 40 --out "$out/resumed"
+    if cmp -s "$out/masked/model.ckpt" "$out/resumed/model.ckpt"; then exact=yes; else exact=no; fi
+    echo "resume exact: $exact"
     cli k2 train $small --k-curves 2 --dropout 0.1 --out "$out/k2"
     cli mk2 train $small --mode masked --corpus builtin:grammar3 --k-curves 2 --dropout 0.1 --out "$out/mk2"
     cli ident train $small --mode baseline-identity --corpus builtin:multimodal --out "$out/ident"

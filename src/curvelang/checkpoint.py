@@ -1,20 +1,22 @@
 """Versioned binary checkpoint container.
 
 Layout: magic ``SCLM``, format version (u32 LE), header length (u64 LE),
-UTF-8 JSON header (config, vocab, schedule, step, blob names), then one
-blob per name: name length (u32) + name, ndim (u32), dims (u32 each),
-float32 little-endian data.  Optimizer moments ride along as blobs with
-an ``opt.`` prefix so training can resume.  ``save`` writes to
-``path + ".tmp"`` and renames it over ``path``.
+UTF-8 JSON header (config, vocab, schedule, step, parameter names,
+``state_crc32``), then the model's ``ParamStore`` buffers ``values``,
+``first`` and ``second`` (parameters and both Adam moments) as
+little-endian float64, in the store's buffer order.  The state is kept
+as training holds it, so a resumed run goes on from the same bytes as
+one that never stopped.  ``save`` writes to ``path + ".tmp"`` and renames
+it over ``path``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import os
 import struct
+import zlib
 
 import numpy as np
 
@@ -24,36 +26,8 @@ from .errors import CheckpointVersionMismatch, IoError
 from .model import BackboneConfig, SclmModel, build_schedule
 
 MAGIC = b"SCLM"
-VERSION = 1
-
-
-def _write_blob(fh, name: str, array: np.ndarray) -> None:
-    encoded = name.encode("utf-8")
-    fh.write(struct.pack("<I", len(encoded)))
-    fh.write(encoded)
-    fh.write(struct.pack("<I", array.ndim))
-    for dim in array.shape:
-        fh.write(struct.pack("<I", dim))
-    fh.write(array.astype("<f4").tobytes())
-
-
-def _read_exact(fh, size: int) -> bytes:
-    data = fh.read(size)
-    if len(data) < size:
-        raise IoError(f"truncated checkpoint: wanted {size} bytes, got {len(data)}")
-    return data
-
-
-def _read_blob(fh) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-    name = _read_exact(fh, name_len).decode("utf-8")
-    (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
-    shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(_read_exact(fh, count * 4), dtype="<f4").reshape(shape)
-    if not np.isfinite(data).all():
-        raise IoError(f"checkpoint blob {name} holds a non-finite value")
-    return name, data.astype(np.float64)
+VERSION = 2
+_PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
 
 
 def _config_from(cls, section: dict):
@@ -65,6 +39,11 @@ def _config_from(cls, section: dict):
 
 
 def save(model: SclmModel, path: str, step: int) -> None:
+    store = model.store
+    state = [buf.astype("<f8", copy=False) for buf in (store.values, store.first, store.second)]
+    crc = 0
+    for buf in state:
+        crc = zlib.crc32(buf, crc)
     header = {
         "mode": model.mode,
         "embed_dim": model.embed_dim,
@@ -74,12 +53,13 @@ def save(model: SclmModel, path: str, step: int) -> None:
         "lambda_anchor": model.lambda_anchor,
         "seed": model.seed,
         "step": step,
-        "opt_step_count": model.store.step_count,
+        "opt_step_count": store.step_count,
         "schedule": {"T": model.schedule.T, "kind": model.schedule.kind},
         "backbone": dataclasses.asdict(model.backbone),
         "curve": dataclasses.asdict(model.cache.config),
         "vocab": list(model.vocab.tokens),
-        "params": model.store.names(),
+        "params": store.names(),
+        "state_crc32": crc,
     }
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
     # written beside the target and renamed over it, so a failed save
@@ -87,14 +67,10 @@ def save(model: SclmModel, path: str, step: int) -> None:
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            fh.write(struct.pack("<Q", len(payload)))
+            fh.write(_PREFIX.pack(MAGIC, VERSION, len(payload)))
             fh.write(payload)
-            for name in header["params"]:
-                _write_blob(fh, name, model.store[name].data)
-                _write_blob(fh, f"opt.m.{name}", model.store.moment1[name])
-                _write_blob(fh, f"opt.v.{name}", model.store.moment2[name])
+            for buf in state:
+                fh.write(buf)
         os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
@@ -106,47 +82,72 @@ def save(model: SclmModel, path: str, step: int) -> None:
 def load(path: str) -> tuple[SclmModel, int, dict]:
     """Rebuild the model from a checkpoint file; its basis pairs are built on first use.
 
-    A short read, bytes after the last blob, an unparsable header or blob,
-    a header that is not an object or lacks a key, a step count that is no
-    integer >= 0, a non-finite blob value, a parameter list other than the
-    model's, and a parameter with no blob of its name raise ``IoError``.
-    The file is parsed from memory, so a corrupt length field asks for at
-    most the bytes that are there instead of allocating what it claims.
+    A bad magic or format version raises ``CheckpointVersionMismatch``.  A
+    short header, an unparsable header, a header that is not an object or
+    lacks a key, a step count that is no integer >= 0, a parameter list
+    other than the model's (in its order), a state of any length but
+    three model-sized float64 buffers, a state that fails its checksum and
+    a non-finite state value raise ``IoError``.  The file is parsed from
+    memory, so a corrupt length field asks for at most the bytes that are
+    there instead of allocating what it claims.
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
-    fh = io.BytesIO(raw)
+    if raw[:4] != MAGIC:
+        raise CheckpointVersionMismatch(f"bad magic {raw[:4]!r}, expected {MAGIC!r}")
+    if len(raw) < _PREFIX.size:
+        raise IoError(f"truncated checkpoint {path}: {len(raw)} bytes")
+    _, version, header_len = _PREFIX.unpack_from(raw)
+    if version != VERSION:
+        raise CheckpointVersionMismatch(f"format version {version}, expected {VERSION}")
+    start = _PREFIX.size + header_len
+    if start > len(raw):
+        raise IoError(f"truncated checkpoint {path}: its header wants {header_len} bytes")
     try:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise CheckpointVersionMismatch(f"bad magic {magic!r}, expected {MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != VERSION:
-            raise CheckpointVersionMismatch(f"format version {version}, expected {VERSION}")
-        (header_len,) = struct.unpack("<Q", _read_exact(fh, 8))
-        header = json.loads(_read_exact(fh, header_len).decode("utf-8"))
+        header = json.loads(raw[_PREFIX.size : start].decode("utf-8"))
         if not isinstance(header, dict):
             raise IoError(f"checkpoint {path} has a header of type {type(header).__name__}, not an object")
-        blobs = dict(_read_blob(fh) for _ in range(len(header["params"]) * 3))
-        trailing = len(raw) - fh.tell()
-        if trailing:
-            raise IoError(f"checkpoint {path} has {trailing} bytes after its last blob")
         for key in ("step", "opt_step_count"):
             if type(header[key]) is not int or header[key] < 0:
                 raise IoError(f"checkpoint {key} must be an integer >= 0, got {header[key]!r}")
-        return _restore(header, blobs), header["step"], header
+        model = _model_from(header)
+        store = model.store
+        names = store.names()
+        if header["params"] != names:
+            listed = set(header["params"])
+            raise IoError(
+                f"checkpoint lacks parameters {sorted(set(names) - listed)} and has unknown"
+                f" {sorted(listed - set(names))}, or lists them out of the model's order"
+            )
+        have, want = len(raw) - start, 24 * store.values.size
+        if have != want:
+            raise IoError(f"checkpoint {path} holds {have} bytes of state where its model has {want} ({have - want:+d})")
+        if zlib.crc32(memoryview(raw)[start:]) != header["state_crc32"]:
+            raise IoError(f"checkpoint {path} fails its state checksum")
+        state = np.frombuffer(raw, dtype="<f8", offset=start).reshape(3, -1)
+        if not all(np.isfinite(buf).all() for buf in state):
+            raise IoError(f"checkpoint {path} holds a non-finite value")
+        for buf, saved in zip((store.values, store.first, store.second), state):
+            buf[...] = saved
+        store.step_count = header["opt_step_count"]
+        # rows past the last one with a nonzero moment have no Adam state to carry
+        for name in store.rows_reached:
+            moved = (store.moment1[name] != 0) | (store.moment2[name] != 0)
+            rows = np.flatnonzero(moved.reshape(len(moved), -1).any(axis=1))
+            store.rows_reached[name] = int(rows[-1]) + 1 if rows.size else 0
+        return model, header["step"], header
     except KeyError as exc:
         raise IoError(f"checkpoint {path} has no entry {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise IoError(f"cannot parse checkpoint {path}: {exc}") from exc
 
 
-def _restore(header: dict, blobs: dict) -> SclmModel:
-    """The model, parameters and Adam state a parsed header and its blobs describe."""
-    model = SclmModel(
+def _model_from(header: dict) -> SclmModel:
+    """The model a parsed header describes, with its random initialisation."""
+    return SclmModel(
         mode=header["mode"],
         vocab=Vocab(tokens=tuple(header["vocab"])),
         cache=build_cache(_config_from(CurveConfig, header["curve"])),
@@ -159,21 +160,3 @@ def _restore(header: dict, blobs: dict) -> SclmModel:
         seed=header["seed"],
         force_k_head=header["force_k_head"],
     )
-    listed, names = set(header["params"]), set(model.store.names())
-    if listed != names:
-        raise IoError(f"checkpoint lacks parameters {sorted(names - listed)} and has unknown {sorted(listed - names)}")
-    for name in header["params"]:
-        if blobs[name].shape != model.store[name].data.shape:
-            raise CheckpointVersionMismatch(
-                f"blob {name} has shape {blobs[name].shape}, model expects {model.store[name].data.shape}"
-            )
-        model.store[name].data[...] = blobs[name]
-        model.store.moment1[name][...] = blobs[f"opt.m.{name}"]
-        model.store.moment2[name][...] = blobs[f"opt.v.{name}"]
-    model.store.step_count = header["opt_step_count"]
-    # rows past the last one with a nonzero moment have no Adam state to carry
-    for name in model.store.rows_reached:
-        moved = (model.store.moment1[name] != 0) | (model.store.moment2[name] != 0)
-        rows = np.flatnonzero(moved.reshape(len(moved), -1).any(axis=1))
-        model.store.rows_reached[name] = int(rows[-1]) + 1 if rows.size else 0
-    return model

@@ -101,7 +101,6 @@ class RunConfig:
             n_ratio=self.n_ratio,
             eta_ratio=self.eta_ratio,
             eta_fixed=self.eta_fixed,
-            k_curves=self.k_curves,
             margin=self.margin,
             l_min=2 if self.l_min is None else self.l_min,
             l_max=self.max_positions if self.l_max is None else self.l_max,

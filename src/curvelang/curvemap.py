@@ -26,7 +26,6 @@ class CurveConfig:
     n_ratio: float = 2.0
     eta_ratio: float | None = 0.1
     eta_fixed: int | None = None
-    k_curves: int = 1
     margin: float = 0.01
     l_min: int = 2
     l_max: int = 250
@@ -39,8 +38,6 @@ class CurveConfig:
             raise ConfigError(f"eta_ratio must be finite, got {self.eta_ratio}")
         if not 0.0 <= self.margin < 0.5:
             raise ConfigError(f"margin must be in [0, 0.5), got {self.margin}")
-        if self.k_curves < 1:
-            raise ConfigError(f"k_curves must be >= 1, got {self.k_curves}")
         if not 2 <= self.l_min <= self.l_max:
             raise ConfigError(f"need 2 <= l_min <= l_max, got [{self.l_min}, {self.l_max}]")
         if (self.eta_ratio is None) == (self.eta_fixed is None):

@@ -118,6 +118,11 @@ def run_training(config: RunConfig, out_dir: str) -> TrainResult:
         model = build_model(config, corpus)
     elif tuple(model.vocab.tokens) != tuple(corpus.vocab.tokens):
         raise ConfigError("resume checkpoint vocabulary does not match the corpus")
+    # a batch of any corpus length may be drawn at any step
+    outside = [length for length in corpus.lengths() if length not in model.cache]
+    if outside:
+        curve = model.cache.config
+        raise ConfigError(f"corpus line lengths {outside} outside the curve range [{curve.l_min}, {curve.l_max}]")
     os.makedirs(out_dir, exist_ok=True)
     _corpus_path(config, out_dir)
     optimizer = config.adam_config()

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import struct
+import zlib
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +13,7 @@ import pytest
 from curvelang import checkpoint, cli, harness, splines
 from curvelang.config import RunConfig, apply_overrides, dump_config, load_config
 from curvelang.corpus import ingest, write_builtin
-from curvelang.errors import ConfigError, EmptyCorpus, IoError, NonFinite
+from curvelang.errors import CheckpointVersionMismatch, ConfigError, EmptyCorpus, IoError, NonFinite
 from curvelang.rng import RngStream
 
 from _oracles import reference_make_batch, stress
@@ -199,6 +200,43 @@ class TestTrainCommand:
         lines = open(os.path.join(out2, "losses.csv")).read().strip().split("\n")
         steps = [int(x.split(",")[0]) for x in lines[1:]]
         assert steps == [25, 30]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--mode", "masked", "--corpus", "builtin:grammar3", "--dropout", "0.1"], ["--k-curves", "2", "--dropout", "0.1"]],
+        ids=["gaussian", "masked-dropout", "k2-dropout"],
+    )
+    def test_resume_is_exact(self, tmp_path, extra):
+        # 20 steps in one run, and 10 steps then a resume to 20, write the same checkpoint
+        whole, half, resumed = (str(tmp_path / name) for name in ("whole", "half", "resumed"))
+        assert cli.main(tiny_train_args(whole, extra)) == 0
+        assert cli.main(tiny_train_args(half, [*extra, "--steps", "10"])) == 0
+        args = ["train", "--config", os.path.join(half, "run.cfg"), "--resume", os.path.join(half, "model.ckpt"),
+                "--steps", "20", "--out", resumed]
+        assert cli.main(args) == 0
+        with open(os.path.join(whole, "model.ckpt"), "rb") as fa, open(os.path.join(resumed, "model.ckpt"), "rb") as fb:
+            assert fa.read() == fb.read()
+        lines = open(os.path.join(whole, "losses.csv")).read().split("\n")
+        assert open(os.path.join(resumed, "losses.csv")).read().split("\n") == [lines[0], *lines[3:]]
+
+    def test_corpus_line_outside_the_curve_range_exits_2_without_creating_out(self, tmp_path, capsys):
+        # max_positions 40 gives the range [2, 20]; any step may draw the 30-token line
+        short = tmp_path / "short.txt"
+        short.write_text("ab" * 8 + "\n" + "ba" * 8 + "\n")
+        mixed = tmp_path / "mixed.txt"
+        mixed.write_text(short.read_text() * 25 + "ab" * 15 + "\n")
+        settings = ["--max-positions", "40", "--steps", "60"]
+        out = tmp_path / "run"
+        assert cli.main(tiny_train_args(str(out), [*settings, "--corpus", str(mixed)])) == 2
+        assert "corpus line lengths [30] outside the curve range [2, 20]" in capsys.readouterr().err
+        assert not out.exists()
+        # a model trained on the short lines refuses them too on resume
+        assert cli.main(tiny_train_args(str(out), [*settings, "--corpus", str(short), "--steps", "5"])) == 0
+        resumed = tmp_path / "resumed"
+        args = tiny_train_args(str(resumed), [*settings, "--corpus", str(mixed), "--resume", str(out / "model.ckpt")])
+        assert cli.main(args) == 2
+        assert "corpus line lengths [30] outside the curve range [2, 20]" in capsys.readouterr().err
+        assert not resumed.exists()
 
     def test_resume_past_budget_rejected(self, tmp_path):
         out1 = str(tmp_path / "first")
@@ -404,19 +442,6 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
 
-def blob_offsets(body: bytes) -> list[int]:
-    """Start of each blob in a checkpoint body: name, ndim, dims, then float32 data."""
-    offsets, at = [], 0
-    while at < len(body):
-        offsets.append(at)
-        (name_len,) = struct.unpack_from("<I", body, at)
-        at += 4 + name_len
-        (ndim,) = struct.unpack_from("<I", body, at)
-        dims = struct.unpack_from(f"<{ndim}I", body, at + 4)
-        at += 4 + 4 * ndim + 4 * int(np.prod(dims, dtype=np.int64))
-    return offsets
-
-
 @pytest.fixture(scope="module")
 def ckpt(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("train"))
@@ -479,33 +504,36 @@ class TestSampleCommand:
         return json.dumps([header]), body
 
     @staticmethod
-    def _blob_renamed(header, body):
-        # the parameter blob "emb" renamed to "emx"; its moments keep their names
-        named = struct.pack("<I", 3) + b"emb"
-        assert body.count(named) == 1
-        return json.dumps(header), body.replace(named, struct.pack("<I", 3) + b"emx")
+    def _parameter_renamed(header, body):
+        assert header["params"][0] == "emb"
+        header["params"][0] = "emx"
+        return json.dumps(header), body
 
     @staticmethod
     def _parameter_unlisted(header, body):
-        # the last parameter's blobs stay behind as bytes nothing reads
+        # the last parameter's state stays behind as bytes nothing would read
         header["params"].pop()
         return json.dumps(header), body
 
     @staticmethod
-    def _parameter_and_blobs_unlisted(header, body):
-        # the last parameter goes with its three blobs, so every byte is read
-        header["params"].pop()
-        return json.dumps(header), body[: blob_offsets(body)[-3]]
+    def _parameter_and_state_unlisted(header, body):
+        # the last parameter goes, and the state shrinks by its three
+        # buffers' worth, so the length fits a model without it
+        assert header["params"].pop() == "out_b"  # embed_dim = 8 values
+        return json.dumps(header), body[: -3 * 8 * 8]
+
+    @staticmethod
+    def _parameters_reordered(header, body):
+        header["params"][:2] = header["params"][1::-1]
+        return json.dumps(header), body
 
     @staticmethod
     def _trailing_byte(header, body):
         return json.dumps(header), body + b"\x00"
 
     @staticmethod
-    def _extra_blob(header, body):
-        name = b"extra"
-        blob = struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 2) + np.zeros(2, "<f4").tobytes()
-        return json.dumps(header), body + blob
+    def _extra_float(header, body):
+        return json.dumps(header), body + np.zeros(1, "<f8").tobytes()
 
     @staticmethod
     def _negative_step(header, body):
@@ -523,9 +551,19 @@ class TestSampleCommand:
         return json.dumps(header), body
 
     @staticmethod
-    def _nan_in_last_blob(header, body):
-        # the file's last float: an Adam second moment
-        return json.dumps(header), body[:-4] + np.array([np.nan], "<f4").tobytes()
+    def _nan_in_last_value(header, body):
+        # the file's last float, an Adam second moment, under a checksum
+        # rewritten to match, so the finite check is the one that fails
+        body = body[:-8] + np.array([np.nan], "<f8").tobytes()
+        header["state_crc32"] = zlib.crc32(body)
+        return json.dumps(header), body
+
+    @staticmethod
+    def _flipped_bit(header, body):
+        # the lowest mantissa bit of the first parameter value: still finite
+        flipped = bytes([body[0] ^ 1]) + body[1:]
+        assert np.isfinite(np.frombuffer(flipped[:8], "<f8")).all()
+        return json.dumps(header), flipped
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -533,18 +571,21 @@ class TestSampleCommand:
             ("_header_without_seed", "no entry 'seed'"),
             ("_header_without_force_k_head", "no entry 'force_k_head'"),
             ("_header_as_list", "not an object"),
-            ("_blob_renamed", "no entry 'emb'"),
-            ("_parameter_unlisted", "bytes after its last blob"),
-            ("_parameter_and_blobs_unlisted", "lacks parameters"),
-            ("_trailing_byte", "1 bytes after its last blob"),
-            ("_extra_blob", "25 bytes after its last blob"),
+            ("_parameter_renamed", r"lacks parameters \['emb'\] and has unknown \['emx'\]"),
+            ("_parameter_unlisted", r"lacks parameters \['out_b'\] and has unknown \[\]"),
+            ("_parameter_and_state_unlisted", r"lacks parameters \['out_b'\] and has unknown \[\]"),
+            ("_parameters_reordered", r"lacks parameters \[\] and has unknown \[\], or lists them out of the model's order"),
+            ("_trailing_byte", r"bytes of state where its model has \d+ \(\+1\)"),
+            ("_extra_float", r"bytes of state where its model has \d+ \(\+8\)"),
             ("_negative_step", "step must be an integer >= 0, got -5"),
             ("_negative_opt_step_count", "opt_step_count must be an integer >= 0, got -3"),
             ("_fractional_step", "step must be an integer >= 0, got 2.5"),
-            ("_nan_in_last_blob", "non-finite value"),
+            ("_nan_in_last_value", "non-finite value"),
+            ("_flipped_bit", "checksum"),
         ],
         ids=["no-seed", "no-force-k-head", "list", "renamed-blob", "unlisted-parameter", "parameter-and-blobs-unlisted",
-             "trailing-byte", "extra-blob", "negative-step", "negative-opt-step-count", "fractional-step", "nan-blob"],
+             "reordered-parameters", "trailing-byte", "extra-blob", "negative-step", "negative-opt-step-count",
+             "fractional-step", "nan-blob", "flipped-bit"],
     )
     def test_malformed_checkpoint_exits_2_without_output(self, ckpt, tmp_path, capsys, corrupt, message):
         raw = open(ckpt, "rb").read()
@@ -559,6 +600,18 @@ class TestSampleCommand:
         out = tmp_path / "samp"
         assert cli.main(["sample", str(broken), "--length", "16", "--steps", "3", "--n", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_format_version_1_exits_2_without_output(self, ckpt, tmp_path, capsys):
+        # a version-1 file (float32 blobs) is refused by its version alone
+        raw = open(ckpt, "rb").read()
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        with pytest.raises(CheckpointVersionMismatch, match="format version 1, expected 2"):
+            checkpoint.load(str(old))
+        out = tmp_path / "samp"
+        assert cli.main(["sample", str(old), "--length", "16", "--steps", "3", "--n", "1", "--out", str(out)]) == 2
+        assert "format version 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_reload_same_seed_identical(self, ckpt, tmp_path):

@@ -675,12 +675,11 @@ class TestCheckpoint:
         loaded, step, header = checkpoint.load(path)
         assert step == 1
         assert header["mode"] == "gaussian"
+        assert loaded.store.step_count == model.store.step_count == 1
+        for name in ("values", "first", "second"):
+            assert np.array_equal(getattr(loaded.store, name), getattr(model.store, name)), name
         for name in model.store.names():
-            npt.assert_allclose(
-                loaded.store[name].data,
-                model.store[name].data.astype(np.float32).astype(np.float64),
-                atol=0,
-            )
+            assert np.array_equal(loaded.store[name].data, model.store[name].data), name
 
     def test_reloaded_model_samples_identically(self, tmp_path):
         model = make_model("gaussian", seed=33)
@@ -697,18 +696,30 @@ class TestCheckpoint:
         path = str(tmp_path / "m.ckpt")
         checkpoint.save(make_model("gaussian", seed=37), path, step=0)
         old = open(path, "rb").read()
-        real, written = checkpoint._write_blob, []
+        written = []
 
-        def write_four_blobs(fh, name, array):
-            if len(written) == 4:
-                raise error
-            written.append(name)
-            real(fh, name, array)
+        class FailsInTheState:
+            """A file that takes the prefix, the header and the first state buffer, then fails."""
 
-        monkeypatch.setattr(checkpoint, "_write_blob", write_four_blobs)
+            def __init__(self, name, mode):
+                self.fh = open(name, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if len(written) == 3:
+                    raise error
+                written.append(self.fh.write(data))
+
+        monkeypatch.setattr(checkpoint, "open", FailsInTheState, raising=False)
+        model = make_model("gaussian", seed=38)
         with pytest.raises(raised):
-            checkpoint.save(make_model("gaussian", seed=38), path, step=3)
-        assert len(written) == 4
+            checkpoint.save(model, path, step=3)
+        assert written[2] == 8 * model.store.values.size
         assert open(path, "rb").read() == old
         assert os.listdir(tmp_path) == ["m.ckpt"]
 
@@ -737,11 +748,12 @@ class TestCheckpoint:
         checkpoint.save(model, str(path), step=0)
         data = path.read_bytes()
         header_len = int.from_bytes(data[8:16], "little")
-        # the header length, then the first blob's name length, claim far
-        # more bytes than the file holds
+        # the header length claims far more bytes than the file holds; the
+        # state's first four bytes read as a count would claim 4 GiB, and
+        # the state checksum catches them
         huge_header = data[:8] + (1 << 62).to_bytes(8, "little") + data[16:]
-        huge_name = data[: 16 + header_len] + b"\xff" * 4 + data[20 + header_len :]
-        for corrupt in (huge_header, huge_name):
+        huge_count = data[: 16 + header_len] + b"\xff" * 4 + data[20 + header_len :]
+        for corrupt in (huge_header, huge_count):
             path.write_bytes(corrupt)
             with pytest.raises(IoError):
                 checkpoint.load(str(path))
