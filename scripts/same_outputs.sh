@@ -71,8 +71,10 @@ run_all() {
     # 300 perturbations take several blocks of rows in the dCov kernel
     cli probe300 probe "$out/gauss/model.ckpt" "$out/ident/model.ckpt" --n-eval 4 --n-noise 300 --out "$out/probe300"
     cli reconstruct reconstruct --lengths 16,40 --n-ratios 1.5,2.0 --eta-ratios 0.1,0.2 --trials 5 --dim 4 --out "$out/reconstruct"
+    # a length past the default curve range of [2, 250], which no range check may refuse
+    cli reconstruct300 reconstruct --lengths 300 --n-ratios 2.0 --eta-ratios 0.1 --trials 5 --dim 4 --out "$out/reconstruct300"
     cli verify verify all --out "$out/verify"
-    for length in 7 20 32 250; do
+    for length in 7 20 32 250 300; do
         cli "spectrum_$length" spectrum --length "$length" --out "$out/spectrum"
     done
 }

@@ -180,7 +180,8 @@ def linear(x, w, b=None) -> Tensor:
     if x.data.ndim == 0 or w.data.ndim != 2 or x.shape[-1] != w.shape[0] or (b is not None and b.shape != (w.shape[1],)):
         raise ShapeMismatch(f"linear of {x.shape} by {w.shape} plus {None if b is None else b.shape}")
     x_shape, x_grad, w_grad, b_grad = x.shape, x.requires_grad, w.requires_grad, b is not None and b.requires_grad
-    xd, wd = x.data.reshape(-1, w.shape[0]), w.data
+    # the row count, not -1, so a (..., 0) input with no features reshapes too
+    xd, wd = x.data.reshape(math.prod(x_shape[:-1]), w.shape[0]), w.data
     out = xd @ wd
     if b is not None:
         out += b.data

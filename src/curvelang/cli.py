@@ -87,8 +87,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         eta_ratio=None if args.eta_fixed is not None else args.eta_ratio,
         eta_fixed=args.eta_fixed,
         margin=args.margin,
-        l_min=2,
-        l_max=max(args.length, 250),
     )
     n_points, eta = resolve_dims(args.length, config)
     pair = build_pair(args.length, n_points, eta, args.margin)

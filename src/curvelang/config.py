@@ -46,8 +46,6 @@ class RunConfig:
     eta_fixed: typing.Optional[int] = None
     k_curves: int = 1
     margin: float = 0.01
-    l_min: typing.Optional[int] = None
-    l_max: typing.Optional[int] = None
     unit_norm: bool = True
     lambda_anchor: float = 1.0
     resume: typing.Optional[str] = None
@@ -89,7 +87,7 @@ class RunConfig:
         )
 
     def curve_config(self) -> CurveConfig:
-        """Curve settings; the length range defaults to [2, l_cap].
+        """Curve settings over the lengths [2, l_cap] the model can run.
 
         l_cap is the largest length whose N control points (L tokens in
         the identity modes) fit in max_positions, so a length the model
@@ -102,21 +100,21 @@ class RunConfig:
             eta_ratio=self.eta_ratio,
             eta_fixed=self.eta_fixed,
             margin=self.margin,
-            l_min=2 if self.l_min is None else self.l_min,
-            l_max=self.max_positions if self.l_max is None else self.l_max,
+            l_min=2,
+            l_max=self.max_positions,
             identity=self.mode in ("baseline-identity", "masked-identity"),
         )
-        if self.l_max is not None or config.identity:
+        if config.identity:
             return config
         # N grows with L, so the lengths that fit are a prefix of the range
         fits = bisect.bisect_right(
-            range(config.l_min, config.l_max + 1),
+            range(2, self.max_positions + 1),
             self.max_positions,
             key=lambda length: resolve_dims(length, config)[0],
         )
         if fits == 0:
-            raise ConfigError(f"no length from l_min {config.l_min} has N control points within max_positions {self.max_positions}")
-        return dataclasses.replace(config, l_max=config.l_min + fits - 1)
+            raise ConfigError(f"no length from 2 has N control points within max_positions {self.max_positions}")
+        return dataclasses.replace(config, l_max=1 + fits)
 
     def adam_config(self) -> AdamConfig:
         return AdamConfig(lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.adam_eps)

@@ -71,7 +71,8 @@ TOKENIZERS = {"char": list, "whitespace": str.split}
 
 
 def ingest(path: str, tokenizer: str = "char", max_len: int = 250) -> Corpus:
-    """Read a UTF-8 text file, one sequence per line.
+    """Read a UTF-8 text file, or the bundled corpus ``builtin:<name>``,
+    one sequence per line.
 
     Lines are truncated to ``max_len`` tokens; lines shorter than 2 tokens
     are dropped.  The vocabulary is rebuilt from the (truncated) corpus so
@@ -80,11 +81,14 @@ def ingest(path: str, tokenizer: str = "char", max_len: int = 250) -> Corpus:
     if tokenizer not in TOKENIZERS:
         raise IoError(f"unknown tokenizer {tokenizer!r}; choices: {sorted(TOKENIZERS)}")
     split = TOKENIZERS[tokenizer]
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read corpus {path}: {exc}") from exc
+    if path.startswith("builtin:"):
+        lines = _builtin_text(path.split(":", 1)[1]).splitlines()
+    else:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise IoError(f"cannot read corpus {path}: {exc}") from exc
     token_lists = []
     for line in lines:
         pieces = split(line)[:max_len]
@@ -133,11 +137,15 @@ BUILTIN_CORPORA = {
 }
 
 
-def write_builtin(name: str, path: str) -> str:
-    """Materialize a bundled toy corpus; returns the path written."""
+def _builtin_text(name: str) -> str:
     if name not in BUILTIN_CORPORA:
         raise IoError(f"unknown builtin corpus {name!r}; choices: {sorted(BUILTIN_CORPORA)}")
-    text = BUILTIN_CORPORA[name]()
+    return BUILTIN_CORPORA[name]()
+
+
+def write_builtin(name: str, path: str) -> str:
+    """Materialize a bundled toy corpus; returns the path written."""
+    text = _builtin_text(name)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -4,8 +4,9 @@ reconstruction sweep.
 The number of control points scales with sentence length through
 ``n_ratio``; the degree comes either from a ratio of N or a fixed value.
 Each length's pair is built on first use and then reused, since B and
-B_pinv depend only on (L, N, eta, margin).  The model applies the pairs
-(``SclmModel.to_points`` and ``to_words``).
+B_pinv depend only on (L, N, eta, margin).  ``BasisCache.get`` alone
+decides which lengths a model takes, over its config's [l_min, l_max].
+The model applies the pairs (``SclmModel.to_points`` and ``to_words``).
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ class CurveConfig:
     def __post_init__(self):
         if not (np.isfinite(self.n_ratio) and self.n_ratio > 0):
             raise ConfigError(f"n_ratio must be finite and positive, got {self.n_ratio}")
-        if self.eta_ratio is not None and not np.isfinite(self.eta_ratio):
-            raise ConfigError(f"eta_ratio must be finite, got {self.eta_ratio}")
+        if self.eta_ratio is not None and not (np.isfinite(self.eta_ratio) and self.eta_ratio >= 0.0):
+            raise ConfigError(f"eta_ratio must be finite and non-negative, got {self.eta_ratio}")
+        if self.eta_fixed is not None and self.eta_fixed < 1:
+            raise ConfigError(f"eta_fixed must be >= 1, got {self.eta_fixed}")
         if not 0.0 <= self.margin < 0.5:
             raise ConfigError(f"margin must be in [0, 0.5), got {self.margin}")
         if not 2 <= self.l_min <= self.l_max:
@@ -50,9 +53,8 @@ def resolve_dims(length: int, config: CurveConfig) -> tuple[int, int]:
     N = trunc(L * n_ratio) clamped to >= 2.  The degree is either
     max(trunc(N * eta_ratio), 2) or the fixed value, then clamped into
     [1, N-1] so the clamped knot vector stays valid for short sentences.
+    Any L maps; whether a model takes it is ``BasisCache.get``'s check.
     """
-    if not config.l_min <= length <= config.l_max:
-        raise LengthOutOfRange(f"length {length} outside [{config.l_min}, {config.l_max}]")
     n_points = max(int(length * config.n_ratio), 2)
     if config.eta_fixed is not None:
         eta = config.eta_fixed
@@ -127,8 +129,6 @@ def _projector(length: int, config: CurveConfig) -> tuple[np.ndarray, int, float
     and B_pinv are freed before the caller allocates the noise stack and
     the residual.
     """
-    if config.identity:
-        return np.eye(length), length, 1.0
     n_points, eta = resolve_dims(length, config)
     B = splines.basis_matrix(length, n_points, eta, config.margin)
     B_pinv, rank, cond = splines.pseudo_inverse(B)
@@ -145,24 +145,6 @@ def _round_trip_mse(values: np.ndarray, proj: np.ndarray) -> float:
     for mse in residual.reshape(len(values), -1).mean(axis=1):
         total += float(mse)
     return total / len(values)
-
-
-def reconstruction_error(
-    length: int,
-    config: CurveConfig,
-    trials: int = 100,
-    seed: int = 0,
-    dim: int = 16,
-) -> float:
-    """Mean squared error of the E -> P -> E round trip on Gaussian noise.
-
-    Noise streams are keyed by (seed, length, trial) only, so sweeps over
-    curve hyperparameters compare configurations on identical inputs.
-    """
-    if trials < 1 or dim < 1:
-        raise ConfigError(f"trials and dim must be >= 1, got {trials} and {dim}")
-    proj, _, _ = _projector(length, config)
-    return _round_trip_mse(_recon_noise(length, trials, seed, dim), proj)
 
 
 @dataclass(frozen=True)
@@ -215,13 +197,14 @@ def reconstruction_sweep(
     seed: int = 0,
     dim: int = 16,
 ) -> SweepTable:
-    """Round-trip error over the full (L, n_ratio, eta_ratio) grid.
+    """Mean squared error of the E -> P -> E round trip on Gaussian noise
+    over the (L, n_ratio, eta_ratio) grid.
 
     Row order is the cross product with L outermost and eta_ratio
     innermost.  The minimum degree of 2 comes from the eta formula in
-    resolve_dims, so eta_ratio = 0.0 still uses quadratic bases.  Each
-    row equals reconstruction_error for its cell; the noise of a length
-    is drawn once and shared by its cells.
+    resolve_dims, so eta_ratio = 0.0 still uses quadratic bases.  A
+    length's noise, keyed by (seed, length, trial), is drawn once and
+    shared by its cells.  Any length of at least 2 runs.
     """
     if not (lengths and n_ratios and eta_ratios):
         raise ConfigError("sweep sets must be non-empty")
@@ -229,18 +212,12 @@ def reconstruction_sweep(
         raise ConfigError(f"trials and dim must be >= 1, got {trials} and {dim}")
     rows = []
     for length in lengths:
-        # drawn after the length's first pair, so a bad length fails in
-        # resolve_dims as it does in reconstruction_error
+        # drawn after the length's first projector, so a length below 2
+        # fails there, typed, before it sizes the noise stack
         values = None
         for n_ratio in n_ratios:
             for eta_ratio in eta_ratios:
-                config = CurveConfig(
-                    n_ratio=n_ratio,
-                    eta_ratio=eta_ratio,
-                    l_min=2,
-                    l_max=max(length, 250),
-                )
-                proj, rank, cond = _projector(length, config)
+                proj, rank, cond = _projector(length, CurveConfig(n_ratio=n_ratio, eta_ratio=eta_ratio))
                 if values is None:
                     values = _recon_noise(length, trials, seed, dim)
                 mse = _round_trip_mse(values, proj)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -42,9 +41,8 @@ def resolve_corpus(config: RunConfig, out_dir: str) -> Corpus:
 
 
 def read_corpus(config: RunConfig) -> Corpus:
-    """Ingest the configured corpus, reading a builtin from a temporary directory."""
-    with tempfile.TemporaryDirectory() as scratch:
-        return resolve_corpus(config, scratch)
+    """Ingest the configured corpus without writing anything; a builtin is read from memory."""
+    return ingest(config.corpus, tokenizer=config.tokenizer, max_len=config.max_len)
 
 
 def build_model(config: RunConfig, corpus: Corpus) -> SclmModel:
@@ -248,8 +246,8 @@ def run_probe(
 
     Bad settings raise before either checkpoint is loaded.  A checkpoint
     that does not load, a vocabulary mismatch and a non-finite result
-    raise before anything is written: a builtin corpus is read from a
-    temporary directory and written to ``out_dir`` with ``probe.json``.
+    raise before anything is written: a builtin corpus is read from
+    memory and written to ``out_dir`` with ``probe.json``.
     """
     if n_eval < 1:
         raise ConfigError(f"n_eval must be at least 1, got {n_eval}")

@@ -602,6 +602,16 @@ class TestLeadingAxes:
         self._assert_rows_match(ad.linear, x, [w, b])
         self._assert_rows_match(ad.linear, x, [w])
 
+    def test_linear_of_no_features(self):
+        # the (B, 1, 0) time features of a model with time_dim 0
+        x, w = np.zeros((self.B, 1, 0)), np.zeros((0, 3))
+        b = self.RNG.child("b0").normal(3)
+        out, grads = self._run(ad.linear, [x, w, b])
+        npt.assert_array_equal(out, np.broadcast_to(b, (self.B, 1, 3)))
+        assert grads[0].shape == (self.B, 1, 0) and grads[1].shape == (0, 3)
+        weights = RngStream(91, "weights").normal(out.size).reshape(-1, 3)
+        npt.assert_array_equal(grads[2], weights.sum(axis=0))
+
     def test_feed_forward(self):
         x = self.RNG.child("ff-x").normal((self.B, self.N, 5))
         params = [self.RNG.child(name).normal(shape) for name, shape in (("w1", (5, 7)), ("b1", (7,)), ("w2", (7, 5)), ("b2", (5,)))]

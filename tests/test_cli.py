@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import struct
+import tempfile
 import zlib
 
 import numpy as np
@@ -88,6 +89,15 @@ class TestIngest:
             assert hashlib.blake2b(raw, digest_size=16).hexdigest() == digest, name
             assert len(ingest(path, "char").sequences) == 256
 
+    def test_builtin_is_read_from_memory(self, tmp_path):
+        for name in ("alternating", "grammar3", "multimodal"):
+            from_file = ingest(write_builtin(name, str(tmp_path / f"{name}.txt")), "char", max_len=12)
+            from_memory = ingest(f"builtin:{name}", "char", max_len=12)
+            assert from_memory.vocab == from_file.vocab
+            assert [s.tolist() for s in from_memory.sequences] == [s.tolist() for s in from_file.sequences]
+        with pytest.raises(IoError, match="unknown builtin corpus 'nope'"):
+            ingest("builtin:nope")
+
 
 class TestMakeBatch:
     def test_matches_buckets_rebuilt_every_step(self, tmp_path):
@@ -154,6 +164,13 @@ class TestConfig:
     def test_eta_exclusivity(self):
         with pytest.raises(ConfigError):
             RunConfig(eta_ratio=0.1, eta_fixed=5).validate()
+
+    def test_run_level_length_range_is_an_unknown_key(self, tmp_path):
+        # a run's length range is derived from max_positions, never set
+        path = tmp_path / "old.cfg"
+        path.write_text("steps = 7\nl_max = 400\n")
+        with pytest.raises(ConfigError, match="'l_max'"):
+            load_config(str(path))
 
 
 def tiny_train_args(out, extra=()):
@@ -237,6 +254,47 @@ class TestTrainCommand:
         assert cli.main(args) == 2
         assert "corpus line lengths [30] outside the curve range [2, 20]" in capsys.readouterr().err
         assert not resumed.exists()
+
+    def test_length_range_flag_is_gone_and_the_long_lines_exit_2_without_creating_out(self, tmp_path, capsys):
+        # --l-max 400 once let 300-token lines past the range check, so the
+        # first batch of them ended the run with 600 tokens > max_positions 512
+        corpus = tmp_path / "mixed.txt"
+        corpus.write_text(("ab" * 8 + "\n") * 4 + ("ab" * 150 + "\n") * 4)
+        out = tmp_path / "run"
+        settings = ["--corpus", str(corpus), "--max-len", "300", "--batch-size", "2"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(tiny_train_args(str(out), ["--l-max", "400", *settings]))
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert cli.main(tiny_train_args(str(out), settings)) == 2
+        assert "corpus line lengths [300] outside the curve range [2, 256]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_time_dim_0_trains_samples_and_resumes(self, tmp_path):
+        # the time signal then comes from the time bias alone
+        first, second, samples = (str(tmp_path / name) for name in ("first", "second", "samples"))
+        assert cli.main(tiny_train_args(first, ["--time-dim", "0", "--steps", "10"])) == 0
+        assert cli.main(["sample", os.path.join(first, "model.ckpt"), "--length", "16", "--steps", "3", "--n", "2", "--out", samples]) == 0
+        args = ["train", "--config", os.path.join(first, "run.cfg"), "--resume", os.path.join(first, "model.ckpt"), "--steps", "20", "--out", second]
+        assert cli.main(args) == 0
+        masked = ["--time-dim", "0", "--mode", "masked", "--corpus", "builtin:grammar3", "--k-curves", "2", "--dropout", "0.1"]
+        assert cli.main(tiny_train_args(str(tmp_path / "masked"), masked)) == 0
+
+    def test_builtin_corpus_error_names_the_builtin_and_leaves_no_out(self, tmp_path, capsys):
+        # whitespace splits each alternating line into one token, too few to keep
+        out = tmp_path / "run"
+        assert cli.main(tiny_train_args(str(out), ["--tokenizer", "whitespace"])) == 2
+        err = capsys.readouterr().err
+        assert "no usable sequences in builtin:alternating" in err
+        assert tempfile.gettempdir() not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eta_fixed", ["0", "-3"])
+    def test_fixed_degree_below_1_exits_2_without_creating_out(self, tmp_path, capsys, eta_fixed):
+        out = tmp_path / "bad"
+        assert cli.main(tiny_train_args(str(out), ["--eta-ratio", "none", "--eta-fixed", eta_fixed])) == 2
+        assert f"eta_fixed must be >= 1, got {eta_fixed}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_resume_past_budget_rejected(self, tmp_path):
         out1 = str(tmp_path / "first")
@@ -327,6 +385,7 @@ class TestTrainCommand:
             ("--lambda-anchor", "nan"),
             ("--lambda-anchor", "inf"),
             ("--lambda-anchor", "-1"),
+            ("--eta-ratio", "-0.5"),
             ("--max-len", "-5"),
             ("--max-len", "1"),
             # a batch this large once ended in a raw numpy MemoryError from make_batch
@@ -383,6 +442,9 @@ class TestReconstructCommand:
             ("--n-ratios", "nan"),
             ("--n-ratios", "1.0,inf"),
             ("--eta-ratios", "nan"),
+            ("--eta-ratios", "-0.1"),
+            ("--eta-ratios", "0.0,-0.1"),
+            ("--lengths", "1"),
             ("--dim", "0"),
             ("--dim", "-1"),
             ("--lengths", "10,abc"),
@@ -415,7 +477,18 @@ class TestSpectrumCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["L"] == 6
 
-    @pytest.mark.parametrize("flag, value", [("--n-ratio", "nan"), ("--n-ratio", "inf"), ("--eta-ratio", "nan")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--n-ratio", "nan"),
+            ("--n-ratio", "inf"),
+            ("--eta-ratio", "nan"),
+            ("--eta-ratio", "-0.5"),
+            ("--eta-fixed", "0"),
+            ("--eta-fixed", "-2"),
+            ("--length", "1"),
+        ],
+    )
     def test_bad_value_exits_2_without_output(self, tmp_path, capsys, flag, value):
         out = tmp_path / "spec"
         assert cli.main(["spectrum", "--length", "12", flag, value, "--out", str(out)]) == 2

@@ -11,7 +11,7 @@ from curvelang import model as M
 from curvelang import splines
 from curvelang.autodiff import Tensor
 from curvelang.corpus import build_vocab
-from curvelang.errors import ConfigError, LengthOutOfRange, ShapeMismatch
+from curvelang.errors import ConfigError, LengthOutOfRange, LengthTooShort, ShapeMismatch
 from curvelang.rng import RngStream
 
 from _oracles import reference_reconstruction_error
@@ -31,11 +31,23 @@ class TestResolveDims:
         assert cm.resolve_dims(10, cfg) == (2, 1)
 
     def test_out_of_range(self):
-        cfg = cm.CurveConfig(l_min=4, l_max=8)
+        cache = cm.BasisCache(cm.CurveConfig(l_min=4, l_max=8))
         with pytest.raises(LengthOutOfRange):
-            cm.resolve_dims(3, cfg)
+            cache.get(3)
         with pytest.raises(LengthOutOfRange):
-            cm.resolve_dims(9, cfg)
+            cache.get(9)
+
+    def test_any_length_maps_whatever_the_range(self):
+        # the default range is [2, 250]; only BasisCache.get checks it
+        assert cm.resolve_dims(300, cm.CurveConfig()) == (600, 60)
+
+    def test_degree_below_1_rejected(self):
+        for eta_ratio, eta_fixed, message in ((None, 0, "eta_fixed"), (None, -3, "eta_fixed"), (-0.5, None, "eta_ratio"), (-1e-9, None, "eta_ratio")):
+            with pytest.raises(ConfigError, match=message):
+                cm.CurveConfig(eta_ratio=eta_ratio, eta_fixed=eta_fixed)
+        # the default sweep grid's eta_ratio 0.0 stays valid: the floor of 2 applies
+        assert cm.resolve_dims(25, cm.CurveConfig(eta_ratio=0.0)) == (50, 2)
+        assert cm.resolve_dims(25, cm.CurveConfig(eta_ratio=None, eta_fixed=1)) == (50, 1)
 
     def test_exactly_one_eta_spec(self):
         with pytest.raises(ConfigError):
@@ -205,38 +217,34 @@ class TestMappings:
                 to_words(model, np.zeros((3, length)), length)
 
 
+def recon_cell(length, n_ratio, eta_ratio, trials, seed, dim=16):
+    """The one row of a one-cell sweep."""
+    (row,) = cm.reconstruction_sweep((length,), (n_ratio,), (eta_ratio,), trials=trials, seed=seed, dim=dim).rows
+    return row
+
+
 class TestReconstruction:
     def test_left_inverse_regime_is_exact(self):
-        cfg = cm.CurveConfig(n_ratio=2.0, eta_ratio=None, eta_fixed=2, l_min=2, l_max=250)
-        mse = cm.reconstruction_error(25, cfg, trials=100, seed=0)
-        assert mse < 1e-10
+        # eta = max(int(50 * 0.0), 2) = 2 at N = 50: full column rank 25
+        row = recon_cell(25, 2.0, 0.0, trials=100, seed=0)
+        assert row.rank == 25
+        assert row.mse < 1e-10
 
     def test_degree_hurts_and_points_help(self):
-        lossy = cm.CurveConfig(n_ratio=1.0, eta_ratio=0.66, l_min=2, l_max=250)
-        clean = cm.CurveConfig(n_ratio=3.0, eta_ratio=0.0, l_min=2, l_max=250)
-        assert cm.reconstruction_error(25, lossy, trials=50, seed=1) > cm.reconstruction_error(
-            25, clean, trials=50, seed=1
-        )
+        assert recon_cell(25, 1.0, 0.66, trials=50, seed=1).mse > recon_cell(25, 3.0, 0.0, trials=50, seed=1).mse
 
     def test_longer_sentences_not_easier(self):
-        cfg = cm.CurveConfig(n_ratio=1.0, eta_ratio=0.33, l_min=2, l_max=250)
-        assert cm.reconstruction_error(250, cfg, trials=30, seed=2) >= cm.reconstruction_error(
-            25, cfg, trials=30, seed=2
-        )
+        assert recon_cell(250, 1.0, 0.33, trials=30, seed=2).mse >= recon_cell(25, 1.0, 0.33, trials=30, seed=2).mse
 
     @pytest.mark.parametrize("n_ratio, eta_ratio, rank", [(1.0, 0.33, 155), (3.0, 0.0, 250)])
     def test_matches_one_trial_at_a_time(self, n_ratio, eta_ratio, rank):
-        cfg = cm.CurveConfig(n_ratio=n_ratio, eta_ratio=eta_ratio, l_min=2, l_max=250)
-        pair = cm.BasisCache(cfg).get(250)
+        pair = cm.BasisCache(cm.CurveConfig(n_ratio=n_ratio, eta_ratio=eta_ratio)).get(250)
         assert pair.rank == rank
         expected = reference_reconstruction_error(pair, trials=40, seed=4, dim=16)
-        assert cm.reconstruction_error(250, cfg, trials=40, seed=4, dim=16) == expected
+        assert recon_cell(250, n_ratio, eta_ratio, trials=40, seed=4, dim=16).mse == expected
 
     def test_deterministic(self):
-        cfg = cm.CurveConfig(n_ratio=1.5, eta_ratio=0.33, l_min=2, l_max=250)
-        assert cm.reconstruction_error(50, cfg, trials=10, seed=9) == cm.reconstruction_error(
-            50, cfg, trials=10, seed=9
-        )
+        assert recon_cell(50, 1.5, 0.33, trials=10, seed=9) == recon_cell(50, 1.5, 0.33, trials=10, seed=9)
 
 
 @pytest.fixture(scope="module")
@@ -282,12 +290,6 @@ class TestSweep:
             assert abs(1.0 / row.cond - kept[-1] / kept[0]) <= 1e-13, row
         assert {row.rank < row.length for row in small_table.rows} == {False, True}
 
-    def test_identity_projector_has_full_rank_and_unit_cond(self):
-        for length in (2, 7, 25):
-            proj, rank, cond = cm._projector(length, cm.CurveConfig(identity=True))
-            assert proj.tobytes() == np.eye(length).tobytes()
-            assert (rank, cond) == (length, 1.0)
-
     def test_best_cell_in_l25_slice(self):
         table = cm.reconstruction_sweep(lengths=(25,), n_ratios=(1.0, 2.0, 3.0), eta_ratios=(0.0, 0.33, 0.66), trials=30, seed=0)
         by_key = {(r.n_ratio, r.eta_ratio): r.mse for r in table.rows}
@@ -298,21 +300,18 @@ class TestSweep:
         table = cm.reconstruction_sweep(lengths=(30, 75), n_ratios=(0.5, 1.0, 2.5), eta_ratios=(0.0, 0.66), trials=12, seed=5, dim=6)
         assert len(table.rows) == 12
         for row in table.rows:
-            cfg = cm.CurveConfig(n_ratio=row.n_ratio, eta_ratio=row.eta_ratio, l_min=2, l_max=250)
-            assert row.mse == cm.reconstruction_error(row.length, cfg, trials=12, seed=5, dim=6)
+            pair = cm.BasisCache(cm.CurveConfig(n_ratio=row.n_ratio, eta_ratio=row.eta_ratio)).get(row.length)
+            assert row.mse == reference_reconstruction_error(pair, 12, 5, 6)
 
     def test_bad_trials_and_lengths_are_typed(self):
         with pytest.raises(ConfigError):
             cm.reconstruction_sweep(lengths=(25,), trials=0)
         for length in (1, -3):
-            with pytest.raises(LengthOutOfRange):
+            with pytest.raises(LengthTooShort):
                 cm.reconstruction_sweep(lengths=(length,), trials=2)
-        config = cm.CurveConfig(l_min=2, l_max=25)
         for dim in (0, -1):
             with pytest.raises(ConfigError, match="dim"):
                 cm.reconstruction_sweep(lengths=(25,), trials=2, dim=dim)
-            with pytest.raises(ConfigError, match="dim"):
-                cm.reconstruction_error(25, config, trials=2, dim=dim)
 
     def test_empty_sets_rejected(self):
         with pytest.raises(ConfigError):

@@ -578,7 +578,7 @@ from curvelang.curvemap import CurveConfig
 cache = curvemap.build_cache(CurveConfig())
 for length in (159, 200, 250):
     print(length, hashlib.sha256(cache.get(length).pinv_top.tobytes()).hexdigest())
-print(repr(curvemap.reconstruction_error(75, CurveConfig(n_ratio=2.5, eta_ratio=0.33))))
+print(repr(curvemap.reconstruction_sweep((75,), (2.5,), (0.33,)).rows[0].mse))
 """
 
 
