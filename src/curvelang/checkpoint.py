@@ -1,13 +1,13 @@
 """Versioned binary checkpoint container.
 
 Layout: magic ``SCLM``, format version (u32 LE), header length (u64 LE),
-UTF-8 JSON header (config, vocab, schedule, step, parameter names,
-``state_crc32``), then the model's ``ParamStore`` buffers ``values``,
-``first`` and ``second`` (parameters and both Adam moments) as
-little-endian float64, in the store's buffer order.  The state is kept
-as training holds it, so a resumed run goes on from the same bytes as
-one that never stopped.  ``save`` writes to ``path + ".tmp"`` and renames
-it over ``path``.
+UTF-8 JSON header (the model's ``settings``, step, Adam step count,
+parameter names, ``state_crc32``), then the model's ``ParamStore``
+buffers ``values``, ``first`` and ``second`` (parameters and both Adam
+moments) as little-endian float64, in the store's buffer order.  The
+state is kept as training holds it, so a resumed run goes on from the
+same bytes as one that never stopped.  ``save`` writes to
+``path + ".tmp"`` and renames it over ``path``.
 """
 
 from __future__ import annotations
@@ -38,29 +38,29 @@ def _config_from(cls, section: dict):
     return cls(**section)
 
 
+def settings(model: SclmModel) -> dict:
+    """How ``model`` was built: the model part of a checkpoint header, which ``load`` builds from."""
+    return {
+        "mode": model.mode,
+        "embed_dim": model.embed_dim,
+        "k_curves": model.k_curves,
+        "force_k_head": model.k_head and model.k_curves < 2,
+        "lambda_anchor": model.lambda_anchor,
+        "seed": model.seed,
+        "schedule": {"T": model.schedule.T, "kind": model.schedule.kind},
+        "backbone": dataclasses.asdict(model.backbone),
+        "curve": dataclasses.asdict(model.cache.config),
+        "vocab": list(model.vocab.tokens),
+    }
+
+
 def save(model: SclmModel, path: str, step: int) -> None:
     store = model.store
     state = [buf.astype("<f8", copy=False) for buf in (store.values, store.first, store.second)]
     crc = 0
     for buf in state:
         crc = zlib.crc32(buf, crc)
-    header = {
-        "mode": model.mode,
-        "embed_dim": model.embed_dim,
-        "k_curves": model.k_curves,
-        "force_k_head": model.k_head and model.k_curves < 2,
-        "unit_norm": model.embedding.unit_norm,
-        "lambda_anchor": model.lambda_anchor,
-        "seed": model.seed,
-        "step": step,
-        "opt_step_count": store.step_count,
-        "schedule": {"T": model.schedule.T, "kind": model.schedule.kind},
-        "backbone": dataclasses.asdict(model.backbone),
-        "curve": dataclasses.asdict(model.cache.config),
-        "vocab": list(model.vocab.tokens),
-        "params": store.names(),
-        "state_crc32": crc,
-    }
+    header = {**settings(model), "step": step, "opt_step_count": store.step_count, "params": store.names(), "state_crc32": crc}
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
     # written beside the target and renamed over it, so a failed save
     # leaves any earlier checkpoint at path whole
@@ -87,9 +87,10 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
     lacks a key, a step count that is no integer >= 0, a parameter list
     other than the model's (in its order), a state of any length but
     three model-sized float64 buffers, a state that fails its checksum and
-    a non-finite state value raise ``IoError``.  The file is parsed from
-    memory, so a corrupt length field asks for at most the bytes that are
-    there instead of allocating what it claims.
+    a non-finite state value raise ``IoError``; a header key it does not
+    read is ignored.  The file is parsed from memory, so a corrupt length
+    field asks for at most the bytes that are there instead of allocating
+    what it claims.
     """
     try:
         with open(path, "rb") as fh:
@@ -146,7 +147,7 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
 
 
 def _model_from(header: dict) -> SclmModel:
-    """The model a parsed header describes, with its random initialisation."""
+    """The model a parsed header's ``settings`` describe, with its random initialisation."""
     return SclmModel(
         mode=header["mode"],
         vocab=Vocab(tokens=tuple(header["vocab"])),
@@ -155,7 +156,6 @@ def _model_from(header: dict) -> SclmModel:
         backbone=_config_from(BackboneConfig, header["backbone"]),
         embed_dim=header["embed_dim"],
         k_curves=header["k_curves"],
-        unit_norm=header["unit_norm"],
         lambda_anchor=header["lambda_anchor"],
         seed=header["seed"],
         force_k_head=header["force_k_head"],

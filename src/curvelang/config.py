@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .corpus import BUILTIN_CORPORA, TOKENIZERS
 from .curvemap import CurveConfig, resolve_dims
 from .errors import ConfigError, IoError
-from .model import MODES, AdamConfig, BackboneConfig, build_schedule
+from .model import IDENTITY_MODES, MODES, AdamConfig, BackboneConfig, build_schedule
 
 
 @dataclass
@@ -46,7 +46,6 @@ class RunConfig:
     eta_fixed: typing.Optional[int] = None
     k_curves: int = 1
     margin: float = 0.01
-    unit_norm: bool = True
     lambda_anchor: float = 1.0
     resume: typing.Optional[str] = None
 
@@ -55,9 +54,10 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.steps < 1 or self.batch_size < 1 or self.log_interval < 1:
             raise ConfigError("steps, batch_size, and log_interval must be positive")
-        # one activation of 2**16 sequences of 64 tokens at d_model 64 already takes 2 GiB
-        if self.batch_size > 2**16:
-            raise ConfigError(f"batch_size must be <= {2**16}, got {self.batch_size}")
+        # one activation of 2**16 sequences of 64 tokens at d_model 64 already takes 2 GiB,
+        # and the K-curve head runs k_curves copies of each sequence through the backbone
+        if max(self.k_curves, 1) * self.batch_size > 2**16:
+            raise ConfigError(f"k_curves * batch_size must be <= {2**16}, got {self.k_curves} * {self.batch_size}")
         if self.embed_dim < 1:
             raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.tokenizer not in TOKENIZERS:
@@ -102,7 +102,7 @@ class RunConfig:
             margin=self.margin,
             l_min=2,
             l_max=self.max_positions,
-            identity=self.mode in ("baseline-identity", "masked-identity"),
+            identity=self.mode in IDENTITY_MODES,
         )
         if config.identity:
             return config

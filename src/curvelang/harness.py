@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,10 @@ def _corpus_path(config: RunConfig, out_dir: str) -> str:
 
 
 def resolve_corpus(config: RunConfig, out_dir: str) -> Corpus:
-    """Ingest the configured corpus, materializing builtins into out_dir."""
-    return ingest(_corpus_path(config, out_dir), tokenizer=config.tokenizer, max_len=config.max_len)
+    """Ingest the configured corpus, then write a builtin's copy into out_dir."""
+    corpus = read_corpus(config)
+    _corpus_path(config, out_dir)
+    return corpus
 
 
 def read_corpus(config: RunConfig) -> Corpus:
@@ -54,7 +56,6 @@ def build_model(config: RunConfig, corpus: Corpus) -> SclmModel:
         backbone=config.backbone_config(),
         embed_dim=config.embed_dim,
         k_curves=config.k_curves,
-        unit_norm=config.unit_norm,
         lambda_anchor=config.lambda_anchor,
         seed=config.seed,
     )
@@ -81,41 +82,34 @@ class TrainResult:
     final: dict
 
 
-# checkpoint header entries that are also the RunConfig fields build_model reads
-_RESUME_SETTINGS = ("mode", "seed", "embed_dim", "k_curves", "unit_norm", "lambda_anchor")
-
-
-def _check_resume(config: RunConfig, header: dict) -> None:
-    """ConfigError naming a checkpoint setting that ``build_model`` would set otherwise from ``config``."""
-    sections = {
-        "schedule": {"T": config.schedule_steps, "kind": config.schedule_kind},
-        "backbone": asdict(config.backbone_config()),
-        "curve": asdict(config.curve_config()),
-    }
-    settings = [(key, getattr(config, key), header[key]) for key in _RESUME_SETTINGS]
-    settings += [(f"{key}.{f}", v, header[key][f]) for key, section in sections.items() for f, v in section.items()]
-    for name, value, saved in settings:
-        if value != saved:
-            raise ConfigError(
-                f"resume checkpoint has {name} {saved!r}, these settings give {value!r};"
-                " resume with the run's own settings (--config <out>/run.cfg)"
-            )
+def _check_resume(model: SclmModel, header: dict) -> None:
+    """ConfigError naming the first setting of ``model`` that differs from the checkpoint ``header``."""
+    for key, value in checkpoint.settings(model).items():
+        if isinstance(value, dict):
+            fields = [(f"{key}.{field}", have, header[key][field]) for field, have in value.items()]
+        else:
+            fields = [(key, value, header[key])]
+        for name, have, saved in fields:
+            if have != saved:
+                raise ConfigError(
+                    f"resume checkpoint has {name} {saved!r}, these settings give {have!r};"
+                    " resume with the run's own settings (--config <out>/run.cfg)"
+                )
 
 
 def run_training(config: RunConfig, out_dir: str) -> TrainResult:
     """Train for the configured step budget; write losses.csv + model.ckpt once every check has passed."""
     config.validate()
-    model, start_step = None, 0
+    start_step = 0
     if config.resume:
-        model, start_step, saved = checkpoint.load(config.resume)
+        loaded, start_step, header = checkpoint.load(config.resume)
         if start_step >= config.steps:
             raise ConfigError(f"checkpoint already at step {start_step}, budget is {config.steps}")
-        _check_resume(config, saved)
     corpus = read_corpus(config)
-    if model is None:
-        model = build_model(config, corpus)
-    elif tuple(model.vocab.tokens) != tuple(corpus.vocab.tokens):
-        raise ConfigError("resume checkpoint vocabulary does not match the corpus")
+    model = build_model(config, corpus)
+    if config.resume:
+        _check_resume(model, header)
+        model = loaded
     # a batch of any corpus length may be drawn at any step
     outside = [length for length in corpus.lengths() if length not in model.cache]
     if outside:

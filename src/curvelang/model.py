@@ -21,7 +21,8 @@ from .curvemap import BasisCache
 from .errors import ConfigError, NonFinite, ShapeMismatch, StepOutOfRange
 from .rng import RngStream
 
-MODES = ("gaussian", "masked", "baseline-identity", "masked-identity")
+IDENTITY_MODES = ("baseline-identity", "masked-identity")
+MODES = ("gaussian", "masked", *IDENTITY_MODES)
 
 
 @dataclass(frozen=True)
@@ -112,16 +113,14 @@ class BackboneConfig:
 
 @dataclass
 class EmbeddingTable:
-    """Word embeddings; doubles as the logit matrix (shared parameters)."""
+    """Word embeddings on the unit sphere; doubles as the logit matrix (shared parameters)."""
 
     weight: Tensor
-    unit_norm: bool = True
 
     def project(self) -> None:
         """Renormalize columns to the unit sphere (idempotent)."""
-        if self.unit_norm:
-            norms = np.linalg.norm(self.weight.data, axis=0, keepdims=True)
-            self.weight.data /= np.maximum(norms, 1e-12)
+        norms = np.linalg.norm(self.weight.data, axis=0, keepdims=True)
+        self.weight.data /= np.maximum(norms, 1e-12)
 
 
 def _time_features(t, dim: int) -> np.ndarray:
@@ -144,7 +143,8 @@ class SclmModel:
 
     ``mode`` selects the noise process and whether the curve mapping is
     the cached B-spline pair or the identity: "gaussian", "masked",
-    "baseline-identity" (Gaussian noise, B = I), "masked-identity".
+    "baseline-identity" (Gaussian noise, B = I) and "masked-identity", the
+    ``IDENTITY_MODES``.  Word embeddings stay on the unit sphere.
 
     The model works on batches of sequences of one length: embeddings
     (B, d, L), control points (B, d, N), one diffusion step per
@@ -162,7 +162,6 @@ class SclmModel:
         backbone: BackboneConfig = BackboneConfig(),
         embed_dim: int = 32,
         k_curves: int = 1,
-        unit_norm: bool = True,
         lambda_anchor: float = 1.0,
         seed: int = 0,
         force_k_head: bool = False,
@@ -175,7 +174,7 @@ class SclmModel:
             raise ConfigError(f"k_curves must be >= 1, got {k_curves}")
         self.mode = mode
         self.noise_kind = "masked" if mode.startswith("masked") else "gaussian"
-        self.identity_b = mode in ("baseline-identity", "masked-identity")
+        self.identity_b = mode in IDENTITY_MODES
         if self.identity_b and not cache.config.identity:
             raise ConfigError("identity modes need a cache built with identity=True")
         self.vocab = vocab
@@ -188,9 +187,9 @@ class SclmModel:
         self.seed = seed
         # the K-curve head: learnable curve tokens plus a shallow scorer
         self.k_head = k_curves >= 2 or force_k_head
-        self._init_params(unit_norm)
+        self._init_params()
 
-    def _init_params(self, unit_norm: bool) -> None:
+    def _init_params(self) -> None:
         cfg = self.backbone
         d, dm, dff = self.embed_dim, cfg.d_model, cfg.d_ff
         specs = []  # (name, shape, by_rows, std), in checkpoint order
@@ -236,7 +235,7 @@ class SclmModel:
             view *= std
             if name.endswith("_g"):  # a layer norm's gain starts at one
                 view += 1.0
-        self.embedding = EmbeddingTable(weight=self.store["emb"], unit_norm=unit_norm)
+        self.embedding = EmbeddingTable(weight=self.store["emb"])
         self.embedding.project()
 
     # ---------------------------------------------------------------- pairs

@@ -99,7 +99,7 @@ def test_criterion_03_reconstruction_trends():
     trials, dim = 100, 16
     deficient = 0
     for (length, nr, er), mse in cells.items():
-        config = CurveConfig(n_ratio=nr, eta_ratio=er, l_max=max(length, 250))
+        config = CurveConfig(n_ratio=nr, eta_ratio=er)
         B = basis_matrix(length, *resolve_dims(length, config))
         s = np.linalg.svd(B, compute_uv=False)
         rank = int(np.count_nonzero(s > 1e-12 * max(B.shape) * s[0]))

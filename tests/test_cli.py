@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import zlib
 
@@ -98,6 +100,16 @@ class TestIngest:
         with pytest.raises(IoError, match="unknown builtin corpus 'nope'"):
             ingest("builtin:nope")
 
+    def test_resolve_corpus_reads_a_builtin_from_memory_and_writes_its_copy(self, tmp_path):
+        # whitespace splits each alternating line into one token, too few to keep
+        out = tmp_path / "out"
+        with pytest.raises(EmptyCorpus, match="no usable sequences in builtin:alternating"):
+            harness.resolve_corpus(RunConfig(tokenizer="whitespace"), str(out))
+        assert not out.exists()
+        corpus = harness.resolve_corpus(RunConfig(max_len=12), str(out))
+        assert corpus.vocab == ingest("builtin:alternating", "char", max_len=12).vocab
+        assert (out / "corpus_alternating.txt").read_bytes() == open(write_builtin("alternating", str(tmp_path / "a.txt")), "rb").read()
+
 
 class TestMakeBatch:
     def test_matches_buckets_rebuilt_every_step(self, tmp_path):
@@ -171,6 +183,21 @@ class TestConfig:
         path.write_text("steps = 7\nl_max = 400\n")
         with pytest.raises(ConfigError, match="'l_max'"):
             load_config(str(path))
+
+    def test_unit_norm_is_an_unknown_key(self, tmp_path, capsys):
+        # word embeddings always stay on the unit sphere; an older run.cfg still names the switch
+        path = tmp_path / "run.cfg"
+        path.write_text(dump_config(RunConfig()) + "unit_norm = True\n")
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2
+        assert "unknown config key 'unit_norm'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_k_curves_times_batch_size_is_bounded(self):
+        # the K-curve head runs k_curves * batch_size sequences through the backbone
+        RunConfig(k_curves=8192, batch_size=8).validate()
+        with pytest.raises(ConfigError, match=r"k_curves \* batch_size must be <= 65536, got 8193 \* 8"):
+            RunConfig(k_curves=8193, batch_size=8).validate()
 
 
 def tiny_train_args(out, extra=()):
@@ -310,7 +337,11 @@ class TestTrainCommand:
             (["--d-model", "32"], "backbone.d_model"),
             (["--seed", "9"], "seed"),
             (["--steps", "20"], "already at step 20"),
-            (["--corpus", "builtin:grammar3"], "vocabulary"),
+            pytest.param(["--corpus", "builtin:grammar3"], "resume checkpoint has vocab", id="extra4-vocabulary"),
+            (["--k-curves", "2"], "k_curves"),
+            (["--lambda-anchor", "0.5"], "lambda_anchor"),
+            (["--schedule-kind", "linear"], "schedule.kind"),
+            (["--n-ratio", "1.5"], "curve.n_ratio"),
         ],
     )
     def test_resume_that_disagrees_exits_2_without_creating_out(self, ckpt, tmp_path, capsys, extra, message):
@@ -390,6 +421,8 @@ class TestTrainCommand:
             ("--max-len", "1"),
             # a batch this large once ended in a raw numpy MemoryError from make_batch
             ("--batch-size", "100000000000"),
+            # and a K-curve head this wide one from the backbone, mid-run
+            ("--k-curves", "100000"),
             ("--tokenizer", "foo"),
             ("--corpus", "builtin:nope"),
             ("--corpus", "no-such-dir/corpus.txt"),
@@ -515,6 +548,17 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("args", [["spectrum", "--length", "12"], ["verify", "lemma1"]])
+def test_closed_stdout_exits_1_without_a_traceback(args):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "curvelang.cli", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # long before the command has imported numpy, let alone printed
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 1
+    assert err == b""
+
+
 @pytest.fixture(scope="module")
 def ckpt(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("train"))
@@ -536,6 +580,21 @@ class TestSampleCommand:
         for line in proj_lines[1:]:
             step, index, pc1, pc2 = line.split(",")
             int(step), int(index), float(pc1), float(pc2)
+
+    def test_checkpoint_with_a_unit_norm_entry_loads_samples_and_resumes(self, ckpt, tmp_path):
+        # a header written before the switch went records "unit_norm": true
+        data = open(ckpt, "rb").read()
+        header_len = int.from_bytes(data[8:16], "little")
+        header = json.loads(data[16 : 16 + header_len])
+        payload = json.dumps({**header, "unit_norm": True}, sort_keys=True).encode()
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(data[:8] + len(payload).to_bytes(8, "little") + payload + data[16 + header_len :])
+        assert checkpoint.settings(checkpoint.load(str(old))[0]) == checkpoint.settings(checkpoint.load(ckpt)[0])
+        for name, path in (("old", str(old)), ("new", ckpt)):
+            assert cli.main(["sample", path, "--length", "16", "--steps", "5", "--n", "1", "--out", str(tmp_path / f"sample_{name}")]) == 0
+            assert cli.main(tiny_train_args(str(tmp_path / f"resumed_{name}"), ["--resume", path, "--steps", "25"])) == 0
+        for out in ("sample_{}/samples.txt", "resumed_{}/model.ckpt"):
+            assert (tmp_path / out.format("old")).read_bytes() == (tmp_path / out.format("new")).read_bytes()
 
     def test_length_outside_the_corpus_range(self, ckpt, tmp_path, capsys, monkeypatch):
         # every line of builtin:alternating is 16 tokens long

@@ -681,6 +681,25 @@ class TestCheckpoint:
         for name in model.store.names():
             assert np.array_equal(loaded.store[name].data, model.store[name].data), name
 
+    @pytest.mark.parametrize(
+        "mode, k_curves, force_k_head",
+        [
+            ("gaussian", 1, False),
+            ("masked", 1, False),
+            ("baseline-identity", 1, False),
+            ("masked-identity", 1, False),
+            ("gaussian", 2, False),
+            ("gaussian", 1, True),
+        ],
+    )
+    def test_load_builds_the_model_its_settings_describe(self, tmp_path, mode, k_curves, force_k_head):
+        model = make_model(mode, k_curves=k_curves, force_k_head=force_k_head, seed=39)
+        path = str(tmp_path / "m.ckpt")
+        checkpoint.save(model, path, step=0)
+        loaded, _, header = checkpoint.load(path)
+        assert checkpoint.settings(loaded) == checkpoint.settings(model)
+        assert set(header) == set(checkpoint.settings(model)) | {"step", "opt_step_count", "params", "state_crc32"}
+
     def test_reloaded_model_samples_identically(self, tmp_path):
         model = make_model("gaussian", seed=33)
         path = str(tmp_path / "m.ckpt")

@@ -120,7 +120,7 @@ def sweep_cells():
     for length in cm.DEFAULT_SWEEP_LENGTHS:
         for n_ratio in cm.DEFAULT_SWEEP_N_RATIOS:
             for eta_ratio in cm.DEFAULT_SWEEP_ETA_RATIOS:
-                config = cm.CurveConfig(n_ratio=n_ratio, eta_ratio=eta_ratio, l_max=max(length, 250))
+                config = cm.CurveConfig(n_ratio=n_ratio, eta_ratio=eta_ratio)
                 cells.append((length,) + cm.resolve_dims(length, config))
     return cells
 
@@ -170,7 +170,7 @@ class TestBasisOracle:
         for length in cm.DEFAULT_SWEEP_LENGTHS:
             for n_ratio in cm.DEFAULT_SWEEP_N_RATIOS:
                 for eta_ratio in cm.DEFAULT_SWEEP_ETA_RATIOS:
-                    config = cm.CurveConfig(n_ratio=n_ratio, eta_ratio=eta_ratio, l_max=max(length, 250))
+                    config = cm.CurveConfig(n_ratio=n_ratio, eta_ratio=eta_ratio)
                     n_points, eta = cm.resolve_dims(length, config)
                     if 24 < eta <= 49:
                         cells.append((length, n_points, eta))
