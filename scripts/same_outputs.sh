@@ -36,6 +36,21 @@ awk 'BEGIN { for (n = 8; n <= 128; n += 8) { line = ""; for (i = 0; i < n; i++) 
 # 15 of 40 steps mask no position and so run Adam with no gradient at all
 pairs=$work/pairs.txt
 printf 'ab\nba\naa\nbb\n' > "$pairs"
+# whitespace-split lines, trained at --max-len 8: two lines are cut to 8
+# words, a one-word line and a blank one are dropped, and some words are
+# not ASCII
+words=$work/words.txt
+printf '%s\n' \
+    "the cat sat on the mat" \
+    "a dog sat by the door and the cat ran far away from it" \
+    "solo" \
+    "" \
+    "naïve café owners sat on the mat" \
+    "über straße and the café" \
+    "the dog saw the cat" \
+    "a cat and a dog on a mat by the door of the café" \
+    "日本 の 猫 sat" \
+    "the mat sat" > "$words"
 
 run_all() {
     tree=$1
@@ -61,9 +76,10 @@ run_all() {
     cli mident train $small --mode masked-identity --out "$out/mident"
     cli long train $small --mode masked --corpus "$long" --max-len 128 --dropout 0.1 --steps 8 --out "$out/long"
     cli pairs train $small --mode masked --corpus "$pairs" --batch-size 1 --schedule-kind linear --out "$out/pairs"
+    cli words train $small --corpus "$words" --tokenizer whitespace --max-len 8 --out "$out/words"
 
     # the identity runs sample with a to_points and to_words that bypass the curve map
-    for run in gauss resumed k2 mk2 ident mident; do
+    for run in gauss resumed k2 mk2 ident mident words; do
         cli "sample_$run" sample "$out/$run/model.ckpt" --length 12 --steps 5 --n 2 --seed 1 --out "$out/sample_$run"
     done
     cli sample_long sample "$out/long/model.ckpt" --length 128 --steps 5 --n 2 --seed 1 --out "$out/sample_long"

@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import Vocab
 from .curvemap import CurveConfig, build_cache
-from .errors import CheckpointVersionMismatch, IoError
+from .errors import CheckpointVersionMismatch, IoError, ShapeMismatch
 from .model import BackboneConfig, SclmModel, build_schedule
 
 MAGIC = b"SCLM"
@@ -38,13 +38,13 @@ def _config_from(cls, section: dict):
     return cls(**section)
 
 
-def settings(model: SclmModel) -> dict:
-    """How ``model`` was built: the model part of a checkpoint header, which ``load`` builds from."""
+def settings(model) -> dict:
+    """How ``model`` (an ``SclmModel``, or its constructor's arguments as attributes) is built: a header's model part."""
     return {
         "mode": model.mode,
         "embed_dim": model.embed_dim,
         "k_curves": model.k_curves,
-        "force_k_head": model.k_head and model.k_curves < 2,
+        "force_k_head": model.force_k_head and model.k_curves < 2,
         "lambda_anchor": model.lambda_anchor,
         "seed": model.seed,
         "schedule": {"T": model.schedule.T, "kind": model.schedule.kind},
@@ -80,7 +80,7 @@ def save(model: SclmModel, path: str, step: int) -> None:
 
 
 def load(path: str) -> tuple[SclmModel, int, dict]:
-    """Rebuild the model from a checkpoint file; its basis pairs are built on first use.
+    """Rebuild the model from a checkpoint file's state, with no draw; its basis pairs are built on first use.
 
     A bad magic or format version raises ``CheckpointVersionMismatch``.  A
     short header, an unparsable header, a header that is not an object or
@@ -114,7 +114,13 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
         for key in ("step", "opt_step_count"):
             if type(header[key]) is not int or header[key] < 0:
                 raise IoError(f"checkpoint {key} must be an integer >= 0, got {header[key]!r}")
-        model = _model_from(header)
+        have = len(raw) - start  # the state: three equal buffers, less bytes short of one float in each
+        state = np.frombuffer(raw, dtype="<f8", offset=start, count=have // 24 * 3).reshape(3, -1)
+        try:
+            model = _model_from(header, state)
+        except ShapeMismatch:
+            # a state that does not fit: a drawn model lets the checks below word why
+            model = _model_from(header)
         store = model.store
         names = store.names()
         if header["params"] != names:
@@ -123,16 +129,13 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
                 f"checkpoint lacks parameters {sorted(set(names) - listed)} and has unknown"
                 f" {sorted(listed - set(names))}, or lists them out of the model's order"
             )
-        have, want = len(raw) - start, 24 * store.values.size
+        want = 24 * store.values.size
         if have != want:
             raise IoError(f"checkpoint {path} holds {have} bytes of state where its model has {want} ({have - want:+d})")
         if zlib.crc32(memoryview(raw)[start:]) != header["state_crc32"]:
             raise IoError(f"checkpoint {path} fails its state checksum")
-        state = np.frombuffer(raw, dtype="<f8", offset=start).reshape(3, -1)
         if not all(np.isfinite(buf).all() for buf in state):
             raise IoError(f"checkpoint {path} holds a non-finite value")
-        for buf, saved in zip((store.values, store.first, store.second), state):
-            buf[...] = saved
         store.step_count = header["opt_step_count"]
         # rows past the last one with a nonzero moment have no Adam state to carry
         for name in store.rows_reached:
@@ -146,8 +149,8 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
         raise IoError(f"cannot parse checkpoint {path}: {exc}") from exc
 
 
-def _model_from(header: dict) -> SclmModel:
-    """The model a parsed header's ``settings`` describe, with its random initialisation."""
+def _model_from(header: dict, state: np.ndarray | None = None) -> SclmModel:
+    """The model a parsed header's ``settings`` describe, holding ``state``, or drawn afresh without it."""
     return SclmModel(
         mode=header["mode"],
         vocab=Vocab(tokens=tuple(header["vocab"])),
@@ -159,4 +162,5 @@ def _model_from(header: dict) -> SclmModel:
         lambda_anchor=header["lambda_anchor"],
         seed=header["seed"],
         force_k_head=header["force_k_head"],
+        state=state,
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -33,8 +34,7 @@ class Vocab:
         return {tok: i for i, tok in enumerate(self.tokens)}
 
     def encode(self, pieces: list[str]) -> np.ndarray:
-        idx = self.index
-        return np.array([idx[p] for p in pieces], dtype=np.int64)
+        return np.fromiter(map(self.index.__getitem__, pieces), dtype=np.int64, count=len(pieces))
 
     def decode(self, ids) -> list[str]:
         return [self.tokens[int(i)] for i in ids]
@@ -42,9 +42,7 @@ class Vocab:
 
 def build_vocab(token_lists: list[list[str]]) -> Vocab:
     """Frequency-then-lexicographic vocabulary with pad/mask reserved first."""
-    counts = Counter()
-    for pieces in token_lists:
-        counts.update(pieces)
+    counts = Counter(chain.from_iterable(token_lists))
     ordered = sorted(counts, key=lambda tok: (-counts[tok], tok))
     return Vocab(tokens=(PAD_TOKEN, MASK_TOKEN, *ordered))
 
@@ -89,16 +87,14 @@ def ingest(path: str, tokenizer: str = "char", max_len: int = 250) -> Corpus:
                 lines = fh.read().splitlines()
         except (OSError, UnicodeDecodeError) as exc:
             raise IoError(f"cannot read corpus {path}: {exc}") from exc
-    token_lists = []
-    for line in lines:
-        pieces = split(line)[:max_len]
-        if len(pieces) >= 2:
-            token_lists.append(pieces)
+    token_lists = [pieces for pieces in (split(line)[:max_len] for line in lines) if len(pieces) >= 2]
     if not token_lists:
         raise EmptyCorpus(f"no usable sequences in {path}")
     vocab = build_vocab(token_lists)
-    sequences = [vocab.encode(pieces) for pieces in token_lists]
-    return Corpus(sequences=sequences, vocab=vocab)
+    # one encode over the whole corpus, cut into a view per line
+    ids = vocab.encode(list(chain.from_iterable(token_lists)))
+    ends = list(accumulate(map(len, token_lists)))
+    return Corpus(sequences=[ids[start:end] for start, end in zip([0, *ends], ends)], vocab=vocab)
 
 
 def alternating_text() -> str:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,21 +26,21 @@ from .model import SclmModel, _reverse_steps, build_schedule, sample, train_step
 from .rng import RngStream
 
 
-def _corpus_path(config: RunConfig, out_dir: str) -> str:
-    """The configured corpus file; a builtin is written into out_dir first."""
+def _write_builtin_copy(config: RunConfig, out_dir: str) -> None:
+    """Write a builtin corpus's copy into out_dir, for the record: every corpus is read through ``read_corpus``."""
     if not config.corpus.startswith("builtin:"):
-        return config.corpus
+        return
     # builtins are fixed datasets: their content never depends on the run
     # seed, so seed sweeps train on identical corpora
     name = config.corpus.split(":", 1)[1]
     os.makedirs(out_dir, exist_ok=True)
-    return write_builtin(name, os.path.join(out_dir, f"corpus_{name}.txt"))
+    write_builtin(name, os.path.join(out_dir, f"corpus_{name}.txt"))
 
 
 def resolve_corpus(config: RunConfig, out_dir: str) -> Corpus:
-    """Ingest the configured corpus, then write a builtin's copy into out_dir."""
+    """Ingest the configured corpus, then write a builtin's copy into out_dir; returns the corpus."""
     corpus = read_corpus(config)
-    _corpus_path(config, out_dir)
+    _write_builtin_copy(config, out_dir)
     return corpus
 
 
@@ -47,8 +49,9 @@ def read_corpus(config: RunConfig) -> Corpus:
     return ingest(config.corpus, tokenizer=config.tokenizer, max_len=config.max_len)
 
 
-def build_model(config: RunConfig, corpus: Corpus) -> SclmModel:
-    return SclmModel(
+def model_args(config: RunConfig, corpus: Corpus) -> dict:
+    """The ``SclmModel`` arguments of ``config`` on ``corpus``."""
+    return dict(
         mode=config.mode,
         vocab=corpus.vocab,
         cache=build_cache(config.curve_config()),
@@ -58,7 +61,12 @@ def build_model(config: RunConfig, corpus: Corpus) -> SclmModel:
         k_curves=config.k_curves,
         lambda_anchor=config.lambda_anchor,
         seed=config.seed,
+        force_k_head=False,
     )
+
+
+def build_model(config: RunConfig, corpus: Corpus) -> SclmModel:
+    return SclmModel(**model_args(config, corpus))
 
 
 def make_batch(corpus: Corpus, batch_size: int, seed: int, step: int) -> list[np.ndarray]:
@@ -82,17 +90,21 @@ class TrainResult:
     final: dict
 
 
-def _check_resume(model: SclmModel, header: dict) -> None:
-    """ConfigError naming the first setting of ``model`` that differs from the checkpoint ``header``."""
-    for key, value in checkpoint.settings(model).items():
+def _check_resume(args: dict, header: dict) -> None:
+    """ConfigError naming the first setting of the model ``args`` build that differs from the checkpoint ``header``."""
+    for key, value in checkpoint.settings(SimpleNamespace(**args)).items():
         if isinstance(value, dict):
             fields = [(f"{key}.{field}", have, header[key][field]) for field, have in value.items()]
         else:
             fields = [(key, value, header[key])]
         for name, have, saved in fields:
             if have != saved:
+                said = [repr(saved), repr(have)]
+                if name == "vocab":  # a vocabulary may be long: name its first difference
+                    at = next((i for i, (a, b) in enumerate(zip(saved, have)) if a != b), min(len(saved), len(have)))
+                    said = [f"{reprlib.repr(v[at]) if at < len(v) else 'none'} at {at} of {len(v)} tokens" for v in (saved, have)]
                 raise ConfigError(
-                    f"resume checkpoint has {name} {saved!r}, these settings give {have!r};"
+                    f"resume checkpoint has {name} {said[0]}, these settings give {said[1]};"
                     " resume with the run's own settings (--config <out>/run.cfg)"
                 )
 
@@ -106,17 +118,18 @@ def run_training(config: RunConfig, out_dir: str) -> TrainResult:
         if start_step >= config.steps:
             raise ConfigError(f"checkpoint already at step {start_step}, budget is {config.steps}")
     corpus = read_corpus(config)
-    model = build_model(config, corpus)
     if config.resume:
-        _check_resume(model, header)
+        _check_resume(model_args(config, corpus), header)
         model = loaded
+    else:
+        model = build_model(config, corpus)
     # a batch of any corpus length may be drawn at any step
     outside = [length for length in corpus.lengths() if length not in model.cache]
     if outside:
         curve = model.cache.config
         raise ConfigError(f"corpus line lengths {outside} outside the curve range [{curve.l_min}, {curve.l_max}]")
     os.makedirs(out_dir, exist_ok=True)
-    _corpus_path(config, out_dir)
+    _write_builtin_copy(config, out_dir)
     optimizer = config.adam_config()
     gaussian = model.noise_kind == "gaussian"
     header = "step,diffusion,anchor,total" if gaussian else "step,loss"
@@ -276,7 +289,7 @@ def run_probe(
         "seed": seed,
     }
     os.makedirs(out_dir, exist_ok=True)
-    _corpus_path(corpus_config, out_dir)
+    _write_builtin_copy(corpus_config, out_dir)
     out_path = os.path.join(out_dir, "probe.json")
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -151,6 +151,9 @@ class SclmModel:
     sequence.  The backbone runs the whole batch as (B, n_tokens,
     d_model) sequences; every weight acts on the last axis, and attention
     splits the sequences into heads inside one op.
+
+    ``state``, a checkpoint's (3, n) ``values``/``first``/``second``, fills
+    the parameters and Adam moments as training left them: no draw, no projection.
     """
 
     def __init__(
@@ -165,6 +168,7 @@ class SclmModel:
         lambda_anchor: float = 1.0,
         seed: int = 0,
         force_k_head: bool = False,
+        state: np.ndarray | None = None,
     ):
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -185,11 +189,12 @@ class SclmModel:
         self.k_curves = k_curves
         self.lambda_anchor = lambda_anchor
         self.seed = seed
+        self.force_k_head = force_k_head
         # the K-curve head: learnable curve tokens plus a shallow scorer
         self.k_head = k_curves >= 2 or force_k_head
-        self._init_params()
+        self._init_params(state)
 
-    def _init_params(self) -> None:
+    def _init_params(self, state: np.ndarray | None) -> None:
         cfg = self.backbone
         d, dm, dff = self.embed_dim, cfg.d_model, cfg.d_ff
         specs = []  # (name, shape, by_rows, std), in checkpoint order
@@ -227,15 +232,21 @@ class SclmModel:
             make("score_b2", (1,), std=0.0)
 
         self.store = ParamStore([spec[:3] for spec in specs])
+        self.embedding = EmbeddingTable(weight=self.store["emb"])
+        if state is not None:
+            if np.shape(state) != (3, self.store.values.size):
+                raise ShapeMismatch(f"state of shape {np.shape(state)}, the model's is (3, {self.store.values.size})")
+            self.store.values[...], self.store.first[...], self.store.second[...] = state
+            return
         init = RngStream(self.seed, "init")
-        # each parameter is drawn straight into its view of the store
+        # each random parameter is drawn straight into its view of the store
         for name, _, _, std in specs:
             view = self.store[name].data
-            init.child(name).generator().standard_normal(out=view)
-            view *= std
+            if std:
+                init.child(name).generator().standard_normal(out=view)
+                view *= std
             if name.endswith("_g"):  # a layer norm's gain starts at one
                 view += 1.0
-        self.embedding = EmbeddingTable(weight=self.store["emb"])
         self.embedding.project()
 
     # ---------------------------------------------------------------- pairs

@@ -16,8 +16,13 @@ the reference probe matrix correlates one pair of positions at a time
 from (n, n, d) difference tensors, the closed-form distance
 correlation sums raw pairwise distances with no centring at all, and
 the reference Adam step updates every element of every parameter that
-has a gradient, with out-of-place temporaries.
+has a gradient, with out-of-place temporaries, the reference
+initialisation draws every parameter from its own stream out of place,
+from a name table of its own, and the reference ingest counts and
+encodes one line at a time.
 """
+
+from collections import Counter
 
 import numpy as np
 
@@ -232,6 +237,54 @@ def reference_attention(q, k, v, heads, scale, p=0.0, gens=None):
                 masks[b, hd] = (gens[b * heads + hd].random((n, n)) >= p) / (1.0 - p)
             out[b, :, cols] = (att * masks[b, hd]) @ v[b, :, cols]
     return out, masks
+
+
+def reference_init(model):
+    """Name -> initial value of every parameter of a fresh ``model``.
+
+    Weights, the position table and the curve tokens are drawn as
+    ``RngStream(seed, "init").child(name).generator().standard_normal(shape)``
+    times 0.02; the word embeddings with std 1, then each column divided
+    by its norm.  A layer norm's gain is exactly 1.0 and every bias
+    exactly 0.0.
+    """
+    layers = model.backbone.layers
+    std = {"emb": 1.0, "in_w": 0.02, "pos": 0.02, "time_w": 0.02, "out_w": 0.02}
+    std.update({f"l{i}.{w}": 0.02 for i in range(layers) for w in ("wq", "wk", "wv", "wo", "ff_w1", "ff_w2")})
+    if model.k_head:
+        std.update({"ktok": 0.02, "score_w1": 0.02, "score_w2": 0.02})
+    gains = {f"l{i}.ln{j}_g" for i in range(layers) for j in (1, 2)} | {"lnf_g"}
+    out = {}
+    for name in model.store.names():
+        shape = model.store[name].shape
+        if name in std:
+            out[name] = RngStream(model.seed, "init").child(name).generator().standard_normal(shape) * std[name]
+        else:
+            out[name] = np.full(shape, 1.0 if name in gains else 0.0)
+    out["emb"] = out["emb"] / np.sqrt((out["emb"] ** 2).sum(axis=0))
+    return out
+
+
+def reference_ingest(path, tokenizer, max_len):
+    """(vocabulary tokens, int64 sequences) of a UTF-8 corpus file, one line at a time.
+
+    Each kept line (at least 2 tokens once cut to ``max_len``) updates the
+    token counts and is later encoded on its own; the vocabulary is pad,
+    mask, then tokens by descending count and then lexicographically.
+    """
+    split = {"char": list, "whitespace": str.split}[tokenizer]
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    counts = Counter()
+    kept = []
+    for line in lines:
+        pieces = split(line)[:max_len]
+        if len(pieces) >= 2:
+            counts.update(pieces)
+            kept.append(pieces)
+    tokens = ("<pad>", "<mask>", *sorted(counts, key=lambda tok: (-counts[tok], tok)))
+    index = {tok: i for i, tok in enumerate(tokens)}
+    return tokens, [np.array([index[tok] for tok in pieces], dtype=np.int64) for pieces in kept]
 
 
 def reference_make_batch(corpus, batch_size, seed, step):

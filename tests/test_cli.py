@@ -19,7 +19,7 @@ from curvelang.corpus import ingest, write_builtin
 from curvelang.errors import CheckpointVersionMismatch, ConfigError, EmptyCorpus, IoError, NonFinite
 from curvelang.rng import RngStream
 
-from _oracles import reference_make_batch, stress
+from _oracles import reference_ingest, reference_make_batch, stress
 
 
 class TestIngest:
@@ -99,6 +99,53 @@ class TestIngest:
             assert [s.tolist() for s in from_memory.sequences] == [s.tolist() for s in from_file.sequences]
         with pytest.raises(IoError, match="unknown builtin corpus 'nope'"):
             ingest("builtin:nope")
+
+    @staticmethod
+    def _random_text(tokenizer):
+        """300 seeded lines of 0 to 20 tokens; a few are empty or one token long, some are long."""
+        rng = RngStream(47, "ingest").generator()
+        letters = list("abcdeé漢ß")
+        words = ["the", "cat", "café", "naïve", "über", "straße", "日本", "a", "b"]
+        alphabet, sep = (letters, "") if tokenizer == "char" else (words, " ")
+        return "".join(sep.join(rng.choice(alphabet, size=int(rng.integers(0, 21)))) + "\n" for _ in range(300))
+
+    @pytest.mark.parametrize(
+        "tokenizer, text, max_len",
+        [
+            # a truncated line, dropped lines (one token, empty), non-ASCII
+            # tokens, and a, b, c tied at 4 with é and 漢 tied at 2
+            ("char", "abcabcabc\nx\n\ncba\néé漢漢\ncab\n漢\n", 6),
+            ("char", None, 12),
+            ("char", None, 250),
+            # a truncated line, dropped lines (one word, blank), non-ASCII
+            # words, and "zeta" tied with "alpha"
+            ("whitespace", "the cat sat on the mat and the dog\nsolo\n  \nnaïve café naïve\nüber straße\nzeta alpha\nalpha  zeta\n", 4),
+            ("whitespace", None, 5),
+            ("whitespace", None, 250),
+        ],
+    )
+    def test_matches_the_per_line_reference(self, tmp_path, tokenizer, text, max_len):
+        path = tmp_path / "corpus.txt"
+        path.write_text(self._random_text(tokenizer) if text is None else text, encoding="utf-8")
+        corpus = ingest(str(path), tokenizer, max_len)
+        tokens, sequences = reference_ingest(str(path), tokenizer, max_len)
+        assert corpus.vocab.tokens == tokens
+        assert len(corpus.sequences) == len(sequences)
+        for got, want in zip(corpus.sequences, sequences):
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+    def test_error_messages(self, tmp_path):
+        path = tmp_path / "short.txt"
+        path.write_text("a\n\nb\n")
+        with pytest.raises(EmptyCorpus) as caught:
+            ingest(str(path), "char")
+        assert str(caught.value) == f"no usable sequences in {path}"
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"caf\xe9 au lait\n")
+        for missing in (bad, tmp_path / "missing.txt"):
+            with pytest.raises(IoError) as caught:
+                ingest(str(missing), "char")
+            assert str(caught.value).startswith(f"cannot read corpus {missing}: ")
 
     def test_resolve_corpus_reads_a_builtin_from_memory_and_writes_its_copy(self, tmp_path):
         # whitespace splits each alternating line into one token, too few to keep
@@ -349,6 +396,56 @@ class TestTrainCommand:
         assert cli.main(tiny_train_args(str(out), ["--resume", ckpt, "--steps", "30", *extra])) == 2
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda words: words.replace("w1500", "x1500"), "'w1500' at 1502 of 3002 tokens, these settings give 'w1501' at 1502 of 3002"),
+            # a 301st line of two new words, each used once
+            (lambda words: words + " zy zz", "none at 3002 of 3002 tokens, these settings give 'zy' at 3002 of 3004"),
+        ],
+        ids=["renamed-word", "added-word"],
+    )
+    def test_resume_on_another_vocabulary_names_its_first_difference(self, tmp_path, capsys, edit, message):
+        # 3,000 distinct words, each used once: the vocabulary is pad, mask, then the words in order
+        words = " ".join(f"w{i:04d}" for i in range(3000))
+
+        def lines(text):
+            split = text.split()
+            return "".join(" ".join(split[i : i + 10]) + "\n" for i in range(0, len(split), 10))
+
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        first.write_text(lines(words))
+        second.write_text(lines(edit(words)))
+        run = ["--tokenizer", "whitespace", "--max-len", "10", "--steps", "2"]
+        assert cli.main(tiny_train_args(str(tmp_path / "run"), [*run, "--corpus", str(first)])) == 0
+        resume = ["--resume", str(tmp_path / "run" / "model.ckpt"), "--corpus", str(second)]
+        assert cli.main(tiny_train_args(str(tmp_path / "resumed"), [*run, *resume, "--steps", "4"])) == 2
+        err = capsys.readouterr().err
+        assert f"resume checkpoint has vocab {message} tokens;" in err
+        assert len(err.encode()) < 300
+        assert not (tmp_path / "resumed").exists()
+
+    def test_resume_draws_no_initialisation(self, tmp_path, monkeypatch, capsys):
+        out = str(tmp_path / "first")
+        assert cli.main(tiny_train_args(out, ["--steps", "10"])) == 0
+        drawn = []
+        generator = RngStream.generator
+
+        def no_init(self):
+            drawn.append(self.labels[0])
+            if self.labels[0] == "init":
+                raise AssertionError(f"drew the stream {self.labels}")
+            return generator(self)
+
+        monkeypatch.setattr(RngStream, "generator", no_init)
+        resume = ["--resume", os.path.join(out, "model.ckpt"), "--steps", "20"]
+        # a disagreeing resume is refused before anything is drawn
+        assert cli.main(tiny_train_args(str(tmp_path / "refused"), [*resume, "--seed", "9"])) == 2
+        assert "resume checkpoint has seed 3, these settings give 9" in capsys.readouterr().err
+        assert drawn == []
+        assert cli.main(tiny_train_args(str(tmp_path / "resumed"), resume)) == 0
+        assert "init" not in drawn and "batch" in drawn
 
     def test_resume_from_a_missing_checkpoint_exits_2_without_creating_out(self, tmp_path, capsys):
         out = tmp_path / "resumed"

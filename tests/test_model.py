@@ -21,7 +21,14 @@ from curvelang.curvemap import CurveConfig, build_cache
 from curvelang.errors import CheckpointVersionMismatch, ConfigError, CurvelangError, IoError, ShapeMismatch, StepOutOfRange
 from curvelang.rng import RngStream
 
-from _oracles import reference_adam_step, reference_backbone, reference_gaussian_loss, reference_masked_loss, reference_sample
+from _oracles import (
+    reference_adam_step,
+    reference_backbone,
+    reference_gaussian_loss,
+    reference_init,
+    reference_masked_loss,
+    reference_sample,
+)
 
 
 def tiny_vocab():
@@ -169,6 +176,42 @@ class TestConstruction:
             M.SclmModel("gaussian", tiny_vocab(), cache, M.build_schedule(8, "linear"), embed_dim=size)
         with pytest.raises(ConfigError, match=f"k_curves must be >= 1, got {size}"):
             M.SclmModel("gaussian", tiny_vocab(), cache, M.build_schedule(8, "linear"), k_curves=size)
+
+    @pytest.mark.parametrize(
+        "mode, k_curves, force_k_head, seed",
+        [("gaussian", 1, False, 0), ("masked", 1, False, 5), ("gaussian", 3, False, 7), ("masked-identity", 1, True, 11)],
+    )
+    def test_fresh_parameters_match_their_drawn_streams(self, mode, k_curves, force_k_head, seed):
+        model = make_model(mode, k_curves=k_curves, force_k_head=force_k_head, seed=seed)
+        expected = reference_init(model)
+        assert list(expected) == model.store.names()
+        for name, want in expected.items():
+            got = model.store[name].data
+            if name == "emb":
+                npt.assert_allclose(got, want, rtol=1e-15, atol=0, err_msg=name)
+            else:
+                # bitwise: a bias is +0.0, never a -0.0 left by a draw times 0
+                assert got.tobytes() == want.tobytes(), name
+        assert not model.store.first.any() and not model.store.second.any()
+
+    def test_state_fills_the_store_without_a_draw(self, monkeypatch):
+        source = jolt(make_model("gaussian", k_curves=2, seed=3), seed=4)
+        state = np.stack([source.store.values, source.store.values + 1.0, source.store.values + 2.0])
+
+        def no_draw(self):
+            raise AssertionError(f"drew the stream {self.labels}")
+
+        monkeypatch.setattr(RngStream, "generator", no_draw)
+        cache = build_cache(CurveConfig(n_ratio=1.5, eta_ratio=0.2, l_min=2, l_max=8))
+        args = dict(vocab=tiny_vocab(), cache=cache, schedule=M.build_schedule(8, "linear"), backbone=source.backbone,
+                    embed_dim=8, k_curves=2, seed=3)
+        model = M.SclmModel("gaussian", state=state, **args)
+        for got, want in zip((model.store.values, model.store.first, model.store.second), state):
+            assert got.tobytes() == want.tobytes()
+        # the jolted embeddings are off the unit sphere, and stay so: no projection
+        assert model.store["emb"].data.tobytes() == source.store["emb"].data.tobytes()
+        with pytest.raises(ShapeMismatch, match="state of shape"):
+            M.SclmModel("gaussian", state=state[:, 1:], **args)
 
 
 class TestDenoisePredict:
@@ -699,6 +742,21 @@ class TestCheckpoint:
         loaded, _, header = checkpoint.load(path)
         assert checkpoint.settings(loaded) == checkpoint.settings(model)
         assert set(header) == set(checkpoint.settings(model)) | {"step", "opt_step_count", "params", "state_crc32"}
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        model = make_model("masked", k_curves=2, seed=40)
+        M.train_step(model, make_batch(model), M.AdamConfig(lr=1e-3), step=1)
+        path = str(tmp_path / "m.ckpt")
+        checkpoint.save(model, path, step=1)
+
+        def no_draw(self):
+            raise AssertionError(f"drew the stream {self.labels}")
+
+        monkeypatch.setattr(RngStream, "generator", no_draw)
+        loaded, step, _ = checkpoint.load(path)
+        assert step == 1
+        for name in ("values", "first", "second"):
+            assert getattr(loaded.store, name).tobytes() == getattr(model.store, name).tobytes(), name
 
     def test_reloaded_model_samples_identically(self, tmp_path):
         model = make_model("gaussian", seed=33)
