@@ -75,6 +75,10 @@ run_all() {
     cli ident train $small --mode baseline-identity --corpus builtin:multimodal --out "$out/ident"
     cli mident train $small --mode masked-identity --out "$out/mident"
     cli long train $small --mode masked --corpus "$long" --max-len 128 --dropout 0.1 --steps 8 --out "$out/long"
+    # the default backbone (d_model 64, d_ff 128, the benchmark's) on the
+    # same lines, 5 to a batch: 10 L rows a step, so the feed-forward GELU
+    # chain runs over whole and partial blocks of rows, with dropout
+    cli longff train --mode masked --corpus "$long" --max-len 128 --dropout 0.1 --steps 12 --batch-size 5 --log-interval 1 --schedule-steps 20 --embed-dim 32 --out "$out/longff"
     cli pairs train $small --mode masked --corpus "$pairs" --batch-size 1 --schedule-kind linear --out "$out/pairs"
     cli words train $small --corpus "$words" --tokenizer whitespace --max-len 8 --out "$out/words"
 
@@ -83,6 +87,7 @@ run_all() {
         cli "sample_$run" sample "$out/$run/model.ckpt" --length 12 --steps 5 --n 2 --seed 1 --out "$out/sample_$run"
     done
     cli sample_long sample "$out/long/model.ckpt" --length 128 --steps 5 --n 2 --seed 1 --out "$out/sample_long"
+    cli sample_longff sample "$out/longff/model.ckpt" --length 40 --steps 5 --n 2 --seed 1 --out "$out/sample_longff"
     cli probe probe "$out/gauss/model.ckpt" "$out/ident/model.ckpt" --n-eval 4 --n-noise 50 --out "$out/probe"
     # 300 perturbations take several blocks of rows in the dCov kernel
     cli probe300 probe "$out/gauss/model.ckpt" "$out/ident/model.ckpt" --n-eval 4 --n-noise 300 --out "$out/probe300"

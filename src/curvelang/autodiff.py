@@ -13,7 +13,8 @@ axis of an input of any rank, whose leading axes they flatten into rows;
 ``attention`` is multi-head softmax attention over (batch, n, d_model)
 sequences as one op, with an adjoint that rebuilds the softmax from row
 statistics, and ``feed_forward``'s adjoint rebuilds its activation from
-the pre-activation.  The model calls no plain 2-D ``matmul``.
+the pre-activation, one block of rows at a time.  The model calls no
+plain 2-D ``matmul``.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ _TOP_PAD_BYTES = 64 << 20
 # criterion-9 batch (8 x 2 x 32²) is one block and a 128-token line
 # (N = 256) is one per block.
 _ATTENTION_BLOCK = 1 << 17
+
+# Rows of feed_forward's GELU chain worked on at once, in the forward pass
+# and in the adjoint: at d_ff 128, 128 KiB of float64 per temporary, so a
+# criterion-9 batch (256 rows) is two blocks and an 8 x 128-token masked
+# batch (2,048 rows) sixteen.
+_FF_BLOCK_ROWS = 128
 
 
 def _retain_heap() -> bool:
@@ -185,6 +192,8 @@ def linear(x, w, b=None) -> Tensor:
     out = xd @ wd
     if b is not None:
         out += b.data
+    # the input is read again only for w's gradient
+    xd = xd if w_grad else None
 
     def backward_fn(g):
         g = g.reshape(-1, wd.shape[1])
@@ -201,11 +210,16 @@ def feed_forward(x, w1, b1, w2, b2, p: float = 0.0, gens=None) -> Tensor:
     """``linear(dropout(gelu(linear(x, w1, b1)), p, gens), w2, b2)`` as one op.
 
     The forward pass runs exactly those four ops' operations in turn on
-    the rows of x (..., k).  Only the pre-activation ``u = x w1 + b1``
-    (and with ``p > 0`` the boolean keep mask) outlives the call: the
-    adjoint rebuilds GELU's tanh and output from ``u`` by the same
-    operations, so every gradient is bit for bit the unfused chain's,
-    and it holds at most three arrays of u's shape at once.
+    the rows of x (..., k), the GELU chain and the dropout scaling over
+    blocks of ``_FF_BLOCK_ROWS`` rows; the products and the row sums run
+    on all rows at once.  Only the pre-activation ``u = x w1 + b1`` (and
+    with ``p > 0`` the boolean keep mask) outlives the call: the adjoint
+    forms ``da = g w2ᵀ`` once, then for each block rebuilds GELU's tanh
+    and output from ``u`` by the same operations and scales that block
+    of ``da`` by the slope in place.  Every output and gradient is thus
+    bit for bit the unfused chain's, and besides ``u`` the adjoint holds
+    at most two arrays of u's shape, ``da`` and GELU's output, plus one
+    block's temporaries.
     """
     if (
         x.data.ndim == 0 or w1.data.ndim != 2 or w2.data.ndim != 2
@@ -216,46 +230,51 @@ def feed_forward(x, w1, b1, w2, b2, p: float = 0.0, gens=None) -> Tensor:
     if not 0.0 <= p < 1.0:
         raise ShapeMismatch(f"dropout rate must be in [0, 1), got {p}")
     x_shape, x_grad = x.shape, x.requires_grad
+    w1_grad, b1_grad, w2_grad, b2_grad = w1.requires_grad, b1.requires_grad, w2.requires_grad, b2.requires_grad
     xd, w1d, w2d = x.data.reshape(-1, w1.shape[0]), w1.data, w2.data
     rows = xd.shape[0]
     if p > 0.0 and (not gens or rows % len(gens)):
         raise ShapeMismatch(f"cannot split dropout of {rows} rows into {len(gens or ())} blocks")
     u = xd @ w1d
     u += b1.data
-    t = _gelu_tanh(u)
-    a = _gelu_out(u, t, out=t)
-    keep = None
-    if p > 0.0:
-        keep = _dropout_mask(gens, (rows // len(gens), u.shape[1]), p)
-        a *= keep / (1.0 - p)
+    keep = _dropout_mask(gens, (rows // len(gens), u.shape[1]), p) if p > 0.0 else None
+    blocks = [slice(lo, lo + _FF_BLOCK_ROWS) for lo in range(0, rows, _FF_BLOCK_ROWS)]
+
+    def dropout_factors(blk):  # the block's inverted-dropout factors, or None
+        return None if keep is None else keep[blk] / (1.0 - p)
+
+    def activate(blk, t, factors, out):  # the block's dropped-out GELU output, into out[blk]
+        a_blk = _gelu_out(u[blk], t, out=out[blk])
+        if factors is not None:
+            a_blk *= factors
+
+    a = np.empty_like(u)
+    for blk in blocks:
+        activate(blk, _gelu_tanh(u[blk]), dropout_factors(blk), a)
     out = a @ w2d
     out += b2.data
-    del t, a
+    del a
 
     def backward_fn(g):
-        # each buffer is dropped once used up, so at most three are alive
         g = g.reshape(-1, w2d.shape[1])
-        t = _gelu_tanh(u)
-        dw2 = None
-        if w2.requires_grad:
-            a = _gelu_out(u, t)
-            if keep is not None:
-                a *= keep / (1.0 - p)
-            dw2 = a.T @ g
-            del a
-        du = _gelu_slope(u, t)
-        del t
         da = g @ w2d.T
-        if keep is not None:
-            da *= keep / (1.0 - p)
-        du *= da
-        del da
+        a = np.empty_like(u) if w2_grad else None
+        for blk in blocks:
+            t, factors, da_blk = _gelu_tanh(u[blk]), dropout_factors(blk), da[blk]
+            if a is not None:
+                activate(blk, t, factors, a)
+            if factors is not None:
+                da_blk *= factors
+            # the slope times the block's adjoint: da becomes du
+            da_blk *= _gelu_slope(u[blk], t)
+        dw2 = None if a is None else a.T @ g
+        del a  # used up before the products with w1
         return (
-            (du @ w1d.T).reshape(x_shape) if x_grad else None,
-            xd.T @ du if w1.requires_grad else None,
-            du.sum(axis=0) if b1.requires_grad else None,
+            (da @ w1d.T).reshape(x_shape) if x_grad else None,
+            xd.T @ da if w1_grad else None,
+            da.sum(axis=0) if b1_grad else None,
             dw2,
-            g.sum(axis=0) if b2.requires_grad else None,
+            g.sum(axis=0) if b2_grad else None,
         )
 
     return _emit(out.reshape(x_shape[:-1] + (w2d.shape[1],)), (x, w1, b1, w2, b2), backward_fn)
@@ -350,8 +369,15 @@ def attention(q, k, v, heads: int, scale: float, p: float = 0.0, gens=None) -> T
 
 
 def _dropout_mask(gens, block: tuple, p: float) -> np.ndarray:
-    """Kept entries at rate p: one ``block`` per generator, in turn, on the leading axis."""
-    return np.concatenate([gen.random(block) for gen in gens]) >= p
+    """Kept entries at rate p: one ``block`` per generator, in turn, on the leading axis.
+
+    Each generator's draw is compared as it is drawn, so no float array
+    larger than one ``block`` is built.
+    """
+    keep = np.empty((len(gens) * block[0],) + tuple(block[1:]), dtype=bool)
+    for i, gen in enumerate(gens):
+        np.greater_equal(gen.random(block), p, out=keep[i * block[0] : (i + 1) * block[0]])
+    return keep
 
 
 def _binary_shapes_ok(a: Tensor, b: Tensor) -> bool:

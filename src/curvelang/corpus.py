@@ -68,25 +68,20 @@ class Corpus:
 TOKENIZERS = {"char": list, "whitespace": str.split}
 
 
-def ingest(path: str, tokenizer: str = "char", max_len: int = 250) -> Corpus:
+def ingest(path: str, tokenizer: str = "char", max_len: int = 250, text: str | None = None) -> Corpus:
     """Read a UTF-8 text file, or the bundled corpus ``builtin:<name>``,
     one sequence per line.
 
     Lines are truncated to ``max_len`` tokens; lines shorter than 2 tokens
     are dropped.  The vocabulary is rebuilt from the (truncated) corpus so
-    encoding is deterministic for a given file.
+    encoding is deterministic for a given file.  ``text``, when given, is
+    the corpus's content already read (``read_text(path)``), and ``path``
+    only names the corpus in messages.
     """
     if tokenizer not in TOKENIZERS:
         raise IoError(f"unknown tokenizer {tokenizer!r}; choices: {sorted(TOKENIZERS)}")
     split = TOKENIZERS[tokenizer]
-    if path.startswith("builtin:"):
-        lines = _builtin_text(path.split(":", 1)[1]).splitlines()
-    else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise IoError(f"cannot read corpus {path}: {exc}") from exc
+    lines = (read_text(path) if text is None else text).splitlines()
     token_lists = [pieces for pieces in (split(line)[:max_len] for line in lines) if len(pieces) >= 2]
     if not token_lists:
         raise EmptyCorpus(f"no usable sequences in {path}")
@@ -133,18 +128,30 @@ BUILTIN_CORPORA = {
 }
 
 
-def _builtin_text(name: str) -> str:
-    if name not in BUILTIN_CORPORA:
-        raise IoError(f"unknown builtin corpus {name!r}; choices: {sorted(BUILTIN_CORPORA)}")
-    return BUILTIN_CORPORA[name]()
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file, or of the bundled corpus ``builtin:<name>``, built in memory."""
+    if path.startswith("builtin:"):
+        name = path.split(":", 1)[1]
+        if name not in BUILTIN_CORPORA:
+            raise IoError(f"unknown builtin corpus {name!r}; choices: {sorted(BUILTIN_CORPORA)}")
+        return BUILTIN_CORPORA[name]()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read corpus {path}: {exc}") from exc
 
 
-def write_builtin(name: str, path: str) -> str:
-    """Materialize a bundled toy corpus; returns the path written."""
-    text = _builtin_text(name)
+def write_text(path: str, text: str) -> str:
+    """Write a corpus's text to path; returns the path written."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write corpus {path}: {exc}") from exc
     return path
+
+
+def write_builtin(name: str, path: str) -> str:
+    """Materialize a bundled toy corpus; returns the path written."""
+    return write_text(path, read_text(f"builtin:{name}"))

@@ -19,34 +19,39 @@ import numpy as np
 from . import checkpoint, theory
 from .autodiff import Tensor
 from .config import RunConfig
-from .corpus import Corpus, ingest, write_builtin
+from .corpus import Corpus, ingest, read_text, write_text
 from .curvemap import build_cache
 from .errors import ConfigError, NonFinite
 from .model import SclmModel, _reverse_steps, build_schedule, sample, train_step
 from .rng import RngStream
 
 
-def _write_builtin_copy(config: RunConfig, out_dir: str) -> None:
-    """Write a builtin corpus's copy into out_dir, for the record: every corpus is read through ``read_corpus``."""
-    if not config.corpus.startswith("builtin:"):
+def _write_builtin_copy(config: RunConfig, out_dir: str, text: str | None) -> None:
+    """Write a builtin corpus's text, as ``read_corpus`` built it, into out_dir, for the record."""
+    if text is None:
         return
     # builtins are fixed datasets: their content never depends on the run
     # seed, so seed sweeps train on identical corpora
     name = config.corpus.split(":", 1)[1]
     os.makedirs(out_dir, exist_ok=True)
-    write_builtin(name, os.path.join(out_dir, f"corpus_{name}.txt"))
+    write_text(os.path.join(out_dir, f"corpus_{name}.txt"), text)
 
 
 def resolve_corpus(config: RunConfig, out_dir: str) -> Corpus:
     """Ingest the configured corpus, then write a builtin's copy into out_dir; returns the corpus."""
-    corpus = read_corpus(config)
-    _write_builtin_copy(config, out_dir)
+    corpus, text = read_corpus(config)
+    _write_builtin_copy(config, out_dir, text)
     return corpus
 
 
-def read_corpus(config: RunConfig) -> Corpus:
-    """Ingest the configured corpus without writing anything; a builtin is read from memory."""
-    return ingest(config.corpus, tokenizer=config.tokenizer, max_len=config.max_len)
+def read_corpus(config: RunConfig) -> tuple[Corpus, str | None]:
+    """Ingest the configured corpus without writing anything.
+
+    A builtin is built in memory once, and its text is returned for
+    ``_write_builtin_copy``; for a file the text is None.
+    """
+    text = read_text(config.corpus) if config.corpus.startswith("builtin:") else None
+    return ingest(config.corpus, tokenizer=config.tokenizer, max_len=config.max_len, text=text), text
 
 
 def model_args(config: RunConfig, corpus: Corpus) -> dict:
@@ -117,7 +122,7 @@ def run_training(config: RunConfig, out_dir: str) -> TrainResult:
         loaded, start_step, header = checkpoint.load(config.resume)
         if start_step >= config.steps:
             raise ConfigError(f"checkpoint already at step {start_step}, budget is {config.steps}")
-    corpus = read_corpus(config)
+    corpus, text = read_corpus(config)
     if config.resume:
         _check_resume(model_args(config, corpus), header)
         model = loaded
@@ -129,7 +134,7 @@ def run_training(config: RunConfig, out_dir: str) -> TrainResult:
         curve = model.cache.config
         raise ConfigError(f"corpus line lengths {outside} outside the curve range [{curve.l_min}, {curve.l_max}]")
     os.makedirs(out_dir, exist_ok=True)
-    _write_builtin_copy(config, out_dir)
+    _write_builtin_copy(config, out_dir, text)
     optimizer = config.adam_config()
     gaussian = model.noise_kind == "gaussian"
     header = "step,diffusion,anchor,total" if gaussian else "step,loss"
@@ -262,7 +267,7 @@ def run_probe(
     corpus_config = RunConfig(corpus=corpus_spec, tokenizer=tokenizer, max_len=max_len).validate()
     model_a, _, _ = checkpoint.load(ckpt_a)
     model_b, _, _ = checkpoint.load(ckpt_b)
-    corpus = read_corpus(corpus_config)
+    corpus, text = read_corpus(corpus_config)
     for model in (model_a, model_b):
         if tuple(model.vocab.tokens) != tuple(corpus.vocab.tokens):
             raise ConfigError("probe corpus vocabulary does not match a checkpoint")
@@ -289,7 +294,7 @@ def run_probe(
         "seed": seed,
     }
     os.makedirs(out_dir, exist_ok=True)
-    _write_builtin_copy(corpus_config, out_dir)
+    _write_builtin_copy(corpus_config, out_dir, text)
     out_path = os.path.join(out_dir, "probe.json")
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -18,8 +18,9 @@ correlation sums raw pairwise distances with no centring at all, and
 the reference Adam step updates every element of every parameter that
 has a gradient, with out-of-place temporaries, the reference
 initialisation draws every parameter from its own stream out of place,
-from a name table of its own, and the reference ingest counts and
-encodes one line at a time.
+from a name table of its own, the reference ingest counts and
+encodes one line at a time, and the reference feed-forward layer runs
+its GELU chain on all rows at once, as whole-array expressions.
 """
 
 from collections import Counter
@@ -215,6 +216,28 @@ def _time_features(t, dim):
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
     angles = t * freqs
     return np.concatenate([np.sin(angles), np.cos(angles)])[None, :]
+
+
+def reference_feed_forward(x, w1, b1, w2, b2, g, p=0.0, gens=None):
+    """The feed-forward layer on (rows, k) inputs, unblocked: its output
+    and the gradients of x, w1, b1, w2 and b2 for the output adjoint g.
+
+    The tanh-GELU chain and its slope are written out with the package's
+    rounding order (so the results can be compared bit for bit) but on
+    all rows at once; with ``p > 0`` each of ``gens`` draws the keep mask
+    of one equal block of rows, in turn, as floats.
+    """
+    u = x @ w1 + b1
+    t = np.tanh(_GELU_C * (u * u * u * 0.044715 + u))
+    scale = 1.0
+    if p > 0:
+        draws = np.concatenate([gen.random((len(x) // len(gens), w1.shape[1])) for gen in gens])
+        scale = (draws >= p) / (1.0 - p)
+    a = (t + 1.0) * u * 0.5 * scale
+    out = a @ w2 + b2
+    slope = (1.0 - t * t) * (0.5 * u) * (_GELU_C * (u * u * (3 * 0.044715) + 1.0)) + (t + 1.0) * 0.5
+    du = slope * ((g @ w2.T) * scale)
+    return out, (du @ w1.T, x.T @ du, du.sum(axis=0), a.T @ g, g.sum(axis=0))
 
 
 def reference_attention(q, k, v, heads, scale, p=0.0, gens=None):

@@ -14,7 +14,13 @@ from curvelang.curvemap import CurveConfig, build_cache
 from curvelang.errors import NotScalar, ShapeMismatch
 from curvelang.rng import RngStream
 
-from _oracles import finite_difference_grad, reference_adam_step, reference_attention, relative_grad_error
+from _oracles import (
+    finite_difference_grad,
+    reference_adam_step,
+    reference_attention,
+    reference_feed_forward,
+    relative_grad_error,
+)
 
 
 def _probe(op_fn, arrays, grad_index=0, h=1e-5):
@@ -350,6 +356,27 @@ class TestGradientChecks:
                 assert (grads[0] is None) == (not x_grad)
                 for got, want in zip(grads, ref_grads):
                     assert (got is None and want is None) or np.array_equal(got, want), (p, x_grad)
+
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    @pytest.mark.parametrize("w2_grad", [True, False])
+    def test_feed_forward_row_blocks_match_the_unblocked_oracle_bit_for_bit(self, p, w2_grad):
+        block = ad._FF_BLOCK_ROWS
+        for rows in (1, block - 1, block, block + 1, 3 * block + 5):
+            # an odd d_ff, so most blocks start off any SIMD alignment
+            arrays = self._feed_forward_inputs(34, rows, 5, 9)
+            weights = RngStream(35, "ff-weights", rows).normal((rows, 5))
+            count = next(c for c in (4, 3, 2, 1) if rows % c == 0)
+            tensors = [ad.Tensor(a, requires_grad=i != 3 or w2_grad) for i, a in enumerate(arrays)]
+            with ad.Tape() as tape:
+                out = ad.feed_forward(*tensors, p, self._ff_gens(count) if p else None)
+                tape.backward(ad.sum_(ad.mul(out, ad.Tensor(weights))))
+            ref_out, ref_grads = reference_feed_forward(*arrays, weights, p, self._ff_gens(count) if p else None)
+            assert np.array_equal(out.data, ref_out), (rows, p)
+            for i, (t, want) in enumerate(zip(tensors, ref_grads)):
+                if i == 3 and not w2_grad:
+                    assert t.grad is None
+                else:
+                    assert np.array_equal(t.grad, want), (rows, p, i)
 
     def test_feed_forward_shape_errors(self):
         x, w1, b1, w2, b2 = (ad.Tensor(a) for a in self._feed_forward_inputs(33, 6, 4, 7))
@@ -721,6 +748,20 @@ class TestSavedForBackward:
             assert len(floats) == 1, p
             npt.assert_array_equal(floats[0], arrays[0] @ arrays[1] + arrays[2])
             assert len(wide) == (2 if p else 1), p
+
+    def test_linear_keeps_its_input_only_for_the_weight_gradient(self):
+        rows, k, m = 12, 5, 3
+        rng = RngStream(86, "linear-saved")
+        w_data = rng.child("w").normal((k, m))
+        # a contiguous input, and a transposed view that the op's reshape copies (as to_points' input)
+        for x_data in (rng.child("x").normal((rows, k)), rng.child("xt").normal((k, rows)).T):
+            for w_grad in (True, False):
+                x, w = ad.Tensor(x_data, requires_grad=True), ad.Tensor(w_data, requires_grad=w_grad)
+                with ad.Tape() as tape:
+                    ad.linear(x, w)
+                (_, _, backward_fn), = tape.entries
+                inputs = [a for a in _saved_arrays(backward_fn) if a.size == rows * k]
+                assert len(inputs) == (1 if w_grad else 0), (x_data.flags.c_contiguous, w_grad)
 
 
 class TestAdam:

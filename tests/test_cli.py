@@ -14,6 +14,7 @@ import numpy.testing as npt
 import pytest
 
 from curvelang import checkpoint, cli, harness, splines
+from curvelang import corpus as corpus_module
 from curvelang.config import RunConfig, apply_overrides, dump_config, load_config
 from curvelang.corpus import ingest, write_builtin
 from curvelang.errors import CheckpointVersionMismatch, ConfigError, EmptyCorpus, IoError, NonFinite
@@ -156,6 +157,21 @@ class TestIngest:
         corpus = harness.resolve_corpus(RunConfig(max_len=12), str(out))
         assert corpus.vocab == ingest("builtin:alternating", "char", max_len=12).vocab
         assert (out / "corpus_alternating.txt").read_bytes() == open(write_builtin("alternating", str(tmp_path / "a.txt")), "rb").read()
+
+    def test_each_set_up_builds_a_builtin_once(self, tmp_path, monkeypatch):
+        calls = []
+        build = corpus_module.BUILTIN_CORPORA["alternating"]
+        monkeypatch.setitem(corpus_module.BUILTIN_CORPORA, "alternating", lambda: calls.append(1) or build())
+        config = RunConfig(steps=1, log_interval=1, max_len=12)
+        for i in range(2):
+            harness.resolve_corpus(config, str(tmp_path / f"resolved{i}"))
+            assert len(calls) == i + 1
+        result = harness.run_training(config, str(tmp_path / "run"))
+        assert len(calls) == 3
+        harness.run_probe(result.checkpoint_path, result.checkpoint_path, "builtin:alternating", str(tmp_path / "probe"), n_eval=2, n_noise=4, max_len=12)
+        assert len(calls) == 4
+        for out in ("resolved0", "resolved1", "run", "probe"):
+            assert (tmp_path / out / "corpus_alternating.txt").read_text(encoding="utf-8") == build()
 
 
 class TestMakeBatch:

@@ -657,6 +657,19 @@ def test_long_line_step_keeps_no_residual_branch(tmp_path, dropout, limit_mib):
     assert peak < limit_mib << 20, peak / (1 << 20)
 
 
+@pytest.mark.parametrize("dropout, limit_mib", [(0.0, 27.0), (0.1, 31.3)])
+def test_long_line_step_runs_the_gelu_chain_in_row_blocks(tmp_path, dropout, limit_mib):
+    """The feed-forward op runs its GELU chain and dropout scaling over
+    blocks of rows, and each dropout mask is compared as it is drawn, so
+    no float temporary spans the batch but ``da`` and GELU's output;
+    working on all rows at once, this step peaked at 28.4 MiB in the last
+    layer's feed-forward adjoint (31.3 MiB with dropout, in the forward
+    pass's float mask).  Now it peaks at 26.4 MiB there (29.4 MiB with
+    dropout, in an attention adjoint)."""
+    peak = _long_line_step_peak(tmp_path, dropout)
+    assert peak < limit_mib * (1 << 20), peak / (1 << 20)
+
+
 class TestSampling:
     def test_reverse_steps_full_stride(self):
         assert M._reverse_steps(10, 10) == list(range(10, 0, -1))
