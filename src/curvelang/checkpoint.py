@@ -6,21 +6,21 @@ parameter names, ``state_crc32``), then the model's ``ParamStore``
 buffers ``values``, ``first`` and ``second`` (parameters and both Adam
 moments) as little-endian float64, in the store's buffer order.  The
 state is kept as training holds it, so a resumed run goes on from the
-same bytes as one that never stopped.  ``save`` writes to
-``path + ".tmp"`` and renames it over ``path``.
+same bytes as one that never stopped.  ``save`` writes through
+``corpus.write_file``, so a failed save leaves any earlier checkpoint
+at its path whole.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import struct
 import zlib
 
 import numpy as np
 
-from .corpus import Vocab
+from .corpus import Vocab, write_file
 from .curvemap import CurveConfig, build_cache
 from .errors import CheckpointVersionMismatch, IoError, ShapeMismatch
 from .model import BackboneConfig, SclmModel, build_schedule
@@ -62,21 +62,7 @@ def save(model: SclmModel, path: str, step: int) -> None:
         crc = zlib.crc32(buf, crc)
     header = {**settings(model), "step": step, "opt_step_count": store.step_count, "params": store.names(), "state_crc32": crc}
     payload = json.dumps(header, sort_keys=True).encode("utf-8")
-    # written beside the target and renamed over it, so a failed save
-    # leaves any earlier checkpoint at path whole
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_PREFIX.pack(MAGIC, VERSION, len(payload)))
-            fh.write(payload)
-            for buf in state:
-                fh.write(buf)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IoError(f"cannot write checkpoint {path}: {exc}") from exc
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    write_file(path, _PREFIX.pack(MAGIC, VERSION, len(payload)), payload, *state)
 
 
 def load(path: str) -> tuple[SclmModel, int, dict]:

@@ -10,6 +10,7 @@ import sys
 
 from . import harness
 from .config import RunConfig, apply_overrides, dump_config, load_config, parse_value
+from .corpus import make_dir, write_file
 from .curvemap import (
     DEFAULT_SWEEP_ETA_RATIOS,
     DEFAULT_SWEEP_LENGTHS,
@@ -54,8 +55,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = apply_overrides(config, _collect_overrides(args))
     out_dir = args.out
     result = harness.run_training(config, out_dir)
-    with open(os.path.join(out_dir, "run.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(dump_config(config))
+    write_file(os.path.join(out_dir, "run.cfg"), dump_config(config))
     print(f"trained {config.steps} steps; wrote {result.losses_path} and {result.checkpoint_path}")
     print(f"final record: {json.dumps(result.final, sort_keys=True)}")
     return 0
@@ -70,13 +70,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         seed=args.seed,
         dim=args.dim,
     )
-    os.makedirs(args.out, exist_ok=True)
+    make_dir(args.out)
     csv_path = os.path.join(args.out, "reconstruction.csv")
-    json_path = os.path.join(args.out, "reconstruction.json")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(table.to_csv())
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(table.to_json())
+    write_file(csv_path, table.to_csv())
+    write_file(os.path.join(args.out, "reconstruction.json"), table.to_json())
     print(f"wrote {len(table.rows)} rows to {csv_path}")
     return 0
 
@@ -95,10 +92,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     payload.update({"L": pair.L, "N": pair.N, "eta": pair.eta, "cond": pair.cond, "basis_rank": pair.rank})
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_value)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        make_dir(args.out)
         path = os.path.join(args.out, f"spectrum_L{args.length}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_file(path, text)
         print(f"wrote {path}")
     else:
         print(text)
@@ -109,10 +105,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     records = run_suite(args.suite, seed=args.seed)
     print(render_table(records))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        make_dir(args.out)
         path = os.path.join(args.out, f"verify_{args.suite}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump([dataclasses.asdict(r) for r in records], fh, indent=2, sort_keys=True, default=_json_value)
+        write_file(path, json.dumps([dataclasses.asdict(r) for r in records], indent=2, sort_keys=True, default=_json_value))
         print(f"wrote {path}")
     return 0 if all_asserted_pass(records) else 1
 

@@ -138,12 +138,6 @@ def parse_value(name: str, raw: str):
     raw = raw.strip()
     if optional and raw.lower() in ("none", ""):
         return None
-    if tp is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"cannot parse boolean {name}={raw!r}")
     try:
         return tp(raw)
     except ValueError as exc:

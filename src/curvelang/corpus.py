@@ -1,7 +1,8 @@
-"""Corpus ingestion, vocabulary construction, and bundled toy corpora."""
+"""Corpus ingestion, vocabulary construction, bundled toy corpora, and the one file writer."""
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -142,16 +143,27 @@ def read_text(path: str) -> str:
         raise IoError(f"cannot read corpus {path}: {exc}") from exc
 
 
-def write_text(path: str, text: str) -> str:
-    """Write a corpus's text to path; returns the path written."""
+def write_file(path: str, *parts) -> None:
+    """Write ``parts`` (text as UTF-8, or bytes) to ``path + ".tmp"`` and rename it over ``path``.
+
+    An ``OSError`` raises ``IoError``, leaves no temporary and any earlier file at ``path`` whole.
+    """
+    tmp = path + ".tmp"
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part.encode("utf-8") if isinstance(part, str) else part)
+        os.replace(tmp, path)
     except OSError as exc:
-        raise IoError(f"cannot write corpus {path}: {exc}") from exc
-    return path
+        raise IoError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
-def write_builtin(name: str, path: str) -> str:
-    """Materialize a bundled toy corpus; returns the path written."""
-    return write_text(path, read_text(f"builtin:{name}"))
+def make_dir(path: str) -> None:
+    """Make the directory ``path`` and its parents, if missing; ``IoError`` if it cannot be made."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot make directory {path}: {exc}") from exc

@@ -19,7 +19,7 @@ import numpy as np
 from . import checkpoint, theory
 from .autodiff import Tensor
 from .config import RunConfig
-from .corpus import Corpus, ingest, read_text, write_text
+from .corpus import Corpus, ingest, make_dir, read_text, write_file
 from .curvemap import build_cache
 from .errors import ConfigError, NonFinite
 from .model import SclmModel, _reverse_steps, build_schedule, sample, train_step
@@ -33,8 +33,8 @@ def _write_builtin_copy(config: RunConfig, out_dir: str, text: str | None) -> No
     # builtins are fixed datasets: their content never depends on the run
     # seed, so seed sweeps train on identical corpora
     name = config.corpus.split(":", 1)[1]
-    os.makedirs(out_dir, exist_ok=True)
-    write_text(os.path.join(out_dir, f"corpus_{name}.txt"), text)
+    make_dir(out_dir)
+    write_file(os.path.join(out_dir, f"corpus_{name}.txt"), text)
 
 
 def resolve_corpus(config: RunConfig, out_dir: str) -> Corpus:
@@ -95,6 +95,12 @@ class TrainResult:
     final: dict
 
 
+def _vocab_difference(saved, have) -> list[str]:
+    """Where two token lists first differ, as "<token> at i of n tokens" for each; a vocabulary may be long."""
+    at = next((i for i, (a, b) in enumerate(zip(saved, have)) if a != b), min(len(saved), len(have)))
+    return [f"{reprlib.repr(v[at]) if at < len(v) else 'none'} at {at} of {len(v)} tokens" for v in (saved, have)]
+
+
 def _check_resume(args: dict, header: dict) -> None:
     """ConfigError naming the first setting of the model ``args`` build that differs from the checkpoint ``header``."""
     for key, value in checkpoint.settings(SimpleNamespace(**args)).items():
@@ -104,10 +110,7 @@ def _check_resume(args: dict, header: dict) -> None:
             fields = [(key, value, header[key])]
         for name, have, saved in fields:
             if have != saved:
-                said = [repr(saved), repr(have)]
-                if name == "vocab":  # a vocabulary may be long: name its first difference
-                    at = next((i for i, (a, b) in enumerate(zip(saved, have)) if a != b), min(len(saved), len(have)))
-                    said = [f"{reprlib.repr(v[at]) if at < len(v) else 'none'} at {at} of {len(v)} tokens" for v in (saved, have)]
+                said = _vocab_difference(saved, have) if name == "vocab" else [repr(saved), repr(have)]
                 raise ConfigError(
                     f"resume checkpoint has {name} {said[0]}, these settings give {said[1]};"
                     " resume with the run's own settings (--config <out>/run.cfg)"
@@ -133,7 +136,7 @@ def run_training(config: RunConfig, out_dir: str) -> TrainResult:
     if outside:
         curve = model.cache.config
         raise ConfigError(f"corpus line lengths {outside} outside the curve range [{curve.l_min}, {curve.l_max}]")
-    os.makedirs(out_dir, exist_ok=True)
+    make_dir(out_dir)
     _write_builtin_copy(config, out_dir, text)
     optimizer = config.adam_config()
     gaussian = model.noise_kind == "gaussian"
@@ -153,8 +156,7 @@ def run_training(config: RunConfig, out_dir: str) -> TrainResult:
             else:
                 lines.append(f"{step},{record['loss']!r}")
     losses_path = os.path.join(out_dir, "losses.csv")
-    with open(losses_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(losses_path, "\n".join(lines) + "\n")
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     checkpoint.save(model, ckpt_path, step=config.steps)
     return TrainResult(losses_path=losses_path, checkpoint_path=ckpt_path, rows=rows, final=record)
@@ -200,7 +202,7 @@ def run_sampling(
     # a bad step count or a length outside the cache fails before any file is written
     steps_used = _reverse_steps(model.schedule.T, n_steps)
     model.cache.get(length)
-    os.makedirs(out_dir, exist_ok=True)
+    make_dir(out_dir)
     sep = "" if all(len(tok) == 1 for tok in model.vocab.tokens[2:]) else " "
     texts = []
     traj_paths = []
@@ -212,8 +214,7 @@ def run_sampling(
             for t, e in zip(steps_used, trajectory)
         ]
         traj_path = os.path.join(out_dir, f"sample_{i}_trajectory.json")
-        with open(traj_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        write_file(traj_path, json.dumps(payload))
         traj_paths.append(traj_path)
 
         control = model.to_points(Tensor(np.stack(trajectory)), length).data
@@ -225,12 +226,10 @@ def run_sampling(
                 row = proj[s_idx * n_points + j]
                 lines.append(f"{int(t)},{j},{float(row[0])!r},{float(row[1])!r}")
         proj_path = os.path.join(out_dir, f"sample_{i}_projection.csv")
-        with open(proj_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_file(proj_path, "\n".join(lines) + "\n")
 
     samples_path = os.path.join(out_dir, "samples.txt")
-    with open(samples_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(texts) + "\n")
+    write_file(samples_path, "\n".join(texts) + "\n")
     return SampleResult(samples_path=samples_path, trajectory_paths=traj_paths)
 
 
@@ -268,9 +267,10 @@ def run_probe(
     model_a, _, _ = checkpoint.load(ckpt_a)
     model_b, _, _ = checkpoint.load(ckpt_b)
     corpus, text = read_corpus(corpus_config)
-    for model in (model_a, model_b):
-        if tuple(model.vocab.tokens) != tuple(corpus.vocab.tokens):
-            raise ConfigError("probe corpus vocabulary does not match a checkpoint")
+    for ckpt, model in ((ckpt_a, model_a), (ckpt_b, model_b)):
+        if model.vocab.tokens != corpus.vocab.tokens:
+            said = _vocab_difference(model.vocab.tokens, corpus.vocab.tokens)
+            raise ConfigError(f"probe checkpoint {ckpt} has vocabulary {said[0]}, the probe corpus gives {said[1]}")
     length = max(corpus.lengths())
     batch = probe_eval_batch(corpus, length, n_eval)
     result_a = theory.logit_correlation_probe(
@@ -293,9 +293,7 @@ def run_probe(
         "noise_scale": noise_scale,
         "seed": seed,
     }
-    os.makedirs(out_dir, exist_ok=True)
+    make_dir(out_dir)
     _write_builtin_copy(corpus_config, out_dir, text)
-    out_path = os.path.join(out_dir, "probe.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    write_file(os.path.join(out_dir, "probe.json"), json.dumps(payload, indent=2, sort_keys=True))
     return payload

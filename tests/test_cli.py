@@ -16,11 +16,17 @@ import pytest
 from curvelang import checkpoint, cli, harness, splines
 from curvelang import corpus as corpus_module
 from curvelang.config import RunConfig, apply_overrides, dump_config, load_config
-from curvelang.corpus import ingest, write_builtin
+from curvelang.corpus import ingest, read_text, write_file
 from curvelang.errors import CheckpointVersionMismatch, ConfigError, EmptyCorpus, IoError, NonFinite
 from curvelang.rng import RngStream
 
 from _oracles import reference_ingest, reference_make_batch, stress
+
+
+def builtin_file(name, path):
+    """The bundled corpus ``name`` written to path; returns the path."""
+    write_file(path, read_text(f"builtin:{name}"))
+    return path
 
 
 class TestIngest:
@@ -87,14 +93,14 @@ class TestIngest:
             "multimodal": "a15ac2d6c1a4e0542562e423599f81bd",
         }
         for name, digest in digests.items():
-            path = write_builtin(name, str(tmp_path / f"{name}.txt"))
+            path = builtin_file(name, str(tmp_path / f"{name}.txt"))
             raw = open(path, "rb").read()
             assert hashlib.blake2b(raw, digest_size=16).hexdigest() == digest, name
             assert len(ingest(path, "char").sequences) == 256
 
     def test_builtin_is_read_from_memory(self, tmp_path):
         for name in ("alternating", "grammar3", "multimodal"):
-            from_file = ingest(write_builtin(name, str(tmp_path / f"{name}.txt")), "char", max_len=12)
+            from_file = ingest(builtin_file(name, str(tmp_path / f"{name}.txt")), "char", max_len=12)
             from_memory = ingest(f"builtin:{name}", "char", max_len=12)
             assert from_memory.vocab == from_file.vocab
             assert [s.tolist() for s in from_memory.sequences] == [s.tolist() for s in from_file.sequences]
@@ -156,7 +162,7 @@ class TestIngest:
         assert not out.exists()
         corpus = harness.resolve_corpus(RunConfig(max_len=12), str(out))
         assert corpus.vocab == ingest("builtin:alternating", "char", max_len=12).vocab
-        assert (out / "corpus_alternating.txt").read_bytes() == open(write_builtin("alternating", str(tmp_path / "a.txt")), "rb").read()
+        assert (out / "corpus_alternating.txt").read_bytes() == open(builtin_file("alternating", str(tmp_path / "a.txt")), "rb").read()
 
     def test_each_set_up_builds_a_builtin_once(self, tmp_path, monkeypatch):
         calls = []
@@ -176,7 +182,7 @@ class TestIngest:
 
 class TestMakeBatch:
     def test_matches_buckets_rebuilt_every_step(self, tmp_path):
-        paths = [write_builtin(name, str(tmp_path / f"{name}.txt")) for name in ("alternating", "grammar3", "multimodal")]
+        paths = [builtin_file(name, str(tmp_path / f"{name}.txt")) for name in ("alternating", "grammar3", "multimodal")]
         # the builtins each hold one line length; this corpus holds many
         rng = RngStream(31, "lines").generator()
         mixed = tmp_path / "mixed.txt"
@@ -1047,6 +1053,13 @@ class TestProbeInputs:
         assert "vocabulary" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_vocabulary_mismatch_names_the_checkpoint_and_its_first_difference(self, probe_ckpts, tmp_path, capsys):
+        assert self._probe(probe_ckpts, str(tmp_path / "probe"), "--corpus", "builtin:alternating") == 2
+        assert capsys.readouterr().err == (
+            f"error: probe checkpoint {probe_ckpts[0]} has vocabulary 'c' at 2 of 6 tokens,"
+            " the probe corpus gives 'a' at 2 of 4 tokens\n"
+        )
+
     def test_truncated_checkpoint_exits_2_without_creating_out(self, probe_ckpts, tmp_path, capsys):
         data = open(probe_ckpts[0], "rb").read()
         cut = str(tmp_path / "cut.ckpt")
@@ -1064,3 +1077,27 @@ class TestProbeInputs:
         for key in ("model_a", "model_b"):
             assert 0.0 <= payload[key]["mean_offdiag_dcor"] <= 1.0
         assert payload["n_noise"] == 8 and payload["n_eval"] == 2
+
+
+# each command's arguments, given its --out, the training checkpoint and the probe pair
+OUT_COMMANDS = {
+    "train": lambda out, ckpt, pair: tiny_train_args(out),
+    "sample": lambda out, ckpt, pair: ["sample", ckpt, "--length", "16", "--steps", "2", "--n", "1", "--out", out],
+    "probe": lambda out, ckpt, pair: ["probe", *pair, "--n-eval", "2", "--n-noise", "8", "--out", out],
+    "reconstruct": lambda out, ckpt, pair: ["reconstruct", "--lengths", "8", "--n-ratios", "2.0", "--eta-ratios", "0.1",
+                                            "--trials", "1", "--dim", "2", "--out", out],
+    "spectrum": lambda out, ckpt, pair: ["spectrum", "--length", "12", "--out", out],
+    "verify": lambda out, ckpt, pair: ["verify", "lemma1", "--out", out],
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", list(OUT_COMMANDS))
+def test_an_out_that_cannot_be_made_exits_2_and_writes_nothing(command, under, ckpt, probe_ckpts, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = str(taken / "out" if under else taken)
+    assert cli.main(OUT_COMMANDS[command](out, ckpt, probe_ckpts)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot make directory {out}: ") and err.count("\n") == 1, err
+    assert os.listdir(tmp_path) == ["taken"] and taken.read_text() == "kept\n"

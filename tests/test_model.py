@@ -13,10 +13,11 @@ import pytest
 
 from curvelang import autodiff as ad
 from curvelang import checkpoint, cli, harness, splines
+from curvelang import corpus as corpus_module
 from curvelang import model as M
 from curvelang.autodiff import Tensor
 from curvelang.config import RunConfig
-from curvelang.corpus import build_vocab
+from curvelang.corpus import build_vocab, write_file
 from curvelang.curvemap import CurveConfig, build_cache
 from curvelang.errors import CheckpointVersionMismatch, ConfigError, CurvelangError, IoError, ShapeMismatch, StepOutOfRange
 from curvelang.rng import RngStream
@@ -722,6 +723,29 @@ class TestSampling:
                     npt.assert_allclose(e, ref, rtol=0, atol=1e-12, err_msg=label)
 
 
+def fail_writes_after(monkeypatch, n, error) -> list:
+    """Make the writer's files raise ``error`` after ``n`` writes; returns the sizes of those written."""
+    written = []
+
+    class FailsAfter:
+        def __init__(self, name, mode):
+            self.fh = open(name, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if len(written) == n:
+                raise error
+            written.append(self.fh.write(data))
+
+    monkeypatch.setattr(corpus_module, "open", FailsAfter, raising=False)
+    return written
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = make_model("gaussian", k_curves=2, seed=32)
@@ -786,32 +810,23 @@ class TestCheckpoint:
         path = str(tmp_path / "m.ckpt")
         checkpoint.save(make_model("gaussian", seed=37), path, step=0)
         old = open(path, "rb").read()
-        written = []
-
-        class FailsInTheState:
-            """A file that takes the prefix, the header and the first state buffer, then fails."""
-
-            def __init__(self, name, mode):
-                self.fh = open(name, mode)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                if len(written) == 3:
-                    raise error
-                written.append(self.fh.write(data))
-
-        monkeypatch.setattr(checkpoint, "open", FailsInTheState, raising=False)
+        # the file takes the prefix, the header and the first state buffer, then fails
+        written = fail_writes_after(monkeypatch, 3, error)
         model = make_model("gaussian", seed=38)
         with pytest.raises(raised):
             checkpoint.save(model, path, step=3)
         assert written[2] == 8 * model.store.values.size
         assert open(path, "rb").read() == old
         assert os.listdir(tmp_path) == ["m.ckpt"]
+
+    def test_failed_text_write_leaves_the_old_file_whole(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "losses.csv")
+        write_file(path, "step,loss\n5,0.25\n")
+        fail_writes_after(monkeypatch, 0, OSError(28, "No space left on device"))
+        with pytest.raises(IoError, match=f"cannot write {path}: .*No space left on device"):
+            write_file(path, "step,loss\n5,0.5\n")
+        assert open(path, encoding="utf-8").read() == "step,loss\n5,0.25\n"
+        assert os.listdir(tmp_path) == ["losses.csv"]
 
     def test_save_over_a_checkpoint_replaces_it_and_leaves_no_temporary(self, tmp_path):
         path = str(tmp_path / "m.ckpt")
