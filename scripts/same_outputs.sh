@@ -71,6 +71,8 @@ run_all() {
     if cmp -s "$out/masked/model.ckpt" "$out/resumed/model.ckpt"; then exact=yes; else exact=no; fi
     echo "resume exact: $exact"
     cli k2 train $small --k-curves 2 --dropout 0.1 --out "$out/k2"
+    # more than two curves: the K-curve head's weighted sum adds them in turn
+    cli k4 train $small --k-curves 4 --dropout 0.1 --out "$out/k4"
     cli mk2 train $small --mode masked --corpus builtin:grammar3 --k-curves 2 --dropout 0.1 --out "$out/mk2"
     cli ident train $small --mode baseline-identity --corpus builtin:multimodal --out "$out/ident"
     cli mident train $small --mode masked-identity --out "$out/mident"
@@ -82,8 +84,9 @@ run_all() {
     cli pairs train $small --mode masked --corpus "$pairs" --batch-size 1 --schedule-kind linear --out "$out/pairs"
     cli words train $small --corpus "$words" --tokenizer whitespace --max-len 8 --out "$out/words"
 
-    # the identity runs sample with a to_points and to_words that bypass the curve map
-    for run in gauss resumed k2 mk2 ident mident words; do
+    # the identity runs sample with a to_points and to_words that bypass the curve map;
+    # each sample is a batch of one, whose combined curves to_words reads in their own layout
+    for run in gauss resumed k2 k4 mk2 ident mident words; do
         cli "sample_$run" sample "$out/$run/model.ckpt" --length 12 --steps 5 --n 2 --seed 1 --out "$out/sample_$run"
     done
     cli sample_long sample "$out/long/model.ckpt" --length 128 --steps 5 --n 2 --seed 1 --out "$out/sample_long"

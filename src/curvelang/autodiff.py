@@ -463,7 +463,7 @@ def slice_(a, key) -> Tensor:
 
 
 def embedding_lookup(table, ids) -> Tensor:
-    """Columns of a (d, V) table at integer ids (..., n): (..., d, n), a view of a (d, ..., n) array."""
+    """Columns of a (d, V) table at integer ids (..., n): (..., d, n), a view of the gather ``table[:, ids]``."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim == 0:
         raise ShapeMismatch("ids must have at least one axis, got a scalar")
@@ -474,7 +474,7 @@ def embedding_lookup(table, ids) -> Tensor:
         np.add.at(buf, (slice(None), flat), np.moveaxis(g, -2, 0).reshape(t_shape[0], -1))
         return (buf,)
 
-    cols = table.data[:, flat].copy().reshape((t_shape[0],) + ids.shape)
+    cols = table.data[:, flat].reshape((t_shape[0],) + ids.shape)
     return _emit(np.moveaxis(cols, 0, -2), (table,), backward_fn)
 
 
@@ -609,13 +609,15 @@ def sum_(a, axis=None) -> Tensor:
             return (np.broadcast_to(g, a_shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, axis), a_shape).copy(),)
 
-    return _emit(np.sum(a.data, axis=axis), (a,), backward_fn)
+    # C-ordered whatever the strides: BLAS sums a transposed layout in another order
+    return _emit(np.asarray(np.sum(a.data, axis=axis), order="C"), (a,), backward_fn)
 
 
 def mse_loss(pred, target) -> Tensor:
     if pred.shape != target.shape:
         raise ShapeMismatch(f"mse_loss of {pred.shape} and {target.shape}")
-    diff = pred.data - target.data
+    # C-ordered, so the mean sums in index order whatever the inputs' strides
+    diff = np.subtract(pred.data, target.data, order="C")
     n = diff.size
     return _emit(
         np.asarray(np.mean(diff**2)),

@@ -256,9 +256,10 @@ def run_probe(
     """Probe two checkpoints on the same evaluation batch and compare.
 
     Bad settings raise before either checkpoint is loaded.  A checkpoint
-    that does not load, a vocabulary mismatch and a non-finite result
-    raise before anything is written: a builtin corpus is read from
-    memory and written to ``out_dir`` with ``probe.json``.
+    that does not load, a vocabulary mismatch, a model with a K-curve
+    head and a non-finite result raise before anything is written: a
+    builtin corpus is read from memory and written to ``out_dir`` with
+    ``probe.json``.
     """
     if n_eval < 1:
         raise ConfigError(f"n_eval must be at least 1, got {n_eval}")

@@ -101,6 +101,8 @@ class BackboneConfig:
             raise ConfigError(f"layers must be >= 0, got {self.layers}")
         if self.d_model < 1 or self.d_ff < 1:
             raise ConfigError(f"d_model and d_ff must be >= 1, got {self.d_model} and {self.d_ff}")
+        if self.max_positions < 2:
+            raise ConfigError(f"max_positions must be >= 2, got {self.max_positions}")
         if self.heads < 1:
             raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.d_model % self.heads != 0:
@@ -316,15 +318,13 @@ class SclmModel:
             x = ad.concat([tok, ad.concat([x] * k, axis=0)], axis=1)
         return x
 
-    def backbone_hidden(self, points: Tensor, t, rngs: list[RngStream] | None = None, curve_tokens: bool = False) -> Tensor:
+    def backbone_hidden(self, points: Tensor, t, rngs: list[RngStream] | None = None) -> Tensor:
         """Final hidden states (B, n_tokens, d_model) for curve inputs (B, d, n_tokens).
 
         ``t`` holds one diffusion step per sequence, ``rngs`` one dropout
-        stream per sequence.  ``curve_tokens`` is as in ``_embed_tokens``.
+        stream per sequence.
         """
-        if rngs is not None and curve_tokens:
-            rngs = list(rngs) * self.k_curves
-        return self._blocks(self._embed_tokens(points, t, curve_tokens), rngs)
+        return self._blocks(self._embed_tokens(points, t, False), rngs)
 
     def hidden_to_points(self, hidden: Tensor) -> Tensor:
         """Project hidden states (B, n_tokens, d_model) back to (B, d, n_tokens)."""
@@ -340,56 +340,48 @@ class SclmModel:
 
     # ------------------------------------------------------------ prediction
 
-    def _k_curves(self, points: Tensor, t, rngs: list[RngStream] | None) -> tuple[list[Tensor], Tensor]:
-        """K candidate curves (each (B, d, N)) and selection probabilities (K, B)."""
+    def _k_curves(self, points: Tensor, t, rngs: list[RngStream] | None) -> tuple[Tensor, Tensor]:
+        """K candidate curves (K, B, d, N) and selection probabilities (K, B), in one backbone pass."""
         if not self.k_head:
             raise ConfigError("model has no K-curve head attached")
         k, batch = self.k_curves, points.shape[0]
-        hidden = self.backbone_hidden(points, t, rngs, curve_tokens=True)
+        hidden = self._blocks(self._embed_tokens(points, t, True), None if rngs is None else list(rngs) * k)
         head_vec = ad.slice_(hidden, (slice(None), 0))
         p = self.store
         scores = ad.feed_forward(head_vec, p["score_w1"], p["score_b1"], p["score_w2"], p["score_b2"])
         probs = ad.softmax(ad.reshape(scores, (k, batch)), axis=0)
         body = self.hidden_to_points(ad.slice_(hidden, (slice(None), slice(1, hidden.shape[1]))))
-        body = ad.reshape(body, (k, batch) + body.shape[1:])
-        return [ad.slice_(body, i) for i in range(k)], probs
+        return ad.reshape(body, (k, batch) + body.shape[1:]), probs
 
-    def predict_clean(self, points: Tensor, t, length: int, rngs: list[RngStream] | None = None, combine: str = "infer") -> tuple[Tensor, Tensor]:
-        """Denoised (E_hat0 (B, d, L), P_hat0 (B, d, N)) in one backbone pass.
+    def predict_clean(self, e_t: Tensor, t, rngs: list[RngStream] | None = None, combine: str = "infer") -> tuple[Tensor, Tensor]:
+        """Denoised (E_hat0 (B, d, L), P_hat0 (B, d, N)) of noisy embeddings (B, d, L) in one backbone pass.
 
         Goes through the K-curve head when one is attached.
         """
+        points = self.to_points(e_t, e_t.shape[2])
         if self.k_head:
-            curves, probs = self._k_curves(points, t, rngs)
-            p_hat = combine_curves(curves, probs, combine)
+            p_hat = combine_curves(*self._k_curves(points, t, rngs), combine)
         else:
             p_hat = self.hidden_to_points(self.backbone_hidden(points, t, rngs))
-        return self.to_words(p_hat, length), p_hat
+        return self.to_words(p_hat, e_t.shape[2]), p_hat
 
 
-def combine_curves(curves: list[Tensor], probs: Tensor, mode: str) -> Tensor:
-    """Probability-weighted sum (train) or argmax selection (infer).
+def combine_curves(curves: Tensor, probs: Tensor, mode: str) -> Tensor:
+    """Probability-weighted sum (train) or argmax selection (infer) of curves (K, B, ...) over K.
 
-    ``probs`` is (K,) or (K, 1) for one curve each, or (K, B) for curves
-    of B sequences.  Argmax ties resolve to the lowest index.
+    ``probs`` is (K, B).  Argmax ties resolve to the lowest index.
     """
-    k = len(curves)
-    if probs.data.ndim not in (1, 2) or probs.shape[0] != k:
-        raise ShapeMismatch(f"probs shape {probs.shape} does not match {k} curves")
+    k, batch = curves.shape[:2]
+    if probs.shape != (k, batch):
+        raise ShapeMismatch(f"probs shape {probs.shape} does not match curves {curves.shape}")
     if mode == "train":
         weights = probs
     elif mode == "infer":
-        choice = np.argmax(probs.data, axis=0)
-        weights = Tensor(np.arange(k).reshape((k,) + (1,) * np.ndim(choice)) == choice)
+        weights = Tensor(np.arange(k)[:, None] == np.argmax(probs.data, axis=0))
     else:
         raise ConfigError(f"combine mode must be 'train' or 'infer', got {mode!r}")
-    out = None
-    for i, curve in enumerate(curves):
-        w = ad.slice_(weights, i)
-        w = ad.reshape(w, w.shape + (1,) * (curve.data.ndim - w.data.ndim))
-        term = ad.mul(curve, w)
-        out = term if out is None else out + term
-    return out
+    weights = ad.reshape(weights, (k, batch) + (1,) * (curves.data.ndim - 2))
+    return ad.sum_(ad.mul(curves, weights), axis=0)
 
 
 # ------------------------------------------------------------------- losses
@@ -414,7 +406,7 @@ def gaussian_loss(model: SclmModel, batch: list[np.ndarray], rng: RngStream) -> 
     e0 = model.embed(tokens)
     et = ad.mul(e0, Tensor(np.sqrt(abar))) + Tensor(np.sqrt(1.0 - abar) * eps)
     drops = [rng.child("drop", i) for i in range(n)]
-    e_hat, _ = model.predict_clean(model.to_points(et, length), ts, length, drops, combine="train")
+    e_hat, _ = model.predict_clean(et, ts, drops, combine="train")
     diffusion = ad.mse_loss(e_hat, e0)
     logits = model.logits_from_clean(e_hat)
     anchor = ad.cross_entropy_loss(logits, tokens)
@@ -451,7 +443,7 @@ def masked_loss(model: SclmModel, batch: list[np.ndarray], rng: RngStream) -> tu
     ids, ts, yts, masked = (list(col) for col in zip(*kept))
     et = model.embed(np.stack(yts))
     drops = [rng.child("drop", i) for i in ids]
-    e_hat, _ = model.predict_clean(model.to_points(et, length), ts, length, drops, combine="train")
+    e_hat, _ = model.predict_clean(et, ts, drops, combine="train")
     logits = model.logits_from_clean(e_hat)
     # each masked position, as a (sequence, position) index into the logits
     at = (np.concatenate([np.full(idx.size, j) for j, idx in enumerate(masked)]), np.concatenate(masked))
@@ -527,7 +519,7 @@ def _sample_gaussian(model: SclmModel, length: int, n_steps: int, seed: int) -> 
     e_t = rng.child("start").normal((model.embed_dim, length))
     trajectory = []
     for idx, t in enumerate(steps):
-        e_hat, _ = model.predict_clean(model.to_points(Tensor(e_t[None]), length), [t], length)
+        e_hat, _ = model.predict_clean(Tensor(e_t[None]), [t])
         trajectory.append(e_hat.data[0].copy())
         if idx + 1 < len(steps):
             e_t = forward_noise_gaussian(e_hat.data[0], steps[idx + 1], model.schedule, rng.child("renoise", idx))
@@ -541,8 +533,7 @@ def _sample_masked(model: SclmModel, length: int, n_steps: int, seed: int) -> tu
     y = np.full(length, mask_id, dtype=np.int64)
     trajectory = []
     for idx, t in enumerate(steps):
-        points = model.to_points(model.embed(y[None]), length)
-        e_hat, _ = model.predict_clean(points, [t], length)
+        e_hat, _ = model.predict_clean(model.embed(y[None]), [t])
         trajectory.append(e_hat.data[0].copy())
         y_hat = model.decode(e_hat)[0]
         still_masked = y == mask_id

@@ -381,10 +381,14 @@ def probe_logits(
     through the backbone; its final hidden state is perturbed
     ``n_noise`` times (dropout plus Gaussian noise scaled by each token's
     hidden norm), and each perturbation is decoded the way the model
-    decodes: output head, curve, word logits.  Bad settings and batches
-    raise here, before any sequence is run.
+    decodes: output head, curve, word logits.  A model with a K-curve
+    head never decodes that way (its curves come from curve tokens, a
+    scorer and a combination), so it raises ``ConfigError``.  Bad
+    settings, models and batches raise here, before any sequence is run.
     """
     check_probe_settings(n_noise, dropout_p, noise_scale)
+    if model.k_head:
+        raise ConfigError("the probe decodes one curve per hidden state, so it cannot probe a model with a K-curve head")
     if not eval_batch:
         raise ShapeMismatch("empty evaluation batch")
     length = len(eval_batch[0])

@@ -216,7 +216,7 @@ def test_criterion_08_pipeline_equivalence():
     assert probs.data.ravel().tolist() == [1.0]
     for mode in ("train", "infer"):
         combined = M.combine_curves(curves, probs, mode)
-        assert np.abs(combined.data - curves[0].data).max() < 1e-12
+        assert np.abs(combined.data - curves.data[0]).max() < 1e-12
     _report("criterion-8 pipeline equivalence", f"gaussian diff {diff_g:.1e}, masked diff {diff_m:.1e}")
 
 

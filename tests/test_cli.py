@@ -538,6 +538,10 @@ class TestTrainCommand:
             ("--eta-ratio", "-0.5"),
             ("--max-len", "-5"),
             ("--max-len", "1"),
+            # the error names max_positions, not the curve range derived from it
+            ("--max-positions", "1"),
+            ("--max-positions", "0"),
+            ("--max-positions", "-5"),
             # a batch this large once ended in a raw numpy MemoryError from make_batch
             ("--batch-size", "100000000000"),
             # and a K-curve head this wide one from the backbone, mid-run
@@ -1059,6 +1063,18 @@ class TestProbeInputs:
             f"error: probe checkpoint {probe_ckpts[0]} has vocabulary 'c' at 2 of 6 tokens,"
             " the probe corpus gives 'a' at 2 of 4 tokens\n"
         )
+
+    def test_k_curve_head_checkpoint_exits_2_without_creating_out(self, probe_ckpts, tmp_path, capsys):
+        # such a model predicts through curve tokens and a scorer, which the probe's single-curve decode bypasses
+        k2 = str(tmp_path / "k2")
+        assert cli.main(tiny_train_args(k2, ["--corpus", "builtin:multimodal", "--max-len", "12", "--steps", "2", "--k-curves", "2"])) == 0
+        capsys.readouterr()
+        out = str(tmp_path / "probe")
+        assert self._probe([probe_ckpts[0], os.path.join(k2, "model.ckpt")], out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "K-curve head" in err
+        assert not os.path.exists(out)
 
     def test_truncated_checkpoint_exits_2_without_creating_out(self, probe_ckpts, tmp_path, capsys):
         data = open(probe_ckpts[0], "rb").read()

@@ -23,6 +23,7 @@ from curvelang.errors import CheckpointVersionMismatch, ConfigError, CurvelangEr
 from curvelang.rng import RngStream
 
 from _oracles import (
+    _reference_denoise,
     reference_adam_step,
     reference_backbone,
     reference_gaussian_loss,
@@ -68,9 +69,9 @@ def make_batch(model, n=3, length=8, seed=0):
     return [ids[rng.integers(0, 2, size=length)] for _ in range(n)]
 
 
-def assert_logits_factor_through_curves(model, points, ts):
+def assert_logits_factor_through_curves(model, e_t, ts):
     """The logits of predict_clean's output equal emb.T @ (P_hat0 @ B), sequence by sequence."""
-    e_hat, p_hat = model.predict_clean(points, ts, 8, combine="train")
+    e_hat, p_hat = model.predict_clean(e_t, ts, combine="train")
     logits = model.logits_from_clean(e_hat).data
     B = model.cache.get(8).B
     emb = model.embedding.weight.data
@@ -160,9 +161,9 @@ class TestMaskedForward:
         assert abs(rate - 0.5) < 3 * np.sqrt(0.25 / y.size)
 
 
-def denoise_one(model, pts, t):
-    """``predict_clean`` on one (d, N) curve, as a batch of one; plain arrays out."""
-    e_hat, p_hat = model.predict_clean(Tensor(pts[None]), [t], 8)
+def denoise_one(model, e, t):
+    """``predict_clean`` on one (d, L) sequence of noisy words, as a batch of one; plain arrays out."""
+    e_hat, p_hat = model.predict_clean(Tensor(e[None]), [t])
     return e_hat.data[0], p_hat.data[0]
 
 
@@ -218,34 +219,32 @@ class TestConstruction:
 class TestDenoisePredict:
     def test_identity_mode_passthrough(self):
         model = make_model("baseline-identity")
-        pts = RngStream(4, "p").normal((8, 8))
-        e_hat, p_hat = denoise_one(model, pts, 3)
+        e = RngStream(4, "p").normal((8, 8))
+        e_hat, p_hat = denoise_one(model, e, 3)
         npt.assert_array_equal(e_hat, p_hat)
-        npt.assert_allclose(e_hat, reference_backbone(model, pts, 3), atol=1e-12)
+        npt.assert_allclose(e_hat, _reference_denoise(model, e, 3, 8), atol=1e-12)
 
     def test_curve_mode_matches_reference_backbone(self):
         model = make_model("gaussian")
         pair = model.cache.get(8)
-        pts = RngStream(44, "p").normal((8, pair.N))
-        e_hat, p_hat = denoise_one(model, pts, 3)
-        ref_p = reference_backbone(model, pts, 3)
-        npt.assert_allclose(p_hat, ref_p, atol=1e-12)
-        npt.assert_allclose(e_hat, ref_p @ pair.B, atol=1e-12)
+        e = RngStream(44, "p").normal((8, 8))
+        e_hat, p_hat = denoise_one(model, e, 3)
+        npt.assert_allclose(p_hat, reference_backbone(model, e @ pair.B_pinv, 3), atol=1e-12)
+        npt.assert_allclose(e_hat, _reference_denoise(model, e, 3, 8), atol=1e-12)
 
     def test_output_shapes(self):
         model = make_model("gaussian")
         pair = model.cache.get(8)
-        pts = RngStream(5, "p").normal((8, pair.N))
-        e_hat, p_hat = denoise_one(model, pts, 2)
+        e = RngStream(5, "p").normal((8, 8))
+        e_hat, p_hat = denoise_one(model, e, 2)
         assert e_hat.shape == (8, 8)
         assert p_hat.shape == (8, pair.N)
 
     def test_deterministic(self):
         model = make_model("gaussian")
-        pair = model.cache.get(8)
-        pts = RngStream(6, "p").normal((8, pair.N))
-        a = denoise_one(model, pts, 4)
-        b = denoise_one(model, pts, 4)
+        e = RngStream(6, "p").normal((8, 8))
+        a = denoise_one(model, e, 4)
+        b = denoise_one(model, e, 4)
         npt.assert_array_equal(a[0], b[0])
         npt.assert_array_equal(a[1], b[1])
 
@@ -266,12 +265,12 @@ class TestBatchedBackbone:
     def test_k_head_batch_matches_one_sequence_at_a_time(self):
         model = make_model("gaussian", k_curves=3, seed=46)
         pair = model.cache.get(8)
-        pts = RngStream(47, "p").normal((3, 8, pair.N))
+        et = RngStream(47, "p").normal((3, 8, 8))
         ts = [2, 5, 8]
         for combine in ("train", "infer"):
-            e_hat, p_hat = model.predict_clean(Tensor(pts), ts, 8, combine=combine)
+            e_hat, p_hat = model.predict_clean(Tensor(et), ts, combine=combine)
             for b, t in enumerate(ts):
-                curves, probs = model._k_curves(Tensor(pts[b : b + 1]), [t], None)
+                curves, probs = model._k_curves(model.to_points(Tensor(et[b : b + 1]), 8), [t], None)
                 single = M.combine_curves(curves, probs, combine).data[0]
                 npt.assert_allclose(p_hat.data[b], single, atol=1e-12)
                 npt.assert_allclose(e_hat.data[b], single @ pair.B, atol=1e-12)
@@ -326,7 +325,7 @@ class TestGaussianLoss:
     def test_logits_factor_through_curve_mapping(self):
         model = jolt(make_model("gaussian", seed=15), 15)
         et = RngStream(15, "et").normal((2, model.embed_dim, 8))
-        assert_logits_factor_through_curves(model, model.to_points(Tensor(et), 8), [3, 7])
+        assert_logits_factor_through_curves(model, Tensor(et), [3, 7])
 
 
 class TestMaskedLoss:
@@ -374,7 +373,7 @@ class TestMaskedLoss:
         model = jolt(make_model("masked", seed=19), 19)
         yt = np.stack(make_batch(model, n=2))
         yt[:, ::3] = model.vocab.mask_id
-        assert_logits_factor_through_curves(model, model.to_points(model.embed(yt), 8), [2, 5])
+        assert_logits_factor_through_curves(model, model.embed(yt), [2, 5])
 
 
 class TestKCurve:
@@ -400,25 +399,25 @@ class TestKCurve:
         pts = Tensor(RngStream(22, "p").normal((1, 8, pair.N)))
         curves, probs = model._k_curves(pts, [3], None)
         npt.assert_allclose(probs.data.ravel(), [1 / 3] * 3, atol=1e-12)
-        npt.assert_array_equal(curves[0].data, curves[1].data)
-        npt.assert_array_equal(curves[1].data, curves[2].data)
+        npt.assert_array_equal(curves.data[0], curves.data[1])
+        npt.assert_array_equal(curves.data[1], curves.data[2])
 
     def test_combine_one_hot(self):
-        curves = [Tensor(np.full((2, 3), float(i))) for i in range(3)]
-        probs = Tensor(np.array([0.0, 1.0, 0.0]))
-        npt.assert_array_equal(M.combine_curves(curves, probs, "train").data, curves[1].data)
-        npt.assert_array_equal(M.combine_curves(curves, probs, "infer").data, curves[1].data)
+        curves = Tensor(np.stack([np.full((1, 2, 3), float(i)) for i in range(3)]))
+        probs = Tensor(np.array([[0.0], [1.0], [0.0]]))
+        npt.assert_array_equal(M.combine_curves(curves, probs, "train").data, curves.data[1])
+        npt.assert_array_equal(M.combine_curves(curves, probs, "infer").data, curves.data[1])
 
     def test_combine_symmetric_cancellation(self):
-        base = RngStream(23, "c").normal((3, 4))
-        curves = [Tensor(base), Tensor(-base)]
-        probs = Tensor(np.array([0.5, 0.5]))
+        base = RngStream(23, "c").normal((1, 3, 4))
+        curves = Tensor(np.stack([base, -base]))
+        probs = Tensor(np.array([[0.5], [0.5]]))
         npt.assert_allclose(M.combine_curves(curves, probs, "train").data, 0.0, atol=1e-15)
 
     def test_combine_infer_argmax(self):
-        curves = [Tensor(np.full((1, 1), float(i))) for i in range(3)]
-        probs = Tensor(np.array([0.2, 0.5, 0.3]))
-        assert float(M.combine_curves(curves, probs, "infer").data[0, 0]) == 1.0
+        curves = Tensor(np.stack([np.full((1, 1, 1), float(i)) for i in range(3)]))
+        probs = Tensor(np.array([[0.2], [0.5], [0.3]]))
+        assert float(M.combine_curves(curves, probs, "infer").data[0, 0, 0]) == 1.0
 
     def test_k1_machinery_matches_single_curve(self):
         model = make_model("gaussian", k_curves=1, force_k_head=True)
@@ -427,7 +426,18 @@ class TestKCurve:
         curves, probs = model._k_curves(pts, [2], None)
         for mode in ("train", "infer"):
             combined = M.combine_curves(curves, probs, mode)
-            npt.assert_allclose(combined.data, curves[0].data, atol=1e-12)
+            npt.assert_allclose(combined.data, curves.data[0], atol=1e-12)
+
+    def test_loss_tape_does_not_grow_with_k(self):
+        # the K curves are one tensor and combine in one weighted sum
+        for mode, loss in (("gaussian", M.gaussian_loss), ("masked", M.masked_loss)):
+            entries = []
+            for k in (2, 4):
+                model = make_model(mode, k_curves=k, T=1, seed=27)
+                with ad.Tape() as tape:
+                    loss(model, make_batch(model, n=4), RngStream(27, "loss"))
+                entries.append(len(tape.entries))
+            assert entries[0] == entries[1], mode
 
 
 class TestTrainStep:
