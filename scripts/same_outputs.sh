@@ -12,8 +12,10 @@
 # When they differ, one line per differing file says how.  A text file's
 # line gives the largest absolute and the largest relative difference
 # between the numbers at the same position in its two copies, and whether
-# any text other than those numbers differs.  A binary file's line says
-# "binary differs".  Each tree's run also prints "resume exact: yes" when
+# any text other than those numbers differs.  A checkpoint's line (a file
+# that starts with SCLM) says whether the state bytes after its header are
+# the same, which header keys only one tree's copy has, and which header
+# values differ.  Any other binary file's line says "binary differs".  Each tree's run also prints "resume exact: yes" when
 # its 20 + 20-step resumed checkpoint equals its 40-step one, else "no".
 set -eu
 
@@ -115,9 +117,11 @@ if diff -rq "$work/parent" "$work/change" > /dev/null; then
     echo "same outputs: $count files"
 else
     python3 - "$work/parent" "$work/change" <<'PY'
+import json
 import math
 import os
 import re
+import struct
 import sys
 
 NUMBER = re.compile(r"[-+]?(?:(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf|NaN|Infinity)\b)")
@@ -133,6 +137,31 @@ def text(data):
         return None if b"\0" in data else data.decode("utf-8")
     except UnicodeDecodeError:
         return None
+
+
+def checkpoint_parts(data):
+    """(format version, header, state bytes) of a checkpoint file, or None when it does not parse."""
+    prefix = struct.Struct("<4sIQ")  # magic, version, header length
+    try:
+        _, version, length = prefix.unpack_from(data)
+        header = json.loads(data[prefix.size : prefix.size + length])
+    except (struct.error, ValueError):
+        return None
+    return (version, header, data[prefix.size + length :]) if isinstance(header, dict) else None
+
+
+def checkpoint_report(old, new):
+    """Whether the state after the header is the same, and how the format versions and headers differ."""
+    (old_version, old_header, old_state), (new_version, new_header, new_state) = old, new
+    notes = [f"state {'same' if old_state == new_state else 'differs'}"]
+    if old_version != new_version:
+        notes.append(f"format version {old_version} vs {new_version}")
+    for tree, keys in (("parent", old_header.keys() - new_header.keys()), ("change", new_header.keys() - old_header.keys())):
+        if keys:
+            notes.append(f"header keys only in the {tree}: {', '.join(sorted(keys))}")
+    differ = sorted(k for k in old_header.keys() & new_header.keys() if old_header[k] != new_header[k])
+    notes.append(f"header values differ: {', '.join(differ)}" if differ else "no header value differs")
+    return "checkpoint: " + "; ".join(notes)
 
 
 def numeric_report(old, new):
@@ -166,7 +195,10 @@ for name in sorted(old_files | new_files):
     if old == new:
         continue
     old_text, new_text = text(old), text(new)
-    if old_text is None or new_text is None:
+    parts = [checkpoint_parts(data) if data[:4] == b"SCLM" else None for data in (old, new)]
+    if None not in parts:
+        print(f"{name}: {checkpoint_report(*parts)}")
+    elif old_text is None or new_text is None:
         print(f"{name}: binary differs")
     else:
         print(f"{name}: {numeric_report(old_text, new_text)}")

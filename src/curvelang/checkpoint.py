@@ -44,7 +44,6 @@ def settings(model) -> dict:
         "mode": model.mode,
         "embed_dim": model.embed_dim,
         "k_curves": model.k_curves,
-        "force_k_head": model.force_k_head and model.k_curves < 2,
         "lambda_anchor": model.lambda_anchor,
         "seed": model.seed,
         "schedule": {"T": model.schedule.T, "kind": model.schedule.kind},
@@ -147,6 +146,5 @@ def _model_from(header: dict, state: np.ndarray | None = None) -> SclmModel:
         k_curves=header["k_curves"],
         lambda_anchor=header["lambda_anchor"],
         seed=header["seed"],
-        force_k_head=header["force_k_head"],
         state=state,
     )

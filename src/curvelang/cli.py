@@ -9,7 +9,7 @@ import os
 import sys
 
 from . import harness
-from .config import RunConfig, apply_overrides, dump_config, load_config, parse_value
+from .config import RunConfig, apply_overrides, load_config, parse_value
 from .corpus import make_dir, write_file
 from .curvemap import (
     DEFAULT_SWEEP_ETA_RATIOS,
@@ -53,9 +53,7 @@ def _json_value(value):  # what json cannot encode itself: numpy arrays and scal
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else RunConfig()
     config = apply_overrides(config, _collect_overrides(args))
-    out_dir = args.out
-    result = harness.run_training(config, out_dir)
-    write_file(os.path.join(out_dir, "run.cfg"), dump_config(config))
+    result = harness.run_training(config, args.out)
     print(f"trained {config.steps} steps; wrote {result.losses_path} and {result.checkpoint_path}")
     print(f"final record: {json.dumps(result.final, sort_keys=True)}")
     return 0

@@ -17,7 +17,7 @@ from .errors import ConfigError, IoError
 from .model import IDENTITY_MODES, MODES, AdamConfig, BackboneConfig, build_schedule
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     mode: str = "gaussian"
     corpus: str = "builtin:alternating"
@@ -49,7 +49,7 @@ class RunConfig:
     lambda_anchor: float = 1.0
     resume: typing.Optional[str] = None
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.steps < 1 or self.batch_size < 1 or self.log_interval < 1:
@@ -73,7 +73,6 @@ class RunConfig:
         self.curve_config()
         self.adam_config()
         build_schedule(self.schedule_steps, self.schedule_kind)
-        return self
 
     def backbone_config(self) -> BackboneConfig:
         return BackboneConfig(
@@ -160,7 +159,7 @@ def load_config(path: str) -> RunConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         values[key] = parse_value(key, raw)
-    return RunConfig(**values).validate()
+    return RunConfig(**values)
 
 
 def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
@@ -172,7 +171,7 @@ def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
     bad = set(overrides) - set(_FIELD_TYPES)
     if bad:
         raise ConfigError(f"unknown config keys: {sorted(bad)}")
-    return dataclasses.replace(config, **overrides).validate()
+    return dataclasses.replace(config, **overrides)
 
 
 def dump_config(config: RunConfig) -> str:

@@ -12,6 +12,7 @@ The model applies the pairs (``SclmModel.to_points`` and ``to_words``).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,14 @@ class CurveConfig:
             raise ConfigError("exactly one of eta_ratio / eta_fixed must be set")
 
 
+def _truncated(count: int, ratio: float, names: str) -> int:
+    """trunc(count * ratio); ConfigError when the product is not finite, which int() cannot take."""
+    product = count * ratio
+    if not math.isfinite(product):
+        raise ConfigError(f"{names} = {count} * {ratio!r} = {product}, not a finite count")
+    return int(product)
+
+
 def resolve_dims(length: int, config: CurveConfig) -> tuple[int, int]:
     """Control-point count and degree for a sentence of length L.
 
@@ -54,12 +63,13 @@ def resolve_dims(length: int, config: CurveConfig) -> tuple[int, int]:
     max(trunc(N * eta_ratio), 2) or the fixed value, then clamped into
     [1, N-1] so the clamped knot vector stays valid for short sentences.
     Any L maps; whether a model takes it is ``BasisCache.get``'s check.
+    A product that overflows to inf raises ``ConfigError``.
     """
-    n_points = max(int(length * config.n_ratio), 2)
+    n_points = max(_truncated(length, config.n_ratio, "L * n_ratio"), 2)
     if config.eta_fixed is not None:
         eta = config.eta_fixed
     else:
-        eta = max(int(n_points * config.eta_ratio), 2)
+        eta = max(_truncated(n_points, config.eta_ratio, "N * eta_ratio"), 2)
     eta = max(min(eta, n_points - 1), 1)
     return n_points, eta
 

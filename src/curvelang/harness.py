@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checkpoint, theory
 from .autodiff import Tensor
-from .config import RunConfig
+from .config import RunConfig, dump_config
 from .corpus import Corpus, ingest, make_dir, read_text, write_file
 from .curvemap import build_cache
 from .errors import ConfigError, NonFinite
@@ -66,7 +66,6 @@ def model_args(config: RunConfig, corpus: Corpus) -> dict:
         k_curves=config.k_curves,
         lambda_anchor=config.lambda_anchor,
         seed=config.seed,
-        force_k_head=False,
     )
 
 
@@ -118,8 +117,7 @@ def _check_resume(args: dict, header: dict) -> None:
 
 
 def run_training(config: RunConfig, out_dir: str) -> TrainResult:
-    """Train for the configured step budget; write losses.csv + model.ckpt once every check has passed."""
-    config.validate()
+    """Train for the configured step budget; write losses.csv, model.ckpt and run.cfg once every check has passed."""
     start_step = 0
     if config.resume:
         loaded, start_step, header = checkpoint.load(config.resume)
@@ -159,6 +157,7 @@ def run_training(config: RunConfig, out_dir: str) -> TrainResult:
     write_file(losses_path, "\n".join(lines) + "\n")
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     checkpoint.save(model, ckpt_path, step=config.steps)
+    write_file(os.path.join(out_dir, "run.cfg"), dump_config(config))
     return TrainResult(losses_path=losses_path, checkpoint_path=ckpt_path, rows=rows, final=record)
 
 
@@ -217,7 +216,7 @@ def run_sampling(
         write_file(traj_path, json.dumps(payload))
         traj_paths.append(traj_path)
 
-        control = model.to_points(Tensor(np.stack(trajectory)), length).data
+        control = model.to_points(Tensor(np.stack(trajectory))).data
         proj = top2_projection(np.concatenate([c.T for c in control], axis=0))
         lines = ["step,point_index,pc1,pc2"]
         n_points = control.shape[2]
@@ -264,7 +263,7 @@ def run_probe(
     if n_eval < 1:
         raise ConfigError(f"n_eval must be at least 1, got {n_eval}")
     theory.check_probe_settings(n_noise, dropout_p, noise_scale)
-    corpus_config = RunConfig(corpus=corpus_spec, tokenizer=tokenizer, max_len=max_len).validate()
+    corpus_config = RunConfig(corpus=corpus_spec, tokenizer=tokenizer, max_len=max_len)
     model_a, _, _ = checkpoint.load(ckpt_a)
     model_b, _, _ = checkpoint.load(ckpt_b)
     corpus, text = read_corpus(corpus_config)

@@ -169,7 +169,6 @@ class SclmModel:
         k_curves: int = 1,
         lambda_anchor: float = 1.0,
         seed: int = 0,
-        force_k_head: bool = False,
         state: np.ndarray | None = None,
     ):
         if mode not in MODES:
@@ -191,9 +190,8 @@ class SclmModel:
         self.k_curves = k_curves
         self.lambda_anchor = lambda_anchor
         self.seed = seed
-        self.force_k_head = force_k_head
         # the K-curve head: learnable curve tokens plus a shallow scorer
-        self.k_head = k_curves >= 2 or force_k_head
+        self.k_head = k_curves >= 2
         self._init_params(state)
 
     def _init_params(self, state: np.ndarray | None) -> None:
@@ -257,13 +255,13 @@ class SclmModel:
         """Word embeddings (B, d, L) of token ids (B, L)."""
         return ad.embedding_lookup(self.embedding.weight, tokens)
 
-    def to_points(self, e: Tensor, length: int) -> Tensor:
+    def to_points(self, e: Tensor) -> Tensor:
         """Control points (B, d, N) of embeddings (B, d, L): e @ B_pinv.
 
         The identity modes pass e through; every mode raises
         ``LengthOutOfRange`` for a length outside the cache.
         """
-        pair = self.cache.get(length)
+        pair = self.cache.get(e.shape[-1])
         return e if self.identity_b else ad.linear(e, Tensor(pair.B_pinv))
 
     def to_words(self, points: Tensor, length: int) -> Tensor:
@@ -358,7 +356,7 @@ class SclmModel:
 
         Goes through the K-curve head when one is attached.
         """
-        points = self.to_points(e_t, e_t.shape[2])
+        points = self.to_points(e_t)
         if self.k_head:
             p_hat = combine_curves(*self._k_curves(points, t, rngs), combine)
         else:

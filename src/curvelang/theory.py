@@ -402,7 +402,7 @@ def _sequence_logits(model, eval_batch, length, n_noise, dropout_p, noise_scale,
     rng = RngStream(seed, "probe")
     e0 = model.embed(np.stack(eval_batch)).data
     et = np.stack([forward_noise_gaussian(e, t, model.schedule, rng.child("input", s)) for s, e in enumerate(e0)])
-    hiddens = model.backbone_hidden(model.to_points(Tensor(et), length), [t] * len(eval_batch)).data
+    hiddens = model.backbone_hidden(model.to_points(Tensor(et)), [t] * len(eval_batch)).data
     for s, hidden in enumerate(hiddens):
         yield _perturbed_logits(model, hidden, length, n_noise, dropout_p, noise_scale, rng.child("perturb", s).generator())
 

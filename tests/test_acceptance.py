@@ -209,14 +209,13 @@ def test_criterion_08_pipeline_equivalence():
     diff_m = abs(mrec["loss"] - mref)
     assert diff_m < 1e-6
 
-    k1 = make_model("gaussian", k_curves=1, force_k_head=True, seed=90)
-    pair = k1.cache.get(8)
-    pts = ad.Tensor(RngStream(90, "pts").normal((1, 8, pair.N)))
-    curves, probs = k1._k_curves(pts, [3], None)
-    assert probs.data.ravel().tolist() == [1.0]
+    # K = 1 is the plain model: no curve tokens, no scorer, and one curve combines to itself
+    k1 = make_model("gaussian", k_curves=1, seed=90)
+    assert not [name for name in k1.store.names() if name == "ktok" or name.startswith("score_")]
+    curves = ad.Tensor(RngStream(90, "pts").normal((1, 2, 8, k1.cache.get(8).N)))
     for mode in ("train", "infer"):
-        combined = M.combine_curves(curves, probs, mode)
-        assert np.abs(combined.data - curves.data[0]).max() < 1e-12
+        combined = M.combine_curves(curves, ad.Tensor(np.ones((1, 2))), mode)
+        assert combined.data.tobytes() == curves.data[0].tobytes()
     _report("criterion-8 pipeline equivalence", f"gaussian diff {diff_g:.1e}, masked diff {diff_m:.1e}")
 
 

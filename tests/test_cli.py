@@ -1,5 +1,6 @@
 """Corpus ingestion, config files, CLI subcommands, and output determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -240,11 +241,11 @@ class TestConfig:
 
     def test_mode_validation(self):
         with pytest.raises(ConfigError):
-            RunConfig(mode="nonsense").validate()
+            RunConfig(mode="nonsense")
 
     def test_eta_exclusivity(self):
         with pytest.raises(ConfigError):
-            RunConfig(eta_ratio=0.1, eta_fixed=5).validate()
+            RunConfig(eta_ratio=0.1, eta_fixed=5)
 
     def test_run_level_length_range_is_an_unknown_key(self, tmp_path):
         # a run's length range is derived from max_positions, never set
@@ -264,9 +265,16 @@ class TestConfig:
 
     def test_k_curves_times_batch_size_is_bounded(self):
         # the K-curve head runs k_curves * batch_size sequences through the backbone
-        RunConfig(k_curves=8192, batch_size=8).validate()
+        RunConfig(k_curves=8192, batch_size=8)
         with pytest.raises(ConfigError, match=r"k_curves \* batch_size must be <= 65536, got 8193 \* 8"):
-            RunConfig(k_curves=8193, batch_size=8).validate()
+            RunConfig(k_curves=8193, batch_size=8)
+
+    def test_a_config_is_checked_when_built_and_cannot_change(self):
+        config = RunConfig()
+        with pytest.raises(ConfigError, match="k_curves"):
+            apply_overrides(config, {"k_curves": 8193})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.k_curves = 8193
 
 
 def tiny_train_args(out, extra=()):
@@ -326,6 +334,28 @@ class TestTrainCommand:
         assert cli.main(tiny_train_args(half, [*extra, "--steps", "10"])) == 0
         args = ["train", "--config", os.path.join(half, "run.cfg"), "--resume", os.path.join(half, "model.ckpt"),
                 "--steps", "20", "--out", resumed]
+        assert cli.main(args) == 0
+        with open(os.path.join(whole, "model.ckpt"), "rb") as fa, open(os.path.join(resumed, "model.ckpt"), "rb") as fb:
+            assert fa.read() == fb.read()
+        lines = open(os.path.join(whole, "losses.csv")).read().split("\n")
+        assert open(os.path.join(resumed, "losses.csv")).read().split("\n") == [lines[0], *lines[3:]]
+
+    def test_checkpoint_with_the_old_force_k_head_key_loads_and_resumes_exactly(self, tmp_path):
+        # v2 files written before the K-curve head followed from k_curves alone carry "force_k_head": false
+        whole, half, resumed = (str(tmp_path / name) for name in ("whole", "half", "resumed"))
+        assert cli.main(tiny_train_args(whole)) == 0
+        assert cli.main(tiny_train_args(half, ["--steps", "10"])) == 0
+        path = os.path.join(half, "model.ckpt")
+        raw = open(path, "rb").read()
+        (header_len,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + header_len])
+        assert "force_k_head" not in header
+        payload = json.dumps({**header, "force_k_head": False}, sort_keys=True).encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(raw[:8] + struct.pack("<Q", len(payload)) + payload + raw[16 + header_len :])
+        model, step, loaded_header = checkpoint.load(path)
+        assert step == 10 and loaded_header["force_k_head"] is False and not model.k_head
+        args = ["train", "--config", os.path.join(half, "run.cfg"), "--resume", path, "--steps", "20", "--out", resumed]
         assert cli.main(args) == 0
         with open(os.path.join(whole, "model.ckpt"), "rb") as fa, open(os.path.join(resumed, "model.ckpt"), "rb") as fb:
             assert fa.read() == fb.read()
@@ -536,6 +566,9 @@ class TestTrainCommand:
             ("--lambda-anchor", "inf"),
             ("--lambda-anchor", "-1"),
             ("--eta-ratio", "-0.5"),
+            # L * n_ratio or N * eta_ratio overflows to inf, which int() cannot take
+            ("--n-ratio", "1e308"),
+            ("--eta-ratio", "1e308"),
             ("--max-len", "-5"),
             ("--max-len", "1"),
             # the error names max_positions, not the curve range derived from it
@@ -562,6 +595,12 @@ class TestTrainCommand:
         cli.main(tiny_train_args(out))
         cfg = load_config(os.path.join(out, "run.cfg"))
         assert cfg.steps == 20
+
+    def test_in_process_run_writes_the_run_config_its_resume_hint_names(self, tmp_path):
+        config = RunConfig(steps=2, log_interval=1, max_len=12, d_model=16, d_ff=32, embed_dim=8, time_dim=8, eta_ratio=None, eta_fixed=3)
+        out = tmp_path / "run"
+        harness.run_training(config, str(out))
+        assert load_config(str(out / "run.cfg")) == config
 
 
 class TestReconstructCommand:
@@ -597,6 +636,7 @@ class TestReconstructCommand:
         [
             ("--n-ratios", "nan"),
             ("--n-ratios", "1.0,inf"),
+            ("--n-ratios", "1e308"),
             ("--eta-ratios", "nan"),
             ("--eta-ratios", "-0.1"),
             ("--eta-ratios", "0.0,-0.1"),
@@ -640,6 +680,8 @@ class TestSpectrumCommand:
             ("--n-ratio", "inf"),
             ("--eta-ratio", "nan"),
             ("--eta-ratio", "-0.5"),
+            ("--n-ratio", "1e308"),
+            ("--eta-ratio", "1e308"),
             ("--eta-fixed", "0"),
             ("--eta-fixed", "-2"),
             ("--length", "1"),
@@ -750,11 +792,6 @@ class TestSampleCommand:
         return json.dumps(header), body
 
     @staticmethod
-    def _header_without_force_k_head(header, body):
-        del header["force_k_head"]
-        return json.dumps(header), body
-
-    @staticmethod
     def _header_as_list(header, body):
         return json.dumps([header]), body
 
@@ -824,7 +861,6 @@ class TestSampleCommand:
         "corrupt, message",
         [
             ("_header_without_seed", "no entry 'seed'"),
-            ("_header_without_force_k_head", "no entry 'force_k_head'"),
             ("_header_as_list", "not an object"),
             ("_parameter_renamed", r"lacks parameters \['emb'\] and has unknown \['emx'\]"),
             ("_parameter_unlisted", r"lacks parameters \['out_b'\] and has unknown \[\]"),
@@ -838,7 +874,7 @@ class TestSampleCommand:
             ("_nan_in_last_value", "non-finite value"),
             ("_flipped_bit", "checksum"),
         ],
-        ids=["no-seed", "no-force-k-head", "list", "renamed-blob", "unlisted-parameter", "parameter-and-blobs-unlisted",
+        ids=["no-seed", "list", "renamed-blob", "unlisted-parameter", "parameter-and-blobs-unlisted",
              "reordered-parameters", "trailing-byte", "extra-blob", "negative-step", "negative-opt-step-count",
              "fractional-step", "nan-blob", "flipped-bit"],
     )

@@ -37,7 +37,7 @@ def tiny_vocab():
     return build_vocab([list("abab"), list("baba")])
 
 
-def make_model(mode="gaussian", k_curves=1, force_k_head=False, seed=0, length=8, n_ratio=1.5, dropout=0.0, T=8, heads=2):
+def make_model(mode="gaussian", k_curves=1, seed=0, length=8, n_ratio=1.5, dropout=0.0, T=8, heads=2):
     identity = mode in ("baseline-identity", "masked-identity")
     cache = build_cache(CurveConfig(n_ratio=n_ratio, eta_ratio=0.2, l_min=2, l_max=length, identity=identity))
     return M.SclmModel(
@@ -49,7 +49,6 @@ def make_model(mode="gaussian", k_curves=1, force_k_head=False, seed=0, length=8
         embed_dim=8,
         k_curves=k_curves,
         seed=seed,
-        force_k_head=force_k_head,
     )
 
 
@@ -180,12 +179,13 @@ class TestConstruction:
             M.SclmModel("gaussian", tiny_vocab(), cache, M.build_schedule(8, "linear"), k_curves=size)
 
     @pytest.mark.parametrize(
-        "mode, k_curves, force_k_head, seed",
-        [("gaussian", 1, False, 0), ("masked", 1, False, 5), ("gaussian", 3, False, 7), ("masked-identity", 1, True, 11)],
+        "mode, k_curves, k_head, seed",
+        [("gaussian", 1, False, 0), ("masked", 1, False, 5), ("gaussian", 3, True, 7), ("masked-identity", 1, False, 11)],
     )
-    def test_fresh_parameters_match_their_drawn_streams(self, mode, k_curves, force_k_head, seed):
-        model = make_model(mode, k_curves=k_curves, force_k_head=force_k_head, seed=seed)
+    def test_fresh_parameters_match_their_drawn_streams(self, mode, k_curves, k_head, seed):
+        model = make_model(mode, k_curves=k_curves, seed=seed)
         expected = reference_init(model)
+        assert model.k_head == k_head and ("ktok" in expected) == k_head
         assert list(expected) == model.store.names()
         for name, want in expected.items():
             got = model.store[name].data
@@ -270,7 +270,7 @@ class TestBatchedBackbone:
         for combine in ("train", "infer"):
             e_hat, p_hat = model.predict_clean(Tensor(et), ts, combine=combine)
             for b, t in enumerate(ts):
-                curves, probs = model._k_curves(model.to_points(Tensor(et[b : b + 1]), 8), [t], None)
+                curves, probs = model._k_curves(model.to_points(Tensor(et[b : b + 1])), [t], None)
                 single = M.combine_curves(curves, probs, combine).data[0]
                 npt.assert_allclose(p_hat.data[b], single, atol=1e-12)
                 npt.assert_allclose(e_hat.data[b], single @ pair.B, atol=1e-12)
@@ -377,13 +377,6 @@ class TestMaskedLoss:
 
 
 class TestKCurve:
-    def test_k1_probs(self):
-        model = make_model("gaussian", k_curves=1, force_k_head=True)
-        pair = model.cache.get(8)
-        pts = Tensor(RngStream(20, "p").normal((1, 8, pair.N)))
-        _, probs = model._k_curves(pts, [2], None)
-        npt.assert_array_equal(probs.data.ravel(), [1.0])
-
     def test_probs_sum_to_one(self):
         for k in (2, 3, 5):
             model = make_model("gaussian", k_curves=k)
@@ -420,13 +413,16 @@ class TestKCurve:
         assert float(M.combine_curves(curves, probs, "infer").data[0, 0, 0]) == 1.0
 
     def test_k1_machinery_matches_single_curve(self):
-        model = make_model("gaussian", k_curves=1, force_k_head=True)
-        pair = model.cache.get(8)
-        pts = Tensor(RngStream(24, "p").normal((1, 8, pair.N)))
-        curves, probs = model._k_curves(pts, [2], None)
+        # one curve is no head: K = 1 predicts through the output head alone
+        model = jolt(make_model("gaussian", k_curves=1, seed=24), 24)
+        assert not model.k_head
+        with pytest.raises(ConfigError, match="no K-curve head"):
+            model._k_curves(Tensor(np.zeros((1, 8, model.cache.get(8).N))), [2], None)
+        et = Tensor(RngStream(24, "p").normal((2, 8, 8)))
         for mode in ("train", "infer"):
-            combined = M.combine_curves(curves, probs, mode)
-            npt.assert_allclose(combined.data, curves.data[0], atol=1e-12)
+            _, p_hat = model.predict_clean(et, [2, 5], combine=mode)
+            single = model.hidden_to_points(model.backbone_hidden(model.to_points(et), [2, 5]))
+            npt.assert_array_equal(p_hat.data, single.data)
 
     def test_loss_tape_does_not_grow_with_k(self):
         # the K curves are one tensor and combine in one weighted sum
@@ -772,21 +768,21 @@ class TestCheckpoint:
             assert np.array_equal(loaded.store[name].data, model.store[name].data), name
 
     @pytest.mark.parametrize(
-        "mode, k_curves, force_k_head",
+        "mode, k_curves, k_head",
         [
             ("gaussian", 1, False),
             ("masked", 1, False),
             ("baseline-identity", 1, False),
             ("masked-identity", 1, False),
-            ("gaussian", 2, False),
-            ("gaussian", 1, True),
+            ("gaussian", 2, True),
         ],
     )
-    def test_load_builds_the_model_its_settings_describe(self, tmp_path, mode, k_curves, force_k_head):
-        model = make_model(mode, k_curves=k_curves, force_k_head=force_k_head, seed=39)
+    def test_load_builds_the_model_its_settings_describe(self, tmp_path, mode, k_curves, k_head):
+        model = make_model(mode, k_curves=k_curves, seed=39)
         path = str(tmp_path / "m.ckpt")
         checkpoint.save(model, path, step=0)
         loaded, _, header = checkpoint.load(path)
+        assert loaded.k_head == k_head
         assert checkpoint.settings(loaded) == checkpoint.settings(model)
         assert set(header) == set(checkpoint.settings(model)) | {"step", "opt_step_count", "params", "state_crc32"}
 
