@@ -15,8 +15,12 @@
 # any text other than those numbers differs.  A checkpoint's line (a file
 # that starts with SCLM) says whether the state bytes after its header are
 # the same, which header keys only one tree's copy has, and which header
-# values differ.  Any other binary file's line says "binary differs".  Each tree's run also prints "resume exact: yes" when
-# its 20 + 20-step resumed checkpoint equals its 40-step one, else "no".
+# values differ.  Any other binary file's line says "binary differs".
+#
+# Each tree's run also prints "resume exact: yes" when its 20 + 20-step
+# resumed checkpoint equals its 40-step one, both when the resume writes
+# to a new directory and when it writes over the checkpoint it loaded,
+# else "no".  A resume that is not exact in either tree exits 1 as well.
 set -eu
 
 if [ $# -ne 2 ]; then
@@ -70,8 +74,16 @@ run_all() {
     cli masked train $small --mode masked --corpus builtin:grammar3 --dropout 0.1 --out "$out/masked"
     cli masked20 train $small --mode masked --corpus builtin:grammar3 --dropout 0.1 --steps 20 --out "$out/masked20"
     cli resumed train --config "$out/masked20/run.cfg" --resume "$out/masked20/model.ckpt" --steps 40 --out "$out/resumed"
-    if cmp -s "$out/masked/model.ckpt" "$out/resumed/model.ckpt"; then exact=yes; else exact=no; fi
-    echo "resume exact: $exact"
+    # the same resume with --out the directory it resumes from: the new
+    # model.ckpt is renamed over the file it loaded
+    cp -R "$out/masked20" "$out/inplace"
+    cli inplace train --config "$out/inplace/run.cfg" --resume "$out/inplace/model.ckpt" --steps 40 --out "$out/inplace"
+    if cmp -s "$out/masked/model.ckpt" "$out/resumed/model.ckpt" && cmp -s "$out/masked/model.ckpt" "$out/inplace/model.ckpt"; then
+        echo "resume exact: yes"
+    else
+        echo "resume exact: no"
+        inexact=yes
+    fi
     cli k2 train $small --k-curves 2 --dropout 0.1 --out "$out/k2"
     # more than two curves: the K-curve head's weighted sum adds them in turn
     cli k4 train $small --k-curves 4 --dropout 0.1 --out "$out/k4"
@@ -105,6 +117,7 @@ run_all() {
     done
 }
 
+inexact=no
 echo "running $parent"
 run_all "$parent"
 mv "$work/out" "$work/parent"
@@ -204,5 +217,9 @@ for name in sorted(old_files | new_files):
         print(f"{name}: {numeric_report(old_text, new_text)}")
 PY
     echo "outputs differ" >&2
+    exit 1
+fi
+if [ "$inexact" = yes ]; then
+    echo "a resume is not exact" >&2
     exit 1
 fi

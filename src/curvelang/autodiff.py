@@ -680,16 +680,24 @@ class ParamStore:
     ``reach`` keeps the most rows any forward pass has read, a count that
     only grows, and Adam updates only those rows: a row that has never
     had a gradient has zero moments, so Adam would move it by exactly 0.
+
+    ``state``, three float64 arrays of the buffers' size (or a (3, n)
+    array, whose rows are such arrays), is adopted as ``values``,
+    ``first`` and ``second``, not copied; without it the buffers are zeros.
     """
 
-    def __init__(self, specs):
+    def __init__(self, specs, state=None):
         self.params: dict[str, Tensor] = {}
         self.moment1: dict[str, np.ndarray] = {}
         self.moment2: dict[str, np.ndarray] = {}
         self.rows_reached = {name: 0 for name, _, by_rows in specs if by_rows}
         self.step_count = 0
         total = sum(math.prod(shape) for _, shape, _ in specs)
-        self.values, self.first, self.second = np.zeros(total), np.zeros(total), np.zeros(total)
+        if state is None:
+            state = np.zeros(total), np.zeros(total), np.zeros(total)
+        elif len(state) != 3 or any(np.shape(buf) != (total,) for buf in state):
+            raise ShapeMismatch(f"state of shape {[np.shape(buf) for buf in state]}, the model's is 3 × ({total},)")
+        self.values, self.first, self.second = state
         # each parameter's first entry in the buffers, in buffer order: a
         # stable sort puts the row tables, and so their unreached rows, last
         self.offsets: dict[str, int] = {}

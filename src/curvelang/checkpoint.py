@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -73,34 +75,40 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
     other than the model's (in its order), a state of any length but
     three model-sized float64 buffers, a state that fails its checksum and
     a non-finite state value raise ``IoError``; a header key it does not
-    read is ignored.  The file is parsed from memory, so a corrupt length
-    field asks for at most the bytes that are there instead of allocating
+    read is ignored.  The state is read straight into the three buffers
+    the model's store adopts.  The header length is checked against the
+    file's size before it sizes a read, so a corrupt one cannot allocate
     what it claims.
     """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            size = os.fstat(fh.fileno()).st_size
+            prefix = fh.read(_PREFIX.size)
+            if prefix[:4] != MAGIC:
+                raise CheckpointVersionMismatch(f"bad magic {prefix[:4]!r}, expected {MAGIC!r}")
+            if len(prefix) < _PREFIX.size:
+                raise IoError(f"truncated checkpoint {path}: {len(prefix)} bytes")
+            _, version, header_len = _PREFIX.unpack(prefix)
+            if version != VERSION:
+                raise CheckpointVersionMismatch(f"format version {version}, expected {VERSION}")
+            start = _PREFIX.size + header_len
+            if start > size:
+                raise IoError(f"truncated checkpoint {path}: its header wants {header_len} bytes")
+            payload = fh.read(header_len)
+            # the state: three equal buffers, less bytes short of one float in each
+            n = (size - start) // 24
+            state = np.empty(n), np.empty(n), np.empty(n)
+            have = sum(fh.readinto(buf) for buf in state)
+            have += len(fh.read(size - start - have))
     except OSError as exc:
         raise IoError(f"cannot read checkpoint {path}: {exc}") from exc
-    if raw[:4] != MAGIC:
-        raise CheckpointVersionMismatch(f"bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    if len(raw) < _PREFIX.size:
-        raise IoError(f"truncated checkpoint {path}: {len(raw)} bytes")
-    _, version, header_len = _PREFIX.unpack_from(raw)
-    if version != VERSION:
-        raise CheckpointVersionMismatch(f"format version {version}, expected {VERSION}")
-    start = _PREFIX.size + header_len
-    if start > len(raw):
-        raise IoError(f"truncated checkpoint {path}: its header wants {header_len} bytes")
     try:
-        header = json.loads(raw[_PREFIX.size : start].decode("utf-8"))
+        header = json.loads(payload.decode("utf-8"))
         if not isinstance(header, dict):
             raise IoError(f"checkpoint {path} has a header of type {type(header).__name__}, not an object")
         for key in ("step", "opt_step_count"):
             if type(header[key]) is not int or header[key] < 0:
                 raise IoError(f"checkpoint {key} must be an integer >= 0, got {header[key]!r}")
-        have = len(raw) - start  # the state: three equal buffers, less bytes short of one float in each
-        state = np.frombuffer(raw, dtype="<f8", offset=start, count=have // 24 * 3).reshape(3, -1)
         try:
             model = _model_from(header, state)
         except ShapeMismatch:
@@ -117,8 +125,14 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
         want = 24 * store.values.size
         if have != want:
             raise IoError(f"checkpoint {path} holds {have} bytes of state where its model has {want} ({have - want:+d})")
-        if zlib.crc32(memoryview(raw)[start:]) != header["state_crc32"]:
+        crc = 0
+        for buf in state:
+            crc = zlib.crc32(buf, crc)
+        if crc != header["state_crc32"]:
             raise IoError(f"checkpoint {path} fails its state checksum")
+        if sys.byteorder == "big":
+            for buf in state:  # the file is little-endian
+                buf.byteswap(inplace=True)
         if not all(np.isfinite(buf).all() for buf in state):
             raise IoError(f"checkpoint {path} holds a non-finite value")
         store.step_count = header["opt_step_count"]
@@ -134,7 +148,7 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
         raise IoError(f"cannot parse checkpoint {path}: {exc}") from exc
 
 
-def _model_from(header: dict, state: np.ndarray | None = None) -> SclmModel:
+def _model_from(header: dict, state: tuple[np.ndarray, ...] | None = None) -> SclmModel:
     """The model a parsed header's ``settings`` describe, holding ``state``, or drawn afresh without it."""
     return SclmModel(
         mode=header["mode"],

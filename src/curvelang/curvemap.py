@@ -50,7 +50,10 @@ class CurveConfig:
 
 def _truncated(count: int, ratio: float, names: str) -> int:
     """trunc(count * ratio); ConfigError when the product is not finite, which int() cannot take."""
-    product = count * ratio
+    try:
+        product = count * ratio
+    except OverflowError:  # a count past the largest float
+        product = math.inf
     if not math.isfinite(product):
         raise ConfigError(f"{names} = {count} * {ratio!r} = {product}, not a finite count")
     return int(product)
@@ -63,9 +66,12 @@ def resolve_dims(length: int, config: CurveConfig) -> tuple[int, int]:
     max(trunc(N * eta_ratio), 2) or the fixed value, then clamped into
     [1, N-1] so the clamped knot vector stays valid for short sentences.
     Any L maps; whether a model takes it is ``BasisCache.get``'s check.
-    A product that overflows to inf raises ``ConfigError``.
+    A product that overflows to inf, or a dense (N, L) float64 basis
+    larger than numpy can size, raises ``ConfigError``.
     """
     n_points = max(_truncated(length, config.n_ratio, "L * n_ratio"), 2)
+    if n_points * length > np.iinfo(np.intp).max // 8:
+        raise ConfigError(f"a basis of N = {n_points} by L = {length} float64 values is larger than numpy can size")
     if config.eta_fixed is not None:
         eta = config.eta_fixed
     else:

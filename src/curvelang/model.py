@@ -154,8 +154,9 @@ class SclmModel:
     d_model) sequences; every weight acts on the last axis, and attention
     splits the sequences into heads inside one op.
 
-    ``state``, a checkpoint's (3, n) ``values``/``first``/``second``, fills
-    the parameters and Adam moments as training left them: no draw, no projection.
+    ``state``, a checkpoint's ``values``/``first``/``second``, is adopted
+    by the store as the parameters and Adam moments training left: no
+    copy, no draw, no projection.
     """
 
     def __init__(
@@ -169,7 +170,7 @@ class SclmModel:
         k_curves: int = 1,
         lambda_anchor: float = 1.0,
         seed: int = 0,
-        state: np.ndarray | None = None,
+        state: np.ndarray | tuple[np.ndarray, ...] | None = None,
     ):
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -194,7 +195,7 @@ class SclmModel:
         self.k_head = k_curves >= 2
         self._init_params(state)
 
-    def _init_params(self, state: np.ndarray | None) -> None:
+    def _init_params(self, state: np.ndarray | tuple[np.ndarray, ...] | None) -> None:
         cfg = self.backbone
         d, dm, dff = self.embed_dim, cfg.d_model, cfg.d_ff
         specs = []  # (name, shape, by_rows, std), in checkpoint order
@@ -231,12 +232,9 @@ class SclmModel:
             make("score_w2", (dm, 1))
             make("score_b2", (1,), std=0.0)
 
-        self.store = ParamStore([spec[:3] for spec in specs])
+        self.store = ParamStore([spec[:3] for spec in specs], state)
         self.embedding = EmbeddingTable(weight=self.store["emb"])
         if state is not None:
-            if np.shape(state) != (3, self.store.values.size):
-                raise ShapeMismatch(f"state of shape {np.shape(state)}, the model's is (3, {self.store.values.size})")
-            self.store.values[...], self.store.first[...], self.store.second[...] = state
             return
         init = RngStream(self.seed, "init")
         # each random parameter is drawn straight into its view of the store

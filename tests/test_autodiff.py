@@ -904,6 +904,16 @@ class TestParamStore:
         assert list(store.offsets) == ["a", "b", "c", "pos", "rows"]
         assert store.rows_reached == {"pos": 0, "rows": 0}
 
+    def test_state_is_adopted_not_copied(self):
+        state = tuple(np.arange(27.0) + k for k in range(3))
+        store = ad.ParamStore(self.SPECS, state)
+        assert all(got is want for got, want in zip((store.values, store.first, store.second), state))
+        assert np.shares_memory(store["pos"].data, state[0]) and np.shares_memory(store.moment2["a"], state[2])
+        assert np.array_equal(store["pos"].data.ravel(), state[0][11:21])
+        for bad in (state[:2], (*state[:2], state[2][1:]), np.zeros((3, 26))):
+            with pytest.raises(ShapeMismatch, match="state of shape"):
+                ad.ParamStore(self.SPECS, bad)
+
     def test_duplicate_name_is_refused(self):
         with pytest.raises(KeyError):
             ad.ParamStore([("w", (2,), False), ("w", (3,), False)])

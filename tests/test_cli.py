@@ -340,6 +340,18 @@ class TestTrainCommand:
         lines = open(os.path.join(whole, "losses.csv")).read().split("\n")
         assert open(os.path.join(resumed, "losses.csv")).read().split("\n") == [lines[0], *lines[3:]]
 
+    def test_resume_into_its_own_checkpoints_directory_is_exact(self, tmp_path):
+        # the resumed run renames its new model.ckpt over the file it loaded,
+        # which a store backed by that file would see change under it
+        whole, half = str(tmp_path / "whole"), str(tmp_path / "half")
+        assert cli.main(tiny_train_args(whole)) == 0
+        assert cli.main(tiny_train_args(half, ["--steps", "10"])) == 0
+        args = ["train", "--config", os.path.join(half, "run.cfg"), "--resume", os.path.join(half, "model.ckpt"),
+                "--steps", "20", "--out", half]
+        assert cli.main(args) == 0
+        with open(os.path.join(whole, "model.ckpt"), "rb") as fa, open(os.path.join(half, "model.ckpt"), "rb") as fb:
+            assert fa.read() == fb.read()
+
     def test_checkpoint_with_the_old_force_k_head_key_loads_and_resumes_exactly(self, tmp_path):
         # v2 files written before the K-curve head followed from k_curves alone carry "force_k_head": false
         whole, half, resumed = (str(tmp_path / name) for name in ("whole", "half", "resumed"))
@@ -693,6 +705,26 @@ class TestSpectrumCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--length", "8", "--n-ratio", "1e20"],
+        ["reconstruct", "--lengths", "8", "--n-ratios", "1e20", "--eta-ratios", "0.1"],
+        # N = 2L: a finite product, then a basis numpy cannot size
+        ["spectrum", "--length", "9" * 301],
+        # L past the largest float: the product itself overflows
+        ["spectrum", "--length", "9" * 320],
+    ],
+    ids=["spectrum-n-ratio", "reconstruct-n-ratios", "spectrum-301-digit-length", "spectrum-320-digit-length"],
+)
+def test_a_basis_numpy_cannot_size_exits_2_without_output(args, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main([*args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
 
 
 class TestVerifyCommand:

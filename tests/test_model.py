@@ -210,6 +210,8 @@ class TestConstruction:
         model = M.SclmModel("gaussian", state=state, **args)
         for got, want in zip((model.store.values, model.store.first, model.store.second), state):
             assert got.tobytes() == want.tobytes()
+            # adopted, not copied
+            assert np.shares_memory(got, want)
         # the jolted embeddings are off the unit sphere, and stay so: no projection
         assert model.store["emb"].data.tobytes() == source.store["emb"].data.tobytes()
         with pytest.raises(ShapeMismatch, match="state of shape"):
@@ -852,6 +854,25 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 20)
         with pytest.raises(CheckpointVersionMismatch):
             checkpoint.load(str(path))
+
+    def test_load_holds_the_state_once(self, tmp_path):
+        # the state is read into the buffers the store adopts: a copy of it
+        # on top would put the peak at twice the state's bytes.  The default
+        # backbone's state is 2.5 MB, against which what load holds besides
+        # it (the header, the model's views) is small
+        model = M.SclmModel(mode="masked", vocab=tiny_vocab(), cache=build_cache(CurveConfig(l_min=2, l_max=8)),
+                            schedule=M.build_schedule(8, "linear"), seed=37)
+        path = str(tmp_path / "m.ckpt")
+        checkpoint.save(model, path, step=0)
+        checkpoint.load(path)  # imports and caches warmed
+        tracemalloc.start()
+        try:
+            checkpoint.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state_bytes = 24 * model.store.values.size
+        assert peak <= 1.25 * state_bytes, (peak, state_bytes)
 
     def test_corrupt_length_fields_are_typed(self, tmp_path):
         model = make_model("gaussian", seed=35)
