@@ -684,13 +684,16 @@ class ParamStore:
     ``state``, three float64 arrays of the buffers' size (or a (3, n)
     array, whose rows are such arrays), is adopted as ``values``,
     ``first`` and ``second``, not copied; without it the buffers are zeros.
+    Each row table's ``rows_reached`` is one past its last row with a
+    nonzero moment, so 0 in a fresh store.  The buffers do not hold
+    ``step_count``: whoever adopts a state sets it.
     """
 
     def __init__(self, specs, state=None):
         self.params: dict[str, Tensor] = {}
         self.moment1: dict[str, np.ndarray] = {}
         self.moment2: dict[str, np.ndarray] = {}
-        self.rows_reached = {name: 0 for name, _, by_rows in specs if by_rows}
+        self.rows_reached: dict[str, int] = {}
         self.step_count = 0
         total = sum(math.prod(shape) for _, shape, _ in specs)
         if state is None:
@@ -707,11 +710,17 @@ class ParamStore:
                 raise KeyError(f"duplicate parameter name {name!r}")
             self.offsets[name] = lo
             lo += math.prod(shape)
-        for name, shape, _ in specs:
+        for name, shape, by_rows in specs:
             part = slice(self.offsets[name], self.offsets[name] + math.prod(shape))
             self.params[name] = Tensor(self.values[part].reshape(shape), requires_grad=True)
             self.moment1[name] = self.first[part].reshape(shape)
             self.moment2[name] = self.second[part].reshape(shape)
+            if by_rows:
+                # rows past the last one with a nonzero moment have no Adam state
+                # to carry; any() per row makes no temporary the table's size
+                moved = [m.reshape(len(m), -1).any(axis=1) for m in (self.moment1[name], self.moment2[name])]
+                rows = np.flatnonzero(moved[0] | moved[1])
+                self.rows_reached[name] = int(rows[-1]) + 1 if rows.size else 0
 
     def reach(self, name: str, rows: int) -> None:
         """Record that a forward pass reads the first ``rows`` rows of ``name``."""

@@ -109,6 +109,14 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
         for key in ("step", "opt_step_count"):
             if type(header[key]) is not int or header[key] < 0:
                 raise IoError(f"checkpoint {key} must be an integer >= 0, got {header[key]!r}")
+        # the checksum is of the file's bytes, so it is taken before a
+        # big-endian host swaps them, and that before the store adopts them
+        crc = 0
+        for buf in state:
+            crc = zlib.crc32(buf, crc)
+        if sys.byteorder == "big":
+            for buf in state:  # the file is little-endian
+                buf.byteswap(inplace=True)
         try:
             model = _model_from(header, state)
         except ShapeMismatch:
@@ -125,22 +133,11 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
         want = 24 * store.values.size
         if have != want:
             raise IoError(f"checkpoint {path} holds {have} bytes of state where its model has {want} ({have - want:+d})")
-        crc = 0
-        for buf in state:
-            crc = zlib.crc32(buf, crc)
         if crc != header["state_crc32"]:
             raise IoError(f"checkpoint {path} fails its state checksum")
-        if sys.byteorder == "big":
-            for buf in state:  # the file is little-endian
-                buf.byteswap(inplace=True)
         if not all(np.isfinite(buf).all() for buf in state):
             raise IoError(f"checkpoint {path} holds a non-finite value")
         store.step_count = header["opt_step_count"]
-        # rows past the last one with a nonzero moment have no Adam state to carry
-        for name in store.rows_reached:
-            moved = (store.moment1[name] != 0) | (store.moment2[name] != 0)
-            rows = np.flatnonzero(moved.reshape(len(moved), -1).any(axis=1))
-            store.rows_reached[name] = int(rows[-1]) + 1 if rows.size else 0
         return model, header["step"], header
     except KeyError as exc:
         raise IoError(f"checkpoint {path} has no entry {exc}") from exc

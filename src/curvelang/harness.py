@@ -232,13 +232,6 @@ def run_sampling(
     return SampleResult(samples_path=samples_path, trajectory_paths=traj_paths)
 
 
-def probe_eval_batch(corpus: Corpus, length: int, n_eval: int) -> list[np.ndarray]:
-    batch = [seq for seq in corpus.sequences if len(seq) == length][:n_eval]
-    if not batch:
-        raise ConfigError(f"corpus has no sequences of length {length}")
-    return batch
-
-
 def run_probe(
     ckpt_a: str,
     ckpt_b: str,
@@ -264,24 +257,23 @@ def run_probe(
         raise ConfigError(f"n_eval must be at least 1, got {n_eval}")
     theory.check_probe_settings(n_noise, dropout_p, noise_scale)
     corpus_config = RunConfig(corpus=corpus_spec, tokenizer=tokenizer, max_len=max_len)
-    model_a, _, _ = checkpoint.load(ckpt_a)
-    model_b, _, _ = checkpoint.load(ckpt_b)
+    ckpts = (ckpt_a, ckpt_b)
+    models = [checkpoint.load(ckpt)[0] for ckpt in ckpts]
     corpus, text = read_corpus(corpus_config)
-    for ckpt, model in ((ckpt_a, model_a), (ckpt_b, model_b)):
+    for ckpt, model in zip(ckpts, models):
         if model.vocab.tokens != corpus.vocab.tokens:
             said = _vocab_difference(model.vocab.tokens, corpus.vocab.tokens)
             raise ConfigError(f"probe checkpoint {ckpt} has vocabulary {said[0]}, the probe corpus gives {said[1]}")
     length = max(corpus.lengths())
-    batch = probe_eval_batch(corpus, length, n_eval)
-    result_a = theory.logit_correlation_probe(
-        model_a, batch, n_noise=n_noise, dropout_p=dropout_p, noise_scale=noise_scale, seed=seed
-    )
-    result_b = theory.logit_correlation_probe(
-        model_b, batch, n_noise=n_noise, dropout_p=dropout_p, noise_scale=noise_scale, seed=seed
-    )
-    for ckpt, result in ((ckpt_a, result_a), (ckpt_b, result_b)):
+    batch = [seq for seq in corpus.sequences if len(seq) == length][:n_eval]
+    results = [
+        theory.logit_correlation_probe(model, batch, n_noise=n_noise, dropout_p=dropout_p, noise_scale=noise_scale, seed=seed)
+        for model in models
+    ]
+    for ckpt, result in zip(ckpts, results):
         if not np.isfinite(result.mean_offdiag):
             raise NonFinite(f"probe of {ckpt} gave mean off-diagonal correlation {result.mean_offdiag}")
+    result_a, result_b = results
     payload = {
         "model_a": {"checkpoint": ckpt_a, "mean_offdiag_dcor": result_a.mean_offdiag},
         "model_b": {"checkpoint": ckpt_b, "mean_offdiag_dcor": result_b.mean_offdiag},

@@ -156,7 +156,9 @@ class SclmModel:
 
     ``state``, a checkpoint's ``values``/``first``/``second``, is adopted
     by the store as the parameters and Adam moments training left: no
-    copy, no draw, no projection.
+    copy, no draw, no projection.  The store recovers its reached rows
+    from the moments; Adam's ``store.step_count`` is not in the buffers,
+    so the caller sets it.
     """
 
     def __init__(

@@ -910,6 +910,12 @@ class TestParamStore:
         assert all(got is want for got, want in zip((store.values, store.first, store.second), state))
         assert np.shares_memory(store["pos"].data, state[0]) and np.shares_memory(store.moment2["a"], state[2])
         assert np.array_equal(store["pos"].data.ravel(), state[0][11:21])
+        # each row table reaches one past its last row with a nonzero moment
+        assert store.rows_reached == {"pos": 5, "rows": 3}
+        first, second = np.zeros(27), np.zeros(27)
+        assert ad.ParamStore(self.SPECS, (state[0], first, second)).rows_reached == {"pos": 0, "rows": 0}
+        first[11 + 2], second[21] = 1.0, -1.0  # pos row 1's first moment, rows row 0's second
+        assert ad.ParamStore(self.SPECS, (state[0], first, second)).rows_reached == {"pos": 2, "rows": 1}
         for bad in (state[:2], (*state[:2], state[2][1:]), np.zeros((3, 26))):
             with pytest.raises(ShapeMismatch, match="state of shape"):
                 ad.ParamStore(self.SPECS, bad)

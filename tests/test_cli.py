@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -724,6 +725,32 @@ def test_a_basis_numpy_cannot_size_exits_2_without_output(args, tmp_path, capsys
     assert cli.main([*args, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--length", "8", "--n-ratio", "1e15"],
+        ["reconstruct", "--lengths", "8", "--n-ratios", "1e15", "--eta-ratios", "0.1"],
+    ],
+    ids=["spectrum-n-ratio", "reconstruct-n-ratios"],
+)
+def test_a_basis_the_machine_cannot_hold_exits_2_without_output(args, tmp_path):
+    # numpy can size this basis (N * L = 6.4e16); a 4 GiB address-space
+    # limit makes its allocation fail at once under any overcommit policy
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvelang.cli", *args, "--out", str(out)],
+        capture_output=True, text=True, env=env, preexec_fn=limit_address_space, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1 and proc.stdout == ""
     assert not out.exists()
 
 

@@ -543,6 +543,30 @@ class TestAdamRows:
         checkpoint.save(make_model("gaussian", seed=43), path, step=0)
         assert checkpoint.load(path)[0].store.rows_reached == {"pos": 0}
 
+    def test_a_model_built_from_copies_of_its_state_trains_on_as_its_source(self):
+        # the longest line reaches 24 rows of pos, the short ones 8: rows 8
+        # to 23 carry moments that the model built from the state must keep
+        # updating, with no checkpoint file in between
+        config = RunConfig(mode="masked", seed=44, layers=1, d_model=16, d_ff=32, embed_dim=4, time_dim=4,
+                           max_positions=32, schedule_steps=10, schedule_kind="linear")
+        corpus = corpus_module.ingest("mixed", text="abcdabcdabca\nabca\nbcab\ncabc\n")
+        longest, *short = corpus.sequences
+        optimizer = M.AdamConfig(lr=1e-2)
+        model = M.SclmModel(**harness.model_args(config, corpus))
+        M.train_step(model, [longest], optimizer, 0)
+        for step in range(1, 3):
+            M.train_step(model, short, optimizer, step)
+        store = model.store
+        state = [buf.copy() for buf in (store.values, store.first, store.second)]
+        built = M.SclmModel(state=state, **harness.model_args(config, corpus))
+        built.store.step_count = store.step_count
+        assert built.store.rows_reached == store.rows_reached == {"pos": 24}
+        for step in range(3, 7):
+            records = [M.train_step(m, short, optimizer, step) for m in (model, built)]
+            assert records[0] == records[1]
+        for got, want in zip((built.store.values, built.store.first, built.store.second), (store.values, store.first, store.second)):
+            assert np.array_equal(got, want)
+
 
 @pytest.mark.skipif(not ad.HEAP_RETAINED, reason="needs glibc's mallopt")
 def test_training_step_takes_no_page_faults(tmp_path):
