@@ -74,6 +74,9 @@ run_all() {
 
     cli gauss train $small --corpus builtin:multimodal --out "$out/gauss"
     cli masked train $small --mode masked --corpus builtin:grammar3 --dropout 0.1 --out "$out/masked"
+    # 3 steps at --log-interval 5 log no row: losses.csv is the header alone
+    cli gauss3 train $small --corpus builtin:multimodal --steps 3 --out "$out/gauss3"
+    cli masked3 train $small --mode masked --corpus builtin:grammar3 --steps 3 --out "$out/masked3"
     cli masked20 train $small --mode masked --corpus builtin:grammar3 --dropout 0.1 --steps 20 --out "$out/masked20"
     cli resumed train --config "$out/masked20/run.cfg" --resume "$out/masked20/model.ckpt" --steps 40 --out "$out/resumed"
     # the same resume with --out the directory it resumes from: the new

@@ -54,9 +54,11 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.steps < 1 or self.batch_size < 1 or self.log_interval < 1:
             raise ConfigError("steps, batch_size, and log_interval must be positive")
+        if self.k_curves < 1:
+            raise ConfigError(f"k_curves must be >= 1, got {self.k_curves}")
         # one activation of 2**16 sequences of 64 tokens at d_model 64 already takes 2 GiB,
         # and the K-curve head runs k_curves copies of each sequence through the backbone
-        if max(self.k_curves, 1) * self.batch_size > 2**16:
+        if self.k_curves * self.batch_size > 2**16:
             raise ConfigError(f"k_curves * batch_size must be <= {2**16}, got {self.k_curves} * {self.batch_size}")
         if self.embed_dim < 1:
             raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")

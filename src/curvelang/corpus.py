@@ -41,9 +41,16 @@ class Vocab:
         return [self.tokens[int(i)] for i in ids]
 
 
-def build_vocab(token_lists: list[list[str]]) -> Vocab:
-    """Frequency-then-lexicographic vocabulary with pad/mask reserved first."""
+def build_vocab(token_lists: list[list[str]], source: str = "token lists") -> Vocab:
+    """Frequency-then-lexicographic vocabulary with pad/mask reserved first.
+
+    ``IoError``, naming ``source``, when a token is spelled like pad or
+    mask: it would decode to the same text as the reserved id.
+    """
     counts = Counter(chain.from_iterable(token_lists))
+    for reserved in (PAD_TOKEN, MASK_TOKEN):
+        if reserved in counts:
+            raise IoError(f"{source} holds the reserved token {reserved!r}")
     ordered = sorted(counts, key=lambda tok: (-counts[tok], tok))
     return Vocab(tokens=(PAD_TOKEN, MASK_TOKEN, *ordered))
 
@@ -86,7 +93,7 @@ def ingest(path: str, tokenizer: str = "char", max_len: int = 250, text: str | N
     token_lists = [pieces for pieces in (split(line)[:max_len] for line in lines) if len(pieces) >= 2]
     if not token_lists:
         raise EmptyCorpus(f"no usable sequences in {path}")
-    vocab = build_vocab(token_lists)
+    vocab = build_vocab(token_lists, f"corpus {path}")
     # one encode over the whole corpus, cut into a view per line
     ids = vocab.encode(list(chain.from_iterable(token_lists)))
     ends = list(accumulate(map(len, token_lists)))

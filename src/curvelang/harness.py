@@ -137,22 +137,15 @@ def run_training(config: RunConfig, out_dir: str) -> TrainResult:
     make_dir(out_dir)
     _write_builtin_copy(config, out_dir, text)
     optimizer = config.adam_config()
-    gaussian = model.noise_kind == "gaussian"
-    header = "step,diffusion,anchor,total" if gaussian else "step,loss"
     rows: list[dict] = []
-    lines = [header]
-    record: dict = {}
     for step in range(start_step + 1, config.steps + 1):
         batch = make_batch(corpus, config.batch_size, config.seed, step)
         record = train_step(model, batch, optimizer, step)
-        if not all(np.isfinite(v) for k, v in record.items() if k != "step"):
-            raise NonFinite(f"non-finite loss record at step {step}")
         if step % config.log_interval == 0:
             rows.append(record)
-            if gaussian:
-                lines.append(f"{step},{record['diffusion']!r},{record['anchor']!r},{record['total']!r}")
-            else:
-                lines.append(f"{step},{record['loss']!r}")
+    # the columns are the loss record's, in the order its loss function built them
+    keys = [key for key in record if key != "step"]
+    lines = [",".join(["step", *keys])] + [",".join([str(row["step"]), *(repr(row[key]) for key in keys)]) for row in rows]
     losses_path = os.path.join(out_dir, "losses.csv")
     write_file(losses_path, "\n".join(lines) + "\n")
     ckpt_path = os.path.join(out_dir, "model.ckpt")

@@ -123,7 +123,6 @@ class ToyFiberSpec:
     the tables are (n_conditions, n_curves) conditional distributions.
     """
 
-    curve_values: tuple
     fiber_map: tuple[int, ...]
     data_table: np.ndarray
     model_table: np.ndarray
@@ -154,7 +153,6 @@ def random_fiber_spec(n_curves: int = 4, n_sentences: int = 2, n_conditions: int
     data /= data.sum(axis=1, keepdims=True)
     model /= model.sum(axis=1, keepdims=True)
     return ToyFiberSpec(
-        curve_values=tuple(range(n_curves)),
         fiber_map=fiber_map,
         data_table=data,
         model_table=model,

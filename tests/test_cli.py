@@ -156,6 +156,15 @@ class TestIngest:
                 ingest(str(missing), "char")
             assert str(caught.value).startswith(f"cannot read corpus {missing}: ")
 
+    @pytest.mark.parametrize("reserved", ["<pad>", "<mask>"])
+    def test_a_word_spelled_like_a_reserved_token_is_refused(self, tmp_path, reserved):
+        # such a word would get a second id that decodes to the reserved id's text
+        path = tmp_path / "words.txt"
+        path.write_text(f"the {reserved} sat\nthe cat sat\n")
+        with pytest.raises(IoError) as caught:
+            ingest(str(path), "whitespace")
+        assert str(caught.value) == f"corpus {path} holds the reserved token {reserved!r}"
+
     def test_resolve_corpus_reads_a_builtin_from_memory_and_writes_its_copy(self, tmp_path):
         # whitespace splits each alternating line into one token, too few to keep
         out = tmp_path / "out"
@@ -269,6 +278,10 @@ class TestConfig:
         RunConfig(k_curves=8192, batch_size=8)
         with pytest.raises(ConfigError, match=r"k_curves \* batch_size must be <= 65536, got 8193 \* 8"):
             RunConfig(k_curves=8193, batch_size=8)
+        # a count below one is refused with the model's own message, not passed by the bound
+        for k in (0, -3):
+            with pytest.raises(ConfigError, match=rf"^k_curves must be >= 1, got {k}$"):
+                RunConfig(k_curves=k)
 
     def test_a_config_is_checked_when_built_and_cannot_change(self):
         config = RunConfig()
@@ -519,12 +532,34 @@ class TestTrainCommand:
         assert "cannot read checkpoint" in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    def test_masked_mode_csv_header(self, tmp_path):
+    @pytest.mark.parametrize(
+        "mode, steps",
+        [
+            pytest.param("masked", 20, id="masked"),
+            pytest.param("gaussian", 20, id="gaussian"),
+            # 3 steps at --log-interval 5 log no step
+            pytest.param("masked", 3, id="masked-no-logged-step"),
+            pytest.param("gaussian", 3, id="gaussian-no-logged-step"),
+        ],
+    )
+    def test_masked_mode_csv_header(self, tmp_path, mode, steps):
+        # the columns are the loss record's; a run that logs no step writes the header alone
+        header = {"masked": "step,loss", "gaussian": "step,diffusion,anchor,total"}[mode]
         out = str(tmp_path / "m")
-        args = tiny_train_args(out, ["--mode", "masked", "--corpus", "builtin:grammar3"])
+        args = tiny_train_args(out, ["--mode", mode, "--corpus", "builtin:grammar3", "--steps", str(steps)])
         assert cli.main(args) == 0
-        first = open(os.path.join(out, "losses.csv")).read().split("\n")[0]
-        assert first == "step,loss"
+        text = open(os.path.join(out, "losses.csv")).read()
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert text.startswith(header + "\n")
+        assert [row[0] for row in rows] == [str(step) for step in range(5, steps + 1, 5)]
+        assert all(len(row) == header.count(",") + 1 for row in rows)
+
+    def test_a_corpus_holding_a_reserved_token_exits_2_without_output(self, tmp_path):
+        corpus = tmp_path / "words.txt"
+        corpus.write_text("the <mask> sat\nthe cat <pad> sat\n")
+        out = str(tmp_path / "run")
+        assert cli.main(tiny_train_args(out, ["--corpus", str(corpus), "--tokenizer", "whitespace"])) == 2
+        assert not os.path.exists(out)
 
     def test_dropout_outside_unit_interval_rejected_before_any_work(self, tmp_path):
         for i, rate in enumerate(("1.0", "-0.5")):

@@ -1,6 +1,7 @@
 """Verification oracles: relaxation, stationarity, fiber decomposition,
 importance bounds, distance correlation, and the logit probe."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -66,12 +67,7 @@ class TestLemma1:
 class TestLemma2:
     def test_matched_distributions(self):
         spec = theory.random_fiber_spec(seed=1)
-        matched = theory.ToyFiberSpec(
-            curve_values=spec.curve_values,
-            fiber_map=spec.fiber_map,
-            data_table=spec.data_table,
-            model_table=spec.data_table.copy(),
-        )
+        matched = dataclasses.replace(spec, model_table=spec.data_table.copy())
         rec = theory.lemma2_decomposition_check(matched)
         assert rec.passed
         assert abs(rec.detail["e_kl"]) < 1e-12
@@ -91,7 +87,7 @@ class TestLemma2:
     def test_zero_mass_fiber_rejected(self):
         data = np.array([[0.5, 0.5, 0.0, 0.0]])
         model = np.array([[0.5, 0.5, 0.0, 0.0]])
-        spec = theory.ToyFiberSpec(curve_values=(0, 1, 2, 3), fiber_map=(0, 0, 1, 1), data_table=data, model_table=model)
+        spec = theory.ToyFiberSpec(fiber_map=(0, 0, 1, 1), data_table=data, model_table=model)
         with pytest.raises(DegenerateDistribution):
             theory.lemma2_decomposition_check(spec)
 
