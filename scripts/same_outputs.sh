@@ -105,12 +105,16 @@ run_all() {
     # same lines, 5 to a batch: 10 L rows a step, so the feed-forward GELU
     # chain runs over whole and partial blocks of rows, with dropout
     cli longff train --mode masked --corpus "$long" --max-len 128 --dropout 0.1 --steps 12 --batch-size 5 --log-interval 1 --schedule-steps 20 --embed-dim 32 --out "$out/longff"
+    # one-column heads (d_model 32 over 32 heads), which attention reads
+    # from contiguous copies, and four heads of 8 columns on a masked model
+    cli heads32 train $small --heads 32 --dropout 0.1 --out "$out/heads32"
+    cli mheads4 train $small --mode masked --corpus builtin:grammar3 --heads 4 --dropout 0.1 --out "$out/mheads4"
     cli pairs train $small --mode masked --corpus "$pairs" --batch-size 1 --schedule-kind linear --out "$out/pairs"
     cli words train $small --corpus "$words" --tokenizer whitespace --max-len 8 --out "$out/words"
 
     # the identity runs sample with a to_points and to_words that bypass the curve map;
     # each sample is a batch of one, whose combined curves to_words reads in their own layout
-    for run in gauss resumed k2 k4 mk2 ident mident words; do
+    for run in gauss resumed k2 k4 mk2 ident mident words heads32 mheads4; do
         cli "sample_$run" sample "$out/$run/model.ckpt" --length 12 --steps 5 --n 2 --seed 1 --out "$out/sample_$run"
     done
     cli sample_long sample "$out/long/model.ckpt" --length 128 --steps 5 --n 2 --seed 1 --out "$out/sample_long"

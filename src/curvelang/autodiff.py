@@ -10,11 +10,13 @@ Broadcasting is limited to bias-style row/column addition so every
 adjoint stays a one-liner.
 ``linear``, ``feed_forward`` and ``cross_entropy_loss`` act on the last
 axis of an input of any rank, whose leading axes they flatten into rows;
-``attention`` is multi-head softmax attention over (batch, n, d_model)
-sequences as one op, with an adjoint that rebuilds the softmax from row
-statistics, and ``feed_forward``'s adjoint rebuilds its activation from
-the pre-activation, one block of rows at a time.  The model calls no
-plain 2-D ``matmul``.
+``attention`` is multi-head softmax attention over the q, k and v
+projections of (batch, n, d_model) sequences as one op: it keeps only
+its input, the softmax's row statistics and the dropout masks, and its
+adjoint rebuilds q, k and v from the input and the softmax from the row
+statistics.  ``feed_forward``'s adjoint rebuilds its activation from the
+pre-activation, one block of rows at a time.  The model calls no plain
+2-D ``matmul``.
 """
 
 from __future__ import annotations
@@ -40,10 +42,15 @@ _M_TOP_PAD = -2
 _TOP_PAD_BYTES = 64 << 20
 
 # Scores (sequences x heads x n x n) attention works on at once, in the
-# forward pass and in the adjoint: 1 MiB of float64 per temporary, so a
-# criterion-9 batch (8 x 2 x 32²) is one block and a 128-token line
-# (N = 256) is one per block.
-_ATTENTION_BLOCK = 1 << 17
+# forward pass and in the adjoint: 512 KiB of float64 per temporary.  The
+# adjoint holds the rebuilt q, k and v and up to three such temporaries
+# at once: at 1 << 17 the backward pass of a masked step on 64-letter
+# lines held 2.4 MiB above the forward pass's live memory and the
+# gradients, and test_backward_holds_no_more_than_the_forward_pass_left
+# allows 2 MiB.  A criterion-9 batch (8 x 2 x 32²) and a masked batch of
+# 8 sequences of 48 tokens stay one block, and a 128-token line (N = 256)
+# stays one sequence per block.
+_ATTENTION_BLOCK = 1 << 16
 
 # Rows of feed_forward's GELU chain worked on at once, in the forward pass
 # and in the adjoint: at d_ff 128, 128 KiB of float64 per temporary, so a
@@ -280,38 +287,59 @@ def feed_forward(x, w1, b1, w2, b2, p: float = 0.0, gens=None) -> Tensor:
     return _emit(out.reshape(x_shape[:-1] + (w2d.shape[1],)), (x, w1, b1, w2, b2), backward_fn)
 
 
-def attention(q, k, v, heads: int, scale: float, p: float = 0.0, gens=None) -> Tensor:
-    """Multi-head softmax attention over (batch, n, d_model) sequences.
+def attention(x, wq, bq, wk, bk, wv, bv, heads: int, scale: float, p: float = 0.0, gens=None) -> Tensor:
+    """Multi-head softmax attention over the projections of (batch, n, d) sequences.
 
-    Each head attends within its sequence over its d_model / heads
-    columns: softmax(scale * q kᵀ), inverted dropout at rate ``p``, times
-    v, heads merged back into columns.  With ``p > 0``, ``gens`` holds one
-    generator per (sequence, head), sequence-major, and each draws its
-    (n, n) mask in turn.
+    q, k and v are x times wq, wk and wv (d, m) plus the row biases bq,
+    bk and bv (m,), each formed as ``linear`` forms it.  Each head attends
+    within its sequence over its m / heads columns: softmax(scale * q kᵀ),
+    inverted dropout at rate ``p``, times v, heads merged back into
+    (batch, n, m).  With ``p > 0``, ``gens`` holds one generator per
+    (sequence, head), sequence-major, and each draws its (n, n) mask in
+    turn.
+
+    Only x, each score row's max and sum, and the dropout masks (as
+    booleans) outlive the call.  The adjoint rebuilds q, k and v from x
+    by the same operations and each block's softmax from the row
+    statistics, and it sums x's adjoint in the order a tape sums three
+    ``linear`` ops' adjoints (v's, then k's, then q's), so every output
+    and gradient is bit for bit that of those ops and attention over
+    their outputs.  Both passes read heads through strided views (heads
+    one column wide excepted) and write each block's products through
+    views of (batch·n, m) buffers, so no head is merged by a copy.
     """
-    if q.data.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeMismatch(f"attention of {q.shape}, {k.shape} and {v.shape}")
-    batch, n, width = q.shape
+    weights, biases = (wq, wk, wv), (bq, bk, bv)
+    if (
+        x.data.ndim != 3 or wq.data.ndim != 2 or x.shape[-1] != wq.shape[0]
+        or any(w.shape != wq.shape for w in weights) or any(b.shape != (wq.shape[1],) for b in biases)
+    ):
+        shapes = ", ".join(str(t.shape) for t in (x,) + weights + biases)
+        raise ShapeMismatch(f"attention of x, wq, wk, wv, bq, bk and bv of shapes {shapes}")
+    batch, n, width = x.shape[0], x.shape[1], wq.shape[1]
     if heads < 1 or width % heads:
-        raise ShapeMismatch(f"attention of {q.shape} with {heads} heads")
+        raise ShapeMismatch(f"attention of width {width} with {heads} heads")
     if not 0.0 <= p < 1.0:
         raise ShapeMismatch(f"dropout rate must be in [0, 1), got {p}")
     if p > 0.0 and (gens is None or len(gens) != batch * heads):
         raise ShapeMismatch(f"attention dropout needs {batch * heads} generators")
     dh = width // heads
+    x_shape, x_grad = x.shape, x.requires_grad
+    xd = x.data.reshape(batch * n, x_shape[-1])
+    params = [(w.data, b.data, w.requires_grad, b.requires_grad) for w, b in zip(weights, biases)]
 
-    def view(x):  # (batch, n, d_model) -> (batch, heads, n, dh), a view of the sequences
-        return np.ascontiguousarray(x).reshape(batch, n, heads, dh).swapaxes(1, 2)
+    def view(a):  # (batch·n, m) rows -> (batch, heads, n, dh), a view
+        return a.reshape(batch, n, heads, dh).swapaxes(1, 2)
 
-    def split(x):  # the same heads, copied
-        return np.ascontiguousarray(view(x))
+    def heads_of(a):  # read in place, not copied, except one column wide:
+        # BLAS sums such a head, a strided vector, in another order
+        h = view(np.ascontiguousarray(a))
+        return h if dh > 1 else np.ascontiguousarray(h)
 
-    def merge(x):  # (batch, heads, n, dh) -> (batch, n, d_model)
-        return x.swapaxes(1, 2).reshape(batch, n, width)
+    def project(w, b):  # the heads of q, k or v, formed as linear forms them
+        rows = xd @ w
+        rows += b
+        return heads_of(rows)
 
-    # only each row's max and sum (and the dropout masks, as booleans)
-    # outlive this call: the backward pass takes the heads of q, k and v
-    # from the inputs' arrays again and rebuilds each block's softmax
     row_max = np.empty((batch, heads, n, 1))
     row_sum = np.empty((batch, heads, n, 1))
 
@@ -331,41 +359,59 @@ def attention(q, k, v, heads: int, scale: float, p: float = 0.0, gens=None) -> T
     # more than _ATTENTION_BLOCK scores at once
     step = max(1, _ATTENTION_BLOCK // (heads * n * n))
     blocks = [slice(lo, lo + step) for lo in range(0, batch, step)]
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    outh = np.empty_like(qh)
+    qh, kh, vh = (project(w, b) for w, b, _, _ in params)
+    out = np.empty((batch * n, width))
     keep = []
     for blk in blocks:
         att = block_softmax(qh, kh, blk, True)
         if p > 0.0:
             keep.append(_dropout_mask(gens[blk.start * heads : blk.stop * heads], (n, n), p).reshape(att.shape))
             att *= keep[-1] / (1.0 - p)
-        np.matmul(att, vh[blk], out=outh[blk])
-    out = merge(outh)
+        np.matmul(att, vh[blk], out=view(out)[blk])
 
     def backward_fn(g):
-        # heads are read in place, not copied, except one column wide:
-        # BLAS sums such a head, a strided vector, in another order
-        heads_of = view if dh > 1 else split
-        gh, qh, kh, vh = heads_of(g), heads_of(q.data), heads_of(k.data), heads_of(v.data)
-        dq, dv = np.empty((batch, heads, n, dh)), np.empty((batch, heads, n, dh))
-        dk = np.empty((batch, heads, dh, n))  # kᵀ's adjoint, merged transposed
+        qh, kh, vh = (project(w, b) for w, b, _, _ in params)
+        gh = heads_of(g)
+        dq, dk, dv = (np.empty((batch * n, width)) for _ in range(3))
         for i, blk in enumerate(blocks):
             sb = block_softmax(qh, kh, blk, False)
             mask = keep[i] / (1.0 - p) if keep else None
             att = sb if mask is None else sb * mask
+            np.matmul(att.swapaxes(-1, -2), gh[blk], out=view(dv)[blk])
+            del att
             d_att = gh[blk] @ vh[blk].swapaxes(-1, -2)
-            np.matmul(att.swapaxes(-1, -2), gh[blk], out=dv[blk])
             if mask is not None:
                 d_att *= mask
+                del mask
             # softmax adjoint, then the score scale
             d_att -= (d_att * sb).sum(axis=-1, keepdims=True)
             d_att *= sb
+            del sb
             d_att *= scale
-            np.matmul(d_att, kh[blk], out=dq[blk])
-            np.matmul(qh[blk].swapaxes(-1, -2), d_att, out=dk[blk])
-        return merge(dq), merge(dk.swapaxes(-1, -2)), merge(dv)
+            np.matmul(d_att, kh[blk], out=view(dq)[blk])
+            # k's rows take kᵀ's adjoint qᵀ d_att transposed
+            np.matmul(d_att.swapaxes(-1, -2), qh[blk], out=view(dk)[blk])
+            del d_att
+        # v's products, then k's, then q's, each adjoint freed once used
+        ds, grads, dx = [dq, dk, dv], [None] * 6, None
+        del qh, kh, vh, gh, dq, dk, dv
+        for j in (2, 1, 0):
+            d, ds[j] = ds[j], None
+            if j == 1 and batch == 1:
+                # one sequence's k adjoint takes the column order of kᵀ's
+                # adjoint, which it is a view of there: BLAS and numpy's
+                # sum run the products in another order than on rows
+                d = np.asfortranarray(d)
+            w, _, w_grad, b_grad = params[j]
+            if x_grad and dx is None:
+                dx = d @ w.T
+            elif x_grad:
+                dx += d @ w.T
+            grads[2 * j : 2 * j + 2] = xd.T @ d if w_grad else None, d.sum(axis=0) if b_grad else None
+            del d
+        return (None if dx is None else dx.reshape(x_shape), *grads)
 
-    return _emit(out, (q, k, v), backward_fn)
+    return _emit(out.reshape(batch, n, width), (x, wq, bq, wk, bk, wv, bv), backward_fn)
 
 
 def _dropout_mask(gens, block: tuple, p: float) -> np.ndarray:

@@ -152,7 +152,8 @@ class SclmModel:
     (B, d, L), control points (B, d, N), one diffusion step per
     sequence.  The backbone runs the whole batch as (B, n_tokens,
     d_model) sequences; every weight acts on the last axis, and attention
-    splits the sequences into heads inside one op.
+    projects the sequences to q, k and v and splits them into heads
+    inside one op.
 
     ``state``, a checkpoint's ``values``/``first``/``second``, is adopted
     by the store as the parameters and Adam moments training left: no
@@ -281,11 +282,9 @@ class SclmModel:
 
         for i in range(cfg.layers):
             hn = ad.layer_norm(h, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
-            q = ad.linear(hn, p[f"l{i}.wq"], p[f"l{i}.bq"])
-            k = ad.linear(hn, p[f"l{i}.wk"], p[f"l{i}.bk"])
-            v = ad.linear(hn, p[f"l{i}.wv"], p[f"l{i}.bv"])
             gens = [r.child("att", i, hd).generator() for r in rngs for hd in range(heads)] if p_drop else None
-            ctx = ad.attention(q, k, v, heads, inv_sqrt, p_drop, gens)
+            qkv = [p[f"l{i}.{name}"] for name in ("wq", "bq", "wk", "bk", "wv", "bv")]
+            ctx = ad.attention(hn, *qkv, heads, inv_sqrt, p_drop, gens)
             h = h + ad.linear(ctx, p[f"l{i}.wo"], p[f"l{i}.bo"])
             hn2 = ad.layer_norm(h, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
             gens = [r.child("ff", i).generator() for r in rngs] if p_drop else None

@@ -23,8 +23,8 @@ from _oracles import (
 )
 
 
-def _probe(op_fn, arrays, grad_index=0, h=1e-5):
-    """Compare analytic and finite-difference gradients for one input.
+def _grads(op_fn, arrays, grad_index=0, h=1e-5):
+    """Finite-difference and analytic gradients of one input.
 
     The scalar objective is a fixed random weighting of the op output, so
     every output element influences the loss.
@@ -50,8 +50,27 @@ def _probe(op_fn, arrays, grad_index=0, h=1e-5):
         values[grad_index] = x
         return run(values)[0]
 
-    numeric = finite_difference_grad(scalar, arrays[grad_index], h=h)
-    return relative_grad_error(numeric, analytic)
+    return finite_difference_grad(scalar, arrays[grad_index], h=h), analytic
+
+
+def _probe(op_fn, arrays, grad_index=0, h=1e-5):
+    """The relative error of one input's analytic gradient against finite differences."""
+    return relative_grad_error(*_grads(op_fn, arrays, grad_index, h))
+
+
+def _probe_attention(op_fn, arrays, label):
+    """Finite-difference probes of all seven inputs of ``attention``.
+
+    The key bias adds q·bk to every score of a row, which the softmax
+    ignores: its gradient is exactly 0, so both gradients must be 0 up
+    to rounding, where a relative error would compare two roundings.
+    """
+    for i in range(7):
+        if i == 4:
+            numeric, analytic = _grads(op_fn, arrays, i)
+            assert np.abs(numeric).max() < 1e-8 and np.abs(analytic).max() < 1e-8, label
+        else:
+            assert _probe(op_fn, arrays, i) < 1e-6, label + (i,)
 
 
 class TestForwardValues:
@@ -392,36 +411,69 @@ class TestGradientChecks:
             ad.feed_forward(x, w1, b1, w1, b2)
 
     @staticmethod
-    def _attention_inputs(seed, batch, n, width):
+    def _attention_inputs(seed, batch, n, width, d_in=None):
+        """x (batch, n, d_in), then wq, bq, wk, bk, wv and bv projecting d_in columns to width.
+
+        The weights are scaled by 1 / sqrt(d_in), so q, k and v have
+        entries of about x's size.
+        """
         rng = RngStream(seed, "attention")
-        return [rng.child(name).normal((batch, n, width)) for name in "qkv"]
+        d_in = width if d_in is None else d_in
+        arrays = [rng.child("x").normal((batch, n, d_in))]
+        for name in ("q", "k", "v"):
+            arrays += [rng.child("w" + name).normal((d_in, width)) / np.sqrt(d_in), rng.child("b" + name).normal((width,))]
+        return arrays
+
+    @staticmethod
+    def _projections(arrays):
+        """q, k and v of attention inputs, in plain numpy."""
+        x = arrays[0]
+        return [x @ w + b for w, b in zip(arrays[1::2], arrays[2::2])]
+
+    @staticmethod
+    def _selecting(q, k, v):
+        """Attention inputs whose projections are exactly q, k and v.
+
+        x holds q, k and v side by side, each weight selects its block
+        with ones and zeros, and each bias is zero: every projected entry
+        is one entry of x plus zeros, and x's adjoint holds the adjoints
+        of q, k and v side by side.
+        """
+        width = q.shape[-1]
+        sel = np.eye(3 * width)
+        arrays = [np.concatenate([q, k, v], axis=-1)]
+        for i in range(3):
+            arrays += [np.ascontiguousarray(sel[:, i * width : (i + 1) * width]), np.zeros(width)]
+        return arrays
 
     @staticmethod
     def _gens(seed, count):
         return [RngStream(seed, "att-drop", i).generator() for i in range(count)]
 
     def test_attention(self):
-        batch, n = 2, 3
-        for heads in (1, 2, 4):
-            for p in (0.0, 0.3):
-                arrays = self._attention_inputs(heads, batch, n, 8)
+        # one sequence, whose k adjoint runs its products in column order, and two
+        n = 3
+        for batch in (1, 2):
+            for heads in (1, 2, 4):
+                for p in (0.0, 0.3):
+                    arrays = self._attention_inputs(heads, batch, n, 8, d_in=5)
 
-                def op(q, k, v, _heads=heads, _p=p):
-                    gens = self._gens(50 + _heads, batch * _heads) if _p else None
-                    return ad.attention(q, k, v, _heads, 0.7, _p, gens)
+                    def op(*tensors, _batch=batch, _heads=heads, _p=p):
+                        gens = self._gens(50 + _heads, _batch * _heads) if _p else None
+                        return ad.attention(*tensors, _heads, 0.7, _p, gens)
 
-                for i in range(3):
-                    assert _probe(op, arrays, i) < 1e-6, (heads, p, i)
+                    _probe_attention(op, arrays, (batch, heads, p))
 
     def test_attention_matches_per_sequence_head_oracle(self):
         batch, n = 3, 4
         for heads in (1, 2, 4):
             dh = 5
             width = heads * dh
-            q, k, v = self._attention_inputs(10 + heads, batch, n, width)
+            arrays = self._attention_inputs(10 + heads, batch, n, width)
+            q, k, v = self._projections(arrays)
             for p in (0.0, 0.4):
                 gens = self._gens(60 + heads, batch * heads) if p else None
-                out = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), heads, 0.45, p, gens).data
+                out = ad.attention(*map(ad.Tensor, arrays), heads, 0.45, p, gens).data
                 ref_gens = self._gens(60 + heads, batch * heads) if p else None
                 expected, masks = reference_attention(q, k, v, heads, 0.45, p, ref_gens)
                 npt.assert_allclose(out, expected, rtol=0, atol=1e-12, err_msg=f"heads {heads}, p {p}")
@@ -432,7 +484,7 @@ class TestGradientChecks:
                 for hd in range(heads):
                     eye[:, :, hd * dh : hd * dh + n] = np.eye(n)
                 gens = self._gens(60 + heads, batch * heads) if p else None
-                att = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(eye), heads, 0.45, p, gens).data
+                att = ad.attention(*map(ad.Tensor, self._selecting(q, k, eye)), heads, 0.45, p, gens).data
                 att = att.reshape(batch, n, heads, dh)[..., :n].swapaxes(1, 2)
                 npt.assert_array_equal(att == 0, masks == 0)
                 if p:
@@ -440,15 +492,17 @@ class TestGradientChecks:
 
     def test_each_head_matches_attention_over_its_columns_alone(self):
         # bit for bit, also for heads one column wide, whose strided
-        # columns BLAS would sum in another order than a contiguous copy
+        # columns BLAS would sum in another order than a contiguous copy;
+        # the inputs select q, k and v exactly, so x's adjoint holds theirs
         batch, heads = 3, 4
 
-        def run(arrays, n_heads, weights):
-            tensors = [ad.Tensor(a, requires_grad=True) for a in arrays]
+        def run(qkv, n_heads, weights):
+            tensors = [ad.Tensor(a, requires_grad=True) for a in self._selecting(*qkv)]
             with ad.Tape() as tape:
                 out = ad.attention(*tensors, n_heads, 0.6)
                 tape.backward(ad.sum_(ad.mul(out, ad.Tensor(weights))))
-            return [out.data] + [t.grad for t in tensors]
+            width = out.shape[-1]
+            return [out.data] + [tensors[0].grad[..., i * width : (i + 1) * width] for i in range(3)]
 
         for n in (2, 7):
             for dh in (1, 3):
@@ -469,16 +523,29 @@ class TestGradientChecks:
             ad.linear(x, ad.Tensor(np.zeros((4, 2))), ad.Tensor(np.zeros(3)))
         with pytest.raises(ShapeMismatch):
             ad.linear(x, ad.Tensor(np.zeros((3, 2))))
+        w, b = ad.Tensor(np.zeros((4, 4))), ad.Tensor(np.zeros(4))
+        ad.attention(x, w, b, w, b, w, b, 2, 1.0)
+        # a weight of the wrong size, in each of the three places
+        for wrong in (ad.Tensor(np.zeros((4, 2))), ad.Tensor(np.zeros((3, 4))), ad.Tensor(np.zeros(4))):
+            for at in (0, 2, 4):
+                params = [w, b, w, b, w, b]
+                params[at] = wrong
+                with pytest.raises(ShapeMismatch):
+                    ad.attention(x, *params, 2, 1.0)
+        # a bias of the wrong size, in each of the three places
+        for at in (1, 3, 5):
+            params = [w, b, w, b, w, b]
+            params[at] = ad.Tensor(np.zeros(3))
+            with pytest.raises(ShapeMismatch):
+                ad.attention(x, *params, 2, 1.0)
         with pytest.raises(ShapeMismatch):
-            ad.attention(x, x, ad.Tensor(np.zeros((2, 3, 2))), 2, 1.0)
+            ad.attention(ad.Tensor(np.zeros((6, 4))), w, b, w, b, w, b, 2, 1.0)
         with pytest.raises(ShapeMismatch):
-            ad.attention(ad.Tensor(np.zeros((6, 4))), ad.Tensor(np.zeros((6, 4))), ad.Tensor(np.zeros((6, 4))), 2, 1.0)
+            ad.attention(x, w, b, w, b, w, b, 3, 1.0)
         with pytest.raises(ShapeMismatch):
-            ad.attention(x, x, x, 3, 1.0)
+            ad.attention(x, w, b, w, b, w, b, 2, 1.0, 0.5, [RngStream(0, "a", i).generator() for i in range(3)])
         with pytest.raises(ShapeMismatch):
-            ad.attention(x, x, x, 2, 1.0, 0.5, [RngStream(0, "a", i).generator() for i in range(3)])
-        with pytest.raises(ShapeMismatch):
-            ad.attention(x, x, x, 2, 1.0, 1.0, [RngStream(0, "a", i).generator() for i in range(4)])
+            ad.attention(x, w, b, w, b, w, b, 2, 1.0, 1.0, [RngStream(0, "a", i).generator() for i in range(4)])
         with pytest.raises(ShapeMismatch):
             ad.reshape(ad.Tensor(np.zeros((2, 3))), (4, 2))
         with pytest.raises(ShapeMismatch):
@@ -558,9 +625,9 @@ class TestAttentionBlocks:
     BATCH, N, SCALE = 3, 4, 0.6
 
     def _op(self, heads, p):
-        def op(q, k, v):
+        def op(*tensors):
             gens = TestGradientChecks._gens(70 + heads, self.BATCH * heads) if p else None
-            return ad.attention(q, k, v, heads, self.SCALE, p, gens)
+            return ad.attention(*tensors, heads, self.SCALE, p, gens)
 
         return op
 
@@ -583,13 +650,12 @@ class TestAttentionBlocks:
                 with monkeypatch.context() as m:
                     m.setattr(ad, "_ATTENTION_BLOCK", per_block * heads * self.N**2)
                     out, blocked = self._run(heads, p, arrays)
-                    for i in range(3):
-                        assert _probe(self._op(heads, p), arrays, i) < 1e-6, (heads, p, i)
+                    _probe_attention(self._op(heads, p), arrays, (heads, p))
                 npt.assert_array_equal(out, whole_out)
                 for a, b in zip(blocked, whole):
                     npt.assert_array_equal(a, b, err_msg=f"heads {heads}, p {p}")
                 gens = TestGradientChecks._gens(70 + heads, self.BATCH * heads) if p else None
-                expected, _ = reference_attention(*arrays, heads, self.SCALE, p, gens)
+                expected, _ = reference_attention(*TestGradientChecks._projections(arrays), heads, self.SCALE, p, gens)
                 npt.assert_allclose(out, expected, rtol=0, atol=1e-12, err_msg=f"heads {heads}, p {p}")
 
 
@@ -712,17 +778,20 @@ class TestSavedForBackward:
     """What the attention, layer-norm and feed-forward adjoints keep between the passes."""
 
     def test_attention_keeps_no_score_stack(self):
+        """Nor q, k and v: of arrays of their size, the entry keeps x alone."""
         batch, heads, n, width = 2, 2, 64, 8
         arrays = TestGradientChecks._attention_inputs(80, batch, n, width)
         stack_bytes = batch * heads * n * n * 8
         for p in (0.0, 0.3):
             gens = TestGradientChecks._gens(81, batch * heads) if p else None
-            q, k, v = (ad.Tensor(x, requires_grad=True) for x in arrays)
+            tensors = [ad.Tensor(a, requires_grad=True) for a in arrays]
             with ad.Tape() as tape:
-                ad.attention(q, k, v, heads, 0.5, p, gens)
+                ad.attention(*tensors, heads, 0.5, p, gens)
             (_, _, backward_fn), = tape.entries
-            saved = sum(a.nbytes for a in _saved_arrays(backward_fn))
-            assert saved < stack_bytes, (p, saved, stack_bytes)
+            saved = _saved_arrays(backward_fn)
+            assert sum(a.nbytes for a in saved) < stack_bytes, (p, saved, stack_bytes)
+            qkv_sized = [a for a in saved if a.size == batch * n * width]
+            assert len(qkv_sized) == 1 and np.shares_memory(qkv_sized[0], tensors[0].data), p
 
     def test_layer_norm_keeps_no_activation_of_its_own(self):
         rows, d = 64, 16

@@ -697,8 +697,20 @@ def test_long_line_step_runs_the_gelu_chain_in_row_blocks(tmp_path, dropout, lim
     no float temporary spans the batch but ``da`` and GELU's output;
     working on all rows at once, this step peaked at 28.4 MiB in the last
     layer's feed-forward adjoint (31.3 MiB with dropout, in the forward
-    pass's float mask).  Now it peaks at 26.4 MiB there (29.4 MiB with
-    dropout, in an attention adjoint)."""
+    pass's float mask).  In row blocks it peaked at 26.4 MiB there (29.4
+    MiB with dropout, in an attention adjoint's merge of the heads of q's,
+    k's and v's adjoints)."""
+    peak = _long_line_step_peak(tmp_path, dropout)
+    assert peak < limit_mib * (1 << 20), peak / (1 << 20)
+
+
+@pytest.mark.parametrize("dropout, limit_mib", [(0.0, 22.5), (0.1, 26.5)])
+def test_long_line_step_rebuilds_q_k_v(tmp_path, dropout, limit_mib):
+    """The attention op projects its layer-normed input to q, k and v
+    itself, keeps only that input and rebuilds them in its adjoint, and
+    writes the heads of its products through views, with no merge copy;
+    keeping q, k and v and merging copies, this step peaked at 26.4 MiB
+    (29.4 MiB with dropout)."""
     peak = _long_line_step_peak(tmp_path, dropout)
     assert peak < limit_mib * (1 << 20), peak / (1 << 20)
 
