@@ -36,8 +36,9 @@ trap 'rm -rf "$work"' EXIT
 # one BLAS thread, so a product sums in the same order in both runs
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 # one line of each length 8, 16, ..., 128 letters: at N = 2L control
-# points, attention splits a batch of lines of 80 letters or more into
-# several blocks of sequences, and a 128-letter line is a block of its own
+# points and two heads, attention splits a batch of four lines of 48
+# letters or more into several blocks of sequences, and a line of 96
+# letters or more into one block per head
 long=$work/long.txt
 awk 'BEGIN { for (n = 8; n <= 128; n += 8) { line = ""; for (i = 0; i < n; i++) line = line substr("abcdefgh", (3 * i + n / 8) % 8 + 1, 1); print line } }' > "$long"
 # 2-letter lines: trained one line a step on a linear 20-step schedule,
@@ -109,6 +110,11 @@ run_all() {
     # from contiguous copies, and four heads of 8 columns on a masked model
     cli heads32 train $small --heads 32 --dropout 0.1 --out "$out/heads32"
     cli mheads4 train $small --mode masked --corpus builtin:grammar3 --heads 4 --dropout 0.1 --out "$out/mheads4"
+    # four heads on the long lines: at --seed 4, steps 1-8 draw 80, 32,
+    # 32, 72, 32, 16, 88 and 128 letters, so attention runs blocks of
+    # whole sequences (32 and 16), of 2 + 2 heads (80 and 88), of 3 heads
+    # and then 1 (72), and of one head (128); the sample runs 3 + 1 again
+    cli mheads4long train $small --mode masked --corpus "$long" --max-len 128 --heads 4 --dropout 0.1 --steps 8 --seed 4 --out "$out/mheads4long"
     cli pairs train $small --mode masked --corpus "$pairs" --batch-size 1 --schedule-kind linear --out "$out/pairs"
     cli words train $small --corpus "$words" --tokenizer whitespace --max-len 8 --out "$out/words"
 
@@ -119,6 +125,7 @@ run_all() {
     done
     cli sample_long sample "$out/long/model.ckpt" --length 128 --steps 5 --n 2 --seed 1 --out "$out/sample_long"
     cli sample_longff sample "$out/longff/model.ckpt" --length 40 --steps 5 --n 2 --seed 1 --out "$out/sample_longff"
+    cli sample_mheads4long sample "$out/mheads4long/model.ckpt" --length 72 --steps 5 --n 2 --seed 1 --out "$out/sample_mheads4long"
     cli probe probe "$out/gauss/model.ckpt" "$out/ident/model.ckpt" --n-eval 4 --n-noise 50 --out "$out/probe"
     # 300 perturbations take several blocks of rows in the dCov kernel
     cli probe300 probe "$out/gauss/model.ckpt" "$out/ident/model.ckpt" --n-eval 4 --n-noise 300 --out "$out/probe300"

@@ -9,14 +9,19 @@ output's array lives only while a caller or some adjoint holds it.
 Broadcasting is limited to bias-style row/column addition so every
 adjoint stays a one-liner.
 ``linear``, ``feed_forward`` and ``cross_entropy_loss`` act on the last
-axis of an input of any rank, whose leading axes they flatten into rows;
-``attention`` is multi-head softmax attention over the q, k and v
-projections of (batch, n, d_model) sequences as one op: it keeps only
-its input, the softmax's row statistics and the dropout masks, and its
-adjoint rebuilds q, k and v from the input and the softmax from the row
-statistics.  ``feed_forward``'s adjoint rebuilds its activation from the
-pre-activation, one block of rows at a time.  The model calls no plain
-2-D ``matmul``.
+axis of an input of any rank, whose leading axes they flatten into rows.
+The two pre-norm sublayers are one op each and take the residual stream
+itself: ``attention`` layer-normalises its (batch, n, d_model) input and
+runs multi-head softmax attention over the q, k and v projections of the
+normed rows, and ``feed_forward`` layer-normalises its input and runs
+``linear`` -> GELU -> dropout -> ``linear`` on it.  Each keeps its input
+and the norm's row statistics, not the normed rows, and its adjoint
+rebuilds the normed rows with the forward's own operations; attention
+also keeps the softmax's row statistics and the dropout masks and
+rebuilds q, k, v and the softmax, and the feed-forward keeps its
+pre-activation and rebuilds GELU's output one block of rows at a time.
+``layer_norm``, the final norm, shares the norm's forward and adjoint
+with them.  The model calls no plain 2-D ``matmul``.
 """
 
 from __future__ import annotations
@@ -47,9 +52,11 @@ _TOP_PAD_BYTES = 64 << 20
 # at once: at 1 << 17 the backward pass of a masked step on 64-letter
 # lines held 2.4 MiB above the forward pass's live memory and the
 # gradients, and test_backward_holds_no_more_than_the_forward_pass_left
-# allows 2 MiB.  A criterion-9 batch (8 x 2 x 32²) and a masked batch of
-# 8 sequences of 48 tokens stay one block, and a 128-token line (N = 256)
-# stays one sequence per block.
+# allows 2 MiB.  A block is whole sequences, or whole heads of one
+# sequence when its heads exceed the budget: a criterion-9 batch
+# (8 x 2 x 32²) and a masked batch of 8 sequences of 48 tokens stay one
+# block, and a 128-token line (N = 256, 2 x 256² scores) is one block
+# per head.
 _ATTENTION_BLOCK = 1 << 16
 
 # Rows of feed_forward's GELU chain worked on at once, in the forward pass
@@ -213,36 +220,46 @@ def linear(x, w, b=None) -> Tensor:
     return _emit(out.reshape(x_shape[:-1] + (wd.shape[1],)), (x, w) if b is None else (x, w, b), backward_fn)
 
 
-def feed_forward(x, w1, b1, w2, b2, p: float = 0.0, gens=None) -> Tensor:
-    """``linear(dropout(gelu(linear(x, w1, b1)), p, gens), w2, b2)`` as one op.
+def feed_forward(h, ln_g, ln_b, w1, b1, w2, b2, p: float = 0.0, gens=None) -> Tensor:
+    """``linear(dropout(gelu(linear(layer_norm(h, ln_g, ln_b), w1, b1)), p, gens), w2, b2)`` as one op.
 
-    The forward pass runs exactly those four ops' operations in turn on
-    the rows of x (..., k), the GELU chain and the dropout scaling over
+    The forward pass runs exactly those five ops' operations in turn on
+    the rows of h (..., k), the GELU chain and the dropout scaling over
     blocks of ``_FF_BLOCK_ROWS`` rows; the products and the row sums run
-    on all rows at once.  Only the pre-activation ``u = x w1 + b1`` (and
-    with ``p > 0`` the boolean keep mask) outlives the call: the adjoint
-    forms ``da = g w2ᵀ`` once, then for each block rebuilds GELU's tanh
-    and output from ``u`` by the same operations and scales that block
-    of ``da`` by the slope in place.  Every output and gradient is thus
-    bit for bit the unfused chain's, and besides ``u`` the adjoint holds
-    at most two arrays of u's shape, ``da`` and GELU's output, plus one
-    block's temporaries.
+    on all rows at once.  Only h, the norm's row statistics and the
+    pre-activation ``u = x w1 + b1`` of the normed rows x (and with
+    ``p > 0`` the boolean keep mask) outlive the call: the adjoint forms
+    ``da = g w2ᵀ`` once, then for each block rebuilds GELU's tanh and
+    output from ``u`` by the same operations and scales that block of
+    ``da`` by the slope in place.  It then drops ``u`` and the mask, and
+    only then rebuilds x for w1's gradient, and the norm's ``xhat`` last,
+    for the norm's adjoint.
+    Every output and gradient is thus bit for bit the unfused chain's;
+    without the norm that chain is ``linear`` -> ``gelu`` -> ``linear``.
+    Besides ``u`` the adjoint holds at most two arrays of u's shape,
+    ``da`` and GELU's output, plus one block's temporaries.
     """
     if (
-        x.data.ndim == 0 or w1.data.ndim != 2 or w2.data.ndim != 2
-        or x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]
+        h.data.ndim == 0 or w1.data.ndim != 2 or w2.data.ndim != 2
+        or h.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0]
+        or ln_g.shape != (w1.shape[0],) or ln_b.shape != (w1.shape[0],)
         or b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],)
     ):
-        raise ShapeMismatch(f"feed_forward of {x.shape} by {w1.shape} plus {b1.shape}, then {w2.shape} plus {b2.shape}")
+        shapes = ", ".join(str(t.shape) for t in (h, ln_g, ln_b, w1, b1, w2, b2))
+        raise ShapeMismatch(f"feed_forward of h, ln_g, ln_b, w1, b1, w2 and b2 of shapes {shapes}")
     if not 0.0 <= p < 1.0:
         raise ShapeMismatch(f"dropout rate must be in [0, 1), got {p}")
-    x_shape, x_grad = x.shape, x.requires_grad
-    w1_grad, b1_grad, w2_grad, b2_grad = w1.requires_grad, b1.requires_grad, w2.requires_grad, b2.requires_grad
-    xd, w1d, w2d = x.data.reshape(-1, w1.shape[0]), w1.data, w2.data
-    rows = xd.shape[0]
+    h_shape, rows = h.shape, math.prod(h.shape[:-1])
     if p > 0.0 and (not gens or rows % len(gens)):
         raise ShapeMismatch(f"cannot split dropout of {rows} rows into {len(gens or ())} blocks")
-    u = xd @ w1d
+    w1_grad, b1_grad, w2_grad, b2_grad = w1.requires_grad, b1.requires_grad, w2.requires_grad, b2.requires_grad
+    h_data, w1d, w2d = h.data, w1.data, w2.data
+    mu, inv_std = _norm_stats(h_data)
+
+    def normed_rows():  # the normed input as (rows, k), formed afresh
+        return _normed(h_data, mu, inv_std, ln_g.data, ln_b.data).reshape(rows, w1d.shape[0])
+
+    u = normed_rows() @ w1d
     u += b1.data
     keep = _dropout_mask(gens, (rows // len(gens), u.shape[1]), p) if p > 0.0 else None
     blocks = [slice(lo, lo + _FF_BLOCK_ROWS) for lo in range(0, rows, _FF_BLOCK_ROWS)]
@@ -263,6 +280,7 @@ def feed_forward(x, w1, b1, w2, b2, p: float = 0.0, gens=None) -> Tensor:
     del a
 
     def backward_fn(g):
+        nonlocal u, keep
         g = g.reshape(-1, w2d.shape[1])
         da = g @ w2d.T
         a = np.empty_like(u) if w2_grad else None
@@ -274,48 +292,54 @@ def feed_forward(x, w1, b1, w2, b2, p: float = 0.0, gens=None) -> Tensor:
                 da_blk *= factors
             # the slope times the block's adjoint: da becomes du
             da_blk *= _gelu_slope(u[blk], t)
+        # the tape runs an adjoint once, so u and the mask are used up
+        u = keep = None
         dw2 = None if a is None else a.T @ g
         del a  # used up before the products with w1
-        return (
-            (da @ w1d.T).reshape(x_shape) if x_grad else None,
-            xd.T @ da if w1_grad else None,
-            da.sum(axis=0) if b1_grad else None,
-            dw2,
-            g.sum(axis=0) if b2_grad else None,
-        )
+        x = normed_rows()
+        grads = (x.T @ da if w1_grad else None, da.sum(axis=0) if b1_grad else None, dw2, g.sum(axis=0) if b2_grad else None)
+        del x
+        dx = (da @ w1d.T).reshape(h_shape)
+        del da
+        return (*_norm_backward(dx, h_data, mu, inv_std, ln_g, ln_b, out=dx), *grads)
 
-    return _emit(out.reshape(x_shape[:-1] + (w2d.shape[1],)), (x, w1, b1, w2, b2), backward_fn)
+    return _emit(out.reshape(h_shape[:-1] + (w2d.shape[1],)), (h, ln_g, ln_b, w1, b1, w2, b2), backward_fn)
 
 
-def attention(x, wq, bq, wk, bk, wv, bv, heads: int, scale: float, p: float = 0.0, gens=None) -> Tensor:
-    """Multi-head softmax attention over the projections of (batch, n, d) sequences.
+def attention(h, ln_g, ln_b, wq, bq, wk, bk, wv, bv, heads: int, scale: float, p: float = 0.0, gens=None) -> Tensor:
+    """Multi-head softmax attention over the projections of the layer-normed (batch, n, d) sequences h.
 
-    q, k and v are x times wq, wk and wv (d, m) plus the row biases bq,
-    bk and bv (m,), each formed as ``linear`` forms it.  Each head attends
-    within its sequence over its m / heads columns: softmax(scale * q kᵀ),
-    inverted dropout at rate ``p``, times v, heads merged back into
-    (batch, n, m).  With ``p > 0``, ``gens`` holds one generator per
-    (sequence, head), sequence-major, and each draws its (n, n) mask in
-    turn.
+    x = ``layer_norm(h, ln_g, ln_b)``, and q, k and v are x times wq, wk
+    and wv (d, m) plus the row biases bq, bk and bv (m,), each formed as
+    ``linear`` forms it.  Each head attends within its sequence over its
+    m / heads columns: softmax(scale * q kᵀ), inverted dropout at rate
+    ``p``, times v, heads merged back into (batch, n, m).  With ``p > 0``,
+    ``gens`` holds one generator per (sequence, head), sequence-major,
+    and each draws its (n, n) mask in turn.
 
-    Only x, each score row's max and sum, and the dropout masks (as
-    booleans) outlive the call.  The adjoint rebuilds q, k and v from x
-    by the same operations and each block's softmax from the row
-    statistics, and it sums x's adjoint in the order a tape sums three
-    ``linear`` ops' adjoints (v's, then k's, then q's), so every output
-    and gradient is bit for bit that of those ops and attention over
-    their outputs.  Both passes read heads through strided views (heads
-    one column wide excepted) and write each block's products through
-    views of (batch·n, m) buffers, so no head is merged by a copy.
+    Only h, the norm's row statistics, each score row's max and sum,
+    and the dropout masks (as booleans) outlive the call.  The adjoint
+    rebuilds x from h by the norm's operations, then q, k and v from x,
+    and frees x; it rebuilds each block's softmax from the row
+    statistics, then x again for the weight products, and the norm's
+    ``xhat`` last, for the norm's adjoint.  It sums x's adjoint in the
+    order a tape sums three ``linear`` ops' adjoints (v's, then k's, then
+    q's), so every output and gradient is bit for bit that of
+    ``layer_norm``, those ops and attention over their outputs.  Both
+    passes run over blocks of whole sequences, or of whole heads of one
+    sequence, read heads through strided views (heads one column wide
+    excepted) and write each block's products through views of
+    (batch·n, m) buffers, so no head is merged by a copy.
     """
     weights, biases = (wq, wk, wv), (bq, bk, bv)
     if (
-        x.data.ndim != 3 or wq.data.ndim != 2 or x.shape[-1] != wq.shape[0]
+        h.data.ndim != 3 or wq.data.ndim != 2 or h.shape[-1] != wq.shape[0]
+        or ln_g.shape != (wq.shape[0],) or ln_b.shape != (wq.shape[0],)
         or any(w.shape != wq.shape for w in weights) or any(b.shape != (wq.shape[1],) for b in biases)
     ):
-        shapes = ", ".join(str(t.shape) for t in (x,) + weights + biases)
-        raise ShapeMismatch(f"attention of x, wq, wk, wv, bq, bk and bv of shapes {shapes}")
-    batch, n, width = x.shape[0], x.shape[1], wq.shape[1]
+        shapes = ", ".join(str(t.shape) for t in (h, ln_g, ln_b) + weights + biases)
+        raise ShapeMismatch(f"attention of h, ln_g, ln_b, wq, wk, wv, bq, bk and bv of shapes {shapes}")
+    batch, n, width = h.shape[0], h.shape[1], wq.shape[1]
     if heads < 1 or width % heads:
         raise ShapeMismatch(f"attention of width {width} with {heads} heads")
     if not 0.0 <= p < 1.0:
@@ -323,22 +347,28 @@ def attention(x, wq, bq, wk, bk, wv, bv, heads: int, scale: float, p: float = 0.
     if p > 0.0 and (gens is None or len(gens) != batch * heads):
         raise ShapeMismatch(f"attention dropout needs {batch * heads} generators")
     dh = width // heads
-    x_shape, x_grad = x.shape, x.requires_grad
-    xd = x.data.reshape(batch * n, x_shape[-1])
+    h_data = h.data
+    mu, inv_std = _norm_stats(h_data)
     params = [(w.data, b.data, w.requires_grad, b.requires_grad) for w, b in zip(weights, biases)]
+
+    def normed_rows():  # x as (batch·n, d) rows, formed afresh
+        return _normed(h_data, mu, inv_std, ln_g.data, ln_b.data).reshape(batch * n, wq.shape[0])
 
     def view(a):  # (batch·n, m) rows -> (batch, heads, n, dh), a view
         return a.reshape(batch, n, heads, dh).swapaxes(1, 2)
 
     def heads_of(a):  # read in place, not copied, except one column wide:
         # BLAS sums such a head, a strided vector, in another order
-        h = view(np.ascontiguousarray(a))
-        return h if dh > 1 else np.ascontiguousarray(h)
+        a = view(np.ascontiguousarray(a))
+        return a if dh > 1 else np.ascontiguousarray(a)
 
-    def project(w, b):  # the heads of q, k or v, formed as linear forms them
-        rows = xd @ w
-        rows += b
-        return heads_of(rows)
+    def projections():  # the heads of q, k and v, formed as linear forms them
+        x, out = normed_rows(), []
+        for w, b, _, _ in params:
+            rows = x @ w
+            rows += b
+            out.append(heads_of(rows))
+        return out
 
     row_max = np.empty((batch, heads, n, 1))
     row_sum = np.empty((batch, heads, n, 1))
@@ -355,22 +385,25 @@ def attention(x, wq, bq, wk, bk, wv, bv, heads: int, scale: float, p: float = 0.
         s /= row_sum[blk]
         return s
 
-    # both passes run over blocks of whole sequences, so they never hold
-    # more than _ATTENTION_BLOCK scores at once
-    step = max(1, _ATTENTION_BLOCK // (heads * n * n))
-    blocks = [slice(lo, lo + step) for lo in range(0, batch, step)]
-    qh, kh, vh = (project(w, b) for w, b, _, _ in params)
+    # both passes run over blocks of whole sequences, or of whole heads of
+    # one sequence, so they never hold more than _ATTENTION_BLOCK scores
+    # at once (or one head's, if that is more)
+    seqs = max(1, _ATTENTION_BLOCK // (heads * n * n))
+    per_block = max(1, min(heads, _ATTENTION_BLOCK // (n * n)))
+    blocks = [(slice(b, b + seqs), slice(lo, lo + per_block)) for b in range(0, batch, seqs) for lo in range(0, heads, per_block)]
+    qh, kh, vh = projections()
     out = np.empty((batch * n, width))
     keep = []
     for blk in blocks:
         att = block_softmax(qh, kh, blk, True)
         if p > 0.0:
-            keep.append(_dropout_mask(gens[blk.start * heads : blk.stop * heads], (n, n), p).reshape(att.shape))
+            block_gens = [gens[b * heads + i] for b in range(batch)[blk[0]] for i in range(heads)[blk[1]]]
+            keep.append(_dropout_mask(block_gens, (n, n), p).reshape(att.shape))
             att *= keep[-1] / (1.0 - p)
         np.matmul(att, vh[blk], out=view(out)[blk])
 
     def backward_fn(g):
-        qh, kh, vh = (project(w, b) for w, b, _, _ in params)
+        qh, kh, vh = projections()
         gh = heads_of(g)
         dq, dk, dv = (np.empty((batch * n, width)) for _ in range(3))
         for i, blk in enumerate(blocks):
@@ -395,6 +428,7 @@ def attention(x, wq, bq, wk, bk, wv, bv, heads: int, scale: float, p: float = 0.
         # v's products, then k's, then q's, each adjoint freed once used
         ds, grads, dx = [dq, dk, dv], [None] * 6, None
         del qh, kh, vh, gh, dq, dk, dv
+        x = normed_rows()
         for j in (2, 1, 0):
             d, ds[j] = ds[j], None
             if j == 1 and batch == 1:
@@ -403,15 +437,17 @@ def attention(x, wq, bq, wk, bk, wv, bv, heads: int, scale: float, p: float = 0.
                 # sum run the products in another order than on rows
                 d = np.asfortranarray(d)
             w, _, w_grad, b_grad = params[j]
-            if x_grad and dx is None:
+            if dx is None:
                 dx = d @ w.T
-            elif x_grad:
+            else:
                 dx += d @ w.T
-            grads[2 * j : 2 * j + 2] = xd.T @ d if w_grad else None, d.sum(axis=0) if b_grad else None
+            grads[2 * j : 2 * j + 2] = x.T @ d if w_grad else None, d.sum(axis=0) if b_grad else None
             del d
-        return (None if dx is None else dx.reshape(x_shape), *grads)
+        del x
+        dx = dx.reshape(h.shape)
+        return (*_norm_backward(dx, h_data, mu, inv_std, ln_g, ln_b, out=dx), *grads)
 
-    return _emit(out.reshape(batch, n, width), (x, wq, bq, wk, bk, wv, bv), backward_fn)
+    return _emit(out.reshape(batch, n, width), (h, ln_g, ln_b, wq, bq, wk, bk, wv, bv), backward_fn)
 
 
 def _dropout_mask(gens, block: tuple, p: float) -> np.ndarray:
@@ -538,38 +574,64 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return _emit(out, (a,), lambda g: (g - s * g.sum(axis=axis, keepdims=True),))
 
 
-def layer_norm(x, gain, bias) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (eps 1e-5), then affine."""
-    xd = x.data
+def _norm_stats(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's mean and 1 / sqrt(variance + 1e-5) over the last axis, (..., 1)."""
     mu = xd.mean(axis=-1, keepdims=True)
-    xhat = xd - mu
     # the biased variance, summed as np.var sums it
-    inv_std = np.square(xhat).sum(axis=-1, keepdims=True)
+    inv_std = np.square(xd - mu).sum(axis=-1, keepdims=True)
     inv_std /= xd.shape[-1]
     inv_std += 1e-5
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
+    return mu, inv_std
+
+
+def _xhat(xd: np.ndarray, mu: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+    """The normalised rows (xd - mu) inv_std, by the same two operations every time."""
+    xhat = xd - mu
     xhat *= inv_std
-    out = xhat * gain.data
-    out += bias.data
-    gain_data, bias_shape, gain_shape = gain.data, bias.shape, gain.shape
+    return xhat
 
-    def backward_fn(g):
-        # only the row statistics outlive the forward pass: xhat again
-        # from the input, by the forward's two operations
-        xhat = xd - mu
-        xhat *= inv_std
-        dgain = _reduce_to(g * xhat, gain_shape)
-        dbias = _reduce_to(g, bias_shape)
-        dx = g * gain_data
-        proj = dx * xhat
-        proj = np.multiply(xhat, proj.mean(axis=-1, keepdims=True), out=proj)
-        dx -= dx.mean(axis=-1, keepdims=True)
-        dx -= proj
-        dx *= inv_std
-        return dx, dgain, dbias
 
-    return _emit(out, (x, gain, bias), backward_fn)
+def _normed(xd: np.ndarray, mu: np.ndarray, inv_std: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """The layer norm's output xhat gain + bias, formed in place on xhat."""
+    out = _xhat(xd, mu, inv_std)
+    out *= gain
+    out += bias
+    return out
+
+
+def _norm_backward(g, xd, mu, inv_std, gain, bias, out=None) -> tuple:
+    """The adjoints of the layer norm's input xd and of its ``gain`` and ``bias``
+    tensors for the output's adjoint g; ``xhat`` is rebuilt from xd here.
+
+    xd's adjoint is written into ``out`` if given, which may be g itself:
+    g is read for the other two adjoints first.
+    """
+    xhat = _xhat(xd, mu, inv_std)
+    dgain = _reduce_to(g * xhat, gain.shape)
+    dbias = _reduce_to(g, bias.shape)
+    dx = np.multiply(g, gain.data, out=out)
+    proj = dx * xhat
+    proj = np.multiply(xhat, proj.mean(axis=-1, keepdims=True), out=proj)
+    del xhat
+    dx -= dx.mean(axis=-1, keepdims=True)
+    dx -= proj
+    dx *= inv_std
+    return dx, dgain, dbias
+
+
+def layer_norm(x, gain, bias) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (eps 1e-5), then affine.
+
+    Only each row's mean and inv_std outlive the call; the adjoint
+    rebuilds the normalised input from x, which ``attention`` and
+    ``feed_forward`` do for the norms they run themselves.
+    """
+    xd = x.data
+    mu, inv_std = _norm_stats(xd)
+    out = _normed(xd, mu, inv_std, gain.data, bias.data)
+    return _emit(out, (x, gain, bias), lambda g: _norm_backward(g, xd, mu, inv_std, gain, bias))
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))

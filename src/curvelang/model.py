@@ -151,9 +151,11 @@ class SclmModel:
     The model works on batches of sequences of one length: embeddings
     (B, d, L), control points (B, d, N), one diffusion step per
     sequence.  The backbone runs the whole batch as (B, n_tokens,
-    d_model) sequences; every weight acts on the last axis, and attention
-    projects the sequences to q, k and v and splits them into heads
-    inside one op.
+    d_model) sequences; every weight acts on the last axis.  Each layer's
+    attention and feed-forward sublayer is one op that takes the residual
+    stream and applies the layer's pre-norm itself; attention projects
+    the normed sequences to q, k and v and splits them into heads inside
+    that op.
 
     ``state``, a checkpoint's ``values``/``first``/``second``, is adopted
     by the store as the parameters and Adam moments training left: no
@@ -281,15 +283,13 @@ class SclmModel:
         p_drop = cfg.dropout if rngs is not None else 0.0
 
         for i in range(cfg.layers):
-            hn = ad.layer_norm(h, p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
+            # each sublayer op normalises the residual stream h itself
             gens = [r.child("att", i, hd).generator() for r in rngs for hd in range(heads)] if p_drop else None
-            qkv = [p[f"l{i}.{name}"] for name in ("wq", "bq", "wk", "bk", "wv", "bv")]
-            ctx = ad.attention(hn, *qkv, heads, inv_sqrt, p_drop, gens)
-            h = h + ad.linear(ctx, p[f"l{i}.wo"], p[f"l{i}.bo"])
-            hn2 = ad.layer_norm(h, p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
+            att = [p[f"l{i}.{name}"] for name in ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv")]
+            h = h + ad.linear(ad.attention(h, *att, heads, inv_sqrt, p_drop, gens), p[f"l{i}.wo"], p[f"l{i}.bo"])
             gens = [r.child("ff", i).generator() for r in rngs] if p_drop else None
-            ff = ad.feed_forward(hn2, p[f"l{i}.ff_w1"], p[f"l{i}.ff_b1"], p[f"l{i}.ff_w2"], p[f"l{i}.ff_b2"], p_drop, gens)
-            h = h + ff
+            ff = [p[f"l{i}.{name}"] for name in ("ln2_g", "ln2_b", "ff_w1", "ff_b1", "ff_w2", "ff_b2")]
+            h = h + ad.feed_forward(h, *ff, p_drop, gens)
         return ad.layer_norm(h, p["lnf_g"], p["lnf_b"])
 
     def _embed_tokens(self, points: Tensor, t, curve_tokens: bool) -> Tensor:
@@ -345,7 +345,7 @@ class SclmModel:
         hidden = self._blocks(self._embed_tokens(points, t, True), None if rngs is None else list(rngs) * k)
         head_vec = ad.slice_(hidden, (slice(None), 0))
         p = self.store
-        scores = ad.feed_forward(head_vec, p["score_w1"], p["score_b1"], p["score_w2"], p["score_b2"])
+        scores = ad.linear(ad.gelu(ad.linear(head_vec, p["score_w1"], p["score_b1"])), p["score_w2"], p["score_b2"])
         probs = ad.softmax(ad.reshape(scores, (k, batch)), axis=0)
         body = self.hidden_to_points(ad.slice_(hidden, (slice(None), slice(1, hidden.shape[1]))))
         return ad.reshape(body, (k, batch) + body.shape[1:]), probs

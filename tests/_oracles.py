@@ -20,7 +20,8 @@ has a gradient, with out-of-place temporaries, the reference
 initialisation draws every parameter from its own stream out of place,
 from a name table of its own, the reference ingest counts and
 encodes one line at a time, and the reference feed-forward layer runs
-its GELU chain on all rows at once, as whole-array expressions.
+its layer norm and GELU chain on all rows at once, as whole-array
+expressions.
 """
 
 from collections import Counter
@@ -199,10 +200,24 @@ def _gelu(x):
     return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x**3)))
 
 
-def _layer_norm(x, gain, bias, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * gain + bias
+def _layer_norm_parts(x, eps=1e-5):
+    """(xhat, inv_std) of rows x: np.var's variance, and the package's
+    rounding order (times the reciprocal of the standard deviation)."""
+    inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    return (x - x.mean(axis=-1, keepdims=True)) * inv_std, inv_std
+
+
+def _layer_norm(x, gain, bias):
+    return _layer_norm_parts(x)[0] * gain + bias
+
+
+def _layer_norm_grads(x, gain, g):
+    """The adjoints of the rows x (rows, k), the gain and the bias of a
+    layer norm for its output's adjoint g, as whole-array expressions."""
+    xhat, inv_std = _layer_norm_parts(x)
+    dxhat = g * gain
+    dx = (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv_std
+    return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
 
 def _softmax_rows(x):
@@ -218,15 +233,18 @@ def _time_features(t, dim):
     return np.concatenate([np.sin(angles), np.cos(angles)])[None, :]
 
 
-def reference_feed_forward(x, w1, b1, w2, b2, g, p=0.0, gens=None):
-    """The feed-forward layer on (rows, k) inputs, unblocked: its output
-    and the gradients of x, w1, b1, w2 and b2 for the output adjoint g.
+def reference_feed_forward(h, ln_g, ln_b, w1, b1, w2, b2, g, p=0.0, gens=None):
+    """The pre-norm feed-forward layer on (rows, k) inputs, unblocked:
+    its output and the gradients of h, ln_g, ln_b, w1, b1, w2 and b2 for
+    the output adjoint g.
 
-    The tanh-GELU chain and its slope are written out with the package's
-    rounding order (so the results can be compared bit for bit) but on
-    all rows at once; with ``p > 0`` each of ``gens`` draws the keep mask
-    of one equal block of rows, in turn, as floats.
+    The layer norm, the tanh-GELU chain and their adjoints are written
+    out with the package's rounding order (so the results can be
+    compared bit for bit) but on all rows at once; with ``p > 0`` each of
+    ``gens`` draws the keep mask of one equal block of rows, in turn, as
+    floats.
     """
+    x = _layer_norm(h, ln_g, ln_b)
     u = x @ w1 + b1
     t = np.tanh(_GELU_C * (u * u * u * 0.044715 + u))
     scale = 1.0
@@ -237,17 +255,20 @@ def reference_feed_forward(x, w1, b1, w2, b2, g, p=0.0, gens=None):
     out = a @ w2 + b2
     slope = (1.0 - t * t) * (0.5 * u) * (_GELU_C * (u * u * (3 * 0.044715) + 1.0)) + (t + 1.0) * 0.5
     du = slope * ((g @ w2.T) * scale)
-    return out, (du @ w1.T, x.T @ du, du.sum(axis=0), a.T @ g, g.sum(axis=0))
+    return out, (*_layer_norm_grads(h, ln_g, du @ w1.T), x.T @ du, du.sum(axis=0), a.T @ g, g.sum(axis=0))
 
 
-def reference_attention(q, k, v, heads, scale, p=0.0, gens=None):
-    """Multi-head attention over (batch, n, d_model) sequences, one
-    sequence and one head at a time.
+def reference_attention(h, ln_g, ln_b, wq, bq, wk, bk, wv, bv, heads, scale, p=0.0, gens=None):
+    """Multi-head attention over the q, k and v projections of the
+    layer-normed (batch, n, d) sequences h, one sequence and one head at
+    a time.
 
-    Returns the (batch, n, d_model) output and the (batch, heads, n, n)
+    Returns the (batch, n, m) output and the (batch, heads, n, n)
     inverted-dropout masks (all ones without dropout); ``gens`` holds one
     generator per (sequence, head), sequence-major.
     """
+    x = _layer_norm(h, ln_g, ln_b)
+    q, k, v = x @ wq + bq, x @ wk + bk, x @ wv + bv
     batch, n, width = q.shape
     dh = width // heads
     out = np.zeros_like(q)

@@ -59,14 +59,14 @@ def _probe(op_fn, arrays, grad_index=0, h=1e-5):
 
 
 def _probe_attention(op_fn, arrays, label):
-    """Finite-difference probes of all seven inputs of ``attention``.
+    """Finite-difference probes of all nine inputs of ``attention``.
 
     The key bias adds q·bk to every score of a row, which the softmax
     ignores: its gradient is exactly 0, so both gradients must be 0 up
     to rounding, where a relative error would compare two roundings.
     """
-    for i in range(7):
-        if i == 4:
+    for i in range(9):
+        if i == 6:
             numeric, analytic = _grads(op_fn, arrays, i)
             assert np.abs(numeric).max() < 1e-8 and np.abs(analytic).max() < 1e-8, label
         else:
@@ -333,7 +333,7 @@ class TestGradientChecks:
     @staticmethod
     def _feed_forward_inputs(seed, rows, d, d_ff):
         rng = RngStream(seed, "feed-forward")
-        shapes = {"x": (rows, d), "w1": (d, d_ff), "b1": (d_ff,), "w2": (d_ff, d), "b2": (d,)}
+        shapes = {"x": (rows, d), "ln_g": (d,), "ln_b": (d,), "w1": (d, d_ff), "b1": (d_ff,), "w2": (d_ff, d), "b2": (d,)}
         return [rng.child(name).normal(shape) for name, shape in shapes.items()]
 
     @staticmethod
@@ -347,7 +347,7 @@ class TestGradientChecks:
             def op(*tensors, _p=p):
                 return ad.feed_forward(*tensors, _p, self._ff_gens(2) if _p else None)
 
-            for i in range(5):
+            for i in range(7):
                 assert _probe(op, arrays, i) < 1e-6, (p, i)
 
     def test_feed_forward_matches_the_unfused_chain_bit_for_bit(self):
@@ -356,13 +356,13 @@ class TestGradientChecks:
 
         def run(fused, p, x_grad):
             tensors = [ad.Tensor(a, requires_grad=x_grad or i > 0) for i, a in enumerate(arrays)]
-            x, w1, b1, w2, b2 = tensors
+            x, ln_g, ln_b, w1, b1, w2, b2 = tensors
             gens = self._ff_gens(2) if p else None
             with ad.Tape() as tape:
                 if fused:
-                    out = ad.feed_forward(x, w1, b1, w2, b2, p, gens)
+                    out = ad.feed_forward(x, ln_g, ln_b, w1, b1, w2, b2, p, gens)
                 else:
-                    a = ad.gelu(ad.linear(x, w1, b1))
+                    a = ad.gelu(ad.linear(ad.layer_norm(x, ln_g, ln_b), w1, b1))
                     out = ad.linear(ad.dropout(a, p, gens) if p else a, w2, b2)
                 tape.backward(ad.sum_(ad.mul(out, ad.Tensor(weights))))
             return out.data, [t.grad for t in tensors]
@@ -385,66 +385,86 @@ class TestGradientChecks:
             arrays = self._feed_forward_inputs(34, rows, 5, 9)
             weights = RngStream(35, "ff-weights", rows).normal((rows, 5))
             count = next(c for c in (4, 3, 2, 1) if rows % c == 0)
-            tensors = [ad.Tensor(a, requires_grad=i != 3 or w2_grad) for i, a in enumerate(arrays)]
+            tensors = [ad.Tensor(a, requires_grad=i != 5 or w2_grad) for i, a in enumerate(arrays)]
             with ad.Tape() as tape:
                 out = ad.feed_forward(*tensors, p, self._ff_gens(count) if p else None)
                 tape.backward(ad.sum_(ad.mul(out, ad.Tensor(weights))))
             ref_out, ref_grads = reference_feed_forward(*arrays, weights, p, self._ff_gens(count) if p else None)
             assert np.array_equal(out.data, ref_out), (rows, p)
             for i, (t, want) in enumerate(zip(tensors, ref_grads)):
-                if i == 3 and not w2_grad:
+                if i == 5 and not w2_grad:
                     assert t.grad is None
                 else:
                     assert np.array_equal(t.grad, want), (rows, p, i)
 
     def test_feed_forward_shape_errors(self):
-        x, w1, b1, w2, b2 = (ad.Tensor(a) for a in self._feed_forward_inputs(33, 6, 4, 7))
+        x, ln_g, ln_b, w1, b1, w2, b2 = (ad.Tensor(a) for a in self._feed_forward_inputs(33, 6, 4, 7))
         for p in (-0.1, 1.0):
             with pytest.raises(ShapeMismatch):
-                ad.feed_forward(x, w1, b1, w2, b2, p, self._ff_gens(2))
+                ad.feed_forward(x, ln_g, ln_b, w1, b1, w2, b2, p, self._ff_gens(2))
         for gens in (self._ff_gens(4), [], None):
             with pytest.raises(ShapeMismatch):
-                ad.feed_forward(x, w1, b1, w2, b2, 0.5, gens)
+                ad.feed_forward(x, ln_g, ln_b, w1, b1, w2, b2, 0.5, gens)
         with pytest.raises(ShapeMismatch):
-            ad.feed_forward(x, w1, b2, w2, b2)
+            ad.feed_forward(x, ln_g, ln_b, w1, b2, w2, b2)
         with pytest.raises(ShapeMismatch):
-            ad.feed_forward(x, w1, b1, w1, b2)
+            ad.feed_forward(x, ln_g, ln_b, w1, b1, w1, b2)
+        # a norm gain or bias of the wrong size
+        with pytest.raises(ShapeMismatch):
+            ad.feed_forward(x, b1, ln_b, w1, b1, w2, b2)
+        with pytest.raises(ShapeMismatch):
+            ad.feed_forward(x, ln_g, b1, w1, b1, w2, b2)
 
     @staticmethod
     def _attention_inputs(seed, batch, n, width, d_in=None):
-        """x (batch, n, d_in), then wq, bq, wk, bk, wv and bv projecting d_in columns to width.
+        """h (batch, n, d_in), the norm's gain and bias, then wq, bq, wk, bk, wv and bv projecting d_in columns to width.
 
         The weights are scaled by 1 / sqrt(d_in), so q, k and v have
-        entries of about x's size.
+        entries of about the normed rows' size.
         """
         rng = RngStream(seed, "attention")
         d_in = width if d_in is None else d_in
-        arrays = [rng.child("x").normal((batch, n, d_in))]
+        arrays = [rng.child("x").normal((batch, n, d_in)), 1.0 + 0.5 * rng.child("ln_g").normal((d_in,)), rng.child("ln_b").normal((d_in,))]
         for name in ("q", "k", "v"):
             arrays += [rng.child("w" + name).normal((d_in, width)) / np.sqrt(d_in), rng.child("b" + name).normal((width,))]
         return arrays
 
     @staticmethod
-    def _projections(arrays):
-        """q, k and v of attention inputs, in plain numpy."""
-        x = arrays[0]
-        return [x @ w + b for w, b in zip(arrays[1::2], arrays[2::2])]
+    def _selecting(d, columns, biases=(0.0, 0.0, 0.0)):
+        """wq, bq, wk, bk, wv and bv that select three lists of columns of the normed rows x (d columns).
 
-    @staticmethod
-    def _selecting(q, k, v):
-        """Attention inputs whose projections are exactly q, k and v.
-
-        x holds q, k and v side by side, each weight selects its block
-        with ones and zeros, and each bias is zero: every projected entry
-        is one entry of x plus zeros, and x's adjoint holds the adjoints
-        of q, k and v side by side.
+        Each weight is ones and zeros, so every projected entry is one
+        entry of x plus exact zeros, plus its bias; and x's adjoint holds,
+        in each selected column, that column's adjoint of q, k or v.
         """
-        width = q.shape[-1]
-        sel = np.eye(3 * width)
-        arrays = [np.concatenate([q, k, v], axis=-1)]
-        for i in range(3):
-            arrays += [np.ascontiguousarray(sel[:, i * width : (i + 1) * width]), np.zeros(width)]
+        sel = np.eye(d)
+        arrays = []
+        for cols, bias in zip(columns, biases):
+            arrays += [np.ascontiguousarray(sel[:, cols]), np.full(len(cols), bias)]
         return arrays
+
+    @classmethod
+    def _identity_v_inputs(cls, signs, heads, n):
+        """Attention inputs whose q and k are c times ``signs`` (batch, n, 2·width),
+        and whose v is 2c times the identity in each head's first n columns and
+        0 elsewhere, for c = 1 / sqrt(1 + 1e-5).
+
+        Each row of h is ±1 with as many of each (a last block of columns
+        balances it), so its mean is exactly 0 and its variance exactly 1:
+        at unit gain and zero bias the normed rows are exactly ±c, and v's
+        bias c turns them into 0 and 2c.
+        """
+        batch, _, width = signs.shape[0], signs.shape[1], signs.shape[2] // 2
+        dh = width // heads
+        eye = -np.ones((batch, n, width))
+        for hd in range(heads):
+            eye[:, :, hd * dh : hd * dh + n] = 2.0 * np.eye(n) - 1.0
+        rows = np.concatenate([signs, eye], axis=-1)
+        ones = (rows > 0).sum(axis=-1, keepdims=True)
+        h = np.concatenate([rows, np.where(np.arange(3 * width) < 3 * width - ones, 1.0, -1.0)], axis=-1)
+        d = 6 * width
+        columns = [list(range(i * width, (i + 1) * width)) for i in range(3)]
+        return [h, np.ones(d), np.zeros(d)] + cls._selecting(d, columns, (0.0, 0.0, 1.0 / np.sqrt(1.0 + 1e-5)))
 
     @staticmethod
     def _gens(seed, count):
@@ -470,21 +490,18 @@ class TestGradientChecks:
             dh = 5
             width = heads * dh
             arrays = self._attention_inputs(10 + heads, batch, n, width)
-            q, k, v = self._projections(arrays)
             for p in (0.0, 0.4):
                 gens = self._gens(60 + heads, batch * heads) if p else None
                 out = ad.attention(*map(ad.Tensor, arrays), heads, 0.45, p, gens).data
                 ref_gens = self._gens(60 + heads, batch * heads) if p else None
-                expected, masks = reference_attention(q, k, v, heads, 0.45, p, ref_gens)
+                expected, masks = reference_attention(*arrays, heads, 0.45, p, ref_gens)
                 npt.assert_allclose(out, expected, rtol=0, atol=1e-12, err_msg=f"heads {heads}, p {p}")
-                # with v the identity in each head's first n columns, the
-                # output is that head's dropped attention matrix: its zeros
-                # are exactly the dropout mask's
-                eye = np.zeros((batch, n, width))
-                for hd in range(heads):
-                    eye[:, :, hd * dh : hd * dh + n] = np.eye(n)
+                # with v a multiple of the identity in each head's first n
+                # columns, the output is that head's dropped attention
+                # matrix times 2c: its zeros are exactly the dropout mask's
+                signs = np.where(RngStream(12, "signs", heads).uniform((batch, n, 2 * width)) < 0.5, -1.0, 1.0)
                 gens = self._gens(60 + heads, batch * heads) if p else None
-                att = ad.attention(*map(ad.Tensor, self._selecting(q, k, eye)), heads, 0.45, p, gens).data
+                att = ad.attention(*map(ad.Tensor, self._identity_v_inputs(signs, heads, n)), heads, 0.45, p, gens).data
                 att = att.reshape(batch, n, heads, dh)[..., :n].swapaxes(1, 2)
                 npt.assert_array_equal(att == 0, masks == 0)
                 if p:
@@ -492,28 +509,36 @@ class TestGradientChecks:
 
     def test_each_head_matches_attention_over_its_columns_alone(self):
         # bit for bit, also for heads one column wide, whose strided
-        # columns BLAS would sum in another order than a contiguous copy;
-        # the inputs select q, k and v exactly, so x's adjoint holds theirs
+        # columns BLAS would sum in another order than a contiguous copy.
+        # The weights select q, k and v exactly from the normed rows x, so
+        # the norm's gain and bias adjoints are, column by column, sums over
+        # the rows of q's, k's and v's adjoints (times xhat for the gain):
+        # a head alone must give the same sums in its columns
         batch, heads = 3, 4
 
-        def run(qkv, n_heads, weights):
-            tensors = [ad.Tensor(a, requires_grad=True) for a in self._selecting(*qkv)]
+        def run(arrays, columns, n_heads, weights):
+            d = arrays[0].shape[-1]
+            tensors = [ad.Tensor(a, requires_grad=True) for a in arrays + self._selecting(d, columns)]
             with ad.Tape() as tape:
                 out = ad.attention(*tensors, n_heads, 0.6)
                 tape.backward(ad.sum_(ad.mul(out, ad.Tensor(weights))))
-            width = out.shape[-1]
-            return [out.data] + [tensors[0].grad[..., i * width : (i + 1) * width] for i in range(3)]
+            picked = [c for cols in columns for c in cols]
+            return out.data, tensors[1].grad[picked], tensors[2].grad[picked]
 
         for n in (2, 7):
             for dh in (1, 3):
+                width = heads * dh
                 rng = RngStream(5, "heads", n, dh)
-                arrays = [rng.child(name).normal((batch, n, heads * dh)) for name in "qkvw"]
-                together = run(arrays[:3], heads, arrays[3])
+                arrays = [rng.child("h").normal((batch, n, 3 * width)), rng.child("g").normal(3 * width), rng.child("b").normal(3 * width)]
+                weights = rng.child("w").normal((batch, n, width))
+                columns = [list(range(i * width, (i + 1) * width)) for i in range(3)]
+                out, dgain, dbias = run(arrays, columns, heads, weights)
                 for hd in range(heads):
                     cols = slice(hd * dh, (hd + 1) * dh)
-                    alone = run([np.ascontiguousarray(a[..., cols]) for a in arrays[:3]], 1, arrays[3][..., cols])
-                    for got, want in zip(together, alone):
-                        npt.assert_array_equal(got[..., cols], want, err_msg=f"n {n}, dh {dh}, head {hd}")
+                    alone = run(arrays, [c[cols] for c in columns], 1, np.ascontiguousarray(weights[..., cols]))
+                    picked = [i * width + c for i in range(3) for c in range(width)[cols]]
+                    for got, want in zip((out[..., cols], dgain[picked], dbias[picked]), alone):
+                        npt.assert_array_equal(got, want, err_msg=f"n {n}, dh {dh}, head {hd}")
 
     def test_batched_shape_errors(self):
         x = ad.Tensor(np.zeros((2, 3, 4)))
@@ -523,29 +548,30 @@ class TestGradientChecks:
             ad.linear(x, ad.Tensor(np.zeros((4, 2))), ad.Tensor(np.zeros(3)))
         with pytest.raises(ShapeMismatch):
             ad.linear(x, ad.Tensor(np.zeros((3, 2))))
-        w, b = ad.Tensor(np.zeros((4, 4))), ad.Tensor(np.zeros(4))
-        ad.attention(x, w, b, w, b, w, b, 2, 1.0)
+        g, w, b = ad.Tensor(np.ones(4)), ad.Tensor(np.zeros((4, 4))), ad.Tensor(np.zeros(4))
+        ad.attention(x, g, b, w, b, w, b, w, b, 2, 1.0)
         # a weight of the wrong size, in each of the three places
         for wrong in (ad.Tensor(np.zeros((4, 2))), ad.Tensor(np.zeros((3, 4))), ad.Tensor(np.zeros(4))):
-            for at in (0, 2, 4):
-                params = [w, b, w, b, w, b]
+            for at in (2, 4, 6):
+                params = [g, b, w, b, w, b, w, b]
                 params[at] = wrong
                 with pytest.raises(ShapeMismatch):
                     ad.attention(x, *params, 2, 1.0)
-        # a bias of the wrong size, in each of the three places
-        for at in (1, 3, 5):
-            params = [w, b, w, b, w, b]
+        # a bias of the wrong size, in each of the three places, and a
+        # norm gain or bias of the wrong size
+        for at in (0, 1, 3, 5, 7):
+            params = [g, b, w, b, w, b, w, b]
             params[at] = ad.Tensor(np.zeros(3))
             with pytest.raises(ShapeMismatch):
                 ad.attention(x, *params, 2, 1.0)
         with pytest.raises(ShapeMismatch):
-            ad.attention(ad.Tensor(np.zeros((6, 4))), w, b, w, b, w, b, 2, 1.0)
+            ad.attention(ad.Tensor(np.zeros((6, 4))), g, b, w, b, w, b, w, b, 2, 1.0)
         with pytest.raises(ShapeMismatch):
-            ad.attention(x, w, b, w, b, w, b, 3, 1.0)
+            ad.attention(x, g, b, w, b, w, b, w, b, 3, 1.0)
         with pytest.raises(ShapeMismatch):
-            ad.attention(x, w, b, w, b, w, b, 2, 1.0, 0.5, [RngStream(0, "a", i).generator() for i in range(3)])
+            ad.attention(x, g, b, w, b, w, b, w, b, 2, 1.0, 0.5, [RngStream(0, "a", i).generator() for i in range(3)])
         with pytest.raises(ShapeMismatch):
-            ad.attention(x, w, b, w, b, w, b, 2, 1.0, 1.0, [RngStream(0, "a", i).generator() for i in range(4)])
+            ad.attention(x, g, b, w, b, w, b, w, b, 2, 1.0, 1.0, [RngStream(0, "a", i).generator() for i in range(4)])
         with pytest.raises(ShapeMismatch):
             ad.reshape(ad.Tensor(np.zeros((2, 3))), (4, 2))
         with pytest.raises(ShapeMismatch):
@@ -620,7 +646,8 @@ class TestGradientChecks:
 
 
 class TestAttentionBlocks:
-    """The attention adjoint over blocks of whole sequences, against one block."""
+    """The attention adjoint over blocks of whole sequences, or of whole
+    heads of one sequence, against one block."""
 
     BATCH, N, SCALE = 3, 4, 0.6
 
@@ -639,8 +666,10 @@ class TestAttentionBlocks:
             tape.backward(ad.sum_(ad.mul(out, ad.Tensor(weights))))
         return out.data, [t.grad for t in tensors]
 
-    # one sequence per block, then blocks of 2 and 1
-    @pytest.mark.parametrize("per_block", [1, 2])
+    # budgets in sequences: one sequence per block, then blocks of 2 and
+    # 1, then less than one sequence's heads: blocks of one head at 1 and
+    # 2 heads, and of 3 heads and then 1 at 4 heads
+    @pytest.mark.parametrize("per_block", [1, 2, 0.75])
     def test_blocks_match_one_block_and_the_oracles(self, monkeypatch, per_block):
         for heads in (1, 2, 4):
             arrays = TestGradientChecks._attention_inputs(20 + heads, self.BATCH, self.N, 3 * heads)
@@ -648,14 +677,14 @@ class TestAttentionBlocks:
                 assert ad._ATTENTION_BLOCK >= self.BATCH * heads * self.N**2
                 whole_out, whole = self._run(heads, p, arrays)
                 with monkeypatch.context() as m:
-                    m.setattr(ad, "_ATTENTION_BLOCK", per_block * heads * self.N**2)
+                    m.setattr(ad, "_ATTENTION_BLOCK", int(per_block * heads * self.N**2))
                     out, blocked = self._run(heads, p, arrays)
                     _probe_attention(self._op(heads, p), arrays, (heads, p))
                 npt.assert_array_equal(out, whole_out)
                 for a, b in zip(blocked, whole):
                     npt.assert_array_equal(a, b, err_msg=f"heads {heads}, p {p}")
                 gens = TestGradientChecks._gens(70 + heads, self.BATCH * heads) if p else None
-                expected, _ = reference_attention(*TestGradientChecks._projections(arrays), heads, self.SCALE, p, gens)
+                expected, _ = reference_attention(*arrays, heads, self.SCALE, p, gens)
                 npt.assert_allclose(out, expected, rtol=0, atol=1e-12, err_msg=f"heads {heads}, p {p}")
 
 
@@ -707,7 +736,8 @@ class TestLeadingAxes:
 
     def test_feed_forward(self):
         x = self.RNG.child("ff-x").normal((self.B, self.N, 5))
-        params = [self.RNG.child(name).normal(shape) for name, shape in (("w1", (5, 7)), ("b1", (7,)), ("w2", (7, 5)), ("b2", (5,)))]
+        shapes = (("ln_g", (5,)), ("ln_b", (5,)), ("w1", (5, 7)), ("b1", (7,)), ("w2", (7, 5)), ("b2", (5,)))
+        params = [self.RNG.child(name).normal(shape) for name, shape in shapes]
         for p in (0.0, 0.3):
 
             def op(*tensors, _p=p):
@@ -778,7 +808,7 @@ class TestSavedForBackward:
     """What the attention, layer-norm and feed-forward adjoints keep between the passes."""
 
     def test_attention_keeps_no_score_stack(self):
-        """Nor q, k and v: of arrays of their size, the entry keeps x alone."""
+        """Nor the normed rows, q, k or v: of arrays of their size, the entry keeps h itself alone."""
         batch, heads, n, width = 2, 2, 64, 8
         arrays = TestGradientChecks._attention_inputs(80, batch, n, width)
         stack_bytes = batch * heads * n * n * 8
@@ -790,8 +820,8 @@ class TestSavedForBackward:
             (_, _, backward_fn), = tape.entries
             saved = _saved_arrays(backward_fn)
             assert sum(a.nbytes for a in saved) < stack_bytes, (p, saved, stack_bytes)
-            qkv_sized = [a for a in saved if a.size == batch * n * width]
-            assert len(qkv_sized) == 1 and np.shares_memory(qkv_sized[0], tensors[0].data), p
+            h_sized = [a for a in saved if a.size == batch * n * width]
+            assert len(h_sized) == 1 and h_sized[0] is tensors[0].data, p
 
     def test_layer_norm_keeps_no_activation_of_its_own(self):
         rows, d = 64, 16
@@ -805,18 +835,23 @@ class TestSavedForBackward:
         assert own == []
 
     def test_feed_forward_keeps_only_its_pre_activation(self):
+        """And h itself, not the normed rows."""
         rows, d, d_ff = 12, 4, 32
         arrays = TestGradientChecks._feed_forward_inputs(84, rows, d, d_ff)
         for p in (0.0, 0.3):
-            x, w1, b1, w2, b2 = (ad.Tensor(a, requires_grad=True) for a in arrays)
+            x, ln_g, ln_b, w1, b1, w2, b2 = (ad.Tensor(a, requires_grad=True) for a in arrays)
             with ad.Tape() as tape:
-                ad.feed_forward(x, w1, b1, w2, b2, p, TestGradientChecks._ff_gens(3) if p else None)
+                ad.feed_forward(x, ln_g, ln_b, w1, b1, w2, b2, p, TestGradientChecks._ff_gens(3) if p else None)
             (_, _, backward_fn), = tape.entries
-            wide = [a for a in _saved_arrays(backward_fn) if a.shape == (rows, d_ff)]
+            saved = _saved_arrays(backward_fn)
+            wide = [a for a in saved if a.shape == (rows, d_ff)]
             floats = [a for a in wide if a.dtype != bool]
             assert len(floats) == 1, p
-            npt.assert_array_equal(floats[0], arrays[0] @ arrays[1] + arrays[2])
+            npt.assert_array_equal(floats[0], ad.layer_norm(x, ln_g, ln_b).data @ arrays[3] + arrays[4])
             assert len(wide) == (2 if p else 1), p
+            # nor the normed rows: of arrays of h's size, h itself alone
+            h_sized = [a for a in saved if a.size == rows * d]
+            assert len(h_sized) == 1 and h_sized[0] is x.data, p
 
     def test_linear_keeps_its_input_only_for_the_weight_gradient(self):
         rows, k, m = 12, 5, 3

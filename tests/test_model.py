@@ -610,6 +610,8 @@ def test_gaussian_step_records_no_layout_plumbing(tmp_path, monkeypatch):
     batch = harness.make_batch(corpus, config.batch_size, config.seed, 0)
     M.train_step(model, batch, M.AdamConfig(lr=config.lr), 0)
     assert ops["reshape"] == 0 and ops["swapaxes"] == 3, ops
+    # each sublayer op runs its own pre-norm: the final norm is the one layer_norm entry
+    assert ops["layer_norm"] == 1 and ops["attention"] == ops["feed_forward"] == 2, ops
 
 
 def test_backward_holds_no_more_than_the_forward_pass_left():
@@ -711,6 +713,18 @@ def test_long_line_step_rebuilds_q_k_v(tmp_path, dropout, limit_mib):
     writes the heads of its products through views, with no merge copy;
     keeping q, k and v and merging copies, this step peaked at 26.4 MiB
     (29.4 MiB with dropout)."""
+    peak = _long_line_step_peak(tmp_path, dropout)
+    assert peak < limit_mib * (1 << 20), peak / (1 << 20)
+
+
+@pytest.mark.parametrize("dropout, limit_mib", [(0.0, 17.5), (0.1, 20.0)])
+def test_long_line_step_rebuilds_the_normed_input(tmp_path, dropout, limit_mib):
+    """Attention and the feed-forward take the residual stream and keep it,
+    not a normed copy: each adjoint rebuilds the normed rows, and the
+    feed-forward's adjoint drops its pre-activation once its GELU work is
+    done; a 128-token line's attention runs one head per block.  With a
+    ``layer_norm`` entry before each sublayer and a line's heads in one
+    block, this step peaked at 21.2 MiB (23.4 MiB with dropout)."""
     peak = _long_line_step_peak(tmp_path, dropout)
     assert peak < limit_mib * (1 << 20), peak / (1 << 20)
 
