@@ -115,6 +115,13 @@ run_all() {
     # whole sequences (32 and 16), of 2 + 2 heads (80 and 88), of 3 heads
     # and then 1 (72), and of one head (128); the sample runs 3 + 1 again
     cli mheads4long train $small --mode masked --corpus "$long" --max-len 128 --heads 4 --dropout 0.1 --steps 8 --seed 4 --out "$out/mheads4long"
+    # three curves on the long lines: K·B = 12 sequences of N + 1 tokens.
+    # At --seed 5, steps 1-4 draw 64, 120, 40 and 8 letters, so each
+    # step's feed-forward ends on a partial block of rows, and attention
+    # runs blocks of one sequence (64), of one head (120), of four
+    # sequences (40) and of the whole batch (8); the sample runs one head
+    # a block again
+    cli mk3long train $small --mode masked --corpus "$long" --max-len 128 --k-curves 3 --dropout 0.1 --steps 4 --seed 5 --out "$out/mk3long"
     cli pairs train $small --mode masked --corpus "$pairs" --batch-size 1 --schedule-kind linear --out "$out/pairs"
     cli words train $small --corpus "$words" --tokenizer whitespace --max-len 8 --out "$out/words"
 
@@ -125,6 +132,7 @@ run_all() {
     done
     cli sample_long sample "$out/long/model.ckpt" --length 128 --steps 5 --n 2 --seed 1 --out "$out/sample_long"
     cli sample_longff sample "$out/longff/model.ckpt" --length 40 --steps 5 --n 2 --seed 1 --out "$out/sample_longff"
+    cli sample_mk3long sample "$out/mk3long/model.ckpt" --length 96 --steps 5 --n 2 --seed 1 --out "$out/sample_mk3long"
     cli sample_mheads4long sample "$out/mheads4long/model.ckpt" --length 72 --steps 5 --n 2 --seed 1 --out "$out/sample_mheads4long"
     cli probe probe "$out/gauss/model.ckpt" "$out/ident/model.ckpt" --n-eval 4 --n-noise 50 --out "$out/probe"
     # 300 perturbations take several blocks of rows in the dCov kernel

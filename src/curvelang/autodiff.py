@@ -18,8 +18,9 @@ normed rows, and ``feed_forward`` layer-normalises its input and runs
 and the norm's row statistics, not the normed rows, and its adjoint
 rebuilds the normed rows with the forward's own operations; attention
 also keeps the softmax's row statistics and the dropout masks and
-rebuilds q, k, v and the softmax, and the feed-forward keeps its
-pre-activation and rebuilds GELU's output one block of rows at a time.
+rebuilds q, k, v and the softmax, and the feed-forward keeps no
+more than its dropout mask and rebuilds its pre-activation, then writes
+GELU's output over it one block of rows at a time.
 ``layer_norm``, the final norm, shares the norm's forward and adjoint
 with them.  The model calls no plain 2-D ``matmul``.
 """
@@ -48,8 +49,10 @@ _TOP_PAD_BYTES = 64 << 20
 
 # Scores (sequences x heads x n x n) attention works on at once, in the
 # forward pass and in the adjoint: 512 KiB of float64 per temporary.  The
-# adjoint holds the rebuilt q, k and v and up to three such temporaries
-# at once: at 1 << 17 the backward pass of a masked step on 64-letter
+# adjoint holds the rebuilt q, k and v, q's adjoint and up to three such
+# temporaries at once (the softmax, its adjoint and either the dropped-out
+# softmax, written over the dropout factors, or the softmax adjoint's row
+# product): at 1 << 17 the backward pass of a masked step on 64-letter
 # lines held 2.4 MiB above the forward pass's live memory and the
 # gradients, and test_backward_holds_no_more_than_the_forward_pass_left
 # allows 2 MiB.  A block is whole sequences, or whole heads of one
@@ -62,7 +65,9 @@ _ATTENTION_BLOCK = 1 << 16
 # Rows of feed_forward's GELU chain worked on at once, in the forward pass
 # and in the adjoint: at d_ff 128, 128 KiB of float64 per temporary, so a
 # criterion-9 batch (256 rows) is two blocks and an 8 x 128-token masked
-# batch (2,048 rows) sixteen.
+# batch (2,048 rows) sixteen.  Each block's GELU output is formed in a
+# temporary and then written over the block's pre-activation, which the
+# adjoint reads for GELU's slope first.
 _FF_BLOCK_ROWS = 128
 
 
@@ -226,18 +231,20 @@ def feed_forward(h, ln_g, ln_b, w1, b1, w2, b2, p: float = 0.0, gens=None) -> Te
     The forward pass runs exactly those five ops' operations in turn on
     the rows of h (..., k), the GELU chain and the dropout scaling over
     blocks of ``_FF_BLOCK_ROWS`` rows; the products and the row sums run
-    on all rows at once.  Only h, the norm's row statistics and the
-    pre-activation ``u = x w1 + b1`` of the normed rows x (and with
-    ``p > 0`` the boolean keep mask) outlive the call: the adjoint forms
-    ``da = g w2ᵀ`` once, then for each block rebuilds GELU's tanh and
-    output from ``u`` by the same operations and scales that block of
-    ``da`` by the slope in place.  It then drops ``u`` and the mask, and
-    only then rebuilds x for w1's gradient, and the norm's ``xhat`` last,
-    for the norm's adjoint.
+    on all rows at once.  Each block's GELU output is written over its
+    pre-activation ``u = x w1 + b1`` of the normed rows x, so one array of
+    u's shape serves as u and as GELU's output.  Only h and the norm's row
+    statistics (and with ``p > 0`` the boolean keep mask) outlive the call:
+    the adjoint rebuilds u from h by the same operations and forms
+    ``da = g w2ᵀ``, then for each block rebuilds GELU's tanh and output
+    from u, scales that block of ``da`` by the slope in place and writes
+    the output over u's block, for ``dw2 = aᵀ g``.  It then drops u and the
+    mask, and only then rebuilds x for w1's gradient, and the norm's
+    ``xhat`` last, for the norm's adjoint.
     Every output and gradient is thus bit for bit the unfused chain's;
     without the norm that chain is ``linear`` -> ``gelu`` -> ``linear``.
-    Besides ``u`` the adjoint holds at most two arrays of u's shape,
-    ``da`` and GELU's output, plus one block's temporaries.
+    The adjoint holds at most two arrays of u's shape, u and ``da``, plus
+    one block's temporaries.
     """
     if (
         h.data.ndim == 0 or w1.data.ndim != 2 or w2.data.ndim != 2
@@ -259,43 +266,54 @@ def feed_forward(h, ln_g, ln_b, w1, b1, w2, b2, p: float = 0.0, gens=None) -> Te
     def normed_rows():  # the normed input as (rows, k), formed afresh
         return _normed(h_data, mu, inv_std, ln_g.data, ln_b.data).reshape(rows, w1d.shape[0])
 
-    u = normed_rows() @ w1d
-    u += b1.data
-    keep = _dropout_mask(gens, (rows // len(gens), u.shape[1]), p) if p > 0.0 else None
+    def pre_activation():  # u = x w1 + b1 of the normed rows x, formed afresh
+        u = normed_rows() @ w1d
+        u += b1.data
+        return u
+
+    keep = _dropout_mask(gens, (rows // len(gens), w1d.shape[1]), p) if p > 0.0 else None
     blocks = [slice(lo, lo + _FF_BLOCK_ROWS) for lo in range(0, rows, _FF_BLOCK_ROWS)]
 
     def dropout_factors(blk):  # the block's inverted-dropout factors, or None
         return None if keep is None else keep[blk] / (1.0 - p)
 
-    def activate(blk, t, factors, out):  # the block's dropped-out GELU output, into out[blk]
-        a_blk = _gelu_out(u[blk], t, out=out[blk])
+    def activation(u_blk, t, factors):  # the block's dropped-out GELU output, a new array
+        a_blk = _gelu_out(u_blk, t)
         if factors is not None:
             a_blk *= factors
+        return a_blk
 
-    a = np.empty_like(u)
+    # GELU's output is written over u block by block: u's buffer becomes a
+    a = pre_activation()
     for blk in blocks:
-        activate(blk, _gelu_tanh(u[blk]), dropout_factors(blk), a)
+        a[blk] = activation(a[blk], _gelu_tanh(a[blk]), dropout_factors(blk))
     out = a @ w2d
     out += b2.data
     del a
 
+    def block_adjoint(u_blk, da_blk, factors):  # da's block becomes du's, and u's a's if w2 takes a gradient
+        t = _gelu_tanh(u_blk)
+        a_blk = activation(u_blk, t, factors) if w2_grad else None
+        if factors is not None:
+            da_blk *= factors
+        # the slope times the block's adjoint; then u's block is used up
+        da_blk *= _gelu_slope(u_blk, t)
+        if a_blk is not None:
+            u_blk[...] = a_blk
+
     def backward_fn(g):
-        nonlocal u, keep
+        nonlocal keep
         g = g.reshape(-1, w2d.shape[1])
+        # u first, so the normed rows it is formed from are freed before da is
+        u = pre_activation()
         da = g @ w2d.T
-        a = np.empty_like(u) if w2_grad else None
+        # a call per block, so no view of u or da outlives the loop
         for blk in blocks:
-            t, factors, da_blk = _gelu_tanh(u[blk]), dropout_factors(blk), da[blk]
-            if a is not None:
-                activate(blk, t, factors, a)
-            if factors is not None:
-                da_blk *= factors
-            # the slope times the block's adjoint: da becomes du
-            da_blk *= _gelu_slope(u[blk], t)
-        # the tape runs an adjoint once, so u and the mask are used up
-        u = keep = None
-        dw2 = None if a is None else a.T @ g
-        del a  # used up before the products with w1
+            block_adjoint(u[blk], da[blk], dropout_factors(blk))
+        # the tape runs an adjoint once, so the mask is used up
+        keep = None
+        dw2 = u.T @ g if w2_grad else None
+        del u  # used up before the products with w1
         x = normed_rows()
         grads = (x.T @ da if w1_grad else None, da.sum(axis=0) if b1_grad else None, dw2, g.sum(axis=0) if b2_grad else None)
         del x
@@ -322,14 +340,18 @@ def attention(h, ln_g, ln_b, wq, bq, wk, bk, wv, bv, heads: int, scale: float, p
     rebuilds x from h by the norm's operations, then q, k and v from x,
     and frees x; it rebuilds each block's softmax from the row
     statistics, then x again for the weight products, and the norm's
-    ``xhat`` last, for the norm's adjoint.  It sums x's adjoint in the
-    order a tape sums three ``linear`` ops' adjoints (v's, then k's, then
-    q's), so every output and gradient is bit for bit that of
-    ``layer_norm``, those ops and attention over their outputs.  Both
-    passes run over blocks of whole sequences, or of whole heads of one
-    sequence, read heads through strided views (heads one column wide
-    excepted) and write each block's products through views of
-    (batch·n, m) buffers, so no head is merged by a copy.
+    ``xhat`` last, for the norm's adjoint.  Each block writes v's
+    adjoint over v's rows once it has read them, q's adjoint into a
+    fresh buffer, and k's adjoint over k's rows once q's adjoint has
+    read them; blocks partition (sequence, head), so no later block
+    reads what is written over.  It sums x's adjoint in the order a tape
+    sums three ``linear`` ops' adjoints (v's, then k's, then q's), so
+    every output and gradient is bit for bit that of ``layer_norm``,
+    those ops and attention over their outputs.  Both passes run over
+    blocks of whole sequences, or of whole heads of one sequence, read
+    heads through strided views (heads one column wide excepted) and
+    write each block's products through views of (batch·n, m) buffers,
+    so no head is merged by a copy.
     """
     weights, biases = (wq, wk, wv), (bq, bk, bv)
     if (
@@ -362,12 +384,12 @@ def attention(h, ln_g, ln_b, wq, bq, wk, bk, wv, bv, heads: int, scale: float, p
         a = view(np.ascontiguousarray(a))
         return a if dh > 1 else np.ascontiguousarray(a)
 
-    def projections():  # the heads of q, k and v, formed as linear forms them
+    def projections():  # q, k and v as (batch·n, m) rows, formed as linear forms them, and their heads
         x, out = normed_rows(), []
         for w, b, _, _ in params:
             rows = x @ w
             rows += b
-            out.append(heads_of(rows))
+            out.append((rows, heads_of(rows)))
         return out
 
     row_max = np.empty((batch, heads, n, 1))
@@ -391,7 +413,7 @@ def attention(h, ln_g, ln_b, wq, bq, wk, bk, wv, bv, heads: int, scale: float, p
     seqs = max(1, _ATTENTION_BLOCK // (heads * n * n))
     per_block = max(1, min(heads, _ATTENTION_BLOCK // (n * n)))
     blocks = [(slice(b, b + seqs), slice(lo, lo + per_block)) for b in range(0, batch, seqs) for lo in range(0, heads, per_block)]
-    qh, kh, vh = projections()
+    qh, kh, vh = (heads for _, heads in projections())
     out = np.empty((batch * n, width))
     keep = []
     for blk in blocks:
@@ -403,31 +425,38 @@ def attention(h, ln_g, ln_b, wq, bq, wk, bk, wv, bv, heads: int, scale: float, p
         np.matmul(att, vh[blk], out=view(out)[blk])
 
     def backward_fn(g):
-        qh, kh, vh = projections()
+        (q_rows, qh), (k_rows, kh), (v_rows, vh) = projections()
+        del q_rows  # read through its heads alone
         gh = heads_of(g)
-        dq, dk, dv = (np.empty((batch * n, width)) for _ in range(3))
+        dq = np.empty((batch * n, width))
+        # each block writes the adjoints of k and v over k's and v's rows,
+        # once it has read them: blocks partition (sequence, head), so no
+        # later block reads a row that is written over
         for i, blk in enumerate(blocks):
             sb = block_softmax(qh, kh, blk, False)
-            mask = keep[i] / (1.0 - p) if keep else None
-            att = sb if mask is None else sb * mask
-            np.matmul(att.swapaxes(-1, -2), gh[blk], out=view(dv)[blk])
-            del att
             d_att = gh[blk] @ vh[blk].swapaxes(-1, -2)
-            if mask is not None:
+            if keep:
+                mask = keep[i] / (1.0 - p)
                 d_att *= mask
+                # the factors are used up: their buffer takes the dropped-out softmax
+                att = np.multiply(sb, mask, out=mask)
                 del mask
+            else:
+                att = sb
+            np.matmul(att.swapaxes(-1, -2), gh[blk], out=view(v_rows)[blk])
+            del att
             # softmax adjoint, then the score scale
             d_att -= (d_att * sb).sum(axis=-1, keepdims=True)
             d_att *= sb
             del sb
             d_att *= scale
             np.matmul(d_att, kh[blk], out=view(dq)[blk])
-            # k's rows take kᵀ's adjoint qᵀ d_att transposed
-            np.matmul(d_att.swapaxes(-1, -2), qh[blk], out=view(dk)[blk])
+            # k's rows take kᵀ's adjoint qᵀ d_att transposed, now that q's adjoint has read k
+            np.matmul(d_att.swapaxes(-1, -2), qh[blk], out=view(k_rows)[blk])
             del d_att
         # v's products, then k's, then q's, each adjoint freed once used
-        ds, grads, dx = [dq, dk, dv], [None] * 6, None
-        del qh, kh, vh, gh, dq, dk, dv
+        ds, grads, dx = [dq, k_rows, v_rows], [None] * 6, None
+        del qh, kh, vh, gh, dq, k_rows, v_rows
         x = normed_rows()
         for j in (2, 1, 0):
             d, ds[j] = ds[j], None
@@ -648,9 +677,9 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return t
 
 
-def _gelu_out(x: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
-    """0.5 x (1 + t) for t = _gelu_tanh(x), into ``out`` if given."""
-    out = np.add(t, 1.0, out=out)
+def _gelu_out(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """0.5 x (1 + t) for t = _gelu_tanh(x), a new array."""
+    out = t + 1.0
     out *= x
     out *= 0.5
     return out
@@ -772,7 +801,7 @@ def dropout(x, p: float, gens) -> Tensor:
     if not 0.0 <= p < 1.0:
         raise ShapeMismatch(f"dropout rate must be in [0, 1), got {p}")
     if x.data.ndim == 0 or not gens or x.shape[0] % len(gens):
-        raise ShapeMismatch(f"cannot split dropout of shape {x.shape} into {len(gens)} blocks")
+        raise ShapeMismatch(f"cannot split dropout of shape {x.shape} into {len(gens or ())} blocks")
     keep = _dropout_mask(gens, (x.shape[0] // len(gens),) + x.shape[1:], p)
     return _emit(x.data * (keep / (1.0 - p)), (x,), lambda g: (g * (keep / (1.0 - p)),))
 

@@ -729,6 +729,17 @@ def test_long_line_step_rebuilds_the_normed_input(tmp_path, dropout, limit_mib):
     assert peak < limit_mib * (1 << 20), peak / (1 << 20)
 
 
+@pytest.mark.parametrize("dropout, limit_mib", [(0.0, 14.0), (0.1, 16.5)])
+def test_long_line_step_rebuilds_the_pre_activation(tmp_path, dropout, limit_mib):
+    """The feed-forward keeps no pre-activation: its adjoint rebuilds u and
+    writes GELU's output over it block by block, and attention's adjoint
+    writes the adjoints of k and v over k's and v's rows.  Keeping u and
+    allocating fresh adjoint buffers, this step peaked at 16.7 MiB
+    (19.1 MiB with dropout)."""
+    peak = _long_line_step_peak(tmp_path, dropout)
+    assert peak < limit_mib * (1 << 20), peak / (1 << 20)
+
+
 class TestSampling:
     def test_reverse_steps_full_stride(self):
         assert M._reverse_steps(10, 10) == list(range(10, 0, -1))
