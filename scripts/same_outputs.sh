@@ -60,6 +60,11 @@ printf '%s\n' \
     "a cat and a dog on a mat by the door of the café" \
     "日本 の 猫 sat" \
     "the mat sat" > "$words"
+# whitespace-split lines of one-letter words: every token is one
+# character long, as a char run's are, so only the tokenizer the
+# checkpoint records says that a sample's words are joined by spaces
+wsone=$work/wsone.txt
+printf 'a b c d\nd c b a\nb a d c\nc d a b\n' > "$wsone"
 
 run_all() {
     tree=$1
@@ -124,12 +129,14 @@ run_all() {
     cli mk3long train $small --mode masked --corpus "$long" --max-len 128 --k-curves 3 --dropout 0.1 --steps 4 --seed 5 --out "$out/mk3long"
     cli pairs train $small --mode masked --corpus "$pairs" --batch-size 1 --schedule-kind linear --out "$out/pairs"
     cli words train $small --corpus "$words" --tokenizer whitespace --max-len 8 --out "$out/words"
+    cli wsone train $small --corpus "$wsone" --tokenizer whitespace --steps 3 --out "$out/wsone"
 
     # the identity runs sample with a to_points and to_words that bypass the curve map;
     # each sample is a batch of one, whose combined curves to_words reads in their own layout
     for run in gauss resumed k2 k4 mk2 ident mident words heads32 mheads4; do
         cli "sample_$run" sample "$out/$run/model.ckpt" --length 12 --steps 5 --n 2 --seed 1 --out "$out/sample_$run"
     done
+    cli sample_wsone sample "$out/wsone/model.ckpt" --length 4 --steps 5 --n 2 --seed 1 --out "$out/sample_wsone"
     cli sample_long sample "$out/long/model.ckpt" --length 128 --steps 5 --n 2 --seed 1 --out "$out/sample_long"
     cli sample_longff sample "$out/longff/model.ckpt" --length 40 --steps 5 --n 2 --seed 1 --out "$out/sample_longff"
     cli sample_mk3long sample "$out/mk3long/model.ckpt" --length 96 --steps 5 --n 2 --seed 1 --out "$out/sample_mk3long"

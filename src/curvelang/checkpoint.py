@@ -22,10 +22,10 @@ import zlib
 
 import numpy as np
 
-from .corpus import Vocab, write_file
+from .corpus import TOKENIZERS, Vocab, write_file
 from .curvemap import CurveConfig, build_cache
 from .errors import CheckpointVersionMismatch, IoError, ShapeMismatch
-from .model import BackboneConfig, SclmModel, build_schedule
+from .model import MODES, BackboneConfig, SclmModel, build_schedule
 
 MAGIC = b"SCLM"
 VERSION = 2
@@ -41,9 +41,10 @@ def _config_from(cls, section: dict):
 
 
 def settings(model) -> dict:
-    """How ``model`` (an ``SclmModel``, or its constructor's arguments as attributes) is built: a header's model part."""
+    """How ``model`` (an ``SclmModel``, or its constructor's arguments as attributes) is built: a header's
+    model part; ``tokenizer`` comes before ``vocab``, so a resume with another tokenizer names it first."""
     return {
-        "mode": model.mode,
+        "noise": model.noise,
         "embed_dim": model.embed_dim,
         "k_curves": model.k_curves,
         "lambda_anchor": model.lambda_anchor,
@@ -51,6 +52,7 @@ def settings(model) -> dict:
         "schedule": {"T": model.schedule.T, "kind": model.schedule.kind},
         "backbone": dataclasses.asdict(model.backbone),
         "curve": dataclasses.asdict(model.cache.config),
+        "tokenizer": model.vocab.tokenizer,
         "vocab": list(model.vocab.tokens),
     }
 
@@ -71,14 +73,18 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
 
     A bad magic or format version raises ``CheckpointVersionMismatch``.  A
     short header, an unparsable header, a header that is not an object or
-    lacks a key, a step count that is no integer >= 0, a parameter list
-    other than the model's (in its order), a state of any length but
-    three model-sized float64 buffers, a state that fails its checksum and
-    a non-finite state value raise ``IoError``; a header key it does not
-    read is ignored.  The state is read straight into the three buffers
-    the model's store adopts.  The header length is checked against the
-    file's size before it sizes a read, so a corrupt one cannot allocate
-    what it claims.
+    lacks a key, an unknown mode or tokenizer, a step count that is no
+    integer >= 0, a parameter list other than the model's (in its order),
+    a state of any length but three model-sized float64 buffers, a state
+    that fails its checksum and a non-finite state value raise
+    ``IoError``; a header key it does not read is ignored.  The state is
+    read straight into the three buffers the model's store adopts.  The
+    header length is checked against the file's size before it sizes a
+    read, so a corrupt one cannot allocate what it claims.
+
+    An older v2 header's ``mode`` gives way to the noise ``MODES`` gives
+    it, and its ``tokenizer`` is what its samples were joined by: "char"
+    when every non-reserved token is one character long, else "whitespace".
     """
     try:
         with open(path, "rb") as fh:
@@ -106,6 +112,13 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
         header = json.loads(payload.decode("utf-8"))
         if not isinstance(header, dict):
             raise IoError(f"checkpoint {path} has a header of type {type(header).__name__}, not an object")
+        if "mode" in header:  # an older v2 header: the run mode, and no noise or tokenizer
+            if header["mode"] not in MODES:
+                raise IoError(f"checkpoint {path} names the unknown mode {header['mode']!r}")
+            header["noise"] = MODES[header.pop("mode")][0]
+            header["tokenizer"] = "char" if all(len(tok) == 1 for tok in header["vocab"][2:]) else "whitespace"
+        if header["tokenizer"] not in TOKENIZERS:
+            raise IoError(f"checkpoint {path} names the unknown tokenizer {header['tokenizer']!r}")
         for key in ("step", "opt_step_count"):
             if type(header[key]) is not int or header[key] < 0:
                 raise IoError(f"checkpoint {key} must be an integer >= 0, got {header[key]!r}")
@@ -148,8 +161,8 @@ def load(path: str) -> tuple[SclmModel, int, dict]:
 def _model_from(header: dict, state: tuple[np.ndarray, ...] | None = None) -> SclmModel:
     """The model a parsed header's ``settings`` describe, holding ``state``, or drawn afresh without it."""
     return SclmModel(
-        mode=header["mode"],
-        vocab=Vocab(tokens=tuple(header["vocab"])),
+        noise=header["noise"],
+        vocab=Vocab(tokens=tuple(header["vocab"]), tokenizer=header["tokenizer"]),
         cache=build_cache(_config_from(CurveConfig, header["curve"])),
         schedule=build_schedule(header["schedule"]["T"], header["schedule"]["kind"]),
         backbone=_config_from(BackboneConfig, header["backbone"]),

@@ -64,9 +64,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         lengths=_parse_list(args.lengths, int, "--lengths"),
         n_ratios=_parse_list(args.n_ratios, float, "--n-ratios"),
         eta_ratios=_parse_list(args.eta_ratios, float, "--eta-ratios"),
-        trials=args.trials,
-        seed=args.seed,
-        dim=args.dim,
+        trials=args.trials, seed=args.seed, dim=args.dim,
     )
     make_dir(args.out)
     csv_path = os.path.join(args.out, "reconstruction.csv")
@@ -112,12 +110,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     result = harness.run_sampling(
-        ckpt_path=args.checkpoint,
-        out_dir=args.out,
-        length=args.length,
-        n_steps=args.steps,
-        n_samples=args.n,
-        seed=args.seed,
+        ckpt_path=args.checkpoint, out_dir=args.out, length=args.length, n_steps=args.steps, n_samples=args.n, seed=args.seed
     )
     print(f"wrote {result.samples_path} plus {len(result.trajectory_paths)} trajectory files")
     return 0
@@ -125,17 +118,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_probe(args: argparse.Namespace) -> int:
     payload = harness.run_probe(
-        ckpt_a=args.checkpoint_a,
-        ckpt_b=args.checkpoint_b,
-        corpus_spec=args.corpus,
-        out_dir=args.out,
-        n_eval=args.n_eval,
-        n_noise=args.n_noise,
-        dropout_p=args.dropout_p,
-        noise_scale=args.noise_scale,
-        seed=args.seed,
-        tokenizer=args.tokenizer,
-        max_len=args.max_len,
+        ckpt_a=args.checkpoint_a, ckpt_b=args.checkpoint_b, corpus_spec=args.corpus, out_dir=args.out, n_eval=args.n_eval,
+        n_noise=args.n_noise, dropout_p=args.dropout_p, noise_scale=args.noise_scale, seed=args.seed, max_len=args.max_len,
     )
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -189,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("checkpoint_a", type=str)
     p_probe.add_argument("checkpoint_b", type=str)
     p_probe.add_argument("--corpus", type=str, default="builtin:multimodal")
-    p_probe.add_argument("--tokenizer", type=str, default="char")
     p_probe.add_argument("--max-len", type=int, default=64)
     p_probe.add_argument("--n-eval", type=int, default=8)
     p_probe.add_argument("--n-noise", type=int, default=200)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .corpus import BUILTIN_CORPORA, TOKENIZERS
 from .curvemap import CurveConfig, resolve_dims
 from .errors import ConfigError, IoError
-from .model import IDENTITY_MODES, MODES, AdamConfig, BackboneConfig, build_schedule
+from .model import MODES, AdamConfig, BackboneConfig, build_schedule
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         if self.steps < 1 or self.batch_size < 1 or self.log_interval < 1:
             raise ConfigError("steps, batch_size, and log_interval must be positive")
         if self.k_curves < 1:
@@ -103,7 +103,7 @@ class RunConfig:
             margin=self.margin,
             l_min=2,
             l_max=self.max_positions,
-            identity=self.mode in IDENTITY_MODES,
+            identity=MODES[self.mode][1],
         )
         if config.identity:
             return config

@@ -20,6 +20,7 @@ MASK_TOKEN = "<mask>"
 @dataclass(frozen=True)
 class Vocab:
     tokens: tuple[str, ...]
+    tokenizer: str = "char"
 
     @property
     def size(self) -> int:
@@ -37,11 +38,12 @@ class Vocab:
     def encode(self, pieces: list[str]) -> np.ndarray:
         return np.fromiter(map(self.index.__getitem__, pieces), dtype=np.int64, count=len(pieces))
 
-    def decode(self, ids) -> list[str]:
-        return [self.tokens[int(i)] for i in ids]
+    def decode(self, ids) -> str:
+        """The text of ``ids``: their tokens joined as the tokenizer splits them."""
+        return TOKENIZERS[self.tokenizer][1].join(self.tokens[int(i)] for i in ids)
 
 
-def build_vocab(token_lists: list[list[str]], source: str = "token lists") -> Vocab:
+def build_vocab(token_lists: list[list[str]], source: str = "token lists", tokenizer: str = "char") -> Vocab:
     """Frequency-then-lexicographic vocabulary with pad/mask reserved first.
 
     ``IoError``, naming ``source``, when a token is spelled like pad or
@@ -52,7 +54,7 @@ def build_vocab(token_lists: list[list[str]], source: str = "token lists") -> Vo
         if reserved in counts:
             raise IoError(f"{source} holds the reserved token {reserved!r}")
     ordered = sorted(counts, key=lambda tok: (-counts[tok], tok))
-    return Vocab(tokens=(PAD_TOKEN, MASK_TOKEN, *ordered))
+    return Vocab(tokens=(PAD_TOKEN, MASK_TOKEN, *ordered), tokenizer=tokenizer)
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ class Corpus:
         return buckets
 
 
-TOKENIZERS = {"char": list, "whitespace": str.split}
+TOKENIZERS = {"char": (list, ""), "whitespace": (str.split, " ")}  # a line's split, and the join of its tokens
 
 
 def ingest(path: str, tokenizer: str = "char", max_len: int = 250, text: str | None = None) -> Corpus:
@@ -88,12 +90,12 @@ def ingest(path: str, tokenizer: str = "char", max_len: int = 250, text: str | N
     """
     if tokenizer not in TOKENIZERS:
         raise IoError(f"unknown tokenizer {tokenizer!r}; choices: {sorted(TOKENIZERS)}")
-    split = TOKENIZERS[tokenizer]
+    split = TOKENIZERS[tokenizer][0]
     lines = (read_text(path) if text is None else text).splitlines()
     token_lists = [pieces for pieces in (split(line)[:max_len] for line in lines) if len(pieces) >= 2]
     if not token_lists:
         raise EmptyCorpus(f"no usable sequences in {path}")
-    vocab = build_vocab(token_lists, f"corpus {path}")
+    vocab = build_vocab(token_lists, f"corpus {path}", tokenizer)
     # one encode over the whole corpus, cut into a view per line
     ids = vocab.encode(list(chain.from_iterable(token_lists)))
     ends = list(accumulate(map(len, token_lists)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +22,7 @@ from .config import RunConfig, dump_config
 from .corpus import Corpus, ingest, make_dir, read_text, write_file
 from .curvemap import build_cache
 from .errors import ConfigError, NonFinite
-from .model import SclmModel, _reverse_steps, build_schedule, sample, train_step
+from .model import MODES, SclmModel, _reverse_steps, build_schedule, sample, train_step
 from .rng import RngStream
 
 
@@ -57,7 +57,7 @@ def read_corpus(config: RunConfig) -> tuple[Corpus, str | None]:
 def model_args(config: RunConfig, corpus: Corpus) -> dict:
     """The ``SclmModel`` arguments of ``config`` on ``corpus``."""
     return dict(
-        mode=config.mode,
+        noise=MODES[config.mode][0],
         vocab=corpus.vocab,
         cache=build_cache(config.curve_config()),
         schedule=build_schedule(config.schedule_steps, config.schedule_kind),
@@ -195,12 +195,11 @@ def run_sampling(
     steps_used = _reverse_steps(model.schedule.T, n_steps)
     model.cache.get(length)
     make_dir(out_dir)
-    sep = "" if all(len(tok) == 1 for tok in model.vocab.tokens[2:]) else " "
     texts = []
     traj_paths = []
     for i in range(n_samples):
         tokens, trajectory = sample(model, length, n_steps, seed=seed + i)
-        texts.append(sep.join(model.vocab.decode(tokens)))
+        texts.append(model.vocab.decode(tokens))
         payload = [
             {"step": int(t), "values": [float(x) for x in e.reshape(-1)]}
             for t, e in zip(steps_used, trajectory)
@@ -235,24 +234,26 @@ def run_probe(
     dropout_p: float = 0.1,
     noise_scale: float = 0.1,
     seed: int = 0,
-    tokenizer: str = "char",
     max_len: int = 64,
 ) -> dict:
     """Probe two checkpoints on the same evaluation batch and compare.
 
     Bad settings raise before either checkpoint is loaded.  A checkpoint
-    that does not load, a vocabulary mismatch, a model with a K-curve
-    head and a non-finite result raise before anything is written: a
-    builtin corpus is read from memory and written to ``out_dir`` with
-    ``probe.json``.
+    that does not load, two tokenizers (the corpus is split with theirs),
+    a vocabulary mismatch, a model with a K-curve head and a non-finite
+    result raise before anything is written: a builtin corpus is read
+    from memory and written to ``out_dir`` with ``probe.json``.
     """
     if n_eval < 1:
         raise ConfigError(f"n_eval must be at least 1, got {n_eval}")
     theory.check_probe_settings(n_noise, dropout_p, noise_scale)
-    corpus_config = RunConfig(corpus=corpus_spec, tokenizer=tokenizer, max_len=max_len)
+    corpus_config = RunConfig(corpus=corpus_spec, max_len=max_len)
     ckpts = (ckpt_a, ckpt_b)
     models = [checkpoint.load(ckpt)[0] for ckpt in ckpts]
-    corpus, text = read_corpus(corpus_config)
+    tokenizer, other = (model.vocab.tokenizer for model in models)
+    if tokenizer != other:
+        raise ConfigError(f"probe checkpoints {ckpt_a} and {ckpt_b} have tokenizers {tokenizer!r} and {other!r}")
+    corpus, text = read_corpus(replace(corpus_config, tokenizer=tokenizer))
     for ckpt, model in zip(ckpts, models):
         if model.vocab.tokens != corpus.vocab.tokens:
             said = _vocab_difference(model.vocab.tokens, corpus.vocab.tokens)

@@ -21,8 +21,13 @@ from .curvemap import BasisCache
 from .errors import ConfigError, NonFinite, ShapeMismatch, StepOutOfRange
 from .rng import RngStream
 
-IDENTITY_MODES = ("baseline-identity", "masked-identity")
-MODES = ("gaussian", "masked", *IDENTITY_MODES)
+# each run mode's noise process, and whether its curve map is the identity (B = I)
+MODES = {
+    "gaussian": ("gaussian", False),
+    "masked": ("masked", False),
+    "baseline-identity": ("gaussian", True),
+    "masked-identity": ("masked", True),
+}
 
 
 @dataclass(frozen=True)
@@ -143,10 +148,10 @@ def _batch_length(batch: list[np.ndarray]) -> int:
 class SclmModel:
     """Diffusion LM with curve mappings at the backbone boundary.
 
-    ``mode`` selects the noise process and whether the curve mapping is
-    the cached B-spline pair or the identity: "gaussian", "masked",
-    "baseline-identity" (Gaussian noise, B = I) and "masked-identity", the
-    ``IDENTITY_MODES``.  Word embeddings stay on the unit sphere.
+    ``noise`` is the noise process, "gaussian" or "masked".  The curve
+    map is the cache's: the B-spline pairs, or the identity (B = I) when
+    ``cache.config.identity`` is set.  ``MODES`` gives each run mode's
+    noise and map.  Word embeddings stay on the unit sphere.
 
     The model works on batches of sequences of one length: embeddings
     (B, d, L), control points (B, d, N), one diffusion step per
@@ -166,7 +171,7 @@ class SclmModel:
 
     def __init__(
         self,
-        mode: str,
+        noise: str,
         vocab: Vocab,
         cache: BasisCache,
         schedule: NoiseSchedule,
@@ -177,17 +182,13 @@ class SclmModel:
         seed: int = 0,
         state: np.ndarray | tuple[np.ndarray, ...] | None = None,
     ):
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+        if noise not in ("gaussian", "masked"):
+            raise ConfigError(f"noise must be 'gaussian' or 'masked', got {noise!r}")
         if embed_dim < 1:
             raise ConfigError(f"embed_dim must be >= 1, got {embed_dim}")
         if k_curves < 1:
             raise ConfigError(f"k_curves must be >= 1, got {k_curves}")
-        self.mode = mode
-        self.noise_kind = "masked" if mode.startswith("masked") else "gaussian"
-        self.identity_b = mode in IDENTITY_MODES
-        if self.identity_b and not cache.config.identity:
-            raise ConfigError("identity modes need a cache built with identity=True")
+        self.noise = noise
         self.vocab = vocab
         self.cache = cache
         self.schedule = schedule
@@ -261,16 +262,16 @@ class SclmModel:
     def to_points(self, e: Tensor) -> Tensor:
         """Control points (B, d, N) of embeddings (B, d, L): e @ B_pinv.
 
-        The identity modes pass e through; every mode raises
+        An identity map passes e through; every map raises
         ``LengthOutOfRange`` for a length outside the cache.
         """
         pair = self.cache.get(e.shape[-1])
-        return e if self.identity_b else ad.linear(e, Tensor(pair.B_pinv))
+        return e if self.cache.config.identity else ad.linear(e, Tensor(pair.B_pinv))
 
     def to_words(self, points: Tensor, length: int) -> Tensor:
         """Embeddings (B, d, L) along the curves of points (B, d, N): p @ B."""
         pair = self.cache.get(length)
-        return points if self.identity_b else ad.linear(points, Tensor(pair.B))
+        return points if self.cache.config.identity else ad.linear(points, Tensor(pair.B))
 
     # ------------------------------------------------------------- backbone
 
@@ -390,7 +391,7 @@ def gaussian_loss(model: SclmModel, batch: list[np.ndarray], rng: RngStream) -> 
     Each sequence draws its own step, noise and dropout; the backbone
     runs once over the whole batch.
     """
-    if model.noise_kind != "gaussian":
+    if model.noise != "gaussian":
         raise ConfigError("gaussian_loss requires a gaussian-noise model")
     if not batch:
         raise ConfigError("empty batch")
@@ -422,7 +423,7 @@ def masked_loss(model: SclmModel, batch: list[np.ndarray], rng: RngStream) -> tu
     Sequences with no masked position leave the batch before the
     backbone, which runs once over the rest.
     """
-    if model.noise_kind != "masked":
+    if model.noise != "masked":
         raise ConfigError("masked_loss requires a masked-noise model")
     if not batch:
         raise ConfigError("empty batch")
@@ -475,7 +476,7 @@ def train_step(model: SclmModel, batch: list[np.ndarray], optimizer: AdamConfig,
     """One forward/backward/Adam update; returns the loss record."""
     rng = RngStream(model.seed, "train", step)
     with Tape() as tape:
-        if model.noise_kind == "gaussian":
+        if model.noise == "gaussian":
             loss, record = gaussian_loss(model, batch, rng)
         else:
             loss, record = masked_loss(model, batch, rng)
@@ -505,7 +506,7 @@ def sample(model: SclmModel, length: int, n_reverse_steps: int, seed: int) -> tu
     Returns (token ids (L,), trajectory of denoised embeddings, one (d, L)
     array per reverse step).
     """
-    if model.noise_kind == "masked":
+    if model.noise == "masked":
         return _sample_masked(model, length, n_reverse_steps, seed)
     return _sample_gaussian(model, length, n_reverse_steps, seed)
 

@@ -429,8 +429,8 @@ def reference_masked_loss(model, batch, rng):
 
 
 def _curve_maps(model, length):
-    """(B_pinv, B) of a length; the identity in the identity modes."""
-    if model.mode.endswith("identity"):
+    """(B_pinv, B) of a length; the identity when the model's cache is."""
+    if model.cache.config.identity:
         return np.eye(length), np.eye(length)
     pair = model.cache.get(length)
     return pair.B_pinv, pair.B
@@ -461,7 +461,7 @@ def reference_sample(model, length, n_steps, seed):
     steps = reference_reverse_steps(model.schedule.T, n_steps)
     rng = RngStream(seed, "sample")
     trajectory = []
-    if model.mode.startswith("masked"):
+    if model.noise == "masked":
         mask_id = model.vocab.mask_id
         y = np.full(length, mask_id, dtype=np.int64)
         for idx, t in enumerate(steps):

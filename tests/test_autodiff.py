@@ -1063,7 +1063,7 @@ class TestParamStore:
         # a model trained in memory takes the same next step as its
         # loaded copy, whose state is the same bytes
         model = M.SclmModel(
-            mode="masked", vocab=build_vocab([list("abcd")]), cache=build_cache(CurveConfig(l_min=2, l_max=8)),
+            noise="masked", vocab=build_vocab([list("abcd")]), cache=build_cache(CurveConfig(l_min=2, l_max=8)),
             schedule=M.build_schedule(10, "linear"),
             backbone=M.BackboneConfig(layers=1, d_model=8, d_ff=16, dropout=0.1, max_positions=32, time_dim=4),
             embed_dim=4, seed=3,

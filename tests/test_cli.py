@@ -366,6 +366,53 @@ class TestTrainCommand:
         with open(os.path.join(whole, "model.ckpt"), "rb") as fa, open(os.path.join(half, "model.ckpt"), "rb") as fb:
             assert fa.read() == fb.read()
 
+    @pytest.mark.parametrize(
+        "mode, noise, corpus, tokenizer",
+        [("masked-identity", "masked", "builtin:grammar3", "char"), ("gaussian", "gaussian", None, "whitespace")],
+    )
+    def test_checkpoint_with_the_old_mode_key_loads_samples_and_resumes_exactly(self, tmp_path, mode, noise, corpus, tokenizer):
+        # v2 files written before the run's noise and tokenizer were recorded name its mode instead
+        if corpus is None:
+            corpus = str(tmp_path / "words.txt")
+            write_file(corpus, "the cat sat on a mat\na dog sat on the cat\nthe mat sat on a dog\n")
+        run = ["--mode", mode, "--corpus", corpus, "--tokenizer", tokenizer]
+        whole, half, resumed = (str(tmp_path / name) for name in ("whole", "half", "resumed"))
+        assert cli.main(tiny_train_args(whole, run)) == 0
+        assert cli.main(tiny_train_args(half, [*run, "--steps", "10"])) == 0
+        new = os.path.join(half, "model.ckpt")
+        raw = open(new, "rb").read()
+        (header_len,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + header_len])
+        assert (header.pop("noise"), header.pop("tokenizer")) == (noise, tokenizer)
+        payload = json.dumps({**header, "mode": mode}, sort_keys=True).encode("utf-8")
+        old = str(tmp_path / "old.ckpt")
+        with open(old, "wb") as fh:
+            fh.write(raw[:8] + struct.pack("<Q", len(payload)) + payload + raw[16 + header_len :])
+        model, step, loaded_header = checkpoint.load(old)
+        assert step == 10 and "mode" not in loaded_header
+        assert checkpoint.settings(model) == checkpoint.settings(checkpoint.load(new)[0])
+        for name, path in (("old", old), ("new", new)):
+            args = ["sample", path, "--length", "6", "--steps", "5", "--n", "2", "--seed", "1", "--out", str(tmp_path / f"sample_{name}")]
+            assert cli.main(args) == 0
+        for file in ("samples.txt", "sample_1_trajectory.json", "sample_1_projection.csv"):
+            assert (tmp_path / "sample_old" / file).read_bytes() == (tmp_path / "sample_new" / file).read_bytes(), file
+        args = ["train", "--config", os.path.join(half, "run.cfg"), "--resume", old, "--steps", "20", "--out", resumed]
+        assert cli.main(args) == 0
+        with open(os.path.join(whole, "model.ckpt"), "rb") as fa, open(os.path.join(resumed, "model.ckpt"), "rb") as fb:
+            assert fa.read() == fb.read()
+
+    def test_resume_with_another_tokenizer_names_the_tokenizer(self, tmp_path, capsys):
+        # both tokenizers split these lines, into different vocabularies
+        corpus = str(tmp_path / "words.txt")
+        write_file(corpus, "a b c d\nd c b a\nb a d c\n")
+        first = str(tmp_path / "first")
+        assert cli.main(tiny_train_args(first, ["--corpus", corpus, "--tokenizer", "whitespace", "--steps", "2"])) == 0
+        out = tmp_path / "resumed"
+        resume = ["--corpus", corpus, "--resume", os.path.join(first, "model.ckpt"), "--steps", "4"]
+        assert cli.main(tiny_train_args(str(out), resume)) == 2
+        assert "resume checkpoint has tokenizer 'whitespace', these settings give 'char';" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_with_the_old_force_k_head_key_loads_and_resumes_exactly(self, tmp_path):
         # v2 files written before the K-curve head followed from k_curves alone carry "force_k_head": false
         whole, half, resumed = (str(tmp_path / name) for name in ("whole", "half", "resumed"))
@@ -458,7 +505,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            (["--mode", "masked"], "mode"),
+            pytest.param(["--mode", "masked"], "noise", id="extra0-mode"),
             (["--d-model", "32"], "backbone.d_model"),
             (["--seed", "9"], "seed"),
             (["--steps", "20"], "already at step 20"),
@@ -855,6 +902,19 @@ class TestSampleCommand:
         for out in ("sample_{}/samples.txt", "resumed_{}/model.ckpt"):
             assert (tmp_path / out.format("old")).read_bytes() == (tmp_path / out.format("new")).read_bytes()
 
+    def test_whitespace_run_on_one_letter_words_samples_words_apart(self, tmp_path):
+        # every word is one letter long, as every token of a char run is: the checkpoint's tokenizer picks the join
+        corpus = str(tmp_path / "words.txt")
+        write_file(corpus, "a b c d\nd c b a\nb a d c\n")
+        run = str(tmp_path / "run")
+        assert cli.main(tiny_train_args(run, ["--corpus", corpus, "--tokenizer", "whitespace", "--steps", "3"])) == 0
+        out = str(tmp_path / "samp")
+        assert cli.main(["sample", os.path.join(run, "model.ckpt"), "--length", "4", "--steps", "3", "--n", "4", "--out", out]) == 0
+        texts = open(os.path.join(out, "samples.txt")).read().splitlines()
+        assert len(texts) == 4
+        for text in texts:
+            assert len(text.split(" ")) == 4, text
+
     def test_length_outside_the_corpus_range(self, ckpt, tmp_path, capsys, monkeypatch):
         # every line of builtin:alternating is 16 tokens long
         out = str(tmp_path / "long")
@@ -932,6 +992,18 @@ class TestSampleCommand:
         return json.dumps(header), body
 
     @staticmethod
+    def _unknown_tokenizer(header, body):
+        header["tokenizer"] = "bpe"
+        return json.dumps(header), body
+
+    @staticmethod
+    def _unknown_old_mode(header, body):
+        # an older header names the run mode, and no noise or tokenizer
+        del header["noise"], header["tokenizer"]
+        header["mode"] = "uniform"
+        return json.dumps(header), body
+
+    @staticmethod
     def _fractional_step(header, body):
         header["step"] = 2.5
         return json.dumps(header), body
@@ -965,12 +1037,14 @@ class TestSampleCommand:
             ("_negative_step", "step must be an integer >= 0, got -5"),
             ("_negative_opt_step_count", "opt_step_count must be an integer >= 0, got -3"),
             ("_fractional_step", "step must be an integer >= 0, got 2.5"),
+            ("_unknown_tokenizer", "names the unknown tokenizer 'bpe'"),
+            ("_unknown_old_mode", "names the unknown mode 'uniform'"),
             ("_nan_in_last_value", "non-finite value"),
             ("_flipped_bit", "checksum"),
         ],
         ids=["no-seed", "list", "renamed-blob", "unlisted-parameter", "parameter-and-blobs-unlisted",
              "reordered-parameters", "trailing-byte", "extra-blob", "negative-step", "negative-opt-step-count",
-             "fractional-step", "nan-blob", "flipped-bit"],
+             "fractional-step", "unknown-tokenizer", "unknown-old-mode", "nan-blob", "flipped-bit"],
     )
     def test_malformed_checkpoint_exits_2_without_output(self, ckpt, tmp_path, capsys, corrupt, message):
         raw = open(ckpt, "rb").read()
@@ -1148,7 +1222,7 @@ class TestProbeInputs:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--tokenizer", "foo", "unknown tokenizer 'foo'"), ("--corpus", "builtin:nope", "unknown builtin corpus")],
+        [("--corpus", "builtin:nope", "unknown builtin corpus")],
     )
     def test_bad_corpus_setting_exits_2_before_loading(self, probe_ckpts, tmp_path, capsys, monkeypatch, flag, value, message):
         def refuse(path):
@@ -1193,6 +1267,19 @@ class TestProbeInputs:
             f"error: probe checkpoint {probe_ckpts[0]} has vocabulary 'c' at 2 of 6 tokens,"
             " the probe corpus gives 'a' at 2 of 4 tokens\n"
         )
+
+    def test_checkpoints_with_two_tokenizers_exit_2_naming_both(self, probe_ckpts, tmp_path, capsys):
+        corpus = str(tmp_path / "words.txt")
+        write_file(corpus, "aabb cccccccc\naabb dddddddd\n")
+        words = str(tmp_path / "words")
+        assert cli.main(tiny_train_args(words, ["--corpus", corpus, "--tokenizer", "whitespace", "--steps", "2"])) == 0
+        capsys.readouterr()
+        out = str(tmp_path / "probe")
+        assert self._probe([probe_ckpts[0], os.path.join(words, "model.ckpt")], out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "have tokenizers 'char' and 'whitespace'" in err
+        assert not os.path.exists(out)
 
     def test_k_curve_head_checkpoint_exits_2_without_creating_out(self, probe_ckpts, tmp_path, capsys):
         # such a model predicts through curve tokens and a scorer, which the probe's single-curve decode bypasses

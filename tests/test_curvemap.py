@@ -113,10 +113,11 @@ class TestBasisCache:
         npt.assert_array_equal(cache.get(4).B_pinv, np.eye(4))
 
 
-def mapping_model(identity=False, l_max=16):
+def mapping_model(mode="gaussian", l_max=16):
+    noise, identity = M.MODES[mode]
     cache = cm.build_cache(cm.CurveConfig(n_ratio=2.0, eta_ratio=0.1, l_min=2, l_max=l_max, identity=identity))
     return M.SclmModel(
-        mode="baseline-identity" if identity else "gaussian",
+        noise=noise,
         vocab=build_vocab([list("ab")]),
         cache=cache,
         schedule=M.build_schedule(4, "linear"),
@@ -203,8 +204,23 @@ class TestMappings:
                 rel = np.linalg.norm(E - recon) / np.linalg.norm(E)
                 assert rel < 1e-8
 
+    def test_gaussian_noise_on_an_identity_cache_passes_through(self):
+        # the cache decides the map, whatever the noise
+        cache = cm.build_cache(cm.CurveConfig(l_min=2, l_max=6, identity=True))
+        model = M.SclmModel(
+            noise="gaussian",
+            vocab=build_vocab([list("ab")]),
+            cache=cache,
+            schedule=M.build_schedule(4, "linear"),
+            backbone=M.BackboneConfig(layers=1, heads=1, d_model=4, d_ff=4, max_positions=64, time_dim=2),
+            embed_dim=3,
+        )
+        E = Tensor(RngStream(10, "ident").generator().standard_normal((2, 3, 6)))
+        assert model.to_points(E) is E
+        assert model.to_words(E, 6) is E
+
     def test_identity_mode_passes_through_inside_the_cache_range(self):
-        model = mapping_model(identity=True, l_max=6)
+        model = mapping_model("baseline-identity", l_max=6)
         E = RngStream(9, "ident").generator().standard_normal((3, 6))
         npt.assert_array_equal(to_points(model, E), E)
         npt.assert_array_equal(to_words(model, E, 6), E)

@@ -38,10 +38,10 @@ def tiny_vocab():
 
 
 def make_model(mode="gaussian", k_curves=1, seed=0, length=8, n_ratio=1.5, dropout=0.0, T=8, heads=2):
-    identity = mode in ("baseline-identity", "masked-identity")
+    noise, identity = M.MODES[mode]
     cache = build_cache(CurveConfig(n_ratio=n_ratio, eta_ratio=0.2, l_min=2, l_max=length, identity=identity))
     return M.SclmModel(
-        mode=mode,
+        noise=noise,
         vocab=tiny_vocab(),
         cache=cache,
         schedule=M.build_schedule(T, "linear"),
@@ -621,7 +621,7 @@ def test_backward_holds_no_more_than_the_forward_pass_left():
     length = 64
     vocab = build_vocab([list("abcdefgh")])
     model = M.SclmModel(
-        mode="masked", vocab=vocab, cache=build_cache(CurveConfig(l_min=2, l_max=length)),
+        noise="masked", vocab=vocab, cache=build_cache(CurveConfig(l_min=2, l_max=length)),
         schedule=M.build_schedule(100, "linear"), backbone=M.BackboneConfig(), embed_dim=32, seed=0,
     )
     model.cache.get(length)
@@ -674,10 +674,11 @@ def test_long_line_step_keeps_no_attention_stack(tmp_path, dropout, limit_mib):
 
 
 @pytest.mark.parametrize("dropout, limit_mib", [(0.0, 40), (0.1, 44)])
-def test_long_line_step_keeps_only_the_feed_forward_pre_activation(tmp_path, dropout, limit_mib):
-    """The feed-forward adjoint keeps its pre-activation (and a boolean
-    mask) and rebuilds GELU's tanh and output; keeping them as well, this
-    step peaked at 44.3 MiB (48.8 MiB with dropout)."""
+def test_long_line_step_rebuilds_the_gelu_tanh_and_output(tmp_path, dropout, limit_mib):
+    """The feed-forward adjoint rebuilds GELU's tanh and output (and its
+    pre-activation) from the residual stream and its norm's row
+    statistics; keeping the tanh and output as well, this step peaked at
+    44.3 MiB (48.8 MiB with dropout)."""
     peak = _long_line_step_peak(tmp_path, dropout)
     assert peak < limit_mib << 20, peak / (1 << 20)
 
@@ -823,7 +824,7 @@ class TestCheckpoint:
         checkpoint.save(model, path, step=1)
         loaded, step, header = checkpoint.load(path)
         assert step == 1
-        assert header["mode"] == "gaussian"
+        assert header["noise"] == "gaussian" and header["tokenizer"] == "char"
         assert loaded.store.step_count == model.store.step_count == 1
         for name in ("values", "first", "second"):
             assert np.array_equal(getattr(loaded.store, name), getattr(model.store, name)), name
@@ -921,7 +922,7 @@ class TestCheckpoint:
         # on top would put the peak at twice the state's bytes.  The default
         # backbone's state is 2.5 MB, against which what load holds besides
         # it (the header, the model's views) is small
-        model = M.SclmModel(mode="masked", vocab=tiny_vocab(), cache=build_cache(CurveConfig(l_min=2, l_max=8)),
+        model = M.SclmModel(noise="masked", vocab=tiny_vocab(), cache=build_cache(CurveConfig(l_min=2, l_max=8)),
                             schedule=M.build_schedule(8, "linear"), seed=37)
         path = str(tmp_path / "m.ckpt")
         checkpoint.save(model, path, step=0)
@@ -985,7 +986,7 @@ class TestCheckpoint:
 
     def test_truncation_at_every_offset_is_typed(self, tmp_path):
         model = M.SclmModel(
-            mode="gaussian",
+            noise="gaussian",
             vocab=tiny_vocab(),
             cache=build_cache(CurveConfig(l_min=2, l_max=4)),
             schedule=M.build_schedule(4, "linear"),
