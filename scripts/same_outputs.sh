@@ -95,6 +95,8 @@ run_all() {
     cli mk2 train $small --mode masked --corpus builtin:grammar3 --k-curves 2 --dropout 0.1 --out "$out/mk2"
     cli ident train $small --mode baseline-identity --corpus builtin:multimodal --out "$out/ident"
     cli mident train $small --mode masked-identity --out "$out/mident"
+    # the masked run's identity twin, on its corpus, for the masked probe
+    cli mident3 train $small --mode masked-identity --corpus builtin:grammar3 --out "$out/mident3"
     cli long train $small --mode masked --corpus "$long" --max-len 128 --dropout 0.1 --steps 8 --out "$out/long"
     # steps 1-5 reach 128 letters (256 pos rows) and steps 6-8 draw 112, 104
     # and 40: the resume must carry the Adam state of rows no later step reads
@@ -144,6 +146,8 @@ run_all() {
     cli probe probe "$out/gauss/model.ckpt" "$out/ident/model.ckpt" --n-eval 4 --n-noise 50 --out "$out/probe"
     # 300 perturbations take several blocks of rows in the dCov kernel
     cli probe300 probe "$out/gauss/model.ckpt" "$out/ident/model.ckpt" --n-eval 4 --n-noise 300 --out "$out/probe300"
+    # masked twins: the probe masks their tokens at T/2, as they train
+    cli mprobe probe "$out/masked/model.ckpt" "$out/mident3/model.ckpt" --corpus builtin:grammar3 --n-eval 4 --n-noise 50 --out "$out/mprobe"
     cli reconstruct reconstruct --lengths 16,40 --n-ratios 1.5,2.0 --eta-ratios 0.1,0.2 --trials 5 --dim 4 --out "$out/reconstruct"
     # a length past the default curve range of [2, 250], which no range check may refuse
     cli reconstruct300 reconstruct --lengths 300 --n-ratios 2.0 --eta-ratios 0.1 --trials 5 --dim 4 --out "$out/reconstruct300"

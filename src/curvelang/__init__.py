@@ -10,7 +10,7 @@ from . import autodiff, checkpoint, config, corpus, curvemap, harness, model, sp
 from .curvemap import BasisCache, CurveConfig, build_cache
 from .model import BackboneConfig, NoiseSchedule, SclmModel, build_schedule, sample, train_step
 from .splines import BasisPair, SpectralReport, basis_matrix, build_pair, pseudo_inverse
-from .theory import VerificationRecord, distance_correlation, logit_correlation_probe
+from .theory import VerificationRecord, logit_correlation_probe
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "build_pair",
     "pseudo_inverse",
     "VerificationRecord",
-    "distance_correlation",
     "logit_correlation_probe",
     "__version__",
 ]

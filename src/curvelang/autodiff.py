@@ -460,11 +460,6 @@ def attention(h, ln_g, ln_b, wq, bq, wk, bk, wv, bv, heads: int, scale: float, p
         x = normed_rows()
         for j in (2, 1, 0):
             d, ds[j] = ds[j], None
-            if j == 1 and batch == 1:
-                # one sequence's k adjoint takes the column order of kᵀ's
-                # adjoint, which it is a view of there: BLAS and numpy's
-                # sum run the products in another order than on rows
-                d = np.asfortranarray(d)
             w, _, w_grad, b_grad = params[j]
             if dx is None:
                 dx = d @ w.T

@@ -21,7 +21,7 @@ from .errors import (
     ShapeMismatch,
     TooFewSamples,
 )
-from .model import forward_noise_gaussian
+from .model import forward_noise_gaussian, masked_forward
 from .rng import RngStream
 from .splines import BasisPair, error_importance, importance_ratio
 
@@ -313,28 +313,6 @@ def _dcor_matrix(gram: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def distance_correlation(X: np.ndarray, Y: np.ndarray) -> float:
-    """Biased-statistic distance correlation in [0, 1]; 0 if degenerate."""
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if not (1 <= X.ndim <= 2 and 1 <= Y.ndim <= 2):
-        raise ShapeMismatch(f"samples must be (n,) or (n, d), got shapes {X.shape} and {Y.shape}")
-    if X.ndim == 1:
-        X = X[:, None]
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if X.shape[0] != Y.shape[0]:
-        raise ShapeMismatch(f"sample counts differ: {X.shape[0]} vs {Y.shape[0]}")
-    n = X.shape[0]
-    if n < 2:
-        raise TooFewSamples(f"need at least 2 samples, got {n}")
-    # the narrower set is padded with zero coordinates, which add nothing
-    samples = np.zeros((n, 2, max(X.shape[1], Y.shape[1])))
-    samples[:, 0, : X.shape[1]] = X
-    samples[:, 1, : Y.shape[1]] = Y
-    return float(_dcor_matrix(_dcov_gram(samples))[0, 1])
-
-
 # ------------------------------------------------------------ logit probe
 
 # Perturbations decoded per call: the perturbed hidden states and their
@@ -375,14 +353,16 @@ def probe_logits(
 ):
     """Iterate over each evaluation sequence's logits (n_noise, L, |V|) under hidden-state noise.
 
-    Each sequence is noised once at diffusion step T/2 and run
-    through the backbone; its final hidden state is perturbed
-    ``n_noise`` times (dropout plus Gaussian noise scaled by each token's
-    hidden norm), and each perturbation is decoded the way the model
-    decodes: output head, curve, word logits.  A model with a K-curve
-    head never decodes that way (its curves come from curve tokens, a
-    scorer and a combination), so it raises ``ConfigError``.  Bad
-    settings, models and batches raise here, before any sequence is run.
+    Each sequence is corrupted once at diffusion step T/2 by the
+    model's own noise process (Gaussian noise on its embeddings, or
+    masking of its tokens) and run through the backbone; its final
+    hidden state is perturbed ``n_noise`` times (dropout plus Gaussian
+    noise scaled by each token's hidden norm), and each perturbation is
+    decoded the way the model decodes: output head, curve, word logits.
+    A model with a K-curve head never decodes that way (its curves come
+    from curve tokens, a scorer and a combination), so it raises
+    ``ConfigError``.  Bad settings, models and batches raise here,
+    before any sequence is run.
     """
     check_probe_settings(n_noise, dropout_p, noise_scale)
     if model.k_head:
@@ -398,8 +378,13 @@ def probe_logits(
 def _sequence_logits(model, eval_batch, length, n_noise, dropout_p, noise_scale, seed):
     t = max(int(round(_PROBE_T_FRAC * model.schedule.T)), 1)
     rng = RngStream(seed, "probe")
-    e0 = model.embed(np.stack(eval_batch)).data
-    et = np.stack([forward_noise_gaussian(e, t, model.schedule, rng.child("input", s)) for s, e in enumerate(e0)])
+    tokens = np.stack(eval_batch)
+    if model.noise == "masked":
+        yt = np.stack([masked_forward(y, t, model.schedule, rng.child("input", s), model.vocab.mask_id) for s, y in enumerate(tokens)])
+        et = model.embed(yt).data
+    else:
+        e0 = model.embed(tokens).data
+        et = np.stack([forward_noise_gaussian(e, t, model.schedule, rng.child("input", s)) for s, e in enumerate(e0)])
     hiddens = model.backbone_hidden(model.to_points(Tensor(et)), [t] * len(eval_batch)).data
     for s, hidden in enumerate(hiddens):
         yield _perturbed_logits(model, hidden, length, n_noise, dropout_p, noise_scale, rng.child("perturb", s).generator())

@@ -485,7 +485,12 @@ def reference_sample(model, length, n_steps, seed):
 
 
 def reference_probe_logits(model, eval_batch, n_noise, dropout_p, noise_scale, seed, t_frac=0.5):
-    """Per-sequence logits (n_noise, L, |V|) of the logit probe, one perturbation at a time."""
+    """Per-sequence logits (n_noise, L, |V|) of the logit probe, one perturbation at a time.
+
+    Each sequence is corrupted at step t by the model's own noise
+    process: Gaussian noise on its embeddings, or, for a masked model,
+    each token replaced by the mask id with probability 1 - abar_t.
+    """
     emb = model.embedding.weight.data
     p = {name: model.store[name].data for name in model.store.names()}
     length = len(eval_batch[0])
@@ -495,8 +500,12 @@ def reference_probe_logits(model, eval_batch, n_noise, dropout_p, noise_scale, s
     rng = RngStream(seed, "probe")
     out = []
     for s, tokens in enumerate(eval_batch):
-        e0 = emb[:, tokens]
-        e_t = np.sqrt(abar) * e0 + np.sqrt(1.0 - abar) * rng.child("input", s).normal(e0.shape)
+        if model.noise == "masked":
+            hit = rng.child("input", s).uniform(tokens.shape) < 1.0 - abar
+            e_t = emb[:, np.where(hit, model.vocab.mask_id, tokens)]
+        else:
+            e0 = emb[:, tokens]
+            e_t = np.sqrt(abar) * e0 + np.sqrt(1.0 - abar) * rng.child("input", s).normal(e0.shape)
         hidden = _reference_hidden(model, p, e_t @ B_pinv, t)
         norms = np.linalg.norm(hidden, axis=1, keepdims=True)
         gen = rng.child("perturb", s).generator()

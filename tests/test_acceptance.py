@@ -15,14 +15,12 @@ from curvelang import autodiff as ad
 from curvelang import checkpoint, cli, harness
 from curvelang import model as M
 from curvelang.config import RunConfig
-from curvelang.corpus import ingest
 from curvelang.curvemap import CurveConfig, build_cache, reconstruction_sweep, resolve_dims
 from curvelang.rng import RngStream
 from curvelang.splines import basis_matrix, basis_vector, build_pair, clamped_knots, importance_ratio
 from curvelang.theory import (
     lemma1_stationarity,
     lemma2_decomposition_check,
-    logit_correlation_probe,
     random_fiber_spec,
     relaxation_posterior_check,
 )
@@ -248,7 +246,7 @@ def test_criterion_09_desk_scale_training(gaussian_training, tmp_path):
     perfect = 0
     for i in range(100):
         tokens, _ = M.sample(model, 16, 20, seed=9000 + i)
-        text = "".join(model.vocab.decode(tokens))
+        text = model.vocab.decode(tokens)
         if set(text) <= {"a", "b"} and all(a != b for a, b in zip(text, text[1:])):
             perfect += 1
     assert perfect >= 90, perfect
@@ -279,8 +277,9 @@ PRIMARY_SEEDS = (101, 102, 103, 104, 105)
 ALTERNATE_SEEDS = (201, 202, 203, 204, 205)
 
 
-def _probe_difference(seed: int, root: str) -> float:
-    diffs = {}
+def _probe_difference(seed: int, root: str) -> tuple[float, float]:
+    """Curve minus identity probe difference of one seed's twins: trained, and as ``build_model`` draws them."""
+    trained, untrained = {}, {}
     for mode in ("gaussian", "baseline-identity"):
         config = RunConfig(
             mode=mode,
@@ -297,34 +296,51 @@ def _probe_difference(seed: int, root: str) -> float:
             eta_fixed=5,
         )
         out = os.path.join(root, f"{mode}_{seed}")
-        result = harness.run_training(config, out)
-        model, _, _ = checkpoint.load(result.checkpoint_path)
-        corpus = ingest(os.path.join(out, "corpus_multimodal.txt"), "char", 12)
-        batch = [s for s in corpus.sequences if len(s) == 12][:8]
-        probe = logit_correlation_probe(model, batch, n_noise=300, dropout_p=0.1, noise_scale=0.1, seed=7)
-        diffs[mode] = probe.mean_offdiag
-    return diffs["gaussian"] - diffs["baseline-identity"]
+        trained[mode] = harness.run_training(config, out).checkpoint_path
+        untrained[mode] = os.path.join(out, "untrained.ckpt")
+        checkpoint.save(harness.build_model(config, harness.read_corpus(config)[0]), untrained[mode], 0)
+    return tuple(
+        harness.run_probe(
+            ckpts["gaussian"],
+            ckpts["baseline-identity"],
+            "builtin:multimodal",
+            os.path.join(root, f"probe_{name}_{seed}"),
+            n_eval=8,
+            n_noise=300,
+            dropout_p=0.1,
+            noise_scale=0.1,
+            seed=7,
+            max_len=12,
+        )["difference"]
+        for name, ckpts in (("trained", trained), ("untrained", untrained))
+    )
 
 
 @pytest.mark.slow
 def test_criterion_10_global_structure_probe(tmp_path):
-    """Curve-mode logit correlations exceed the identity twin, 5-seed mean."""
+    """Curve-mode logit correlations exceed the identity twin, 5-seed mean.
+
+    The untrained twins' difference is reported beside the trained one;
+    nothing is asserted on it.
+    """
 
     def run_block(seeds):
-        return [_probe_difference(seed, str(tmp_path / f"s{seed}")) for seed in seeds]
+        trained, untrained = zip(*(_probe_difference(seed, str(tmp_path / f"s{seed}")) for seed in seeds))
+        return list(trained), list(untrained)
 
-    diffs = run_block(PRIMARY_SEEDS)
+    diffs, untrained = run_block(PRIMARY_SEEDS)
     mean_diff = float(np.mean(diffs))
     block = "primary"
     if mean_diff <= 0.0:
         # stochastic criterion: one documented re-run block before failing
-        diffs = run_block(ALTERNATE_SEEDS)
+        diffs, untrained = run_block(ALTERNATE_SEEDS)
         mean_diff = float(np.mean(diffs))
         block = "alternate"
     assert mean_diff > 0.0, diffs
     _report(
         "criterion-10 global-structure probe",
-        f"{block} seeds, per-seed diffs {[round(d, 4) for d in diffs]}, mean {mean_diff:+.4f}",
+        f"{block} seeds, per-seed diffs {[round(d, 4) for d in diffs]}, mean {mean_diff:+.4f};"
+        f" untrained twins {[round(d, 4) for d in untrained]}, mean {float(np.mean(untrained)):+.4f}",
     )
 
 

@@ -481,7 +481,7 @@ class TestGradientChecks:
         return [RngStream(seed, "att-drop", i).generator() for i in range(count)]
 
     def test_attention(self):
-        # one sequence, whose k adjoint runs its products in column order, and two
+        # one sequence and two
         n = 3
         for batch in (1, 2):
             for heads in (1, 2, 4):

@@ -141,14 +141,17 @@ class TestLemma3:
 
 
 class TestDistanceCorrelation:
+    """The probe's dCov kernel on k = 2 sets of n samples, stacked as (n, 2, d)."""
+
     def test_self_correlation(self):
         X = RngStream(1, "dc").normal((40, 3))
-        assert abs(theory.distance_correlation(X, X) - 1.0) < 1e-9
+        matrix = theory._dcor_matrix(theory._dcov_gram(np.stack([X, X], axis=1)))
+        assert abs(matrix[0, 1] - 1.0) < 1e-9
 
     def test_affine_invariance(self):
         X = RngStream(2, "dc").normal((50, 4))
-        Y = 3.0 * X + 7.5
-        assert abs(theory.distance_correlation(X, Y) - 1.0) < 1e-9
+        matrix = theory._dcor_matrix(theory._dcov_gram(np.stack([X, 3.0 * X + 7.5], axis=1)))
+        assert abs(matrix[0, 1] - 1.0) < 1e-9
 
     def test_independent_floor(self):
         # biased-statistic floor for independent 4-D Gaussians at n=500:
@@ -156,55 +159,46 @@ class TestDistanceCorrelation:
         rng = RngStream(3, "dc").generator()
         X = rng.standard_normal((500, 4))
         Y = rng.standard_normal((500, 4))
-        assert theory.distance_correlation(X, Y) < 0.20
+        assert theory._dcor_matrix(theory._dcov_gram(np.stack([X, Y], axis=1)))[0, 1] < 0.20
 
     def test_symmetry_and_shift(self):
         rng = RngStream(4, "dc").generator()
-        X = rng.standard_normal((30, 2))
+        # X is padded to Y's 5 coordinates with zeros, which add no distance
+        X = np.pad(rng.standard_normal((30, 2)), ((0, 0), (0, 3)))
         Y = rng.standard_normal((30, 5))
-        a = theory.distance_correlation(X, Y)
-        b = theory.distance_correlation(Y, X)
+        a = theory._dcor_matrix(theory._dcov_gram(np.stack([X, Y], axis=1)))[0, 1]
+        b = theory._dcor_matrix(theory._dcov_gram(np.stack([Y, X], axis=1)))[0, 1]
         assert abs(a - b) < 1e-12
-        c = theory.distance_correlation(X + 11.0, Y)
+        c = theory._dcor_matrix(theory._dcov_gram(np.stack([X + 11.0, Y], axis=1)))[0, 1]
         assert abs(a - c) < 1e-9
 
     def test_degenerate_returns_zero(self):
         X = np.ones((10, 2))
         Y = RngStream(5, "dc").normal((10, 2))
-        assert theory.distance_correlation(X, Y) == 0.0
-
-    def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
-            theory.distance_correlation(np.ones((1, 2)), np.ones((1, 2)))
+        assert theory._dcor_matrix(theory._dcov_gram(np.stack([X, Y], axis=1)))[0, 1] == 0.0
 
     def test_matches_closed_form(self):
-        rng = RngStream(6, "dc").generator()
-        for n, dx, dy in ((2, 1, 1), (7, 1, 3), (25, 3, 2), (40, 5, 5)):
-            X = rng.standard_normal((n, dx))
-            Y = np.tanh(X.sum(axis=1, keepdims=True)) + 0.5 * rng.standard_normal((n, dy))
-            assert abs(theory.distance_correlation(X, Y) - closed_form_dcor(X, Y)) < 1e-12, (n, dx, dy)
-        X = rng.standard_normal(30)
-        assert abs(theory.distance_correlation(X, X**2) - closed_form_dcor(X, X**2)) < 1e-12
+        self._matches(closed_form_dcor)
 
     def test_matches_double_centred_oracle(self):
         # the kernel shares closed_form_dcor's S1 + S2 - 2·S3 algebra, so it
         # is also checked against the double-centred definition
+        self._matches(centred_dcor)
+
+    @staticmethod
+    def _matches(oracle):
         rng = RngStream(6, "dc").generator()
         for n, dx, dy in ((2, 1, 1), (7, 1, 3), (25, 3, 2), (40, 5, 5)):
             X = rng.standard_normal((n, dx))
             Y = np.tanh(X.sum(axis=1, keepdims=True)) + 0.5 * rng.standard_normal((n, dy))
-            assert abs(theory.distance_correlation(X, Y) - centred_dcor(X, Y)) < 1e-12, (n, dx, dy)
+            # the narrower set is padded with zero coordinates
+            width = max(dx, dy)
+            samples = np.stack([np.pad(X, ((0, 0), (0, width - dx))), np.pad(Y, ((0, 0), (0, width - dy)))], axis=1)
+            got = theory._dcor_matrix(theory._dcov_gram(samples))[0, 1]
+            assert abs(got - oracle(X, Y)) < 1e-12, (n, dx, dy)
         X = rng.standard_normal(30)
-        assert abs(theory.distance_correlation(X, X**2) - centred_dcor(X, X**2)) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            theory.distance_correlation(np.ones((4, 2)), np.ones((5, 2)))
-
-    @pytest.mark.parametrize("x_shape, y_shape", [((10, 2, 3), (10, 4)), ((10, 4), (10, 1, 1)), ((10, 1, 1, 1), (10,)), ((), (10,))])
-    def test_samples_of_other_than_one_or_two_axes_rejected(self, x_shape, y_shape):
-        with pytest.raises(ShapeMismatch):
-            theory.distance_correlation(np.ones(x_shape), np.ones(y_shape))
+        got = theory._dcor_matrix(theory._dcov_gram(np.stack([X, X**2], axis=1)[:, :, None]))[0, 1]
+        assert abs(got - oracle(X, X**2)) < 1e-12
 
 
 class TestLogitProbe:
@@ -231,7 +225,8 @@ class TestLogitProbe:
         assert (result.matrix >= 0.0).all() and (result.matrix <= 1.0 + 1e-12).all()
 
     def test_logits_match_reference_per_perturbation(self):
-        for mode in ("gaussian", "baseline-identity"):
+        # a masked model's sequences are masked, not Gaussian-noised
+        for mode in ("gaussian", "baseline-identity", "masked", "masked-identity"):
             model = jolt(make_model(mode, seed=44), seed=44)
             batch = make_batch(model, n=3, seed=44)
             got = list(theory.probe_logits(model, batch, n_noise=12, dropout_p=0.2, noise_scale=0.3, seed=5))
